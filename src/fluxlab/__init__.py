@@ -18,8 +18,7 @@ _SUBMODULES = ("flux", "grid", "angular", "spectral", "weights", "dynamics",
                "runio", "cli")
 
 _EXPORTS = {
-    "FluxProfile": "flux", "ClassicalRegion": "flux", "flux_eval": "flux",
-    "effective_potential": "flux", "classical_region": "flux",
+    "FluxProfile": "flux", "ClassicalRegion": "flux", "classical_region": "flux",
     "validate_growth_conditions": "flux",
     "RadialGrid": "grid", "ChannelOperator": "grid", "build_grid": "grid",
     "build_channel_operator": "grid",

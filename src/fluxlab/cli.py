@@ -2,7 +2,8 @@
 
 Subcommands: spectrum, project, tunnel, validate-weights, evolve, mobility.
 Every run writes a manifest.json with the resolved config, library versions,
-wall time, and every extracted constant that feeds a pass/fail verdict.
+wall time, every warning raised during the run, and every extracted constant
+that feeds a pass/fail verdict.
 Numerical imports happen after --threads is applied so the BLAS pool size
 can be pinned.
 """
@@ -15,6 +16,7 @@ import json
 import os
 import sys
 import time
+import warnings
 
 from .runio import ConfigError, RunConfig, read_csv, write_csv, write_json
 
@@ -64,7 +66,12 @@ def run(command: str, config_path, out_dir, verify: bool = False) -> int:
         "evolve": _run_evolve,
         "mobility": _run_mobility,
     }[command]
-    artifacts, constants = runner(cfg, out_dir)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        artifacts, constants = runner(cfg, out_dir)
+    raised = [str(w.message) for w in caught]
+    for message in raised:
+        print(f"warning: {message}", file=sys.stderr)
 
     import numpy
     import scipy
@@ -76,6 +83,7 @@ def run(command: str, config_path, out_dir, verify: bool = False) -> int:
         "subcommand": command,
         "config": cfg.echo(),
         "unused_keys": unused,
+        "warnings": raised,
         "versions": {
             "python": ".".join(map(str, sys.version_info[:3])),
             "numpy": numpy.__version__,
@@ -211,19 +219,14 @@ def _assemble_from_config(cfg: RunConfig):
 def _window_and_projection(cfg: RunConfig, h, w):
     from .spectral import diagonalize, make_window, spectral_projection
     e_upper = cfg.get_float("window.E0", required=True)
-    dense_limit = cfg.get_int("solver.dense_limit", 4000)
-    eigensys = diagonalize(h, window_upper=e_upper, dense_limit=dense_limit)
+    eigensys = diagonalize(h, window_upper=e_upper)
     e0 = float(eigensys.eigenvalues[0]) if eigensys.k else e_upper
     try:
         window = make_window(h, e0, e_upper, delta0=cfg.get_float("window.delta0"),
                              envelope=w.envelope if w is not None else None)
     except ValueError as exc:
         raise ConfigError("window.delta0", str(exc)) from None
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        proj = spectral_projection(h, window, eigensystem=eigensys,
-                                   dense_limit=dense_limit)
+    proj = spectral_projection(h, window, eigensystem=eigensys)
     return window, proj, eigensys
 
 

@@ -20,8 +20,6 @@ __all__ = [
     "FluxProfile",
     "ClassicalRegion",
     "GrowthConditionReport",
-    "flux_eval",
-    "effective_potential",
     "classical_region",
     "validate_growth_conditions",
 ]
@@ -183,16 +181,6 @@ class ClassicalRegion:
             return np.zeros(r.shape, dtype=bool)
         lo, hi = self.interval
         return (r >= lo) & (r <= hi)
-
-
-def flux_eval(profile: FluxProfile, r) -> float:
-    """Phi(r); thin wrapper kept for symmetry with the other operations."""
-    return profile.flux(r)
-
-
-def effective_potential(profile: FluxProfile, j: int, r):
-    """V_j(r) = (Phi(r) - j)^2 / r^2 for scalar or array r > 0."""
-    return profile.effective_potential(j, r)
 
 
 def classical_region(profile: FluxProfile, j: int, energy: float, grid) -> ClassicalRegion:

@@ -9,9 +9,10 @@ anchored by W = g(r) cos(theta), whose (j, j±1) blocks must carry g(r)/2.
 
 Spectral projections onto an energy window [e0, E0] are computed by direct
 diagonalization: per-channel tridiagonal solves when no coupling is present,
-a dense solve for small blocks, and a shift-inverted Lanczos sweep around the
-window otherwise.  Repeated runs are deterministic (fixed start vectors,
-fixed assembly order).
+and otherwise one shifted factorization (:class:`ShiftedFactor`) at the
+window top, whose inertia counts the eigenvalues below it exactly and whose
+shift-inverted Lanczos sweep then returns exactly that many eigenpairs.
+Repeated runs are deterministic (fixed start vectors, fixed assembly order).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .grid import RadialGrid
 __all__ = [
     "BlockHamiltonian", "SpectralWindow", "EigenSystem", "SpectralProjection",
     "assemble_hamiltonian", "diagonalize", "make_window", "spectral_projection",
-    "estimate_c0", "channel_projection_norm",
+    "estimate_c0", "channel_projection_norm", "ShiftedFactor",
 ]
 
 
@@ -118,29 +119,6 @@ class BlockHamiltonian:
             row[m:] += wa
             row[:-m] += wa
         return float(row.max())
-
-    def spectrum_floor(self) -> float:
-        """A tight lower bound for the spectrum.
-
-        Kinetic + effective potential is exactly PSD on this grid, so only
-        the perturbation can push eigenvalues below zero: lambda_min >=
-        min(W_s, 0) - max_r sum_m 2 |w_m(r)|.
-        """
-        floor = min(0.0, float(self.symmetric_part.min()))
-        if self.couplings:
-            coupling_row = np.zeros(self.grid.n_r)
-            for w in self.couplings.values():
-                coupling_row += 2.0 * np.abs(w)
-            floor -= float(coupling_row.max())
-        return floor
-
-    def apply_coupling(self, u: np.ndarray) -> np.ndarray:
-        """Action of the pure coupling part (the nonsymmetric W blocks) on u."""
-        out = np.zeros_like(u, dtype=np.result_type(u.dtype, self.dtype, np.complex128))
-        for m, w in self.couplings.items():
-            out[m:] += w[None, :] * u[:-m]
-            out[:-m] += np.conj(w)[None, :] * u[m:]
-        return out
 
 
 def assemble_hamiltonian(profile: FluxProfile, w: Optional[AngularPotential],
@@ -238,7 +216,6 @@ class EigenSystem:
     residual_max: float
     norm_h: float
     method: str
-    complete: bool               # True iff every eigenvalue of the matrix is present
 
     @property
     def k(self) -> int:
@@ -296,65 +273,104 @@ def _block_diagonal_eigensystem(h: BlockHamiltonian, value_range=None,
     for out_col, src in enumerate(order):
         c, v = cols_all[src]
         vecs_full[c * n:(c + 1) * n, out_col] = v / np.sqrt(h.grid.h)
-    complete = value_range is None and n_lowest is None
     return EigenSystem(
         grid=h.grid, channels=h.channels, eigenvalues=vals_all[order],
         eigenvectors=vecs_full, residual_max=res_max, norm_h=h.norm_inf(),
-        method="channel_tridiagonal", complete=complete,
+        method="channel_tridiagonal",
     )
 
 
-def _start_vector(dim: int) -> np.ndarray:
-    return np.full(dim, 1.0 / np.sqrt(dim))
+class ShiftedFactor:
+    """Factorization of a Hermitian A - sigma I with its Sylvester inertia.
 
-
-def _windowed_eigensystem(h: BlockHamiltonian, e0_hint: Optional[float],
-                          upper: float, margin: float) -> EigenSystem:
-    """All eigenpairs in [spectrum floor, upper + margin] via shift-invert.
-
-    The shift sits inside the target band (a far shift makes the inverted
-    spectrum cluster and stalls the Lanczos sweep); coverage is certified by
-    growing k until the found set reaches past both band edges.
+    SuperLU runs in symmetric mode: a symmetric fill-reducing ordering and
+    diagonal pivots only, so P (A - sigma I) P^T = L U with U = D L^H and,
+    by Sylvester's law of inertia, the negative entries of diag(U) count the
+    eigenvalues of A below sigma exactly (``n_below``).  Without pivoting
+    the elimination is only trustworthy while no pivot is tiny, so a row
+    interchange or a pivot below ``1e-12 |A|`` raises instead of returning
+    a count.  The factor serves shift-inverted Lanczos sweeps about sigma
+    (Ericsson & Ruhe 1980; inertia slicing as in Grimes, Lewis & Simon 1994).
     """
-    a = h.to_sparse().tocsc()
-    dim = h.dim
-    norm_h = h.norm_inf()
-    v0 = _start_vector(dim)
 
-    e0 = h.spectrum_floor() - 1e-9 if e0_hint is None else e0_hint
+    def __init__(self, a, sigma: float):
+        self.a = sp.csc_matrix(a)
+        self.sigma = float(sigma)
+        shifted = self.a - self.sigma * sp.identity(self.dim, dtype=self.a.dtype,
+                                                    format="csc")
+        self.lu = splu(shifted, permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        if not np.array_equal(self.lu.perm_r, self.lu.perm_c):
+            raise RuntimeError(f"factorization at shift {self.sigma:.17g} needed "
+                               "off-diagonal pivots; the inertia is undefined")
+        pivots = self.lu.U.diagonal().real
+        norm_a = float(abs(self.a).sum(axis=1).max())
+        tiny = 1e-12 * max(1.0, norm_a)
+        if np.min(np.abs(pivots)) <= tiny:
+            raise RuntimeError(
+                f"pivot {np.min(np.abs(pivots)):.3e} at shift {self.sigma:.17g} is "
+                f"below 1e-12 |A| = {tiny:.3e}; the inertia count is not trustworthy")
+        self.n_below = int(np.count_nonzero(pivots < 0))
+
+    @property
+    def dim(self) -> int:
+        return self.a.shape[0]
+
+    @property
+    def dense_below(self) -> bool:
+        """True when ``below`` solves densely: ARPACK needs k < dim - 1."""
+        return self.n_below >= self.dim - 1
+
+    def _eigsh(self, k: int, which: str, vectors: bool = True):
+        op_inv = LinearOperator(self.a.shape, matvec=self.lu.solve, dtype=self.a.dtype)
+        return eigsh(self.a, k=k, sigma=self.sigma, which=which,
+                     v0=np.full(self.dim, 1.0 / np.sqrt(self.dim)), OPinv=op_inv,
+                     return_eigenvectors=vectors)
+
+    def below(self):
+        """The ``n_below`` eigenpairs of A under sigma, eigenvalues ascending.
+
+        In shift-invert mode the ``SA`` end of 1 / (lambda - sigma) is the
+        set below sigma, so ARPACK is asked for exactly those pairs.
+        """
+        k = self.n_below
+        if k == 0:
+            return np.zeros(0), np.zeros((self.dim, 0), dtype=self.a.dtype)
+        if self.dense_below:
+            return scipy.linalg.eigh(self.a.toarray(), subset_by_index=(0, k - 1))
+        vals, vecs = self._eigsh(k, "SA")
+        order = np.argsort(vals, kind="stable")
+        return vals[order], vecs[:, order]
+
+    def nearest(self) -> float:
+        """The eigenvalue of A nearest to sigma."""
+        return float(self._eigsh(1, "LM", vectors=False)[0])
+
+
+def _windowed_eigensystem(h: BlockHamiltonian, upper: float,
+                          margin: float) -> EigenSystem:
+    """Every eigenpair with eigenvalue below upper + margin.
+
+    One factorization at the top counts them exactly (nu); the Lanczos sweep
+    is asked for nu pairs and must return nu pairs below the top.
+    """
     top = upper + margin
-    if top <= e0:
-        raise ValueError(f"window top {upper:g} lies below the spectrum floor {e0:g}")
-    sigma = 0.5 * (e0 + top)
-    need = max(sigma - e0, top - sigma)
-    ident = sp.identity(dim, dtype=a.dtype, format="csc")
-    lu = splu((a - sigma * ident).tocsc())
-    op_inv = LinearOperator((dim, dim), matvec=lu.solve, dtype=a.dtype)
-
-    k = 64
-    while True:
-        k = min(k, dim - 2)
-        vals, vecs = eigsh(a, k=k, sigma=sigma, which="LM", v0=v0, OPinv=op_inv)
-        radius = float(np.max(np.abs(vals - sigma)))
-        if radius > need * (1.0 + 1e-9) + 1e-12 or k >= dim - 2:
-            break
-        k *= 2
-
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
-    keep = vals <= top
-    vals, vecs = vals[keep], vecs[:, keep]
-    vecs = vecs / np.sqrt(h.grid.h)
-    res = _residuals(a, vals, vecs * np.sqrt(h.grid.h))
+    factor = ShiftedFactor(h.to_sparse(), top)
+    vals, vecs = factor.below()
+    found = int(np.count_nonzero(vals < top))
+    if found != factor.n_below:
+        raise RuntimeError(f"window solve found {found} eigenvalues below {top:g}; "
+                           f"the inertia count is {factor.n_below}")
+    norm_h = h.norm_inf()
+    res = _residuals(factor.a, vals, vecs)
     if res > 1e-9 * norm_h:
         raise RuntimeError(
             f"iterative eigensolve residual {res:.3e} exceeds 1e-9 * |H| = "
             f"{1e-9 * norm_h:.3e}")
     return EigenSystem(
-        grid=h.grid, channels=h.channels, eigenvalues=vals, eigenvectors=vecs,
-        residual_max=res, norm_h=norm_h, method="shift_invert_window",
-        complete=False,
+        grid=h.grid, channels=h.channels, eigenvalues=vals,
+        eigenvectors=vecs / np.sqrt(h.grid.h), residual_max=res, norm_h=norm_h,
+        method="dense" if factor.dense_below else "shift_invert_window",
     )
 
 
@@ -362,39 +378,34 @@ def diagonalize(h: BlockHamiltonian, window_upper: Optional[float] = None,
                 dense_limit: int = 4000, margin: Optional[float] = None) -> EigenSystem:
     """Diagonalize a block Hamiltonian.
 
-    Without ``window_upper`` the full spectrum is computed (dense or
-    per-channel), and the matrix dimension must stay within ``dense_limit``
-    for coupled blocks.  With ``window_upper`` the result is guaranteed to
-    contain every eigenpair with eigenvalue <= window_upper (plus a margin),
-    which is all the spectral projection machinery needs.
+    Without ``window_upper`` the full spectrum is computed (per-channel, or
+    dense for coupled blocks, whose dimension must stay within
+    ``dense_limit``).  With ``window_upper`` the result holds every
+    eigenpair with eigenvalue <= window_upper + margin and no other: per
+    channel when uncoupled, otherwise by one inertia-counted shifted
+    factorization at the top (:class:`ShiftedFactor`).
     """
+    if window_upper is not None and margin is None:
+        margin = 0.05 * max(1.0, abs(window_upper))
     if h.is_block_diagonal:
         if window_upper is None:
             return _block_diagonal_eigensystem(h)
-        if margin is None:
-            margin = 0.05 * max(1.0, abs(window_upper))
         lb = -h.norm_inf() - 1.0
-        eigsys = _block_diagonal_eigensystem(
-            h, value_range=(lb, window_upper + margin))
-        eigsys.complete = False
-        return eigsys
-    if window_upper is None or h.dim <= dense_limit:
-        if h.dim > dense_limit:
-            raise ValueError(
-                f"dimension {h.dim} exceeds dense_limit = {dense_limit}; "
-                "pass window_upper for a spectrum-sliced solve")
-        a = h.to_dense()
-        vals, vecs = scipy.linalg.eigh(a)
-        vecs = vecs / np.sqrt(h.grid.h)
-        res = _residuals(sp.csr_matrix(a), vals, vecs * np.sqrt(h.grid.h))
-        return EigenSystem(
-            grid=h.grid, channels=h.channels, eigenvalues=vals,
-            eigenvectors=vecs, residual_max=res, norm_h=h.norm_inf(),
-            method="dense", complete=True,
-        )
-    if margin is None:
-        margin = 0.05 * max(1.0, abs(window_upper))
-    return _windowed_eigensystem(h, None, window_upper, margin)
+        return _block_diagonal_eigensystem(h, value_range=(lb, window_upper + margin))
+    if window_upper is not None:
+        return _windowed_eigensystem(h, window_upper, margin)
+    if h.dim > dense_limit:
+        raise ValueError(
+            f"dimension {h.dim} exceeds dense_limit = {dense_limit}; "
+            "pass window_upper for a spectrum-sliced solve")
+    a = h.to_dense()
+    vals, vecs = scipy.linalg.eigh(a)
+    res = _residuals(sp.csr_matrix(a), vals, vecs)
+    return EigenSystem(
+        grid=h.grid, channels=h.channels, eigenvalues=vals,
+        eigenvectors=vecs / np.sqrt(h.grid.h), residual_max=res,
+        norm_h=h.norm_inf(), method="dense",
+    )
 
 
 def make_window(h: BlockHamiltonian, e0: float, upper: float,
@@ -476,11 +487,10 @@ class SpectralProjection:
 
 
 def spectral_projection(h: BlockHamiltonian, window: SpectralWindow,
-                        eigensystem: Optional[EigenSystem] = None,
-                        dense_limit: int = 4000) -> SpectralProjection:
+                        eigensystem: Optional[EigenSystem] = None) -> SpectralProjection:
     """Spectral projection onto [e0, E0]; boundary ties enter together."""
     if eigensystem is None:
-        eigensystem = diagonalize(h, window_upper=window.E0, dense_limit=dense_limit)
+        eigensystem = diagonalize(h, window_upper=window.E0)
     vals = eigensystem.eigenvalues
     scale = max(1.0, float(np.max(np.abs(vals))) if vals.size else 1.0)
     tie = 1e-12 * scale

@@ -147,6 +147,19 @@ def test_determinism_bitwise_artifacts(tmp_path):
             assert b1 == b2, name
 
 
+def test_warnings_reach_stderr_and_manifest(tmp_path, capsys):
+    # the lowest Landau level is 2, so a window up to 1 selects nothing
+    text = BASE_CFG.replace("window.E0 = 3.0", "window.E0 = 1.0\nwindow.delta0 = 0.1")
+    out = tmp_path / "out"
+    assert run("project", write_cfg(tmp_path, text), str(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["warnings"] == [
+        "spectral window selected no eigenvalues (rank-0 projection)"]
+    assert "rank-0 projection" in capsys.readouterr().err
+    assert run("project", write_cfg(tmp_path, BASE_CFG), str(tmp_path / "ok")) == 0
+    assert json.loads((tmp_path / "ok" / "manifest.json").read_text())["warnings"] == []
+
+
 def test_mobility_requires_linear_w_free_model(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE_CFG)
     assert main(["mobility", "--config", cfg, "--out", str(tmp_path / "m")]) == 2

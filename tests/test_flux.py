@@ -3,15 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fluxlab.flux import (FluxProfile, classical_region, effective_potential,
-                          flux_eval, validate_growth_conditions)
+from fluxlab.flux import (FluxProfile, classical_region,
+                          validate_growth_conditions)
 from fluxlab.grid import build_grid
 
 
 def test_flux_eval_closed_forms():
-    assert flux_eval(FluxProfile.power_law(1.0, 2.0), 2.0) == pytest.approx(4.0)
-    assert flux_eval(FluxProfile.linear(1.0), 3.0) == pytest.approx(3.0)
-    assert flux_eval(FluxProfile.uniform_field(2.0), 1.0) == pytest.approx(1.0)
+    assert FluxProfile.power_law(1.0, 2.0).flux(2.0) == pytest.approx(4.0)
+    assert FluxProfile.linear(1.0).flux(3.0) == pytest.approx(3.0)
+    assert FluxProfile.uniform_field(2.0).flux(1.0) == pytest.approx(1.0)
 
 
 def test_flux_eval_rejects_nonpositive_radius():
@@ -44,9 +44,9 @@ def test_signed_flux_rejected():
 
 
 def test_effective_potential_values():
-    assert effective_potential(FluxProfile.power_law(1.0, 2.0), 3, 1.0) \
+    assert FluxProfile.power_law(1.0, 2.0).effective_potential(3, 1.0) \
         == pytest.approx(4.0)
-    assert effective_potential(FluxProfile.linear(1.0), 0, 2.0) == pytest.approx(1.0)
+    assert FluxProfile.linear(1.0).effective_potential(0, 2.0) == pytest.approx(1.0)
 
 
 def test_effective_potential_zero_iff_flux_equals_j():
@@ -54,7 +54,7 @@ def test_effective_potential_zero_iff_flux_equals_j():
     p = FluxProfile.power_law(2.0, 1.5)
     j = 5
     r_star = (j / 2.0) ** (1.0 / 1.5)
-    assert effective_potential(p, j, r_star) == pytest.approx(0.0, abs=1e-12)
+    assert p.effective_potential(j, r_star) == pytest.approx(0.0, abs=1e-12)
     r = np.linspace(0.1, 4.0, 200)
     v = p.effective_potential(j, r)
     assert np.all(v[np.abs(p.flux(r) - j) > 1e-6] > 0)

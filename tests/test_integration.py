@@ -29,7 +29,7 @@ def test_complex_coupling_windowed_matches_dense():
     assert h.dtype == np.complex128
     dense = diagonalize(h, dense_limit=10_000)
     from fluxlab.spectral import _windowed_eigensystem
-    windowed = _windowed_eigensystem(h, None, 1.2, 0.1)
+    windowed = _windowed_eigensystem(h, 1.2, 0.1)
     dense_in = dense.eigenvalues[dense.eigenvalues <= 1.3]
     assert windowed.k == dense_in.size
     assert np.allclose(windowed.eigenvalues, dense_in, atol=1e-9)

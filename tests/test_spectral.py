@@ -4,7 +4,7 @@ import pytest
 from fluxlab.angular import AngularPotential, DecayClass, GevreyEnvelope, xi_constant
 from fluxlab.flux import FluxProfile
 from fluxlab.grid import build_channel_operator, build_grid
-from fluxlab.spectral import (BlockHamiltonian, SpectralWindow,
+from fluxlab.spectral import (BlockHamiltonian, ShiftedFactor, SpectralWindow,
                               assemble_hamiltonian, channel_projection_norm,
                               diagonalize, estimate_c0, spectral_projection)
 
@@ -88,10 +88,55 @@ def test_windowed_solver_matches_dense_route():
     h = assemble_hamiltonian(profile, w, grid, 5, m_max=2)
     dense = diagonalize(h, dense_limit=10_000)
     from fluxlab.spectral import _windowed_eigensystem
-    windowed = _windowed_eigensystem(h, None, 1.2, 0.1)
+    windowed = _windowed_eigensystem(h, 1.2, 0.1)
     dense_in = dense.eigenvalues[dense.eigenvalues <= 1.3]
     assert windowed.k == dense_in.size
     assert np.allclose(windowed.eigenvalues, dense_in, atol=1e-9)
+
+
+def coupled_model(angular, n_r=90, j_max=6):
+    profile = FluxProfile.power_law(1.0, 1.5)
+    grid = build_grid(n_r, 8.0)
+    w = make_w(lambda r, t: 0.3 * np.exp(-r / 2) * angular(t), a=0.7,
+               b=lambda r: np.exp(-r / 2))
+    return assemble_hamiltonian(profile, w, grid, j_max, m_max=3)
+
+
+@pytest.mark.parametrize("angular", [
+    np.cos,                                        # real symmetric
+    lambda t: np.cos(t) + 0.5 * np.sin(2 * t),     # complex Hermitian
+])
+def test_shifted_factor_inertia_matches_dense_count(angular):
+    h = coupled_model(angular)
+    a = h.to_sparse()
+    dense = np.linalg.eigvalsh(a.toarray())
+    # below the spectrum, at a window top, and well inside the spectrum
+    for sigma in (dense[0] - 0.5, 0.5, 1.05, 1.3, 5.0, 50.0):
+        assert ShiftedFactor(a, sigma).n_below == int(np.sum(dense < sigma))
+
+
+def test_shifted_factor_rejects_untrustworthy_elimination():
+    h = coupled_model(lambda t: np.cos(t) + 0.5 * np.sin(2 * t))
+    a = h.to_sparse()
+    lowest = np.linalg.eigvalsh(a.toarray())[0]
+    with pytest.raises(RuntimeError, match="pivot"):
+        ShiftedFactor(a, lowest)
+    # a zero diagonal makes SuperLU interchange rows, which voids the count
+    with pytest.raises(RuntimeError, match="off-diagonal"):
+        ShiftedFactor(np.array([[1.0, 1.0], [1.0, 1.0]]), 1.0)
+
+
+def test_window_over_whole_spectrum_takes_dense_fallback():
+    # ARPACK cannot return dim - 1 or more pairs, so the window solve goes dense
+    from fluxlab.spectral import _windowed_eigensystem
+    h = coupled_model(np.cos, n_r=8, j_max=1)
+    full = diagonalize(h)
+    windowed = _windowed_eigensystem(h, h.norm_inf() + 1.0, 0.1)
+    assert windowed.method == "dense"
+    assert windowed.k == h.dim
+    assert np.allclose(windowed.eigenvalues, full.eigenvalues, atol=1e-12)
+    overlap = h.grid.h * np.abs(full.eigenvectors.T @ windowed.eigenvectors)
+    assert np.allclose(overlap, np.eye(h.dim), atol=1e-9)
 
 
 def test_projection_full_window_acts_as_identity():

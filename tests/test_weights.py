@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from fluxlab.angular import AngularPotential, DecayClass, GevreyEnvelope
 from fluxlab.flux import FluxProfile
 from fluxlab.grid import build_grid
 from fluxlab.spectral import (SpectralWindow, assemble_hamiltonian, diagonalize,
-                              spectral_projection)
+                              make_window, spectral_projection)
 from fluxlab.weights import (WeightSequence, build_weight, decay_rate_fit,
                              forbidden_region_check, tunnelling_exterior_sum,
                              tunnelling_interior_sum, twisted_gap_check,
@@ -133,6 +135,37 @@ def test_twisted_gap_mobility_weight():
     w = build_weight("mobility", profile, window, grid, 1.0, 4)
     report = twisted_gap_check(h, w, window)
     assert report.passed, report
+
+
+def test_twisted_gap_fails_for_tripled_interior_eps():
+    # must-fail twin of A6's coercivity check, on a model small enough for a
+    # dense oracle: tripling eps breaks (F')^2 <= V - E~ and the twisted
+    # operator acquires eigenvalues below E0 + delta0 / 2
+    profile = FluxProfile.power_law(1.0, 1.5)
+    grid = build_grid(120, 10.0)
+    modes = np.arange(1, 30)
+    env = GevreyEnvelope(a=1.5, zeta=1.0,
+                         b=lambda r: np.sqrt(np.pi / 2) * 0.2 * np.exp(-r / 2))
+    w = AngularPotential(
+        w=lambda r, t: 0.2 * np.exp(-r / 2) * np.tensordot(
+            np.exp(-1.5 * modes), np.cos(modes[:, None, None] * t[None]), axes=(0, 0)),
+        envelope=env, decay=DecayClass.none())
+    h = assemble_hamiltonian(profile, w, grid, 6)
+    es = diagonalize(h, window_upper=1.0)
+    window = make_window(h, float(es.eigenvalues[0]), 1.0, envelope=env)
+    built = build_weight("interior", profile, window, grid, 1.0, 6, a=1.5)
+    assert twisted_gap_check(h, built, window).passed
+
+    tripled = dataclasses.replace(built, eps=3.0 * built.eps)
+    report = twisted_gap_check(h, tripled, window)
+    assert not report.passed and report.slack < 0
+
+    f = np.exp(tripled.matrix(h.channels, grid.nodes).reshape(-1))
+    allowed = np.concatenate([profile.effective_potential(int(j), grid.nodes)
+                              <= window.e_tilde for j in h.channels])
+    boosted = h.to_dense() + np.diag(window.e_tilde * allowed)
+    twisted = 0.5 * (f[:, None] * boosted / f[None, :] + boosted * f[None, :] / f[:, None])
+    assert report.lambda_min == pytest.approx(np.linalg.eigvalsh(twisted)[0], abs=1e-9)
 
 
 def test_tunnelling_sums_rank_zero():

@@ -2,8 +2,10 @@
 
 States are stored as complex amplitude arrays indexed (channel, radial node).
 Propagation is an exact rotation in the window eigenbasis (the initial state
-is projected into the window, so no time-integration error enters), and the
-recorded observables are
+is projected into the window, so no time-integration error enters).  The
+phased coefficients exp(-i lambda_k t) c_k of all recorded times form one
+(rank, n_t) block that multiplies the basis in one real matrix product, so a
+real basis is never cast to complex.  The recorded observables are
 
     x-moment:  <|x|^nu>(t)  = sum_{j,i} r_i^nu |u_{j,i}(t)|^2 h
     J-moment:  <|J|^beta>(t) = sum_j |j|^beta ||P_j u(t)||^2
@@ -21,7 +23,7 @@ import numpy as np
 
 from .flux import FluxProfile, classical_region
 from .grid import RadialGrid, build_channel_operator
-from .spectral import BlockHamiltonian, SpectralProjection
+from .spectral import BlockHamiltonian, SpectralProjection, basis_product
 from .weights import decay_rate_fit
 
 __all__ = [
@@ -39,32 +41,21 @@ class WaveState:
 
     grid: RadialGrid
     channels: np.ndarray
-    amplitudes: np.ndarray        # (n_ch, n_r) complex
+    amplitudes: np.ndarray        # (n_ch, n_r) complex, flat representation u
     time: float = 0.0
-    representation: str = "flat"  # 'flat' (u) or 'weighted' (phi = u / sqrt r)
 
-    def to_flat(self) -> "WaveState":
-        if self.representation == "flat":
-            return self
-        return WaveState(self.grid, self.channels,
-                         self.grid.to_flat(self.amplitudes), self.time, "flat")
-
-    def to_weighted(self) -> "WaveState":
-        if self.representation == "weighted":
-            return self
-        return WaveState(self.grid, self.channels,
-                         self.grid.to_weighted(self.amplitudes), self.time, "weighted")
+    def density(self) -> np.ndarray:
+        """|u|^2 per (channel, radial node)."""
+        return np.abs(self.amplitudes) ** 2
 
     def norm2(self) -> float:
-        u = self.to_flat().amplitudes
-        return float(self.grid.h * np.sum(np.abs(u) ** 2))
+        return float(self.grid.h * np.sum(self.density()))
 
     def channel_norm2(self) -> np.ndarray:
-        u = self.to_flat().amplitudes
-        return self.grid.h * np.sum(np.abs(u) ** 2, axis=1)
+        return self.grid.h * np.sum(self.density(), axis=1)
 
     def flat_vector(self) -> np.ndarray:
-        return self.to_flat().amplitudes.reshape(-1)
+        return self.amplitudes.reshape(-1)
 
 
 def _gaussian_seed(grid: RadialGrid, channels: np.ndarray, j0: float, r0: float,
@@ -93,7 +84,7 @@ def prepare_state(p: SpectralProjection, seed) -> WaveState:
         if not 0 <= k < p.rank:
             raise IndexError(f"eigenvector index {k} out of range (rank {p.rank})")
         amp = p.basis[:, k].reshape(len(channels), grid.n_r).astype(complex)
-        return WaveState(grid, channels, amp, 0.0, "flat")
+        return WaveState(grid, channels, amp, 0.0)
     if kind == "gaussian":
         raw = _gaussian_seed(grid, channels, seed["j0"], seed["r0"],
                              seed.get("width_j", 2.0), seed.get("width_r", 1.0))
@@ -109,42 +100,47 @@ def prepare_state(p: SpectralProjection, seed) -> WaveState:
     if norm < 1e-12:
         raise ValueError("projected seed has norm < 1e-12 "
                          "(seed is orthogonal to the window subspace)")
-    return WaveState(grid, channels, projected / norm, 0.0, "flat")
+    return WaveState(grid, channels, projected / norm, 0.0)
 
 
 def propagate(p: SpectralProjection, state: WaveState,
               times: Sequence[float]) -> list[WaveState]:
-    """phi(t) = sum_k exp(-i lambda_k t) <v_k, phi0> v_k for each requested t."""
-    u0 = state.flat_vector()
+    """phi(t) = sum_k exp(-i lambda_k t) <v_k, phi0> v_k for each requested t.
+
+    One product serves all times; each state is a column view of its result.
+    """
     v = p.basis
-    coeff = p.grid.h * (v.conj().T @ u0)
-    out = []
-    lam = p.eigenvalues
-    for t in times:
-        ut = v @ (np.exp(-1j * lam * (t - state.time)) * coeff)
-        out.append(WaveState(p.grid, p.channels,
-                             ut.reshape(len(p.channels), p.grid.n_r),
-                             float(t), "flat"))
-    return out
+    coeff = p.grid.h * basis_product(v.conj().T, state.flat_vector())
+    times = np.asarray(times, dtype=float)
+    phased = np.exp(-1j * p.eigenvalues[:, None] * (times - state.time)[None, :]) \
+        * coeff[:, None]
+    u = basis_product(v, phased)
+    shape = (len(p.channels), p.grid.n_r)
+    return [WaveState(p.grid, p.channels, u[:, k].reshape(shape), float(t))
+            for k, t in enumerate(times)]
 
 
 def moment_x(state: WaveState, nu: float) -> float:
     """<|x|^nu> = sum r_i^nu |u_{j,i}|^2 h."""
-    if nu < 0:
-        raise ValueError("moment_x requires nu >= 0")
-    u = state.to_flat().amplitudes
-    w = state.grid.nodes ** nu if nu else np.ones_like(state.grid.nodes)
-    return float(state.grid.h * np.sum(w[None, :] * np.abs(u) ** 2))
+    w = _x_weight(state.grid, nu)
+    return float(state.grid.h * np.sum(w[None, :] * state.density()))
 
 
 def moment_j(state: WaveState, beta: float) -> float:
     """<|J|^beta> = sum_j |j|^beta ||P_j u||^2 (the j = 0 term is 0 for beta > 0)."""
+    return float(np.sum(_j_weight(state.channels, beta) * state.channel_norm2()))
+
+
+def _x_weight(grid: RadialGrid, nu: float) -> np.ndarray:
+    if nu < 0:
+        raise ValueError("moment_x requires nu >= 0")
+    return grid.nodes ** nu if nu else np.ones_like(grid.nodes)
+
+
+def _j_weight(channels: np.ndarray, beta: float) -> np.ndarray:
     if beta < 0:
         raise ValueError("moment_j requires beta >= 0")
-    cn = state.channel_norm2()
-    w = np.abs(state.channels).astype(float) ** beta if beta \
-        else np.ones(len(state.channels))
-    return float(np.sum(w * cn))
+    return np.abs(channels).astype(float) ** beta if beta else np.ones(len(channels))
 
 
 @dataclass
@@ -169,14 +165,17 @@ def geometric_times(t0: float, t1: float, n: int) -> np.ndarray:
 
 def record_observables(states: Sequence[WaveState], nu: float,
                        beta: float) -> ObservableSeries:
-    times = np.array([s.time for s in states])
-    x_m = np.array([moment_x(s, nu) for s in states])
-    j_m = np.array([moment_j(s, beta) for s in states])
-    norms = np.array([s.norm2() for s in states])
-    cn = np.stack([s.channel_norm2() for s in states])
-    return ObservableSeries(times=times, x_moment=x_m, j_moment=j_m,
-                            norms=norms, channel_norm2=cn,
-                            channels=states[0].channels, nu=nu, beta=beta)
+    """moment_x, moment_j, norm2 and channel_norm2 of each state, bitwise,
+    from one |u|^2 per state."""
+    h, dens = states[0].grid.h, [s.density() for s in states]
+    wx, wj = _x_weight(states[0].grid, nu), _j_weight(states[0].channels, beta)
+    cn = np.stack([h * np.sum(d, axis=1) for d in dens])
+    return ObservableSeries(
+        times=np.array([s.time for s in states]),
+        x_moment=np.array([float(h * np.sum(wx[None, :] * d)) for d in dens]),
+        j_moment=np.array([float(np.sum(wj * c)) for c in cn]),
+        norms=np.array([float(h * np.sum(d)) for d in dens]),
+        channel_norm2=cn, channels=states[0].channels, nu=nu, beta=beta)
 
 
 @dataclass
@@ -207,7 +206,7 @@ def heisenberg_check(states: Sequence[WaveState], h: BlockHamiltonian) -> Heisen
     # band covers both orientations.
     g = np.zeros((times.size, n_ch))
     for k, s in enumerate(states):
-        u = s.to_flat().amplitudes
+        u = s.amplitudes
         for m, w in h.couplings.items():
             b = h_grid * np.sum(np.conj(u[m:]) * w[None, :] * u[:-m], axis=1)
             g[k, :-m] += -2.0 * b.imag

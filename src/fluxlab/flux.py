@@ -175,13 +175,6 @@ class ClassicalRegion:
     def empty(self) -> bool:
         return self.interval is None
 
-    def contains(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        if self.interval is None:
-            return np.zeros(r.shape, dtype=bool)
-        lo, hi = self.interval
-        return (r >= lo) & (r <= hi)
-
 
 def classical_region(profile: FluxProfile, j: int, energy: float, grid) -> ClassicalRegion:
     """Classically allowed region of channel j at the given energy.

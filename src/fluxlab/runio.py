@@ -92,17 +92,6 @@ class RunConfig:
         except ValueError:
             raise ConfigError(key, f"expected an integer, got {value!r}") from None
 
-    def get_bool(self, key: str, default: bool = False) -> bool:
-        value = self._get(key, default, required=False)
-        if value is None or isinstance(value, bool):
-            return default if value is None else value
-        lowered = value.lower()
-        if lowered in ("true", "yes", "1", "on"):
-            return True
-        if lowered in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(key, f"expected a boolean, got {value!r}")
-
     def echo(self) -> dict:
         return dict(sorted(self.raw.items()))
 

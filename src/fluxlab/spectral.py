@@ -33,7 +33,7 @@ from .grid import RadialGrid
 __all__ = [
     "BlockHamiltonian", "SpectralWindow", "EigenSystem", "SpectralProjection",
     "assemble_hamiltonian", "diagonalize", "make_window", "spectral_projection",
-    "estimate_c0", "channel_projection_norm", "ShiftedFactor",
+    "estimate_c0", "channel_projection_norm", "ShiftedFactor", "basis_product",
 ]
 
 
@@ -101,7 +101,7 @@ class BlockHamiltonian:
                 data.append(np.conj(w))
         rows = np.concatenate(rows)
         cols = np.concatenate(cols)
-        data = np.concatenate([np.asarray(d, dtype=self.dtype) for d in data])
+        data = np.concatenate(data).astype(self.dtype, copy=False)
         return sp.csr_matrix((data, (rows, cols)), shape=(self.dim, self.dim))
 
     def to_dense(self) -> np.ndarray:
@@ -424,13 +424,23 @@ def make_window(h: BlockHamiltonian, e0: float, upper: float,
                           c0=float(c0))
 
 
+def basis_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for a 1-D or 2-D ``b`` that never casts a real ``a`` (a basis
+    or its transpose) to complex: a complex ``b`` is read as interleaved
+    real/imaginary float64 columns (``b.view(float)``) in one real GEMM."""
+    if np.iscomplexobj(a) or not np.iscomplexobj(b):
+        return a @ b
+    cols = np.ascontiguousarray(b.reshape(len(b), *(b.shape[1:] or (1,))), dtype=complex)
+    return (a @ cols.view(float)).view(complex).reshape(a.shape[:-1] + b.shape[1:])
+
+
 @dataclass
 class SpectralProjection:
     """Eigenpairs of H with eigenvalue in the closed window [e0, E0]."""
 
     window: SpectralWindow
     eigensystem: EigenSystem
-    selector: np.ndarray          # indices into the eigensystem inside the window
+    selector: np.ndarray          # contiguous ascending indices inside the window
     rank_deficient_flag: bool = False
 
     @property
@@ -443,8 +453,10 @@ class SpectralProjection:
 
     @property
     def basis(self) -> np.ndarray:
-        """Flat h-orthonormal window eigenvectors, shape (dim, rank)."""
-        return self.eigensystem.eigenvectors[:, self.selector]
+        """Flat h-orthonormal window eigenvectors, shape (dim, rank): a column view."""
+        start = self.selector[0] if self.rank else 0
+        assert np.array_equal(self.selector, np.arange(start, start + self.rank))
+        return self.eigensystem.eigenvectors[:, start:start + self.rank]
 
     @property
     def grid(self) -> RadialGrid:
@@ -458,8 +470,8 @@ class SpectralProjection:
         """Project a flat (n_ch, n_r) amplitude array onto the window subspace."""
         flat = np.asarray(u).reshape(-1)
         v = self.basis
-        coeff = self.grid.h * (v.conj().T @ flat)
-        return (v @ coeff).reshape(np.asarray(u).shape)
+        coeff = self.grid.h * basis_product(v.conj().T, flat)
+        return basis_product(v, coeff).reshape(np.asarray(u).shape)
 
     def idempotency_error(self) -> float:
         """|P^2 - P| = |P^* - P| on the retained basis (Gram defect norm)."""

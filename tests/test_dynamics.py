@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,11 @@ from fluxlab.dynamics import (ObservableSeries, WaveState, bound_check_thm1,
                               propagate, record_observables)
 from fluxlab.flux import FluxProfile
 from fluxlab.grid import build_grid
-from fluxlab.spectral import (SpectralWindow, assemble_hamiltonian, diagonalize,
-                              spectral_projection)
+from fluxlab.spectral import (SpectralWindow, assemble_hamiltonian, basis_product,
+                              diagonalize, spectral_projection)
 
 
-def coupled_system(j_max=4, n_r=150, r_max=10.0, upper=1.0, amp=0.3):
+def coupled_system(j_max=4, n_r=150, r_max=10.0, upper=1.0, amp=0.3, angular=np.cos):
     profile = FluxProfile.power_law(1.0, 1.5)
     grid = build_grid(n_r, r_max)
     w = None
@@ -21,10 +23,10 @@ def coupled_system(j_max=4, n_r=150, r_max=10.0, upper=1.0, amp=0.3):
         env = GevreyEnvelope(a=1.0, zeta=1.0,
                              b=lambda r: np.sqrt(np.pi / 2) * amp * np.exp(-r / 2) * np.e)
         w = AngularPotential(
-            w=lambda r, t: amp * np.exp(-r / 2) * np.cos(t),
+            w=lambda r, t: amp * np.exp(-r / 2) * angular(t),
             envelope=env, decay=DecayClass.stretched_exponential(0.5, 1.0))
     h = assemble_hamiltonian(profile, w, grid, j_max, m_max=3 if w else None)
-    es = diagonalize(h, window_upper=upper, dense_limit=10_000)
+    es = diagonalize(h, window_upper=upper)
     e0 = float(es.eigenvalues[0])
     window = SpectralWindow(e0=e0, E0=upper, delta0=0.1 * (upper - e0), c0=0.0)
     return h, spectral_projection(h, window, eigensystem=es)
@@ -66,6 +68,55 @@ def test_propagate_identity_at_t0_and_stationary_eigenvector():
     assert np.max(np.abs(np.abs(out[1].amplitudes) - np.abs(state.amplitudes))) < 1e-12
 
 
+@pytest.mark.parametrize("angular", [
+    np.cos,                                        # real basis
+    lambda t: np.cos(t) + 0.5 * np.sin(2 * t),     # complex-Hermitian basis
+])
+def test_propagate_matches_per_time_reference(angular):
+    h, p = coupled_system(amp=0.3, angular=angular)
+    assert np.iscomplexobj(p.basis) == (angular is not np.cos)
+    state = prepare_state(p, {"kind": "gaussian", "j0": 2.0, "r0": 2.5,
+                              "width_j": 2.0, "width_r": 1.0})
+    state = dataclasses.replace(state, time=0.7)
+    times = [0.7, 0.0, 3.1, 250.0]
+    out = propagate(p, state, times)
+    v, lam = p.basis, p.eigenvalues
+    coeff = h.grid.h * (v.conj().T @ state.flat_vector())
+    scale = np.sqrt(state.norm2())
+    for t, s in zip(times, out):
+        ref = v @ (np.exp(-1j * lam * (t - state.time)) * coeff)
+        assert s.time == t
+        assert np.sqrt(h.grid.h * np.sum(np.abs(s.flat_vector() - ref) ** 2)) \
+            <= 1e-13 * scale
+    assert np.sqrt(h.grid.h * np.sum(np.abs(out[0].amplitudes - state.amplitudes) ** 2)) \
+        <= 1e-13 * scale
+
+
+def test_basis_product_equals_matmul():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((9, 5))
+    b2 = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+    b1 = b2[:, 1]
+    for x, y in [(a, b1), (a, b2), (a, b2[:, ::2]), (a.T, a @ b2),
+                 (a + 1j * rng.standard_normal(a.shape), b2)]:
+        got = basis_product(x, y)
+        assert got.dtype == np.complex128 and got.shape == (x @ y).shape
+        assert np.allclose(got, x @ y, rtol=1e-14, atol=1e-14)
+
+
+def test_record_observables_matches_per_state_functions_bitwise():
+    h, p = coupled_system(amp=0.3)
+    state = prepare_state(p, {"kind": "gaussian", "j0": 3.0, "r0": 2.5,
+                              "width_j": 2.0, "width_r": 1.0})
+    states = propagate(p, state, geometric_times(1.0, 100.0, 6))
+    series = record_observables(states, nu=1.5, beta=1.0)
+    for k, s in enumerate(states):
+        assert series.x_moment[k] == moment_x(s, 1.5)
+        assert series.j_moment[k] == moment_j(s, 1.0)
+        assert series.norms[k] == s.norm2()
+        assert np.array_equal(series.channel_norm2[k], s.channel_norm2())
+
+
 def test_propagation_unitarity_and_time_reversal():
     h, p = coupled_system(amp=0.3)
     state = prepare_state(p, {"kind": "gaussian", "j0": 3.0, "r0": 2.5,
@@ -101,7 +152,7 @@ def test_moment_x_basics():
     channels = np.array([0, 1])
     amp = np.zeros((2, 50), dtype=complex)
     amp[0, 10] = 1.0
-    state = WaveState(grid, channels, amp, representation="flat")
+    state = WaveState(grid, channels, amp)
     n2 = state.norm2()
     assert moment_x(state, 0.0) == pytest.approx(n2)
     r_star = grid.nodes[10]
@@ -110,7 +161,7 @@ def test_moment_x_basics():
     amp2 = np.zeros((2, 50), dtype=complex)
     amp2[0, 10] = 1.0
     amp2[1, 20] = 2.0
-    state2 = WaveState(grid, channels, amp2, representation="flat")
+    state2 = WaveState(grid, channels, amp2)
     expected = grid.h * (grid.nodes[10] ** 2 * 1.0 + grid.nodes[20] ** 2 * 4.0)
     assert moment_x(state2, 2.0) == pytest.approx(expected)
 
@@ -120,22 +171,14 @@ def test_moment_j_basics():
     channels = np.array([-1, 0, 1])
     amp = np.zeros((3, 30), dtype=complex)
     amp[2, 5] = 1.0      # entirely in channel j = 1
-    state = WaveState(grid, channels, amp, representation="flat")
+    state = WaveState(grid, channels, amp)
     n2 = state.norm2()
     assert moment_j(state, 2.0) == pytest.approx(n2)
     assert moment_j(state, 0.0) == pytest.approx(n2)
     amp0 = np.zeros((3, 30), dtype=complex)
     amp0[1, 5] = 1.0     # entirely in channel j = 0
-    state0 = WaveState(grid, channels, amp0, representation="flat")
+    state0 = WaveState(grid, channels, amp0)
     assert moment_j(state0, 1.5) == 0.0
-
-
-def test_weighted_representation_moments_agree():
-    h, p = coupled_system(amp=0.3)
-    state = prepare_state(p, {"kind": "gaussian", "j0": 3.0, "r0": 2.5,
-                              "width_j": 2.0, "width_r": 1.0})
-    assert moment_x(state.to_weighted(), 1.5) == pytest.approx(
-        moment_x(state, 1.5), rel=1e-12)
 
 
 def test_heisenberg_zero_w_and_single_eigenvector():

@@ -152,6 +152,19 @@ def test_projection_full_window_acts_as_identity():
     assert p.idempotency_error() < 1e-10
 
 
+def test_projection_basis_is_a_column_view():
+    profile = FluxProfile.uniform_field(2.0)
+    grid = build_grid(200, 8.0)
+    h = assemble_hamiltonian(profile, None, grid, 2)
+    es = diagonalize(h, window_upper=12.0)
+    # the second Landau level only: the window starts and ends inside the columns
+    window = SpectralWindow(e0=5.0, E0=7.0, delta0=0.5, c0=0.0)
+    p = spectral_projection(h, window, eigensystem=es)
+    assert p.selector[0] > 0 and p.selector[-1] < es.k - 1
+    assert np.shares_memory(p.basis, es.eigenvectors)
+    assert np.array_equal(p.basis, es.eigenvectors[:, p.selector])
+
+
 def test_projection_below_spectrum_has_rank_zero():
     profile = FluxProfile.uniform_field(2.0)
     grid = build_grid(150, 8.0)
@@ -161,6 +174,7 @@ def test_projection_below_spectrum_has_rank_zero():
         p = spectral_projection(h, window)
     assert p.rank == 0
     assert p.rank_deficient_flag
+    assert p.basis.shape == (h.dim, 0)
     assert p.idempotency_error() == 0.0
 
 

@@ -114,7 +114,9 @@ class AngularPotential:
     envelope: Optional[GevreyEnvelope] = None
     decay: DecayClass = field(default_factory=DecayClass.none)
 
-    def coefficients(self, grid, m_max: int, n_theta: Optional[int] = None) -> CoefficientTable:
+    def coefficients(self, grid, m_max: int) -> CoefficientTable:
+        """W^ for |m| <= m_max: sliced from the table, or by quadrature on
+        max(4 m_max, 16) angles."""
         if self.table is not None:
             if self.table.m_max < m_max:
                 raise ValueError("stored table has fewer modes than requested")
@@ -124,21 +126,19 @@ class AngularPotential:
                 values=self.table.values[:, lo:lo + 2 * m_max + 1])
         if self.w is None:
             raise ValueError("potential has neither closed form nor table")
-        if n_theta is None:
-            n_theta = max(4 * m_max, 16)
-        return fourier_coefficients(self.w, grid, m_max, n_theta)
+        return fourier_coefficients(self.w, grid, m_max, max(4 * m_max, 16))
 
 
-def default_m_max(envelope: GevreyEnvelope, grid, tol: float = 1e-12,
-                  cap: int = 256) -> int:
-    """Smallest M with b_max * exp(-a M^zeta) < tol (angular truncation rule)."""
+def default_m_max(envelope: GevreyEnvelope, grid) -> int:
+    """Smallest M <= 256 with b_max * exp(-a M^zeta) < 1e-12 (angular
+    truncation rule); 256 when none is."""
     b_max = float(np.max(np.abs(envelope.b(grid.nodes))))
-    if b_max <= tol:
+    if b_max <= 1e-12:
         return 1
-    for m in range(1, cap + 1):
-        if b_max * np.exp(-envelope.a * m ** envelope.zeta) < tol:
+    for m in range(1, 257):
+        if b_max * np.exp(-envelope.a * m ** envelope.zeta) < 1e-12:
             return m
-    return cap
+    return 256
 
 
 def fourier_coefficients(w, grid, m_max: int, n_theta: int) -> CoefficientTable:

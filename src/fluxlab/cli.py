@@ -261,7 +261,7 @@ def _run_project(cfg, out_dir):
         "window": {"e0": window.e0, "E0": window.E0, "delta0": window.delta0,
                    "c0": window.c0, "E_tilde": window.e_tilde},
         "rank": int(proj.rank),
-        "rank_deficient": bool(proj.rank_deficient_flag),
+        "rank_deficient": proj.rank == 0,
         "residual_max": eigensys.residual_max,
         "idempotency_error": proj.idempotency_error(),
         "gram_error": eigensys.gram_error(),
@@ -304,11 +304,12 @@ def _build_weights(cfg, profile, window, grid, j_max, w):
     return built, zeta, a
 
 
-def _fit_upper_half(j, norms, j_max, floor=1e-13):
+def _fit_upper_half(j, norms, j_max):
     """Log-linear decay fit of shell-maximal norms over the upper half of |j|.
 
     The theorem bounds the norms per |j|, and for monotone flux only one sign
-    carries spectral weight, so each shell contributes max(|+m|, |-m|).
+    carries spectral weight, so each shell contributes max(|+m|, |-m|);
+    shells at or below 1e-13 are left out.
     """
     import numpy as np
     from .weights import decay_rate_fit
@@ -316,7 +317,7 @@ def _fit_upper_half(j, norms, j_max, floor=1e-13):
     ms, shell = [], []
     for m in range(half, j_max + 1):
         v = float(np.max(norms[np.abs(j) == m]))
-        if v > floor:
+        if v > 1e-13:
             ms.append(m)
             shell.append(v)
     if len(ms) < 4:

@@ -181,8 +181,6 @@ def record_observables(states: Sequence[WaveState], nu: float,
 @dataclass
 class HeisenbergReport:
     max_residual: float
-    residuals: np.ndarray         # (n_t, n_ch)
-    dt: float
 
 
 def heisenberg_check(states: Sequence[WaveState], h: BlockHamiltonian) -> HeisenbergReport:
@@ -215,9 +213,7 @@ def heisenberg_check(states: Sequence[WaveState], h: BlockHamiltonian) -> Heisen
     lhs = cn - cn[0][None, :]
     rhs = np.zeros_like(lhs)
     rhs[1:] = np.cumsum(0.5 * (g[1:] + g[:-1]) * dt, axis=0)
-    residuals = np.abs(lhs - rhs)
-    return HeisenbergReport(max_residual=float(residuals.max()),
-                            residuals=residuals, dt=dt)
+    return HeisenbergReport(max_residual=float(np.abs(lhs - rhs).max()))
 
 
 @dataclass
@@ -230,12 +226,12 @@ class Thm1Report:
     passed: bool
 
 
-def bound_check_thm1(series: ObservableSeries, trend_factor: float = 1.1) -> Thm1Report:
+def bound_check_thm1(series: ObservableSeries) -> Thm1Report:
     """Boundedness of <|x|^nu> / (|phi|^2 + <|J|^{zeta nu / sigma_-}>).
 
     The series must have been recorded with beta = zeta * nu / sigma_-.  The
-    trend verdict compares the mean ratio over the last quartile of recorded
-    times against the first quartile.
+    trend verdict passes iff the mean ratio over the last quartile of
+    recorded times is at most 1.1 times the mean over the first quartile.
     """
     denom = series.norms[0] + series.j_moment
     ratios = series.x_moment / denom
@@ -243,7 +239,7 @@ def bound_check_thm1(series: ObservableSeries, trend_factor: float = 1.1) -> Thm
     q = max(1, n // 4)
     first = float(np.mean(ratios[:q]))
     last = float(np.mean(ratios[-q:]))
-    trend_ok = last <= trend_factor * first
+    trend_ok = last <= 1.1 * first
     sup = float(np.max(ratios))
     return Thm1Report(sup_ratio=sup, ratios=ratios, first_quartile_mean=first,
                       last_quartile_mean=last, trend_ok=trend_ok,
@@ -266,7 +262,6 @@ def growth_fit_thm2(series: ObservableSeries, decay_kind: str,
                     zeta: float, sigma_plus: float,
                     p: float = np.nan, s: float = np.nan,
                     slack: float = 0.1,
-                    flat_floor: float = 1e-9,
                     baseline: Optional[float] = None) -> GrowthFitReport:
     """Fit the growth of <|J|^beta>(t) - <|J|^beta>(0) against the theorem bound.
 
@@ -296,7 +291,7 @@ def growth_fit_thm2(series: ObservableSeries, decay_kind: str,
         baseline = float(series.j_moment[0])
     incr = series.j_moment - baseline
     scale = max(series.norms[0], series.j_moment[0], 1.0)
-    floor = flat_floor * scale
+    floor = 1e-9 * scale
     grew = incr > floor
     shrank = incr < -floor
     if not np.any(grew):
@@ -339,10 +334,8 @@ def participation_width(u: np.ndarray, h: float) -> float:
 class MobilityChannelRecord:
     j: int
     eigenvalue: float
-    band: str                     # 'localized' or 'extended'
     decay_rate: float = np.nan
     eigenvalue_shift: float = np.nan
-    width_ratio: float = np.nan
 
 
 @dataclass
@@ -368,11 +361,11 @@ class MobilityReport:
         return float(min(self.extended_width_ratios)) if self.extended_width_ratios else np.nan
 
 
-def _eigen_decay_rate(u: np.ndarray, grid: RadialGrid, r_start: float,
-                      floor: float = 1e-12) -> float:
-    """Fitted exponential decay rate of |u| on nodes beyond r_start."""
+def _eigen_decay_rate(u: np.ndarray, grid: RadialGrid, r_start: float) -> float:
+    """Fitted exponential decay rate of |u| on nodes beyond r_start where
+    |u| exceeds 1e-12 max |u|."""
     mag = np.abs(u)
-    sel = (grid.nodes > r_start) & (mag > floor * mag.max())
+    sel = (grid.nodes > r_start) & (mag > 1e-12 * mag.max())
     if np.count_nonzero(sel) < 4:
         return np.nan
     slope, _, _ = decay_rate_fit(grid.nodes[sel], mag[sel])
@@ -381,14 +374,14 @@ def _eigen_decay_rate(u: np.ndarray, grid: RadialGrid, r_start: float,
 
 def mobility_edge_scan(lam: float, grid: RadialGrid, j_max: int,
                        low_band=(0.1, 0.8), high_band=(1.8, 2.2),
-                       box_growth: float = 1.5,
-                       width_box_factor: float = 2.0) -> MobilityReport:
+                       box_growth: float = 1.5) -> MobilityReport:
     """Localization diagnostics for linear flux Phi = lam r, W = 0.
 
     Eigenvalues below the edge lam^2 must come with exponentially decaying
     eigenfunctions (fitted rate beyond the classical region) and eigenvalues
     insensitive to growing r_max; states in the band above the edge must have
-    participation widths that scale with the box.
+    participation widths that scale with the box, measured on a box twice
+    as long.
     """
     profile = FluxProfile.linear(lam)
     report = MobilityReport(lam=lam)
@@ -396,7 +389,7 @@ def mobility_edge_scan(lam: float, grid: RadialGrid, j_max: int,
     # the wall, not a re-discretization
     n_big = int(round(grid.n_r * box_growth))
     grid_big = RadialGrid(n_r=n_big, r_max=n_big * grid.h)
-    n_double = int(round(grid.n_r * width_box_factor))
+    n_double = 2 * grid.n_r
     grid_double = RadialGrid(n_r=n_double, r_max=n_double * grid.h)
 
     for j in range(-j_max, j_max + 1):
@@ -415,8 +408,8 @@ def mobility_edge_scan(lam: float, grid: RadialGrid, j_max: int,
                 shift = float(np.min(np.abs(vals_big - vals[idx]))) \
                     if vals_big.size else np.inf
                 report.localized.append(MobilityChannelRecord(
-                    j=j, eigenvalue=float(vals[idx]), band="localized",
-                    decay_rate=rate, eigenvalue_shift=shift))
+                    j=j, eigenvalue=float(vals[idx]), decay_rate=rate,
+                    eigenvalue_shift=shift))
 
         high_sel = (vals >= high_band[0]) & (vals <= high_band[1])
         if np.any(high_sel):

@@ -48,11 +48,6 @@ class RadialGrid:
         h = self.h
         return h * (np.arange(1, self.n_r + 1) - 0.5)
 
-    @property
-    def faces(self) -> np.ndarray:
-        """Cell interfaces f_i = i h, i = 0..n_r; f_0 = 0, f_{n_r} = r_max."""
-        return self.h * np.arange(self.n_r + 1)
-
     def kinetic_tridiagonal(self):
         """(diagonal, off_diagonal) of the flat-measure radial kinetic stencil."""
         h = self.h

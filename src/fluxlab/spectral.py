@@ -36,6 +36,8 @@ __all__ = [
     "estimate_c0", "channel_projection_norm", "ShiftedFactor", "basis_product",
 ]
 
+DENSE_LIMIT = 4000      # largest coupled dimension whose full spectrum is solved densely
+
 
 @dataclass
 class BlockHamiltonian:
@@ -47,7 +49,6 @@ class BlockHamiltonian:
     off_diagonal: np.ndarray        # (n_r - 1,) shared kinetic off-diagonal
     couplings: dict                 # m -> (n_r,) array W^(., m)/sqrt(2 pi), m >= 1
     symmetric_part: np.ndarray      # (n_r,) W_s values on the diagonal (0 if none)
-    symmetric_part_included: bool
     dropped_tail_bound: float = 0.0
 
     @property
@@ -123,8 +124,7 @@ class BlockHamiltonian:
 
 def assemble_hamiltonian(profile: FluxProfile, w: Optional[AngularPotential],
                          grid: RadialGrid, j_max: int,
-                         m_max: Optional[int] = None,
-                         include_symmetric_part: bool = True) -> BlockHamiltonian:
+                         m_max: Optional[int] = None) -> BlockHamiltonian:
     """Assemble the truncated block Hamiltonian for channels |j| <= j_max."""
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
@@ -155,10 +155,9 @@ def assemble_hamiltonian(profile: FluxProfile, w: Optional[AngularPotential],
         if herm > 1e-10 * max(1.0, table.max_abs()):
             raise ValueError(f"coefficient table is not Hermitian-symmetric (error {herm:.2e}); "
                              "W must be real-valued")
-        if include_symmetric_part:
-            col0 = table.column(0) / SQRT_2PI
-            w_s = col0.real.copy()
-            diagonals += w_s[None, :]
+        col0 = table.column(0) / SQRT_2PI
+        w_s = col0.real.copy()
+        diagonals += w_s[None, :]
         drop = 1e-13 * max(1.0, table.max_abs())
         for m in range(1, m_max + 1):
             col = table.column(m) / SQRT_2PI
@@ -176,8 +175,7 @@ def assemble_hamiltonian(profile: FluxProfile, w: Optional[AngularPotential],
     return BlockHamiltonian(
         grid=grid, channels=channels, diagonals=diagonals,
         off_diagonal=off_k, couplings=couplings,
-        symmetric_part=w_s, symmetric_part_included=include_symmetric_part,
-        dropped_tail_bound=dropped,
+        symmetric_part=w_s, dropped_tail_bound=dropped,
     )
 
 
@@ -206,7 +204,7 @@ class EigenSystem:
     """Eigenpairs of a block Hamiltonian in the flat representation.
 
     ``eigenvectors`` columns are orthonormal in the h-weighted inner product
-    (h * v^H v = 1); reshape a column with :meth:`state_array` to (n_ch, n_r).
+    (h * v^H v = 1); a column reshapes channel-major to (n_ch, n_r).
     """
 
     grid: RadialGrid
@@ -220,9 +218,6 @@ class EigenSystem:
     @property
     def k(self) -> int:
         return self.eigenvalues.size
-
-    def state_array(self, col: int) -> np.ndarray:
-        return self.eigenvectors[:, col].reshape(len(self.channels), self.grid.n_r)
 
     def gram_error(self) -> float:
         g = self.grid.h * (self.eigenvectors.conj().T @ self.eigenvectors)
@@ -244,8 +239,7 @@ def _tridiag_matvec(diag, off, v):
     return out
 
 
-def _block_diagonal_eigensystem(h: BlockHamiltonian, value_range=None,
-                                n_lowest=None) -> EigenSystem:
+def _block_diagonal_eigensystem(h: BlockHamiltonian, value_range=None) -> EigenSystem:
     """Per-channel tridiagonal solves; eigenvectors stay channel-pure."""
     n = h.grid.n_r
     vals_all, cols_all = [], []
@@ -256,10 +250,9 @@ def _block_diagonal_eigensystem(h: BlockHamiltonian, value_range=None,
                 h.diagonals[c], h.off_diagonal, select="v",
                 select_range=tuple(value_range))
         else:
-            k = n if n_lowest is None else min(int(n_lowest), n)
             vals, vecs = scipy.linalg.eigh_tridiagonal(
                 h.diagonals[c], h.off_diagonal, select="i",
-                select_range=(0, k - 1))
+                select_range=(0, n - 1))
         if vals.size:
             resid = _tridiag_matvec(h.diagonals[c], h.off_diagonal, vecs) \
                 - vecs * vals[None, :]
@@ -374,29 +367,28 @@ def _windowed_eigensystem(h: BlockHamiltonian, upper: float,
     )
 
 
-def diagonalize(h: BlockHamiltonian, window_upper: Optional[float] = None,
-                dense_limit: int = 4000, margin: Optional[float] = None) -> EigenSystem:
+def diagonalize(h: BlockHamiltonian, window_upper: Optional[float] = None) -> EigenSystem:
     """Diagonalize a block Hamiltonian.
 
     Without ``window_upper`` the full spectrum is computed (per-channel, or
     dense for coupled blocks, whose dimension must stay within
-    ``dense_limit``).  With ``window_upper`` the result holds every
-    eigenpair with eigenvalue <= window_upper + margin and no other: per
-    channel when uncoupled, otherwise by one inertia-counted shifted
-    factorization at the top (:class:`ShiftedFactor`).
+    ``DENSE_LIMIT`` = 4000).  With ``window_upper`` the result holds every
+    eigenpair with eigenvalue <= window_upper + margin, margin =
+    0.05 max(1, |window_upper|), and no other: per channel when uncoupled,
+    otherwise by one inertia-counted shifted factorization at the top
+    (:class:`ShiftedFactor`).
     """
-    if window_upper is not None and margin is None:
+    if window_upper is not None:
         margin = 0.05 * max(1.0, abs(window_upper))
-    if h.is_block_diagonal:
-        if window_upper is None:
-            return _block_diagonal_eigensystem(h)
+        if not h.is_block_diagonal:
+            return _windowed_eigensystem(h, window_upper, margin)
         lb = -h.norm_inf() - 1.0
         return _block_diagonal_eigensystem(h, value_range=(lb, window_upper + margin))
-    if window_upper is not None:
-        return _windowed_eigensystem(h, window_upper, margin)
-    if h.dim > dense_limit:
+    if h.is_block_diagonal:
+        return _block_diagonal_eigensystem(h)
+    if h.dim > DENSE_LIMIT:
         raise ValueError(
-            f"dimension {h.dim} exceeds dense_limit = {dense_limit}; "
+            f"dimension {h.dim} exceeds DENSE_LIMIT = {DENSE_LIMIT}; "
             "pass window_upper for a spectrum-sliced solve")
     a = h.to_dense()
     vals, vecs = scipy.linalg.eigh(a)
@@ -440,12 +432,11 @@ class SpectralProjection:
 
     window: SpectralWindow
     eigensystem: EigenSystem
-    selector: np.ndarray          # contiguous ascending indices inside the window
-    rank_deficient_flag: bool = False
+    selector: slice               # eigenpair columns inside the window
 
     @property
     def rank(self) -> int:
-        return self.selector.size
+        return self.selector.stop - self.selector.start
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -454,9 +445,7 @@ class SpectralProjection:
     @property
     def basis(self) -> np.ndarray:
         """Flat h-orthonormal window eigenvectors, shape (dim, rank): a column view."""
-        start = self.selector[0] if self.rank else 0
-        assert np.array_equal(self.selector, np.arange(start, start + self.rank))
-        return self.eigensystem.eigenvectors[:, start:start + self.rank]
+        return self.eigensystem.eigenvectors[:, self.selector]
 
     @property
     def grid(self) -> RadialGrid:
@@ -481,22 +470,6 @@ class SpectralProjection:
         g = self.grid.h * (v.conj().T @ v)
         return float(np.linalg.norm(g @ g - g, 2))
 
-    def channel_commutator_norm(self, j: int) -> float:
-        """|P_j E_I - E_I P_j| computed exactly on the joint range."""
-        if self.rank == 0:
-            return 0.0
-        c = self.eigensystem.channels.tolist().index(j)
-        n = self.grid.n_r
-        q = np.sqrt(self.grid.h) * self.basis          # l2-orthonormal columns
-        qj = np.zeros_like(q)
-        qj[c * n:(c + 1) * n] = q[c * n:(c + 1) * n]   # P_j applied to them
-        # The commutator C = (P_j Q) Q^H - Q (P_j Q)^H lives on span[Q, P_j Q];
-        # represent it there and take the largest singular value.
-        u, _ = np.linalg.qr(np.concatenate([q, qj], axis=1))
-        a = (u.conj().T @ qj) @ (q.conj().T @ u)
-        s = np.linalg.svd(a - a.conj().T, compute_uv=False)
-        return float(s[0]) if s.size else 0.0
-
 
 def spectral_projection(h: BlockHamiltonian, window: SpectralWindow,
                         eigensystem: Optional[EigenSystem] = None) -> SpectralProjection:
@@ -507,18 +480,17 @@ def spectral_projection(h: BlockHamiltonian, window: SpectralWindow,
     scale = max(1.0, float(np.max(np.abs(vals))) if vals.size else 1.0)
     tie = 1e-12 * scale
     inside = np.flatnonzero((vals >= window.e0 - tie) & (vals <= window.E0 + tie))
-    # a degenerate cluster straddling E0 enters as a whole
-    if inside.size:
-        last = inside[-1]
-        while last + 1 < vals.size and vals[last + 1] - vals[last] <= tie:
-            last += 1
-        inside = np.arange(inside[0], last + 1)
-    flag = inside.size == 0
-    if flag:
+    if not inside.size:
         warnings.warn("spectral window selected no eigenvalues (rank-0 projection)",
                       stacklevel=2)
+        return SpectralProjection(window=window, eigensystem=eigensystem,
+                                  selector=slice(0, 0))
+    # a degenerate cluster straddling E0 enters as a whole
+    last = int(inside[-1])
+    while last + 1 < vals.size and vals[last + 1] - vals[last] <= tie:
+        last += 1
     return SpectralProjection(window=window, eigensystem=eigensystem,
-                              selector=inside, rank_deficient_flag=flag)
+                              selector=slice(int(inside[0]), last + 1))
 
 
 def estimate_c0(v, a: float, zeta: float, grid: RadialGrid) -> float:

@@ -55,7 +55,7 @@ class WeightSequence:
     kind: str                     # 'interior' | 'exterior' | 'mobility' | 'zero'
     zeta: float = 1.0
     eps: float = np.nan           # interior
-    j0: int = 0                   # interior
+    j0: Optional[int] = None      # interior
     sigma_plus: float = np.nan    # interior
     c: float = np.nan             # exterior
     eta: float = np.nan           # exterior
@@ -106,13 +106,12 @@ class WeightSequence:
 
 
 def _interior_scan(profile: FluxProfile, e_tilde: float, grid: RadialGrid,
-                   zeta: float, j_max: int, a: Optional[float],
-                   j0_cap: int = 8) -> Tuple[float, int]:
-    """Best (eps, j0) for the interior weight by direct grid scan."""
+                   zeta: float, j_max: int, a: Optional[float]) -> Tuple[float, int]:
+    """Best (eps, j0 <= 8) for the interior weight by direct grid scan."""
     sigma = profile.sigma_plus
     nodes = grid.nodes
     best_eps, best_j0 = 0.0, None
-    for j0 in range(0, min(j0_cap, j_max - 1) + 1):
+    for j0 in range(0, min(8, j_max - 1) + 1):
         eps = np.inf
         for aj in range(j0 + 1, j_max + 1):
             level = aj ** (2.0 * zeta * (1.0 - 1.0 / sigma))
@@ -227,11 +226,9 @@ class WeightValidation:
     derivative_ok: np.ndarray            # per channel
     derivative_worst_margin: float       # min over nodes of rhs - (F')^2
     bounded_ok: bool
-    max_weight_on_allowed: float
     max_exp_weight_on_allowed: float
     lipschitz_ok: bool
     lipschitz_worst_excess: float        # max over pairs of |F_j-F_k| - (a/2)|j-k|^zeta
-    lipschitz_worst_pair: Optional[Tuple[int, int]]
 
     @property
     def passed(self) -> bool:
@@ -240,9 +237,10 @@ class WeightValidation:
 
 def weight_validate(weight: WeightSequence, profile: FluxProfile,
                     window: SpectralWindow, grid: RadialGrid, j_max: int,
-                    a: Optional[float] = None, zeta: Optional[float] = None,
-                    tol: float = 1e-9) -> WeightValidation:
-    """Check hypotheses (i)-(iii) at every node and channel pair."""
+                    a: Optional[float] = None,
+                    zeta: Optional[float] = None) -> WeightValidation:
+    """Check hypotheses (i)-(iii) at every node and channel pair, to 1e-9."""
+    tol = 1e-9
     channels = np.arange(-j_max, j_max + 1)
     nodes = grid.nodes
     if zeta is None:
@@ -265,29 +263,19 @@ def weight_validate(weight: WeightSequence, profile: FluxProfile,
 
     bounded_ok = max_allowed_weight <= tol
 
-    lip_ok = True
-    lip_excess = -np.inf
-    lip_pair = None
+    lip_excess = 0.0
     if a is not None:
-        for c1 in range(channels.size):
+        lip_excess = -np.inf
+        for c1 in range(channels.size - 1):
             d = np.max(np.abs(f[c1 + 1:] - f[c1][None, :]), axis=1)
             bound = 0.5 * a * np.abs(channels[c1 + 1:] - channels[c1]) ** zeta
-            excess = d - bound
-            worst_idx = int(np.argmax(excess)) if excess.size else None
-            if excess.size and excess[worst_idx] > lip_excess:
-                lip_excess = float(excess[worst_idx])
-                lip_pair = (int(channels[c1]), int(channels[c1 + 1 + worst_idx]))
-            if excess.size and excess[worst_idx] > tol:
-                lip_ok = False
-    else:
-        lip_excess = 0.0
+            lip_excess = max(lip_excess, float(np.max(d - bound)))
 
     return WeightValidation(
         derivative_ok=deriv_ok, derivative_worst_margin=worst,
-        bounded_ok=bounded_ok, max_weight_on_allowed=max_allowed_weight,
+        bounded_ok=bounded_ok,
         max_exp_weight_on_allowed=float(np.exp(max_allowed_weight)),
-        lipschitz_ok=lip_ok, lipschitz_worst_excess=float(lip_excess),
-        lipschitz_worst_pair=lip_pair,
+        lipschitz_ok=lip_excess <= tol, lipschitz_worst_excess=float(lip_excess),
     )
 
 
@@ -297,7 +285,6 @@ class TwistedGapReport:
     threshold: float              # E0 + delta0 / 2
     slack: float
     passed: bool
-    e_tilde: float
 
 
 def twisted_gap_check(h: BlockHamiltonian, weight: WeightSequence,
@@ -311,12 +298,10 @@ def twisted_gap_check(h: BlockHamiltonian, weight: WeightSequence,
     eigenvalue below; lambda_min is then the eigenvalue nearest the shift,
     and otherwise the lowest of those counted.
     """
-    nodes = h.grid.nodes
-    f = weight.matrix(h.channels, nodes).reshape(-1)
-    chi = np.zeros((h.n_ch, h.grid.n_r))
-    for c, j in enumerate(h.channels):
-        v = h.diagonals[c] - 2.0 / h.grid.h ** 2 - h.symmetric_part
-        chi[c] = v <= window.e_tilde
+    f = weight.matrix(h.channels, h.grid.nodes).reshape(-1)
+    # V_j: the channel diagonals without the kinetic stencil and W_s
+    v = h.diagonals - h.grid.kinetic_tridiagonal()[0] - h.symmetric_part
+    chi = v <= window.e_tilde
     a = (h.to_sparse() + sp.diags(window.e_tilde * chi.reshape(-1))).tocoo()
     a.data = a.data * np.cosh(f[a.row] - f[a.col])
 
@@ -324,8 +309,7 @@ def twisted_gap_check(h: BlockHamiltonian, weight: WeightSequence,
     factor = ShiftedFactor(a, threshold - 1e-9 * max(1.0, abs(threshold)))
     lam_min = float(factor.below()[0][0]) if factor.n_below else factor.nearest()
     return TwistedGapReport(lambda_min=lam_min, threshold=threshold,
-                            slack=lam_min - threshold, passed=factor.n_below == 0,
-                            e_tilde=window.e_tilde)
+                            slack=lam_min - threshold, passed=factor.n_below == 0)
 
 
 @dataclass
@@ -337,15 +321,7 @@ class TunnellingSum:
     terms: np.ndarray
     partial_sum: float
     tail_ratio: float
-    kind: str
     params: dict = field(default_factory=dict)
-
-    def shells(self):
-        """(m, s_m) with s_m the summed terms over |j| = m, m = 1..j_max."""
-        j_max = int(np.max(np.abs(self.j)))
-        ms = np.arange(1, j_max + 1)
-        s = np.array([self.terms[np.abs(self.j) == m].sum() for m in ms])
-        return ms, s
 
 
 def _tail_ratio(j: np.ndarray, terms: np.ndarray) -> float:
@@ -360,15 +336,14 @@ def _tail_ratio(j: np.ndarray, terms: np.ndarray) -> float:
 
 
 def tunnelling_interior_sum(p: SpectralProjection, c_plus: float,
-                            delta_plus: float, zeta: float, sigma_plus: float,
-                            j_max: Optional[int] = None) -> TunnellingSum:
+                            delta_plus: float, zeta: float,
+                            sigma_plus: float) -> TunnellingSum:
     """Interior masked norms with weights e^{delta_+ |j|^zeta}.
 
     Terms are e^{delta_+ |j|^zeta} |1_{[0, c_+ |j|^{zeta/sigma_+}]} P_j E_I|^2;
     the tail ratio compares the outermost two |j| shells.
     """
-    channels = p.channels if j_max is None else \
-        np.arange(-j_max, j_max + 1)
+    channels = p.channels
     norms = np.zeros(channels.size)
     terms = np.zeros(channels.size)
     for c, j in enumerate(channels):
@@ -378,18 +353,16 @@ def tunnelling_interior_sum(p: SpectralProjection, c_plus: float,
     return TunnellingSum(
         j=np.asarray(channels), norms=norms, terms=terms,
         partial_sum=float(terms.sum()), tail_ratio=_tail_ratio(channels, terms),
-        kind="interior",
         params={"c_plus": c_plus, "delta_plus": delta_plus, "zeta": zeta,
                 "sigma_plus": sigma_plus},
     )
 
 
 def tunnelling_exterior_sum(p: SpectralProjection, c_minus: float,
-                            delta_minus: float, zeta: float, sigma_minus: float,
-                            j_max: Optional[int] = None) -> TunnellingSum:
+                            delta_minus: float, zeta: float,
+                            sigma_minus: float) -> TunnellingSum:
     """Exterior masked norms with the radial weight e^{delta_- r^{zeta sigma_-}}."""
-    channels = p.channels if j_max is None else \
-        np.arange(-j_max, j_max + 1)
+    channels = p.channels
     zs = zeta * sigma_minus
     norms = np.zeros(channels.size)
     for c, j in enumerate(channels):
@@ -403,7 +376,6 @@ def tunnelling_exterior_sum(p: SpectralProjection, c_minus: float,
     return TunnellingSum(
         j=np.asarray(channels), norms=norms, terms=terms,
         partial_sum=float(terms.sum()), tail_ratio=_tail_ratio(channels, terms),
-        kind="exterior",
         params={"c_minus": c_minus, "delta_minus": delta_minus, "zeta": zeta,
                 "sigma_minus": sigma_minus},
     )

@@ -136,7 +136,7 @@ def test_A4_theorem1_ratio_boundedness(tunnelling_lab):
     beta = 1.0 * nu / profile.sigma_minus          # zeta nu / sigma_-
     states = propagate(proj, state, geometric_times(1.0, 1000.0, 48))
     series = record_observables(states, nu=nu, beta=beta)
-    report = bound_check_thm1(series, trend_factor=1.1)
+    report = bound_check_thm1(series)
     ok = np.isfinite(report.sup_ratio) and report.trend_ok
     _criterion("A4 (theorem-1 ratio boundedness)", ok,
                f"sup ratio {report.sup_ratio:.4f}, quartile means "
@@ -203,8 +203,7 @@ def test_A6_weight_hypotheses(tunnelling_lab):
 def test_A7_mobility_edge():
     grid = build_grid(3000, 60.0)
     report = mobility_edge_scan(1.0, grid, 3, low_band=(0.1, 0.8),
-                                high_band=(1.8, 2.2), box_growth=1.5,
-                                width_box_factor=2.0)
+                                high_band=(1.8, 2.2), box_growth=1.5)
     assert not report.empty_low_band and not report.empty_high_band
     decays = np.array([rec.decay_rate for rec in report.localized])
     shifts = np.array([rec.eigenvalue_shift for rec in report.localized])

@@ -137,7 +137,7 @@ def test_exponent_triangle_inequality_property():
 
 def test_default_m_max_rule(grid):
     env = GevreyEnvelope(a=1.5, zeta=1.0, b=lambda r: np.exp(-r))
-    m = default_m_max(env, grid, tol=1e-12)
+    m = default_m_max(env, grid)
     b_max = np.exp(-grid.nodes[0])
     assert b_max * np.exp(-1.5 * m) < 1e-12
     assert b_max * np.exp(-1.5 * (m - 1)) >= 1e-12

@@ -176,3 +176,21 @@ def test_fmt17_and_csv_round_trip(tmp_path):
     assert header == ["a", "b"]
     assert float(rows[0][0]) == 1.0 / 3.0
     assert float(rows[1][1]) == np.pi
+
+
+def test_weight_params_carry_only_their_own_kind(tmp_path):
+    # j0 belongs to the interior weight; exterior and mobility weights have none
+    linear = ("profile.kind = linear\nprofile.lambda = 1.0\ngrid.n_r = 200\n"
+              "grid.r_max = 16.0\nchannels.j_max = 8\nwindow.E0 = 0.9\n")
+    expected = {"coupled": {"interior": True, "exterior": False},
+                "linear": {"mobility": False}}
+    for name, text in (("coupled", COUPLED_CFG), ("linear", linear)):
+        out = tmp_path / name
+        assert run("validate-weights", write_cfg(tmp_path, text, f"{name}.cfg"),
+                   str(out)) == 0
+        report = json.loads((out / "weights_report.json").read_text())
+        constants = json.loads((out / "manifest.json").read_text())["constants"]
+        assert set(report) - {"forbidden_region", "all_passed"} == set(expected[name])
+        for kind, has_j0 in expected[name].items():
+            assert ("j0" in report[kind]["params"]) == has_j0, kind
+            assert (f"{kind}_j0" in constants) == has_j0, kind

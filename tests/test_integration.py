@@ -27,7 +27,7 @@ def test_complex_coupling_windowed_matches_dense():
         envelope=env, decay=DecayClass.none())
     h = assemble_hamiltonian(profile, w, grid, 5, m_max=3)
     assert h.dtype == np.complex128
-    dense = diagonalize(h, dense_limit=10_000)
+    dense = diagonalize(h)
     from fluxlab.spectral import _windowed_eigensystem
     windowed = _windowed_eigensystem(h, 1.2, 0.1)
     dense_in = dense.eigenvalues[dense.eigenvalues <= 1.3]
@@ -76,8 +76,7 @@ def test_degenerate_cluster_at_window_edge_enters_together():
     diag = np.array([[0.5, 1.0, 1.0, 1.7, 2.3, 3.0, 4.0, 5.0]])
     h = BlockHamiltonian(grid=grid, channels=np.array([0]), diagonals=diag,
                          off_diagonal=np.zeros(7), couplings={},
-                         symmetric_part=np.zeros(8),
-                         symmetric_part_included=False)
+                         symmetric_part=np.zeros(8))
     window = SpectralWindow(e0=0.5, E0=1.0, delta0=0.1, c0=0.0)
     p = spectral_projection(h, window)
     assert p.rank == 3            # 0.5 plus both members of the pair at 1.0

@@ -64,8 +64,7 @@ def test_uncoupled_matrix_eigenvalues_equal_sorted_diagonal():
     diag = np.array([[5.0, 1.0, 4.0, 2.0, 8.0, 3.0, 7.0, 6.0]])
     h = BlockHamiltonian(grid=grid, channels=np.array([0]), diagonals=diag,
                          off_diagonal=np.zeros(7), couplings={},
-                         symmetric_part=np.zeros(8),
-                         symmetric_part_included=False)
+                         symmetric_part=np.zeros(8))
     es = diagonalize(h)
     assert np.array_equal(es.eigenvalues, np.sort(diag[0]))
 
@@ -86,12 +85,25 @@ def test_windowed_solver_matches_dense_route():
     w = make_w(lambda r, t: 0.25 * np.exp(-r / 2) * np.cos(t), a=1.0,
                b=lambda r: np.sqrt(np.pi / 2) * 0.25 * np.exp(-r / 2) * np.e)
     h = assemble_hamiltonian(profile, w, grid, 5, m_max=2)
-    dense = diagonalize(h, dense_limit=10_000)
+    dense = diagonalize(h)
     from fluxlab.spectral import _windowed_eigensystem
     windowed = _windowed_eigensystem(h, 1.2, 0.1)
     dense_in = dense.eigenvalues[dense.eigenvalues <= 1.3]
     assert windowed.k == dense_in.size
     assert np.allclose(windowed.eigenvalues, dense_in, atol=1e-9)
+
+
+def test_full_spectrum_above_dense_limit_raises_before_dense_work(monkeypatch):
+    # dim 410 * 11 = 4510 > DENSE_LIMIT = 4000: no dense matrix may be formed
+    h = coupled_model(np.cos, n_r=410, j_max=5)
+    assert h.dim > 4000 and not h.is_block_diagonal
+
+    def refuse(self):
+        pytest.fail(f"dense {h.dim}x{h.dim} matrix formed above DENSE_LIMIT")
+
+    monkeypatch.setattr(BlockHamiltonian, "to_dense", refuse)
+    with pytest.raises(ValueError, match="exceeds DENSE_LIMIT = 4000"):
+        diagonalize(h)
 
 
 def coupled_model(angular, n_r=90, j_max=6):
@@ -160,9 +172,10 @@ def test_projection_basis_is_a_column_view():
     # the second Landau level only: the window starts and ends inside the columns
     window = SpectralWindow(e0=5.0, E0=7.0, delta0=0.5, c0=0.0)
     p = spectral_projection(h, window, eigensystem=es)
-    assert p.selector[0] > 0 and p.selector[-1] < es.k - 1
+    assert p.selector.start > 0 and p.selector.stop < es.k
     assert np.shares_memory(p.basis, es.eigenvectors)
-    assert np.array_equal(p.basis, es.eigenvectors[:, p.selector])
+    inside = (es.eigenvalues >= 5.0) & (es.eigenvalues <= 7.0)
+    assert np.array_equal(p.basis, es.eigenvectors[:, inside])
 
 
 def test_projection_below_spectrum_has_rank_zero():
@@ -173,7 +186,6 @@ def test_projection_below_spectrum_has_rank_zero():
     with pytest.warns(UserWarning):
         p = spectral_projection(h, window)
     assert p.rank == 0
-    assert p.rank_deficient_flag
     assert p.basis.shape == (h.dim, 0)
     assert p.idempotency_error() == 0.0
 
@@ -186,8 +198,10 @@ def test_projection_commutes_with_channels_when_w_is_zero():
     window = SpectralWindow(e0=float(es.eigenvalues[0]), E0=1.0, delta0=0.05, c0=0.0)
     p = spectral_projection(h, window, eigensystem=es)
     assert p.rank > 0
-    for j in h.channels:
-        assert p.channel_commutator_norm(int(j)) < 1e-12
+    # P_j E_I = E_I P_j for every j iff each window eigenvector lives in one channel
+    blocks = p.basis.reshape(h.n_ch, grid.n_r, p.rank)
+    assert np.array_equal(np.count_nonzero(np.any(blocks != 0, axis=1), axis=0),
+                          np.ones(p.rank, dtype=int))
 
 
 def test_rank_equals_eigenvalue_count_in_window():

@@ -116,12 +116,30 @@ def _atomic_write(path, payload: str) -> None:
         raise
 
 
+def _row_format(types) -> str:
+    """%-format of one CSV row whose cells have ``types``, cell by cell equal to
+    ``fmt17``: ``%s`` gives ``str(x)`` for strings and ints, and ``%.17g``
+    gives ``f"{float(x):.17g}"`` for everything else, bools included."""
+    return ",".join("%s" if issubclass(t, str) or
+                    (issubclass(t, int) and not issubclass(t, bool)) else "%.17g"
+                    for t in types)
+
+
 def write_csv(path, header, rows) -> None:
-    """Write rows of numbers/strings as CSV, atomically, 17 significant digits."""
+    """Write rows of numbers/strings as CSV, atomically, 17 significant digits.
+
+    Each row is formatted in one ``%`` operation, with a format built once
+    per distinct tuple of cell types.
+    """
+    formats = {}
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else fmt17(cell)
-                              for cell in row))
+        row = tuple(row)
+        types = tuple(map(type, row))
+        fmt = formats.get(types)
+        if fmt is None:
+            fmt = formats[types] = _row_format(types)
+        lines.append(fmt % row)
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -13,6 +13,10 @@ and otherwise one shifted factorization (:class:`ShiftedFactor`) at the
 window top, whose inertia counts the eigenvalues below it exactly and whose
 shift-inverted Lanczos sweep then returns exactly that many eigenpairs.
 Repeated runs are deterministic (fixed start vectors, fixed assembly order).
+
+Ordered node-major, a coupled H is a band matrix of half-bandwidth n_ch
+(:meth:`BlockHamiltonian.to_band`); :class:`BandCholesky` factors a shifted
+band matrix and certifies positive definiteness without an inertia count.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ from .grid import RadialGrid
 __all__ = [
     "BlockHamiltonian", "SpectralWindow", "EigenSystem", "SpectralProjection",
     "assemble_hamiltonian", "diagonalize", "make_window", "spectral_projection",
-    "estimate_c0", "channel_projection_norm", "ShiftedFactor", "basis_product",
+    "estimate_c0", "channel_projection_norm", "ShiftedFactor", "BandCholesky",
+    "basis_product",
 ]
 
 DENSE_LIMIT = 4000      # largest coupled dimension whose full spectrum is solved densely
@@ -104,6 +109,30 @@ class BlockHamiltonian:
         cols = np.concatenate(cols)
         data = np.concatenate(data).astype(self.dtype, copy=False)
         return sp.csr_matrix((data, (rows, cols)), shape=(self.dim, self.dim))
+
+    def to_band(self) -> Tuple[np.ndarray, np.ndarray]:
+        """H in LAPACK upper band storage and the index order of the band.
+
+        ``ab[kd + p - q, q] = H[p, q]`` for ``q - kd <= p <= q``, and band
+        index p is channel-major index ``order[p]``.  Coupled H is ordered
+        node-major, index ``i n_ch + c``, with ``kd = n_ch``: W couples the
+        channels of one node (distance m <= 2 j_max < n_ch) and the kinetic
+        term couples neighbouring nodes (distance n_ch).  Block-diagonal H
+        keeps channel-major order with ``kd = 1``.
+        """
+        n, n_ch = self.grid.n_r, self.n_ch
+        if self.is_block_diagonal:
+            ab = np.zeros((2, self.dim))
+            ab[1] = self.diagonals.reshape(-1)
+            ab[0].reshape(n_ch, n)[:, 1:] = self.off_diagonal
+            return ab, np.arange(self.dim)
+        ab = np.zeros((n_ch + 1, self.dim), dtype=self.dtype)
+        ab[n_ch] = self.diagonals.T.reshape(-1)
+        ab[0, n_ch:] = np.repeat(self.off_diagonal, n_ch)
+        for m, w in self.couplings.items():
+            # node i, channels c < c + m: the upper entry of the (c + m, c) block is conj(w)
+            ab[n_ch - m].reshape(n, n_ch)[:, m:] = np.conj(w)[:, None]
+        return ab, np.arange(self.dim).reshape(n_ch, n).T.reshape(-1)
 
     def to_dense(self) -> np.ndarray:
         return self.to_sparse().toarray()
@@ -314,12 +343,6 @@ class ShiftedFactor:
         """True when ``below`` solves densely: ARPACK needs k < dim - 1."""
         return self.n_below >= self.dim - 1
 
-    def _eigsh(self, k: int, which: str, vectors: bool = True):
-        op_inv = LinearOperator(self.a.shape, matvec=self.lu.solve, dtype=self.a.dtype)
-        return eigsh(self.a, k=k, sigma=self.sigma, which=which,
-                     v0=np.full(self.dim, 1.0 / np.sqrt(self.dim)), OPinv=op_inv,
-                     return_eigenvectors=vectors)
-
     def below(self):
         """The ``n_below`` eigenpairs of A under sigma, eigenvalues ascending.
 
@@ -331,13 +354,69 @@ class ShiftedFactor:
             return np.zeros(0), np.zeros((self.dim, 0), dtype=self.a.dtype)
         if self.dense_below:
             return scipy.linalg.eigh(self.a.toarray(), subset_by_index=(0, k - 1))
-        vals, vecs = self._eigsh(k, "SA")
+        op_inv = LinearOperator(self.a.shape, matvec=self.lu.solve, dtype=self.a.dtype)
+        vals, vecs = eigsh(self.a, k=k, sigma=self.sigma, which="SA",
+                           v0=np.full(self.dim, 1.0 / np.sqrt(self.dim)), OPinv=op_inv)
         order = np.argsort(vals, kind="stable")
         return vals[order], vecs[:, order]
 
-    def nearest(self) -> float:
-        """The eigenvalue of A nearest to sigma."""
-        return float(self._eigsh(1, "LM", vectors=False)[0])
+
+class BandCholesky:
+    """Band Cholesky factor U^H U = A - sigma I of a Hermitian band matrix A.
+
+    ``ab`` holds A in LAPACK upper band storage (see
+    :meth:`BlockHamiltonian.to_band`).  ``?pbtrf`` completes exactly when
+    A - sigma I is positive definite, that is when every eigenvalue of A
+    lies above sigma, so that verdict needs no inertia count
+    (Golub & Van Loan, Matrix Computations, 4th ed., section 4.3).  A
+    completed factor whose smallest pivot r_kk^2 is at most
+    ``1e-12 max(1, |A|)`` raises: that close to singular the verdict is
+    not trustworthy.
+    """
+
+    def __init__(self, ab: np.ndarray, sigma: float):
+        self.ab = ab
+        self.sigma = float(sigma)
+        kd = ab.shape[0] - 1
+        row = np.abs(ab[kd])
+        for r in range(kd):
+            entries = np.abs(ab[r, kd - r:])
+            row[:r - kd] += entries
+            row[kd - r:] += entries
+        self.norm_a = float(row.max())          # max absolute row sum of A
+        shifted = ab.copy()
+        shifted[kd] -= self.sigma
+        pbtrf, self._pbtrs = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"), (ab,))
+        self.factor, info = pbtrf(shifted, overwrite_ab=1)
+        if info < 0:
+            raise ValueError(f"?pbtrf rejected argument {-info}")
+        self.positive_definite = info == 0
+        if self.positive_definite:
+            pivot = float(np.min(self.factor[kd].real)) ** 2
+            tiny = 1e-12 * max(1.0, self.norm_a)
+            if pivot <= tiny:
+                raise RuntimeError(
+                    f"Cholesky pivot {pivot:.3e} at shift {self.sigma:.17g} is below "
+                    f"1e-12 |A| = {tiny:.3e}; positive definiteness is not trustworthy")
+
+    def lowest(self) -> float:
+        """The lowest eigenvalue of A, by shift-inverted Lanczos about sigma.
+
+        A - sigma I is positive definite, so the lowest eigenvalue is the one
+        nearest sigma: the ``LM`` end of 1 / (lambda - sigma).
+        """
+        if not self.positive_definite:
+            raise ValueError(f"A - {self.sigma:.17g} I is not positive definite")
+        kd, n = self.ab.shape[0] - 1, self.ab.shape[1]
+        band_mv = scipy.linalg.get_blas_funcs(
+            "hbmv" if np.iscomplexobj(self.ab) else "sbmv", (self.ab,))
+        a = LinearOperator((n, n), matvec=lambda x: band_mv(kd, 1.0, self.ab, x),
+                           dtype=self.ab.dtype)
+        op_inv = LinearOperator((n, n), matvec=lambda b: self._pbtrs(self.factor, b)[0],
+                                dtype=self.ab.dtype)
+        return float(eigsh(a, k=1, sigma=self.sigma, which="LM",
+                           v0=np.full(n, 1.0 / np.sqrt(n)), OPinv=op_inv,
+                           return_eigenvectors=False)[0])
 
 
 def _windowed_eigensystem(h: BlockHamiltonian, upper: float,

@@ -19,9 +19,11 @@ E~ = E0 + c0 + delta0 and chi the indicator of the classically allowed set,
 constants satisfying (i)-(iii) instead of using the proofs' closed-form
 choices, which are far from tight.  ``weight_validate`` re-checks the three
 hypotheses pointwise, and ``twisted_gap_check`` verifies the resulting
-coercivity bound on the symmetrized exponentially twisted operator by an
-exact eigenvalue count: one :class:`~fluxlab.spectral.ShiftedFactor` just
-below the threshold E0 + delta0/2 must find no eigenvalue under it.
+coercivity bound on the symmetrized exponentially twisted operator: it has
+no eigenvalue under the threshold E0 + delta0/2 exactly when its band
+Cholesky factorization (:class:`~fluxlab.spectral.BandCholesky`) at a shift
+just below the threshold completes.  When it does not, bisection on
+Cholesky success brackets the lowest eigenvalue for the report.
 """
 
 from __future__ import annotations
@@ -31,13 +33,12 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 # not called here: bench/tracing.py patches and restores weights.splu by name
 from scipy.sparse.linalg import splu  # noqa: F401
 
 from .flux import FluxProfile
 from .grid import RadialGrid
-from .spectral import BlockHamiltonian, ShiftedFactor, SpectralProjection, \
+from .spectral import BandCholesky, BlockHamiltonian, SpectralProjection, \
     SpectralWindow, channel_projection_norm
 
 __all__ = [
@@ -287,29 +288,61 @@ class TwistedGapReport:
     passed: bool
 
 
+def _highest_positive_definite_shift(ab: np.ndarray, sigma: float,
+                                     norm_a: float) -> BandCholesky:
+    """The factor at the highest shift below sigma found positive definite.
+
+    Bisects on Cholesky success over [-|A| - 1, sigma], whose lower end is
+    always positive definite, to a width of 1e-3 max(1, |shift|); a shift
+    whose factor trips the tiny-pivot guard counts as not positive definite.
+    """
+    lo, hi = -norm_a - 1.0, sigma
+    best = None
+    while hi - lo > 1e-3 * max(1.0, abs(lo), abs(hi)):
+        mid = 0.5 * (lo + hi)
+        try:
+            trial = BandCholesky(ab, mid)
+        except RuntimeError:
+            trial = None
+        if trial is not None and trial.positive_definite:
+            lo, best = mid, trial
+        else:
+            hi = mid
+    return best if best is not None else BandCholesky(ab, lo)
+
+
 def twisted_gap_check(h: BlockHamiltonian, weight: WeightSequence,
                       window: SpectralWindow) -> TwistedGapReport:
     """Coercivity of the symmetrized twisted operator.
 
     Builds H~ = H + E~ chi(E~) and the symmetrization
     (e^F H~ e^-F + e^-F H~ e^F)/2, whose entries are those of H~ scaled by
-    cosh(F_j(r_i) - F_k(r_l)).  It passes iff the inertia of the operator
-    shifted to threshold - tol, threshold = E0 + delta0/2, counts no
-    eigenvalue below; lambda_min is then the eigenvalue nearest the shift,
-    and otherwise the lowest of those counted.
+    cosh(F_j(r_i) - F_k(r_l)), straight into the band storage of
+    :meth:`~fluxlab.spectral.BlockHamiltonian.to_band`.  It passes iff the
+    band Cholesky factorization of the operator shifted to threshold - tol,
+    threshold = E0 + delta0/2, completes, i.e. no eigenvalue lies below the
+    shift.  lambda_min is then the eigenvalue nearest the shift.  On a FAIL,
+    bisection on Cholesky success finds a positive definite shift just
+    below the lowest eigenvalue, and lambda_min is the eigenvalue nearest it.
     """
-    f = weight.matrix(h.channels, h.grid.nodes).reshape(-1)
+    ab, order = h.to_band()
+    kd = ab.shape[0] - 1
+    f = weight.matrix(h.channels, h.grid.nodes).reshape(-1)[order]
     # V_j: the channel diagonals without the kinetic stencil and W_s
     v = h.diagonals - h.grid.kinetic_tridiagonal()[0] - h.symmetric_part
-    chi = v <= window.e_tilde
-    a = (h.to_sparse() + sp.diags(window.e_tilde * chi.reshape(-1))).tocoo()
-    a.data = a.data * np.cosh(f[a.row] - f[a.col])
+    chi = (v <= window.e_tilde).reshape(-1)[order]
+    ab[kd] += window.e_tilde * chi
+    for r in range(kd):
+        ab[r, kd - r:] *= np.cosh(f[:r - kd] - f[kd - r:])
 
     threshold = window.E0 + 0.5 * window.delta0
-    factor = ShiftedFactor(a, threshold - 1e-9 * max(1.0, abs(threshold)))
-    lam_min = float(factor.below()[0][0]) if factor.n_below else factor.nearest()
+    factor = BandCholesky(ab, threshold - 1e-9 * max(1.0, abs(threshold)))
+    passed = factor.positive_definite
+    if not passed:
+        factor = _highest_positive_definite_shift(ab, factor.sigma, factor.norm_a)
+    lam_min = factor.lowest()
     return TwistedGapReport(lambda_min=lam_min, threshold=threshold,
-                            slack=lam_min - threshold, passed=factor.n_below == 0)
+                            slack=lam_min - threshold, passed=passed)
 
 
 @dataclass

@@ -178,6 +178,21 @@ def test_fmt17_and_csv_round_trip(tmp_path):
     assert float(rows[1][1]) == np.pi
 
 
+def test_write_csv_bytes_equal_fmt17_per_cell(tmp_path):
+    # write_csv formats a row at a time; each cell must read as fmt17 renders it
+    cells = [0, -3, 2 ** 70, np.int64(-5), np.int64(2 ** 62 + 1), np.int32(9),
+             True, False, np.bool_(True), 0.1, 1.0 / 3.0, np.float64(-1e300),
+             np.float32(0.1), 0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf,
+             5e-324, -2.2250738585072014e-308 / 3, "txt", np.str_("s,t")]
+    rows = [tuple(cells), cells[::-1], list(cells), (1.5, "a"), (2, 0.25)]
+    path = tmp_path / "cells.csv"
+    write_csv(path, ["h"], rows)
+    expected = "h\n" + "".join(
+        ",".join(c if isinstance(c, str) else fmt17(c) for c in row) + "\n"
+        for row in rows)
+    assert path.read_bytes() == expected.encode()
+
+
 def test_weight_params_carry_only_their_own_kind(tmp_path):
     # j0 belongs to the interior weight; exterior and mobility weights have none
     linear = ("profile.kind = linear\nprofile.lambda = 1.0\ngrid.n_r = 200\n"

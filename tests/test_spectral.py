@@ -4,7 +4,7 @@ import pytest
 from fluxlab.angular import AngularPotential, DecayClass, GevreyEnvelope, xi_constant
 from fluxlab.flux import FluxProfile
 from fluxlab.grid import build_channel_operator, build_grid
-from fluxlab.spectral import (BlockHamiltonian, ShiftedFactor, SpectralWindow,
+from fluxlab.spectral import (BandCholesky, BlockHamiltonian, ShiftedFactor, SpectralWindow,
                               assemble_hamiltonian, channel_projection_norm,
                               diagonalize, estimate_c0, spectral_projection)
 
@@ -136,6 +136,50 @@ def test_shifted_factor_rejects_untrustworthy_elimination():
     # a zero diagonal makes SuperLU interchange rows, which voids the count
     with pytest.raises(RuntimeError, match="off-diagonal"):
         ShiftedFactor(np.array([[1.0, 1.0], [1.0, 1.0]]), 1.0)
+
+
+def band_to_dense(ab):
+    """The Hermitian matrix held in LAPACK upper band storage."""
+    kd, n = ab.shape[0] - 1, ab.shape[1]
+    full = np.zeros((n, n), dtype=ab.dtype)
+    for r in range(kd + 1):
+        q = np.arange(kd - r, n)
+        full[q, q - kd + r] = np.conj(ab[r, kd - r:])
+        full[q - kd + r, q] = ab[r, kd - r:]
+    return full
+
+
+def radial_w_model():
+    profile = FluxProfile.linear(1.0)
+    w = make_w(lambda r, t: 0.5 * np.exp(-r) * np.ones_like(t))
+    return assemble_hamiltonian(profile, w, build_grid(40, 5.0), 3, m_max=3)
+
+
+@pytest.mark.parametrize("model, coupled", [
+    (lambda: coupled_model(np.cos), True),
+    (lambda: coupled_model(lambda t: np.cos(t) + 0.5 * np.sin(2 * t)), True),
+    (radial_w_model, False),                                       # W_s only
+    (lambda: assemble_hamiltonian(FluxProfile.power_law(1.0, 1.5), None,
+                                  build_grid(50, 6.0), 4), False),  # W = 0
+], ids=["real", "complex_hermitian", "w_s_only", "w_zero"])
+def test_band_holds_the_permuted_sparse_entries(model, coupled):
+    h = model()
+    assert h.is_block_diagonal != coupled
+    ab, order = h.to_band()
+    # node-major half-bandwidth n_ch when coupled, channel-major tridiagonal otherwise
+    assert ab.shape == (h.n_ch + 1 if coupled else 2, h.dim)
+    assert ab.dtype == h.dtype
+    expected = h.to_sparse().toarray()[np.ix_(order, order)]
+    assert np.array_equal(band_to_dense(ab), expected)
+
+
+def test_band_cholesky_verdict_and_pivot_guard():
+    ab = np.array([[0.0, 0.0], [1.0, 1e-14]])      # diag(1, 1e-14), kd = 1
+    assert BandCholesky(ab, -1.0).positive_definite
+    assert not BandCholesky(ab, 0.5).positive_definite
+    # pivots r_kk^2 = 1 and 1e-14 <= 1e-12 |A|: too close to singular to certify
+    with pytest.raises(RuntimeError, match="pivot"):
+        BandCholesky(ab, 0.0)
 
 
 def test_window_over_whole_spectrum_takes_dense_fallback():

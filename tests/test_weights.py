@@ -137,10 +137,19 @@ def test_twisted_gap_mobility_weight():
     assert report.passed, report
 
 
-def test_twisted_gap_fails_for_tripled_interior_eps():
-    # must-fail twin of A6's coercivity check, on a model small enough for a
-    # dense oracle: tripling eps breaks (F')^2 <= V - E~ and the twisted
-    # operator acquires eigenvalues below E0 + delta0 / 2
+def dense_twisted_minimum(profile, h, weight, window):
+    """Lowest eigenvalue of the dense symmetrized twisted operator."""
+    f = np.exp(weight.matrix(h.channels, h.grid.nodes).reshape(-1))
+    allowed = np.concatenate([profile.effective_potential(int(j), h.grid.nodes)
+                              <= window.e_tilde for j in h.channels])
+    boosted = h.to_dense() + np.diag(window.e_tilde * allowed)
+    twisted = 0.5 * (f[:, None] * boosted / f[None, :] + boosted * f[None, :] / f[:, None])
+    return np.linalg.eigvalsh(twisted)[0]
+
+
+def a6_twin_model():
+    """A dim-1,560 Gevrey-W model small enough for a dense oracle, and its
+    built interior weight."""
     profile = FluxProfile.power_law(1.0, 1.5)
     grid = build_grid(120, 10.0)
     modes = np.arange(1, 30)
@@ -154,18 +163,55 @@ def test_twisted_gap_fails_for_tripled_interior_eps():
     es = diagonalize(h, window_upper=1.0)
     window = make_window(h, float(es.eigenvalues[0]), 1.0, envelope=env)
     built = build_weight("interior", profile, window, grid, 1.0, 6, a=1.5)
+    return profile, h, window, built
+
+
+def test_twisted_gap_fails_for_tripled_interior_eps():
+    # must-fail twin of A6's coercivity check: tripling eps breaks
+    # (F')^2 <= V - E~ and the twisted operator acquires eigenvalues below
+    # E0 + delta0 / 2
+    profile, h, window, built = a6_twin_model()
     assert twisted_gap_check(h, built, window).passed
 
     tripled = dataclasses.replace(built, eps=3.0 * built.eps)
     report = twisted_gap_check(h, tripled, window)
     assert not report.passed and report.slack < 0
+    assert report.lambda_min == pytest.approx(
+        dense_twisted_minimum(profile, h, tripled, window), abs=1e-9)
 
-    f = np.exp(tripled.matrix(h.channels, grid.nodes).reshape(-1))
-    allowed = np.concatenate([profile.effective_potential(int(j), grid.nodes)
-                              <= window.e_tilde for j in h.channels])
-    boosted = h.to_dense() + np.diag(window.e_tilde * allowed)
-    twisted = 0.5 * (f[:, None] * boosted / f[None, :] + boosted * f[None, :] / f[:, None])
-    assert report.lambda_min == pytest.approx(np.linalg.eigvalsh(twisted)[0], abs=1e-9)
+
+def test_twisted_gap_fails_for_tenfold_interior_eps():
+    # far past the coercivity edge about 150 eigenvalues lie below the
+    # threshold; the FAIL report brackets only the lowest one, by bisection
+    # on Cholesky success, and must still match the dense minimum
+    profile, h, window, built = a6_twin_model()
+    tenfold = dataclasses.replace(built, eps=10.0 * built.eps)
+    report = twisted_gap_check(h, tenfold, window)
+    assert not report.passed
+    assert report.lambda_min == pytest.approx(
+        dense_twisted_minimum(profile, h, tenfold, window), rel=1e-9)
+
+
+@pytest.mark.parametrize("scale, passed", [(1.0, True), (3.0, False)])
+def test_twisted_gap_complex_hermitian_matches_dense(scale, passed):
+    # W = cos + sin(2 theta)/2 makes H complex Hermitian; the band keeps the
+    # conjugated upper couplings and every band row carries its cosh factor
+    profile = FluxProfile.power_law(1.0, 1.5)
+    grid = build_grid(90, 8.0)
+    w = AngularPotential(
+        w=lambda r, t: 0.3 * np.exp(-r / 2) * (np.cos(t) + 0.5 * np.sin(2 * t)),
+        envelope=GevreyEnvelope(a=0.7, zeta=1.0, b=lambda r: np.exp(-r / 2)),
+        decay=DecayClass.none())
+    h = assemble_hamiltonian(profile, w, grid, 6, m_max=3)
+    assert np.iscomplexobj(h.to_band()[0])
+    es = diagonalize(h, window_upper=1.0)
+    window = make_window(h, float(es.eigenvalues[0]), 1.0)
+    built = build_weight("interior", profile, window, grid, 1.0, 6, a=0.7)
+    weight = dataclasses.replace(built, eps=scale * built.eps)
+    report = twisted_gap_check(h, weight, window)
+    assert report.passed == passed
+    assert report.lambda_min == pytest.approx(
+        dense_twisted_minimum(profile, h, weight, window), abs=1e-9)
 
 
 def test_tunnelling_sums_rank_zero():

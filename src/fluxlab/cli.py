@@ -274,33 +274,18 @@ def _run_project(cfg, out_dir):
 
 
 def _build_weights(cfg, profile, window, grid, j_max, w):
-    """Interior/exterior (or mobility) weights with config overrides."""
+    """Interior/exterior (or mobility) weights with grid-extracted parameters."""
     from .weights import build_weight
     zeta = w.envelope.zeta if (w is not None and w.envelope is not None) \
         else cfg.get_float("w.zeta", 1.0)
     a = w.envelope.a if (w is not None and w.envelope is not None) else None
     built = {}
     if profile.sigma_plus > 1:
-        params = None
-        if cfg.get_float("weights.eps") is not None:
-            params = {"eps": cfg.get_float("weights.eps"),
-                      "j0": cfg.get_int("weights.j0", 0)}
-        built["interior"] = build_weight("interior", profile, window, grid,
-                                         zeta, j_max, a=a, params=params)
+        built["interior"] = build_weight("interior", profile, window, grid, zeta, j_max, a=a)
     if profile.sigma_minus > 1:
-        params = None
-        if cfg.get_float("weights.c") is not None:
-            params = {"c": cfg.get_float("weights.c"),
-                      "eta": cfg.get_float("weights.eta", required=True)}
-        built["exterior"] = build_weight("exterior", profile, window, grid,
-                                         zeta, j_max, a=a, params=params)
+        built["exterior"] = build_weight("exterior", profile, window, grid, zeta, j_max, a=a)
     if profile.kind == "linear":
-        params = None
-        if cfg.get_float("weights.delta1") is not None:
-            params = {"delta1": cfg.get_float("weights.delta1"),
-                      "eta1": cfg.get_float("weights.eta1", required=True)}
-        built["mobility"] = build_weight("mobility", profile, window, grid,
-                                         zeta, j_max, a=a, params=params)
+        built["mobility"] = build_weight("mobility", profile, window, grid, zeta, j_max, a=a)
     return built, zeta, a
 
 

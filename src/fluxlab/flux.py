@@ -147,12 +147,17 @@ class FluxProfile:
             out = (self.flux(r + dr) - self.flux(r - dr)) / (2.0 * dr) / r
         return out if out.ndim else float(out)
 
-    def effective_potential(self, j: int, r):
-        """V_j(r) = (Phi(r) - j)^2 / r^2."""
+    def effective_potential(self, j, r):
+        """V_j(r) = (Phi(r) - j)^2 / r^2.
+
+        A 1-d array of channels gives the table of shape ``(len(j),) +
+        r.shape`` in one evaluation of Phi; row c is V_{j[c]}(r).
+        """
         r = np.asarray(r, dtype=float)
         if np.any(r <= 0):
             raise ValueError("effective potential is defined for r > 0")
-        out = (self.flux(r) - j) ** 2 / r ** 2
+        j = np.asarray(j)
+        out = (self.flux(r) - j.reshape(j.shape + (1,) * r.ndim)) ** 2 / r ** 2
         return out if out.ndim else float(out)
 
 

@@ -126,15 +126,12 @@ def truncation_margin(profile: FluxProfile, grid: RadialGrid, j_max: int,
     The turning point is scanned on the grid; if some channel is classically
     allowed at the wall the margin is 1.0.
     """
-    worst = 0.0
-    for j in range(-int(j_max), int(j_max) + 1):
-        v = profile.effective_potential(j, grid.nodes)
-        allowed = np.flatnonzero(v <= energy)
-        if allowed.size:
-            worst = max(worst, grid.nodes[allowed[-1]])
-    if worst == 0.0:
+    channels = np.arange(-int(j_max), int(j_max) + 1)
+    allowed = np.flatnonzero(
+        np.any(profile.effective_potential(channels, grid.nodes) <= energy, axis=0))
+    if not allowed.size:
         return np.inf
-    return grid.r_max / worst
+    return grid.r_max / grid.nodes[allowed[-1]]
 
 
 def check_truncation(profile: FluxProfile, grid: RadialGrid, j_max: int,

@@ -14,9 +14,13 @@ window top, whose inertia counts the eigenvalues below it exactly and whose
 shift-inverted Lanczos sweep then returns exactly that many eigenpairs.
 Repeated runs are deterministic (fixed start vectors, fixed assembly order).
 
-Ordered node-major, a coupled H is a band matrix of half-bandwidth n_ch
-(:meth:`BlockHamiltonian.to_band`); :class:`BandCholesky` factors a shifted
-band matrix and certifies positive definiteness without an inertia count.
+The assembly evaluates V_j(r_i) once, as an (n_ch, n_r) table kept on the
+Hamiltonian (``BlockHamiltonian.potential``) for the checks that compare it
+with an energy.  :meth:`BlockHamiltonian.to_band` is the one place that
+lays out H's entries: ordered node-major, a coupled H is a band matrix of
+half-bandwidth n_ch.  The sparse and dense forms and the max row sum are
+read back from that band, and :class:`BandCholesky` factors a shifted band
+matrix and certifies positive definiteness without an inertia count.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ class BlockHamiltonian:
     off_diagonal: np.ndarray        # (n_r - 1,) shared kinetic off-diagonal
     couplings: dict                 # m -> (n_r,) array W^(., m)/sqrt(2 pi), m >= 1
     symmetric_part: np.ndarray      # (n_r,) W_s values on the diagonal (0 if none)
+    potential: np.ndarray           # (n_ch, n_r) V_j(r_i), the table in the diagonals
     dropped_tail_bound: float = 0.0
 
     @property
@@ -77,38 +82,6 @@ class BlockHamiltonian:
         if any(np.iscomplexobj(w) for w in self.couplings.values()):
             return np.complex128
         return np.float64
-
-    def to_sparse(self) -> sp.csr_matrix:
-        """Assemble as CSR; Hermitian by construction (upper blocks mirrored)."""
-        n = self.grid.n_r
-        rows, cols, data = [], [], []
-        idx = np.arange(n)
-        for c in range(self.n_ch):
-            base = c * n
-            rows.append(base + idx)
-            cols.append(base + idx)
-            data.append(self.diagonals[c])
-            rows.append(base + idx[:-1])
-            cols.append(base + idx[1:])
-            data.append(self.off_diagonal)
-            rows.append(base + idx[1:])
-            cols.append(base + idx[:-1])
-            data.append(self.off_diagonal)
-        for m in sorted(self.couplings):
-            w = self.couplings[m]
-            for c in range(self.n_ch - m):
-                lo, hi = c * n, (c + m) * n
-                # row block j = channels[c+m], col block k = channels[c]: j - k = m
-                rows.append(hi + idx)
-                cols.append(lo + idx)
-                data.append(w)
-                rows.append(lo + idx)
-                cols.append(hi + idx)
-                data.append(np.conj(w))
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        data = np.concatenate(data).astype(self.dtype, copy=False)
-        return sp.csr_matrix((data, (rows, cols)), shape=(self.dim, self.dim))
 
     def to_band(self) -> Tuple[np.ndarray, np.ndarray]:
         """H in LAPACK upper band storage and the index order of the band.
@@ -134,21 +107,38 @@ class BlockHamiltonian:
             ab[n_ch - m].reshape(n, n_ch)[:, m:] = np.conj(w)[:, None]
         return ab, np.arange(self.dim).reshape(n_ch, n).T.reshape(-1)
 
+    def to_sparse(self) -> sp.csr_matrix:
+        """H as channel-major CSR, read back from :meth:`to_band`.
+
+        The strict upper band U and its mirror U^H join the diagonal, and
+        rows and columns return from band to channel-major order.  Entries
+        that are exactly zero are not stored.
+        """
+        ab, order = self.to_band()
+        kd = ab.shape[0] - 1
+        strict = sp.dia_array((ab[:kd], kd - np.arange(kd)),
+                              shape=(self.dim, self.dim)).tocsr()
+        full = strict + strict.conj().T + sp.diags_array(ab[kd])
+        back = np.argsort(order)                # band index of each channel-major index
+        return sp.csr_matrix(full[back][:, back])
+
     def to_dense(self) -> np.ndarray:
         return self.to_sparse().toarray()
 
     def norm_inf(self) -> float:
         """max absolute row sum, an upper bound for the operator 2-norm."""
-        n = self.grid.n_r
-        row = np.abs(self.diagonals).astype(float)
-        off = np.abs(self.off_diagonal)
-        row[:, :-1] += off
-        row[:, 1:] += off
-        for m, w in self.couplings.items():
-            wa = np.abs(w)
-            row[m:] += wa
-            row[:-m] += wa
-        return float(row.max())
+        return _band_norm_inf(self.to_band()[0])
+
+
+def _band_norm_inf(ab: np.ndarray) -> float:
+    """Max absolute row sum of the Hermitian matrix held in upper band storage."""
+    kd = ab.shape[0] - 1
+    row = np.abs(ab[kd])
+    for r in range(kd):
+        entries = np.abs(ab[r, kd - r:])
+        row[:r - kd] += entries
+        row[kd - r:] += entries
+    return float(row.max())
 
 
 def assemble_hamiltonian(profile: FluxProfile, w: Optional[AngularPotential],
@@ -159,9 +149,8 @@ def assemble_hamiltonian(profile: FluxProfile, w: Optional[AngularPotential],
         raise ValueError("j_max must be >= 1")
     channels = np.arange(-int(j_max), int(j_max) + 1)
     diag_k, off_k = grid.kinetic_tridiagonal()
-    diagonals = np.empty((channels.size, grid.n_r))
-    for c, j in enumerate(channels):
-        diagonals[c] = diag_k + profile.effective_potential(int(j), grid.nodes)
+    potential = profile.effective_potential(channels, grid.nodes)
+    diagonals = diag_k + potential
 
     couplings = {}
     w_s = np.zeros(grid.n_r)
@@ -204,7 +193,7 @@ def assemble_hamiltonian(profile: FluxProfile, w: Optional[AngularPotential],
     return BlockHamiltonian(
         grid=grid, channels=channels, diagonals=diagonals,
         off_diagonal=off_k, couplings=couplings,
-        symmetric_part=w_s, dropped_tail_bound=dropped,
+        symmetric_part=w_s, potential=potential, dropped_tail_bound=dropped,
     )
 
 
@@ -378,12 +367,7 @@ class BandCholesky:
         self.ab = ab
         self.sigma = float(sigma)
         kd = ab.shape[0] - 1
-        row = np.abs(ab[kd])
-        for r in range(kd):
-            entries = np.abs(ab[r, kd - r:])
-            row[:r - kd] += entries
-            row[kd - r:] += entries
-        self.norm_a = float(row.max())          # max absolute row sum of A
+        self.norm_a = _band_norm_inf(ab)
         shifted = ab.copy()
         shifted[kd] -= self.sigma
         pbtrf, self._pbtrs = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"), (ab,))

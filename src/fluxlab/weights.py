@@ -24,6 +24,12 @@ no eigenvalue under the threshold E0 + delta0/2 exactly when its band
 Cholesky factorization (:class:`~fluxlab.spectral.BandCholesky`) at a shift
 just below the threshold completes.  When it does not, bisection on
 Cholesky success brackets the lowest eigenvalue for the report.
+
+All of these compare the table V_j(r_i) with E~.  Each consumer evaluates
+the table once for all its channels (``FluxProfile.effective_potential``
+with an array of channels), and the gap check reads chi from the table the
+assembly kept (``BlockHamiltonian.potential``), so it classifies every node
+as ``weight_validate`` does, ties V_j = E~ included.
 """
 
 from __future__ import annotations
@@ -108,84 +114,90 @@ class WeightSequence:
 
 def _interior_scan(profile: FluxProfile, e_tilde: float, grid: RadialGrid,
                    zeta: float, j_max: int, a: Optional[float]) -> Tuple[float, int]:
-    """Best (eps, j0 <= 8) for the interior weight by direct grid scan."""
+    """Best (eps, j0 <= 8) for the interior weight, from one V_j table.
+
+    Channel |j| >= 1 admits the support (0, s_j), s_j its first node with
+    V_j - E~ < |j|^{2 zeta (1 - 1/sigma_+)} (r_max if none), so eps(j0) is
+    the suffix minimum over |j| > j0 of s_j / |j|^{zeta/sigma_+}, capped by
+    (a/2) / (j0 + 1)^zeta when W != 0.  The largest eps wins, the smallest
+    j0 on a tie.
+    """
     sigma = profile.sigma_plus
     nodes = grid.nodes
-    best_eps, best_j0 = 0.0, None
-    for j0 in range(0, min(8, j_max - 1) + 1):
-        eps = np.inf
-        for aj in range(j0 + 1, j_max + 1):
-            level = aj ** (2.0 * zeta * (1.0 - 1.0 / sigma))
-            ok = profile.effective_potential(aj, nodes) - e_tilde >= level
-            bad = np.flatnonzero(~ok)
-            # support (0, s) may extend up to the first violating node
-            s_max = nodes[bad[0]] if bad.size else grid.r_max
-            eps = min(eps, s_max / aj ** (zeta / sigma))
-        if a is not None:
-            eps = min(eps, 0.5 * a / (j0 + 1) ** zeta)
-        if eps > best_eps:
-            best_eps, best_j0 = eps, j0
-    if best_j0 is None or best_eps <= 0:
+    # scalar powers, as WeightSequence takes them (numpy's vectorized pow
+    # may differ in the last bit)
+    level = np.array([aj ** (2.0 * zeta * (1.0 - 1.0 / sigma)) for aj in range(1, j_max + 1)])
+    scale = np.array([aj ** (zeta / sigma) for aj in range(1, j_max + 1)])
+    ok = profile.effective_potential(np.arange(1, j_max + 1), nodes) - e_tilde \
+        >= level[:, None]
+    s_max = np.where(ok.all(axis=1), grid.r_max, nodes[np.argmin(ok, axis=1)])
+    # eps[j0] = min over |j| > j0 of s_j / |j|^{zeta/sigma_+}, for j0 <= 8
+    eps = np.minimum.accumulate((s_max / scale)[::-1])[::-1][:min(8, j_max - 1) + 1]
+    if a is not None:
+        eps = np.minimum(eps, [0.5 * a / (j0 + 1) ** zeta for j0 in range(eps.size)])
+    j0 = int(np.argmax(eps))
+    if eps[j0] <= 0:
         raise ValueError(
             "no admissible interior weight on this grid/window: the forbidden "
             "region check (i) fails for every (eps, j0) candidate")
-    return 0.999 * best_eps, best_j0
+    return 0.999 * eps[j0], j0
 
 
 def _exterior_scan(profile: FluxProfile, e_tilde: float, grid: RadialGrid,
                    zeta: float, j_max: int, a: Optional[float]) -> Tuple[float, float]:
-    """Best (c, eta) for the exterior weight by direct grid scan."""
+    """Best (c, eta) over 64 geometric eta candidates, from one V_j table.
+
+    At candidate eta, channel |j| carries the support r > eta (1 + |j|)^{1/sigma_-},
+    a node suffix nodes[k:] located by ``searchsorted``.  The candidate is
+    inadmissible when a support holds a node with V_j <= E~; otherwise c is
+    the smallest sqrt(V_j - E~) / (zeta sigma_- r^{zeta sigma_- - 1}) over
+    the supports, read off per-channel suffix minima at k, capped by
+    (a/2) eta^{-zeta sigma_-} when W != 0.  Candidates whose supports are
+    all empty are skipped; the largest c wins, the smallest eta on a tie.
+    """
     sigma = profile.sigma_minus
     nodes = grid.nodes
     zs = zeta * sigma
     eta_lo = max(profile.r0, 1.01)
     if eta_lo >= grid.r_max:
         raise ValueError("grid too small for an exterior weight (r0 >= r_max)")
-    best_c, best_eta = 0.0, None
-    for eta in np.geomspace(eta_lo, 0.5 * grid.r_max, 64):
-        c_cap = np.inf
-        nonempty = False
-        admissible = True
-        for aj in range(0, j_max + 1):
-            support = nodes > eta * (1.0 + aj) ** (1.0 / sigma)
-            if not np.any(support):
-                continue
-            nonempty = True
-            gap = profile.effective_potential(aj, nodes[support]) - e_tilde
-            if np.any(gap <= 0):
-                admissible = False
-                break
-            slope = zs * nodes[support] ** (zs - 1.0)
-            c_cap = min(c_cap, float(np.min(np.sqrt(gap) / slope)))
-        if not admissible or not nonempty:
-            continue
-        if a is not None:
-            c_cap = min(c_cap, 0.5 * a * eta ** (-zs))
-        if c_cap > best_c:
-            best_c, best_eta = c_cap, float(eta)
-    if best_eta is None or best_c <= 0:
+    etas = np.geomspace(eta_lo, 0.5 * grid.r_max, 64)
+    gap = profile.effective_potential(np.arange(j_max + 1), nodes) - e_tilde
+    # -inf marks a classically allowed node: a support holding one is inadmissible
+    ratio = np.sqrt(gap, out=np.full_like(gap, -np.inf), where=gap > 0) \
+        / (zs * nodes ** (zs - 1.0))
+    # suffix[c, k]: the cap of the support nodes[k:] of channel c; +inf when empty
+    suffix = np.minimum.accumulate(ratio[:, ::-1], axis=1)[:, ::-1]
+    suffix = np.hstack([suffix, np.full((j_max + 1, 1), np.inf)])
+    growth = np.array([(1.0 + aj) ** (1.0 / sigma) for aj in range(j_max + 1)])
+    start = np.searchsorted(nodes, etas[:, None] * growth, side="right")
+    c_cap = suffix[np.arange(j_max + 1), start].min(axis=1)
+    c_cap[c_cap == np.inf] = -np.inf            # every support empty
+    if a is not None:
+        c_cap = np.minimum(c_cap, [0.5 * a * eta ** (-zs) for eta in etas])
+    best = int(np.argmax(c_cap))
+    if c_cap[best] <= 0:
         raise ValueError(
             "no admissible exterior weight on this grid/window: every eta "
             "candidate leaves classically allowed nodes in the weight support")
-    return 0.999 * best_c, best_eta
+    return 0.999 * float(c_cap[best]), float(etas[best])
 
 
 def build_weight(kind: str, profile: FluxProfile, window: SpectralWindow,
                  grid: RadialGrid, zeta: float, j_max: int,
-                 a: Optional[float] = None, params: Optional[dict] = None) -> WeightSequence:
+                 a: Optional[float] = None) -> WeightSequence:
     """Construct a weight sequence with grid-extracted admissible parameters.
 
     ``a`` is the Gevrey rate of the perturbation (None when W = 0, dropping
-    the cross-channel constraint).  Explicit ``params`` override the scan.
+    the cross-channel constraint).  Interior and exterior parameters come
+    from the grid scans over the V_j table (:func:`_interior_scan`,
+    :func:`_exterior_scan`); the mobility weight has closed-form parameters.
     """
     if kind == "zero":
         return WeightSequence(kind="zero", zeta=zeta)
     if kind == "interior":
         if not (profile.sigma_plus > 1):
             raise ValueError("interior weight requires sigma_plus > 1")
-        if params:
-            return WeightSequence(kind="interior", zeta=zeta, eps=params["eps"],
-                                  j0=int(params["j0"]), sigma_plus=profile.sigma_plus)
         eps, j0 = _interior_scan(profile, window.e_tilde, grid, zeta, j_max, a)
         return WeightSequence(kind="interior", zeta=zeta, eps=eps, j0=j0,
                               sigma_plus=profile.sigma_plus)
@@ -193,9 +205,6 @@ def build_weight(kind: str, profile: FluxProfile, window: SpectralWindow,
         if not (profile.sigma_minus > 1):
             raise ValueError("exterior weight requires sigma_minus > 1 "
                              "(use the mobility weight for linear flux)")
-        if params:
-            return WeightSequence(kind="exterior", zeta=zeta, c=params["c"],
-                                  eta=params["eta"], sigma_minus=profile.sigma_minus)
         c, eta = _exterior_scan(profile, window.e_tilde, grid, zeta, j_max, a)
         return WeightSequence(kind="exterior", zeta=zeta, c=c, eta=eta,
                               sigma_minus=profile.sigma_minus)
@@ -207,9 +216,6 @@ def build_weight(kind: str, profile: FluxProfile, window: SpectralWindow,
         if e_t >= lam ** 2:
             raise ValueError(
                 f"mobility weight needs E~ = {e_t:g} below the edge lam^2 = {lam ** 2:g}")
-        if params:
-            return WeightSequence(kind="mobility", zeta=zeta,
-                                  delta1=params["delta1"], eta1=params["eta1"])
         gap = lam ** 2 - e_t
         eta1 = max(4.0 * lam / gap, (1.0 + 1e-9) / gap)
         delta1 = math.sqrt(0.5 * gap)
@@ -248,20 +254,12 @@ def weight_validate(weight: WeightSequence, profile: FluxProfile,
         zeta = weight.zeta
 
     f = weight.matrix(channels, nodes)
-    deriv_ok = np.zeros(channels.size, dtype=bool)
-    worst = np.inf
-    max_allowed_weight = 0.0
-    for c, j in enumerate(channels):
-        v = profile.effective_potential(int(j), nodes)
-        allowed = v <= window.e_tilde
-        rhs = v - window.e_tilde * (~allowed)
-        lhs = weight.derivative_abs(int(j), nodes) ** 2
-        margin = rhs - lhs
-        deriv_ok[c] = bool(np.all(margin >= -tol))
-        worst = min(worst, float(margin.min()))
-        if np.any(allowed):
-            max_allowed_weight = max(max_allowed_weight, float(f[c, allowed].max()))
-
+    v = profile.effective_potential(channels, nodes)
+    allowed = v <= window.e_tilde
+    lhs = np.stack([weight.derivative_abs(int(j), nodes) for j in channels]) ** 2
+    margin = v - window.e_tilde * (~allowed) - lhs
+    deriv_ok = np.all(margin >= -tol, axis=1)
+    max_allowed_weight = float(f[allowed].max(initial=0.0))
     bounded_ok = max_allowed_weight <= tol
 
     lip_excess = 0.0
@@ -273,7 +271,7 @@ def weight_validate(weight: WeightSequence, profile: FluxProfile,
             lip_excess = max(lip_excess, float(np.max(d - bound)))
 
     return WeightValidation(
-        derivative_ok=deriv_ok, derivative_worst_margin=worst,
+        derivative_ok=deriv_ok, derivative_worst_margin=float(margin.min()),
         bounded_ok=bounded_ok,
         max_exp_weight_on_allowed=float(np.exp(max_allowed_weight)),
         lipschitz_ok=lip_excess <= tol, lipschitz_worst_excess=float(lip_excess),
@@ -315,7 +313,8 @@ def twisted_gap_check(h: BlockHamiltonian, weight: WeightSequence,
                       window: SpectralWindow) -> TwistedGapReport:
     """Coercivity of the symmetrized twisted operator.
 
-    Builds H~ = H + E~ chi(E~) and the symmetrization
+    Builds H~ = H + E~ chi(E~), chi the indicator of V_j(r_i) <= E~ read
+    from ``h.potential``, and the symmetrization
     (e^F H~ e^-F + e^-F H~ e^F)/2, whose entries are those of H~ scaled by
     cosh(F_j(r_i) - F_k(r_l)), straight into the band storage of
     :meth:`~fluxlab.spectral.BlockHamiltonian.to_band`.  It passes iff the
@@ -328,9 +327,7 @@ def twisted_gap_check(h: BlockHamiltonian, weight: WeightSequence,
     ab, order = h.to_band()
     kd = ab.shape[0] - 1
     f = weight.matrix(h.channels, h.grid.nodes).reshape(-1)[order]
-    # V_j: the channel diagonals without the kinetic stencil and W_s
-    v = h.diagonals - h.grid.kinetic_tridiagonal()[0] - h.symmetric_part
-    chi = (v <= window.e_tilde).reshape(-1)[order]
+    chi = (h.potential <= window.e_tilde).reshape(-1)[order]
     ab[kd] += window.e_tilde * chi
     for r in range(kd):
         ab[r, kd - r:] *= np.cosh(f[:r - kd] - f[kd - r:])
@@ -470,38 +467,23 @@ def forbidden_region_check(profile: FluxProfile, energy: float, grid: RadialGrid
 
     j0 = max(1, math.ceil(4.0 * lp))
     eps_e = min((1.0 / (2.0 * lp)) ** (1.0 / sp_), 1.0 / (4.0 * math.sqrt(energy + 1.0)))
-    int_ok = True
-    int_margin = np.inf
-    for aj in range(j0, j_max + 1):
-        sel = nodes <= eps_e * aj ** (1.0 / sp_)
-        if not np.any(sel):
-            continue
-        margin = profile.effective_potential(aj, nodes[sel]) - energy \
-            - aj ** (2.0 * (sp_ - 1.0) / sp_)
-        int_margin = min(int_margin, float(margin.min()))
-        if np.any(margin < 0):
-            int_ok = False
+    gap = profile.effective_potential(np.arange(j_max + 1), nodes) - energy
+    radius = np.array([eps_e * aj ** (1.0 / sp_) for aj in range(j0, j_max + 1)])
+    level_in = np.array([aj ** (2.0 * (sp_ - 1.0) / sp_) for aj in range(j0, j_max + 1)])
+    int_margin = float(np.min(gap[j0:] - level_in[:, None], initial=np.inf,
+                              where=nodes <= radius[:, None]))
 
     eta_e = max(profile.r0, (2.0 / lm) ** (1.0 / sm), 1.01)
     if sm > 1:
         eta_e = max(eta_e, (8.0 * energy / lm ** 2) ** (1.0 / (2.0 * (sm - 1.0))))
     level = lm ** 2 / 4.0 - energy / eta_e ** (2.0 * (sm - 1.0))
-    ext_ok = level > 0
-    ext_margin = np.inf
-    for aj in range(0, j_max + 1):
-        sel = nodes >= eta_e * (1.0 + aj) ** (1.0 / sm)
-        if not np.any(sel):
-            continue
-        rr = nodes[sel]
-        margin = profile.effective_potential(aj, rr) - energy \
-            - level * rr ** (2.0 * (sm - 1.0))
-        ext_margin = min(ext_margin, float(margin.min()))
-        if np.any(margin < 0):
-            ext_ok = False
+    r_in = np.array([eta_e * (1.0 + aj) ** (1.0 / sm) for aj in range(j_max + 1)])
+    ext_margin = float(np.min(gap - level * nodes ** (2.0 * (sm - 1.0)), initial=np.inf,
+                              where=nodes >= r_in[:, None]))
 
     return ForbiddenRegionReport(
-        interior_ok=int_ok, interior_j0=j0, interior_eps=eps_e,
-        interior_worst_margin=float(int_margin),
-        exterior_ok=ext_ok, exterior_eta=float(eta_e), exterior_level=float(level),
-        exterior_worst_margin=float(ext_margin),
+        interior_ok=int_margin >= 0, interior_j0=j0, interior_eps=eps_e,
+        interior_worst_margin=int_margin,
+        exterior_ok=level > 0 and ext_margin >= 0, exterior_eta=float(eta_e),
+        exterior_level=float(level), exterior_worst_margin=ext_margin,
     )

@@ -209,3 +209,42 @@ def test_weight_params_carry_only_their_own_kind(tmp_path):
         for kind, has_j0 in expected[name].items():
             assert ("j0" in report[kind]["params"]) == has_j0, kind
             assert (f"{kind}_j0" in constants) == has_j0, kind
+
+
+def test_weight_parameter_keys_are_not_read(tmp_path):
+    # weight parameters always come from the grid scans; a config that still
+    # sets them gets them listed as unused and the built parameters unchanged
+    keys = {"weights.eps": 0.3, "weights.j0": 2, "weights.c": 0.1, "weights.eta": 2.0}
+    text = COUPLED_CFG + "".join(f"{k} = {v}\n" for k, v in keys.items())
+    out, plain = tmp_path / "keys", tmp_path / "plain"
+    assert run("validate-weights", write_cfg(tmp_path, text), str(out)) == 0
+    assert run("validate-weights", write_cfg(tmp_path, COUPLED_CFG, "plain.cfg"),
+               str(plain)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(keys) <= set(manifest["unused_keys"])
+    assert (out / "weights_report.json").read_bytes() \
+        == (plain / "weights_report.json").read_bytes()
+    linear = ("profile.kind = linear\nprofile.lambda = 1.0\ngrid.n_r = 200\n"
+              "grid.r_max = 16.0\nchannels.j_max = 8\nwindow.E0 = 0.9\n"
+              "weights.delta1 = 0.1\nweights.eta1 = 9.0\n")
+    assert run("validate-weights", write_cfg(tmp_path, linear, "linear.cfg"),
+               str(tmp_path / "linear")) == 0
+    manifest = json.loads((tmp_path / "linear" / "manifest.json").read_text())
+    assert {"weights.delta1", "weights.eta1"} <= set(manifest["unused_keys"])
+
+
+def test_validate_weights_evaluates_the_potential_table_a_few_times(tmp_path, monkeypatch):
+    # each consumer (assembly, both scans, weight_validate per weight, the
+    # forbidden-region check) evaluates V_j once for all channels
+    from fluxlab.flux import FluxProfile
+    calls = []
+    table = FluxProfile.effective_potential
+
+    def counted(self, j, r):
+        calls.append(j)
+        return table(self, j, r)
+
+    monkeypatch.setattr(FluxProfile, "effective_potential", counted)
+    assert run("validate-weights", write_cfg(tmp_path, COUPLED_CFG),
+               str(tmp_path / "out")) == 0
+    assert len(calls) <= 6, calls

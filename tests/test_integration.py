@@ -76,7 +76,7 @@ def test_degenerate_cluster_at_window_edge_enters_together():
     diag = np.array([[0.5, 1.0, 1.0, 1.7, 2.3, 3.0, 4.0, 5.0]])
     h = BlockHamiltonian(grid=grid, channels=np.array([0]), diagonals=diag,
                          off_diagonal=np.zeros(7), couplings={},
-                         symmetric_part=np.zeros(8))
+                         symmetric_part=np.zeros(8), potential=diag)
     window = SpectralWindow(e0=0.5, E0=1.0, delta0=0.1, c0=0.0)
     p = spectral_projection(h, window)
     assert p.rank == 3            # 0.5 plus both members of the pair at 1.0

@@ -64,7 +64,7 @@ def test_uncoupled_matrix_eigenvalues_equal_sorted_diagonal():
     diag = np.array([[5.0, 1.0, 4.0, 2.0, 8.0, 3.0, 7.0, 6.0]])
     h = BlockHamiltonian(grid=grid, channels=np.array([0]), diagonals=diag,
                          off_diagonal=np.zeros(7), couplings={},
-                         symmetric_part=np.zeros(8))
+                         symmetric_part=np.zeros(8), potential=diag)
     es = diagonalize(h)
     assert np.array_equal(es.eigenvalues, np.sort(diag[0]))
 
@@ -149,6 +149,27 @@ def band_to_dense(ab):
     return full
 
 
+def dense_from_definition(h):
+    """Channel-major H entry by entry: per channel the tridiagonal kinetic
+    stencil plus V_j + W_s on the diagonal; block (c + m, c) carries
+    W^(r_i, m)/sqrt(2 pi) on its diagonal and block (c, c + m) the conjugate."""
+    n = h.grid.n_r
+    diag_k, off_k = h.grid.kinetic_tridiagonal()
+    full = np.zeros((h.dim, h.dim), dtype=h.dtype)
+    idx = np.arange(n)
+    for c in range(h.n_ch):
+        base = c * n
+        full[base + idx, base + idx] = diag_k + h.potential[c] + h.symmetric_part
+        full[base + idx[:-1], base + idx[1:]] = off_k
+        full[base + idx[1:], base + idx[:-1]] = off_k
+    for m, w in h.couplings.items():
+        for c in range(h.n_ch - m):
+            lo, hi = c * n, (c + m) * n
+            full[hi + idx, lo + idx] = w
+            full[lo + idx, hi + idx] = np.conj(w)
+    return full
+
+
 def radial_w_model():
     profile = FluxProfile.linear(1.0)
     w = make_w(lambda r, t: 0.5 * np.exp(-r) * np.ones_like(t))
@@ -165,12 +186,17 @@ def radial_w_model():
 def test_band_holds_the_permuted_sparse_entries(model, coupled):
     h = model()
     assert h.is_block_diagonal != coupled
+    # the oracle comes from the definition: to_sparse() is read back from the band
+    expected = dense_from_definition(h)
     ab, order = h.to_band()
     # node-major half-bandwidth n_ch when coupled, channel-major tridiagonal otherwise
     assert ab.shape == (h.n_ch + 1 if coupled else 2, h.dim)
     assert ab.dtype == h.dtype
-    expected = h.to_sparse().toarray()[np.ix_(order, order)]
-    assert np.array_equal(band_to_dense(ab), expected)
+    assert np.array_equal(band_to_dense(ab), expected[np.ix_(order, order)])
+    sparse = h.to_sparse()
+    assert sparse.dtype == h.dtype
+    assert np.array_equal(sparse.toarray(), expected)
+    assert h.norm_inf() == pytest.approx(np.max(np.sum(np.abs(expected), axis=1)), rel=1e-14)
 
 
 def test_band_cholesky_verdict_and_pivot_guard():

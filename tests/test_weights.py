@@ -8,10 +8,10 @@ from fluxlab.flux import FluxProfile
 from fluxlab.grid import build_grid
 from fluxlab.spectral import (SpectralWindow, assemble_hamiltonian, diagonalize,
                               make_window, spectral_projection)
-from fluxlab.weights import (WeightSequence, build_weight, decay_rate_fit,
-                             forbidden_region_check, tunnelling_exterior_sum,
-                             tunnelling_interior_sum, twisted_gap_check,
-                             weight_validate)
+from fluxlab.weights import (WeightSequence, _exterior_scan, _interior_scan,
+                             build_weight, decay_rate_fit, forbidden_region_check,
+                             tunnelling_exterior_sum, tunnelling_interior_sum,
+                             twisted_gap_check, weight_validate)
 
 
 def linear_projection(j_max=6, n_r=400, r_max=20.0, upper=0.5):
@@ -214,6 +214,23 @@ def test_twisted_gap_complex_hermitian_matches_dense(scale, passed):
         dense_twisted_minimum(profile, h, weight, window), abs=1e-9)
 
 
+def test_twisted_gap_keeps_allowed_node_where_e_tilde_equals_v():
+    # E~ equals V_{-2} at the node r = 2.5 exactly: the node is classically
+    # allowed (V <= E~) for weight_validate and the dense oracle, and the gap
+    # check must read the same chi from the assembled V_j table
+    profile = FluxProfile.power_law(1.0, 1.5)
+    grid = build_grid(12, 4.0)
+    h = assemble_hamiltonian(profile, None, grid, 2)
+    t = profile.effective_potential(-2, 2.5)
+    window = SpectralWindow(e0=0.0, E0=t / 2, delta0=t - t / 2, c0=0.0)
+    assert window.e_tilde == t and grid.nodes[7] == 2.5
+    zero = WeightSequence(kind="zero")
+    report = twisted_gap_check(h, zero, window)
+    assert report.lambda_min == pytest.approx(
+        dense_twisted_minimum(profile, h, zero, window), abs=1e-9)
+    assert h.potential[0, 7] == t
+
+
 def test_tunnelling_sums_rank_zero():
     profile, grid, h, window, _ = linear_projection(j_max=3, n_r=200, r_max=15.0,
                                                     upper=0.4)
@@ -307,3 +324,72 @@ def test_weight_kind_preconditions():
     with pytest.raises(ValueError):
         build_weight("mobility", FluxProfile.power_law(1.0, 1.5), window,
                      grid, 1.0, 4)
+
+
+def reference_interior_scan(profile, e_tilde, grid, zeta, j_max, a):
+    """The interior scan as a nested loop over j0 and channels."""
+    sigma = profile.sigma_plus
+    nodes = grid.nodes
+    best_eps, best_j0 = 0.0, None
+    for j0 in range(0, min(8, j_max - 1) + 1):
+        eps = np.inf
+        for aj in range(j0 + 1, j_max + 1):
+            level = aj ** (2.0 * zeta * (1.0 - 1.0 / sigma))
+            ok = profile.effective_potential(aj, nodes) - e_tilde >= level
+            bad = np.flatnonzero(~ok)
+            s_max = nodes[bad[0]] if bad.size else grid.r_max
+            eps = min(eps, s_max / aj ** (zeta / sigma))
+        if a is not None:
+            eps = min(eps, 0.5 * a / (j0 + 1) ** zeta)
+        if eps > best_eps:
+            best_eps, best_j0 = eps, j0
+    return 0.999 * best_eps, best_j0
+
+
+def reference_exterior_scan(profile, e_tilde, grid, zeta, j_max, a):
+    """The exterior scan as a nested loop over eta candidates and channels."""
+    sigma = profile.sigma_minus
+    nodes = grid.nodes
+    zs = zeta * sigma
+    best_c, best_eta = 0.0, None
+    for eta in np.geomspace(max(profile.r0, 1.01), 0.5 * grid.r_max, 64):
+        c_cap = np.inf
+        nonempty = False
+        admissible = True
+        for aj in range(0, j_max + 1):
+            support = nodes > eta * (1.0 + aj) ** (1.0 / sigma)
+            if not np.any(support):
+                continue
+            nonempty = True
+            gap = profile.effective_potential(aj, nodes[support]) - e_tilde
+            if np.any(gap <= 0):
+                admissible = False
+                break
+            slope = zs * nodes[support] ** (zs - 1.0)
+            c_cap = min(c_cap, float(np.min(np.sqrt(gap) / slope)))
+        if not admissible or not nonempty:
+            continue
+        if a is not None:
+            c_cap = min(c_cap, 0.5 * a * eta ** (-zs))
+        if c_cap > best_c:
+            best_c, best_eta = c_cap, float(eta)
+    return 0.999 * best_c, best_eta
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("profile, grid, j_max, e_tilde, a", [
+    # the tests/test_cli.py coupled model: 14 of 64 eta candidates inadmissible
+    (FluxProfile.power_law(1.0, 1.5), build_grid(160, 10.0), 6, 1.12, 1.5),
+    # low E~ on a short grid: at the smallest eta, channels |j| >= 7 have no support
+    (FluxProfile.power_law(1.0, 1.5), build_grid(64, 4.0), 12, 0.05, 1.5),
+    # small Gevrey rate: the a cap decides both the winning eta and eps
+    (FluxProfile.power_law(1.0, 1.5), build_grid(100, 6.0), 12, 1.5, 0.2),
+    # h = 1/8: the largest eta, 4.0625, is a node, where channel 0's support
+    # r > eta starts; both models pick that eta
+    (FluxProfile.power_law(1.0, 2.0), build_grid(65, 8.125), 8, 2.0, None),
+    (FluxProfile.uniform_field(2.0), build_grid(65, 8.125), 3, 3.3, None),
+], ids=["coupled", "empty_support", "a_cap", "node_tie", "uniform_node_tie"])
+def test_scans_equal_the_nested_loop_references(profile, grid, j_max, e_tilde, a):
+    args = (profile, e_tilde, grid, 1.0, j_max, a)
+    assert _interior_scan(*args) == reference_interior_scan(*args)
+    assert _exterior_scan(*args) == reference_exterior_scan(*args)

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .flux import FluxProfile, classical_region
-from .grid import RadialGrid, build_channel_operator
+from .grid import RadialGrid, build_channel_operators
 from .spectral import BlockHamiltonian, SpectralProjection, basis_product
 from .weights import decay_rate_fit
 
@@ -382,6 +382,14 @@ def mobility_edge_scan(lam: float, grid: RadialGrid, j_max: int,
     insensitive to growing r_max; states in the band above the edge must have
     participation widths that scale with the box, measured on a box twice
     as long.
+
+    Each channel's tridiagonal solves compute only what a verdict reads:
+    eigenpairs in (low_lo, low_hi] and in (high_lo, high_hi] on the base box,
+    one solve per band, so the bands are independent of each other; only
+    eigenvalues in (low_lo - 0.05, low_hi + 0.05] on the ``box_growth`` box,
+    for channels with low-band states; eigenpairs in the high band on the
+    doubled box, for channels with high-band states.  V_j is evaluated once
+    per box for all channels.
     """
     profile = FluxProfile.linear(lam)
     report = MobilityReport(lam=lam)
@@ -391,17 +399,17 @@ def mobility_edge_scan(lam: float, grid: RadialGrid, j_max: int,
     grid_big = RadialGrid(n_r=n_big, r_max=n_big * grid.h)
     n_double = 2 * grid.n_r
     grid_double = RadialGrid(n_r=n_double, r_max=n_double * grid.h)
+    channels = np.arange(-int(j_max), int(j_max) + 1)
+    boxes = zip(*(build_channel_operators(profile, channels, g)
+                  for g in (grid, grid_big, grid_double)))
 
-    for j in range(-j_max, j_max + 1):
-        op = build_channel_operator(profile, j, grid)
-        vals, u, _ = op.eigenpairs(value_range=(low_band[0], high_band[1]))
-
-        low_sel = (vals >= low_band[0]) & (vals <= low_band[1])
-        if np.any(low_sel):
-            op_big = build_channel_operator(profile, j, grid_big)
-            vals_big = op_big.eigenpairs(
-                value_range=(low_band[0] - 0.05, low_band[1] + 0.05))[0]
-            for idx in np.flatnonzero(low_sel):
+    for op, op_big, op2 in boxes:
+        j = op.j
+        vals, u, _ = op.eigenpairs(value_range=low_band)
+        if vals.size:
+            vals_big = op_big.eigenvalues(
+                value_range=(low_band[0] - 0.05, low_band[1] + 0.05))
+            for idx in range(vals.size):
                 region = classical_region(profile, j, float(vals[idx]), grid)
                 r_hi = region.interval[1] if not region.empty else 0.0
                 rate = _eigen_decay_rate(u[:, idx], grid, r_hi)
@@ -411,12 +419,11 @@ def mobility_edge_scan(lam: float, grid: RadialGrid, j_max: int,
                     j=j, eigenvalue=float(vals[idx]), decay_rate=rate,
                     eigenvalue_shift=shift))
 
-        high_sel = (vals >= high_band[0]) & (vals <= high_band[1])
-        if np.any(high_sel):
+        vals, u, _ = op.eigenpairs(value_range=high_band)
+        if vals.size:
             widths = [participation_width(u[:, idx], grid.h)
-                      for idx in np.flatnonzero(high_sel)]
-            op2 = build_channel_operator(profile, j, grid_double)
-            vals2, u2, _ = op2.eigenpairs(value_range=tuple(high_band))
+                      for idx in range(vals.size)]
+            vals2, u2, _ = op2.eigenpairs(value_range=high_band)
             if vals2.size:
                 widths2 = [participation_width(u2[:, k], grid_double.h)
                            for k in range(vals2.size)]

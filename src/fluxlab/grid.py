@@ -29,7 +29,8 @@ from scipy.linalg import eigh_tridiagonal
 from .flux import FluxProfile
 
 __all__ = ["RadialGrid", "ChannelOperator", "build_grid",
-           "build_channel_operator", "truncation_margin", "check_truncation"]
+           "build_channel_operator", "build_channel_operators",
+           "truncation_margin", "check_truncation"]
 
 
 @dataclass(frozen=True)
@@ -86,37 +87,49 @@ class ChannelOperator:
     def eigenpairs(self, n_lowest: int = None, value_range=None):
         """Lowest eigenpairs (or all in a value range) of the channel operator.
 
+        Exactly one of ``n_lowest`` and ``value_range`` is given; a range
+        (lo, hi) selects the eigenvalues in the half-open interval (lo, hi].
         Returns (eigenvalues, u, phi): eigenvalues ascending, ``u`` the flat
         eigenvectors as columns normalized to sum |u_i|^2 h = 1, and ``phi``
         the weighted representation u / sqrt(r).
         """
-        if (n_lowest is None) == (value_range is None):
-            raise ValueError("specify exactly one of n_lowest, value_range")
-        if n_lowest is not None:
-            k = min(int(n_lowest), self.grid.n_r)
-            vals, vecs = eigh_tridiagonal(
-                self.diagonal, self.off_diagonal,
-                select="i", select_range=(0, k - 1))
-        else:
-            vals, vecs = eigh_tridiagonal(
-                self.diagonal, self.off_diagonal,
-                select="v", select_range=tuple(value_range))
+        vals, vecs = self._solve(n_lowest, value_range, eigvals_only=False)
         u = vecs / np.sqrt(self.grid.h)
         return vals, u, self.grid.to_weighted(u.T).T
 
-    def eigenvalues(self, n_lowest: int):
-        k = min(int(n_lowest), self.grid.n_r)
+    def eigenvalues(self, n_lowest: int = None, value_range=None) -> np.ndarray:
+        """The eigenvalues :meth:`eigenpairs` returns, without eigenvectors.
+
+        Same contract as :meth:`eigenpairs`; the Sturm-sequence bisection
+        (``?stebz``) is the same, and the inverse-iteration step (``?stein``)
+        that builds the eigenvectors is skipped.
+        """
+        return self._solve(n_lowest, value_range, eigvals_only=True)
+
+    def _solve(self, n_lowest, value_range, eigvals_only: bool):
+        if (n_lowest is None) == (value_range is None):
+            raise ValueError("specify exactly one of n_lowest, value_range")
+        if n_lowest is not None:
+            select, bounds = "i", (0, min(int(n_lowest), self.grid.n_r) - 1)
+        else:
+            select, bounds = "v", tuple(value_range)
         return eigh_tridiagonal(self.diagonal, self.off_diagonal,
-                                eigvals_only=True, select="i",
-                                select_range=(0, k - 1))
+                                eigvals_only=eigvals_only, select=select,
+                                select_range=bounds)
+
+
+def build_channel_operators(profile: FluxProfile, channels,
+                            grid: RadialGrid) -> list[ChannelOperator]:
+    """The tridiagonal operators of several channels from one V_j table."""
+    diag_k, off = grid.kinetic_tridiagonal()
+    diagonals = diag_k + profile.effective_potential(np.asarray(channels), grid.nodes)
+    return [ChannelOperator(j=int(j), grid=grid, diagonal=d, off_diagonal=off)
+            for j, d in zip(channels, diagonals)]
 
 
 def build_channel_operator(profile: FluxProfile, j: int, grid: RadialGrid) -> ChannelOperator:
     """Assemble the symmetric tridiagonal operator for channel j."""
-    diag_k, off = grid.kinetic_tridiagonal()
-    v = profile.effective_potential(j, grid.nodes)
-    return ChannelOperator(j=int(j), grid=grid,
-                           diagonal=diag_k + v, off_diagonal=off)
+    return build_channel_operators(profile, [int(j)], grid)[0]
 
 
 def truncation_margin(profile: FluxProfile, grid: RadialGrid, j_max: int,

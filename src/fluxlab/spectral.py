@@ -384,14 +384,23 @@ class BandCholesky:
                     f"1e-12 |A| = {tiny:.3e}; positive definiteness is not trustworthy")
 
     def lowest(self) -> float:
-        """The lowest eigenvalue of A, by shift-inverted Lanczos about sigma.
+        """The lowest eigenvalue of A; A - sigma I must be positive definite.
 
-        A - sigma I is positive definite, so the lowest eigenvalue is the one
-        nearest sigma: the ``LM`` end of 1 / (lambda - sigma).
+        A tridiagonal A (``kd == 1``, block-diagonal H in channel-major
+        order) is unitarily similar to the real tridiagonal with the moduli
+        of its off-diagonals, whose lowest eigenvalue Sturm-sequence
+        bisection (``?stebz``) finds to LAPACK's default tolerance
+        eps |A|_1.  A wider band takes shift-inverted Lanczos about sigma:
+        the lowest eigenvalue is the one nearest sigma, the ``LM`` end of
+        1 / (lambda - sigma).
         """
         if not self.positive_definite:
             raise ValueError(f"A - {self.sigma:.17g} I is not positive definite")
         kd, n = self.ab.shape[0] - 1, self.ab.shape[1]
+        if kd == 1:
+            return float(scipy.linalg.eigh_tridiagonal(
+                self.ab[1].real, np.abs(self.ab[0, 1:]), eigvals_only=True,
+                select="i", select_range=(0, 0))[0])
         band_mv = scipy.linalg.get_blas_funcs(
             "hbmv" if np.iscomplexobj(self.ab) else "sbmv", (self.ab,))
         a = LinearOperator((n, n), matvec=lambda x: band_mv(kd, 1.0, self.ab, x),

@@ -248,3 +248,23 @@ def test_validate_weights_evaluates_the_potential_table_a_few_times(tmp_path, mo
     assert run("validate-weights", write_cfg(tmp_path, COUPLED_CFG),
                str(tmp_path / "out")) == 0
     assert len(calls) <= 6, calls
+
+
+def test_mobility_evaluates_the_potential_table_once_per_box(tmp_path, monkeypatch):
+    # the scan builds every channel operator of a box from one V_j table:
+    # the base box, the grown box and the doubled box
+    from fluxlab.flux import FluxProfile
+    calls = []
+    table = FluxProfile.effective_potential
+
+    def counted(self, j, r):
+        calls.append(j)
+        return table(self, j, r)
+
+    monkeypatch.setattr(FluxProfile, "effective_potential", counted)
+    cfg = write_cfg(tmp_path, "profile.kind = linear\nprofile.lambda = 1.0\n"
+                    "grid.n_r = 200\ngrid.r_max = 16.0\nchannels.j_max = 8\n")
+    assert run("mobility", cfg, str(tmp_path / "out")) == 0
+    report = json.loads((tmp_path / "out" / "mobility_report.json").read_text())
+    assert report["n_localized"] > 0 and not report["empty_high_band"]
+    assert len(calls) <= 3, calls

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from fluxlab.angular import AngularPotential, DecayClass, GevreyEnvelope
-from fluxlab.dynamics import (ObservableSeries, WaveState, bound_check_thm1,
-                              geometric_times, growth_fit_thm2,
+from fluxlab.dynamics import (MobilityChannelRecord, MobilityReport,
+                              ObservableSeries, WaveState, _eigen_decay_rate,
+                              bound_check_thm1, geometric_times, growth_fit_thm2,
                               heisenberg_check, mobility_edge_scan, moment_j,
                               moment_x, participation_width, prepare_state,
                               propagate, record_observables)
-from fluxlab.flux import FluxProfile
-from fluxlab.grid import build_grid
+from fluxlab.flux import FluxProfile, classical_region
+from fluxlab.grid import (ChannelOperator, RadialGrid, build_channel_operator,
+                          build_channel_operators, build_grid)
 from fluxlab.spectral import (SpectralWindow, assemble_hamiltonian, basis_product,
                               diagonalize, spectral_projection)
 
@@ -291,3 +293,120 @@ def test_mobility_scan_basics():
     assert all(rec.j > 0 for rec in report.localized)
     assert report.min_decay_rate > 0.05
     assert report.min_width_ratio > 1.5
+
+
+def reference_mobility_scan(lam, grid, j_max, low_band=(0.1, 0.8),
+                            high_band=(1.8, 2.2), box_growth=1.5):
+    """The earlier scan: one eigenpair solve over (low_lo, high_hi] per channel,
+    full eigenpairs on the grown box, V_j evaluated per channel operator."""
+    profile = FluxProfile.linear(lam)
+    report = MobilityReport(lam=lam)
+    n_big = int(round(grid.n_r * box_growth))
+    grid_big = RadialGrid(n_r=n_big, r_max=n_big * grid.h)
+    n_double = 2 * grid.n_r
+    grid_double = RadialGrid(n_r=n_double, r_max=n_double * grid.h)
+    for j in range(-j_max, j_max + 1):
+        op = build_channel_operator(profile, j, grid)
+        vals, u, _ = op.eigenpairs(value_range=(low_band[0], high_band[1]))
+        low_sel = (vals >= low_band[0]) & (vals <= low_band[1])
+        if np.any(low_sel):
+            op_big = build_channel_operator(profile, j, grid_big)
+            vals_big = op_big.eigenpairs(
+                value_range=(low_band[0] - 0.05, low_band[1] + 0.05))[0]
+            for idx in np.flatnonzero(low_sel):
+                region = classical_region(profile, j, float(vals[idx]), grid)
+                r_hi = region.interval[1] if not region.empty else 0.0
+                rate = _eigen_decay_rate(u[:, idx], grid, r_hi)
+                shift = float(np.min(np.abs(vals_big - vals[idx]))) \
+                    if vals_big.size else np.inf
+                report.localized.append(MobilityChannelRecord(
+                    j=j, eigenvalue=float(vals[idx]), decay_rate=rate,
+                    eigenvalue_shift=shift))
+        high_sel = (vals >= high_band[0]) & (vals <= high_band[1])
+        if np.any(high_sel):
+            widths = [participation_width(u[:, idx], grid.h)
+                      for idx in np.flatnonzero(high_sel)]
+            op2 = build_channel_operator(profile, j, grid_double)
+            vals2, u2, _ = op2.eigenpairs(value_range=tuple(high_band))
+            if vals2.size:
+                widths2 = [participation_width(u2[:, k], grid_double.h)
+                           for k in range(vals2.size)]
+                report.extended_width_ratios.append(
+                    float(np.mean(widths2) / np.mean(widths)))
+    report.empty_low_band = not report.localized
+    report.empty_high_band = not report.extended_width_ratios
+    return report
+
+
+def assert_scans_agree(new, old):
+    assert [rec.j for rec in new.localized] == [rec.j for rec in old.localized]
+    assert len(new.localized) == len(old.localized)
+    assert new.empty_low_band == old.empty_low_band
+    assert new.empty_high_band == old.empty_high_band
+    for a, b in zip(new.localized, old.localized):
+        assert a.eigenvalue == pytest.approx(b.eigenvalue, rel=0, abs=1e-9)
+        assert a.eigenvalue_shift == pytest.approx(b.eigenvalue_shift, rel=0, abs=1e-9)
+        assert a.decay_rate == pytest.approx(b.decay_rate, rel=1e-12, abs=0, nan_ok=True)
+    np.testing.assert_allclose(new.extended_width_ratios, old.extended_width_ratios,
+                               rtol=1e-12, atol=0)
+
+
+def test_mobility_scan_agrees_with_the_single_range_reference():
+    # per-band base solves and eigenvalue-only grown-box solves change only
+    # the bisection intervals, not which states are found
+    grid = build_grid(270, 18.0)
+    new = mobility_edge_scan(1.0, grid, 12)
+    old = reference_mobility_scan(1.0, grid, 12)
+    assert not new.empty_low_band and not new.empty_high_band
+    assert_scans_agree(new, old)
+
+
+def test_mobility_bands_are_independent_when_they_overlap():
+    # low (0.1, 0.8) and high (0.6, 0.7): each band is its own solve, so the
+    # scan equals two single-band scans (the other band placed below the
+    # spectrum, which is positive); the single-range reference solves only
+    # up to high_hi = 0.7 and loses the low-band states above it
+    grid = build_grid(270, 18.0)
+    low, high, none = (0.1, 0.8), (0.6, 0.7), (-1.0, -0.5)
+    both = mobility_edge_scan(1.0, grid, 12, low_band=low, high_band=high)
+    low_only = mobility_edge_scan(1.0, grid, 12, low_band=low, high_band=none)
+    high_only = mobility_edge_scan(1.0, grid, 12, low_band=none, high_band=high)
+    assert low_only.empty_high_band and high_only.empty_low_band
+    assert both.localized == low_only.localized
+    assert both.extended_width_ratios == high_only.extended_width_ratios
+    assert any(rec.eigenvalue > 0.7 for rec in both.localized)
+    old = reference_mobility_scan(1.0, grid, 12, low_band=low, high_band=high)
+    assert max(rec.eigenvalue for rec in old.localized) <= 0.7
+    assert len(old.localized) < len(both.localized)
+
+
+def test_mobility_grown_box_takes_no_eigenvectors(monkeypatch):
+    # the 1.5x box only supplies eigenvalue shifts, so it never reaches the
+    # eigenpair solve
+    grid = build_grid(270, 18.0)
+    n_big = int(round(grid.n_r * 1.5))
+    solved = []
+    eigenpairs = ChannelOperator.eigenpairs
+
+    def recorded(self, *args, **kwargs):
+        solved.append(self.grid.n_r)
+        return eigenpairs(self, *args, **kwargs)
+
+    monkeypatch.setattr(ChannelOperator, "eigenpairs", recorded)
+    report = mobility_edge_scan(1.0, grid, 12)
+    assert not report.empty_low_band
+    assert n_big not in solved
+    assert set(solved) == {grid.n_r, 2 * grid.n_r}
+
+
+def test_channel_operators_from_one_table_equal_the_per_channel_build():
+    profile = FluxProfile.linear(1.0)
+    grid = build_grid(270, 18.0)
+    channels = np.arange(-12, 13)
+    diag_k, off = grid.kinetic_tridiagonal()
+    for op in build_channel_operators(profile, channels, grid):
+        single = build_channel_operator(profile, op.j, grid)
+        expected = diag_k + profile.effective_potential(op.j, grid.nodes)
+        assert np.array_equal(op.diagonal, expected)
+        assert np.array_equal(single.diagonal, expected)
+        assert np.array_equal(op.off_diagonal, off)

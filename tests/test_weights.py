@@ -147,6 +147,22 @@ def dense_twisted_minimum(profile, h, weight, window):
     return np.linalg.eigvalsh(twisted)[0]
 
 
+@pytest.mark.parametrize("scale, passed", [(1.0, True), (3.0, False)])
+def test_twisted_gap_block_diagonal_lowest_matches_dense(scale, passed):
+    # W = 0 keeps the twisted operator one channel-major tridiagonal
+    # (kd = 1), whose lambda_min comes from bisection; the built mobility
+    # weight passes and its tripled delta1 is the must-fail twin
+    profile, grid, h, window, _ = linear_projection(j_max=4, n_r=200, r_max=20.0,
+                                                    upper=0.5)
+    assert h.to_band()[0].shape[0] == 2
+    built = build_weight("mobility", profile, window, grid, 1.0, 4)
+    weight = dataclasses.replace(built, delta1=scale * built.delta1)
+    report = twisted_gap_check(h, weight, window)
+    assert report.passed == passed
+    assert report.lambda_min == pytest.approx(
+        dense_twisted_minimum(profile, h, weight, window), rel=1e-9)
+
+
 def a6_twin_model():
     """A dim-1,560 Gevrey-W model small enough for a dense oracle, and its
     built interior weight."""

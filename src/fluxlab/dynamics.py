@@ -4,8 +4,11 @@ States are stored as complex amplitude arrays indexed (channel, radial node).
 Propagation is an exact rotation in the window eigenbasis (the initial state
 is projected into the window, so no time-integration error enters).  The
 phased coefficients exp(-i lambda_k t) c_k of all recorded times form one
-(rank, n_t) block that multiplies the basis in one real matrix product, so a
-real basis is never cast to complex.  The recorded observables are
+(rank, n_t) block, and :func:`fluxlab.spectral.block_product` multiplies it
+into the basis block by block: a channel-pure basis only touches the rows of
+each eigenvector's own channel, and a real basis is never cast to complex.
+Each recorded state is one contiguous row of the product, so the
+observables read |u|^2 from contiguous memory.  The recorded observables are
 
     x-moment:  <|x|^nu>(t)  = sum_{j,i} r_i^nu |u_{j,i}(t)|^2 h
     J-moment:  <|J|^beta>(t) = sum_j |j|^beta ||P_j u(t)||^2
@@ -23,7 +26,7 @@ import numpy as np
 
 from .flux import FluxProfile, classical_region
 from .grid import RadialGrid, build_channel_operators
-from .spectral import BlockHamiltonian, SpectralProjection, basis_product
+from .spectral import BlockHamiltonian, SpectralProjection, block_product
 from .weights import decay_rate_fit
 
 __all__ = [
@@ -107,16 +110,17 @@ def propagate(p: SpectralProjection, state: WaveState,
               times: Sequence[float]) -> list[WaveState]:
     """phi(t) = sum_k exp(-i lambda_k t) <v_k, phi0> v_k for each requested t.
 
-    One product serves all times; each state is a column view of its result.
+    One blockwise product serves all times; each state is a contiguous row
+    of its (n_t, dim) result.
     """
-    v = p.basis
-    coeff = p.grid.h * basis_product(v.conj().T, state.flat_vector())
+    v, blocks = p.basis, p.blocks
+    coeff = p.grid.h * block_product(v, blocks, state.flat_vector(), adjoint=True)
     times = np.asarray(times, dtype=float)
     phased = np.exp(-1j * p.eigenvalues[:, None] * (times - state.time)[None, :]) \
         * coeff[:, None]
-    u = basis_product(v, phased)
+    u = block_product(v, blocks, phased.T)
     shape = (len(p.channels), p.grid.n_r)
-    return [WaveState(p.grid, p.channels, u[:, k].reshape(shape), float(t))
+    return [WaveState(p.grid, p.channels, u[k].reshape(shape), float(t))
             for k, t in enumerate(times)]
 
 
@@ -166,15 +170,19 @@ def geometric_times(t0: float, t1: float, n: int) -> np.ndarray:
 def record_observables(states: Sequence[WaveState], nu: float,
                        beta: float) -> ObservableSeries:
     """moment_x, moment_j, norm2 and channel_norm2 of each state, bitwise,
-    from one |u|^2 per state."""
-    h, dens = states[0].grid.h, [s.density() for s in states]
+    from one |u|^2 per state, read while that state is in cache."""
+    h = states[0].grid.h
     wx, wj = _x_weight(states[0].grid, nu), _j_weight(states[0].channels, beta)
-    cn = np.stack([h * np.sum(d, axis=1) for d in dens])
+    x_moment, norms, cn = [], [], []
+    for s in states:
+        d = s.density()
+        cn.append(h * np.sum(d, axis=1))
+        x_moment.append(float(h * np.sum(wx[None, :] * d)))
+        norms.append(float(h * np.sum(d)))
+    cn = np.stack(cn)
     return ObservableSeries(
-        times=np.array([s.time for s in states]),
-        x_moment=np.array([float(h * np.sum(wx[None, :] * d)) for d in dens]),
-        j_moment=np.array([float(np.sum(wj * c)) for c in cn]),
-        norms=np.array([float(h * np.sum(d)) for d in dens]),
+        times=np.array([s.time for s in states]), x_moment=np.array(x_moment),
+        j_moment=np.array([float(np.sum(wj * c)) for c in cn]), norms=np.array(norms),
         channel_norm2=cn, channels=states[0].channels, nu=nu, beta=beta)
 
 
@@ -348,7 +356,9 @@ class MobilityReport:
 
     @property
     def min_decay_rate(self) -> float:
-        rates = [rec.decay_rate for rec in self.localized]
+        """Smallest fitted rate; NaN rates (too few nodes to fit) are skipped,
+        and the result is NaN only when every rate is NaN."""
+        rates = [rec.decay_rate for rec in self.localized if not np.isnan(rec.decay_rate)]
         return float(min(rates)) if rates else np.nan
 
     @property
@@ -390,6 +400,12 @@ def mobility_edge_scan(lam: float, grid: RadialGrid, j_max: int,
     for channels with low-band states; eigenpairs in the high band on the
     doubled box, for channels with high-band states.  V_j is evaluated once
     per box for all channels.
+
+    An ``eigenvalue_shift`` compares eigenvalues that Sturm-sequence
+    bisection (``?stebz``) finds to LAPACK's default tolerance eps |T|_1 of
+    the channel's tridiagonal T, so shifts below that tolerance are rounding,
+    not box sensitivity.  V_j near r = 0 makes |T|_1 large: about 1e6 at
+    |j| = 20 with n_r = 800 and r_max = 32, a tolerance of about 2e-10.
     """
     profile = FluxProfile.linear(lam)
     report = MobilityReport(lam=lam)

@@ -14,6 +14,15 @@ window top, whose inertia counts the eigenvalues below it exactly and whose
 shift-inverted Lanczos sweep then returns exactly that many eigenpairs.
 Repeated runs are deterministic (fixed start vectors, fixed assembly order).
 
+An :class:`EigenSystem` records the block structure its solver knows: each
+:class:`BasisBlock` pairs a range of flat rows with the eigenvector columns
+that live in them.  The per-channel route gives one block per channel that
+holds eigenvectors; a coupled eigensystem is one block holding every row
+and column.  Every product with the eigenvectors (projection, propagation
+and the Gram matrix) runs block by block through :func:`block_product`, so
+channel-pure eigenvectors never meet the zero rows of other channels, and
+the one coupled block multiplies the whole basis in place.
+
 The assembly evaluates V_j(r_i) once, as an (n_ch, n_r) table kept on the
 Hamiltonian (``BlockHamiltonian.potential``) for the checks that compare it
 with an energy.  :meth:`BlockHamiltonian.to_band` is the one place that
@@ -27,7 +36,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from functools import cached_property
+from typing import Optional, Tuple, Union
 
 import numpy as np
 import scipy.linalg
@@ -42,10 +52,11 @@ __all__ = [
     "BlockHamiltonian", "SpectralWindow", "EigenSystem", "SpectralProjection",
     "assemble_hamiltonian", "diagonalize", "make_window", "spectral_projection",
     "estimate_c0", "channel_projection_norm", "ShiftedFactor", "BandCholesky",
-    "basis_product",
+    "basis_product", "BasisBlock", "block_product",
 ]
 
 DENSE_LIMIT = 4000      # largest coupled dimension whose full spectrum is solved densely
+PANEL_ROWS = 1024       # rows of a block one GEMM writes in block_product's V x
 
 
 @dataclass
@@ -217,12 +228,37 @@ class SpectralWindow:
         return self.E0 + self.c0 + self.delta0
 
 
+@dataclass(frozen=True)
+class BasisBlock:
+    """Flat rows and the eigenvector columns whose entries live in them.
+
+    Outside its own block's rows a column is exactly zero.  ``cols`` is a
+    slice for a block holding a contiguous column range (so the basis is
+    indexed as a view) and an ascending index array otherwise.
+    """
+
+    rows: slice
+    cols: Union[slice, np.ndarray]
+
+    def restrict(self, lo: int, hi: int) -> Optional["BasisBlock"]:
+        """The block on columns lo..hi-1, renumbered from 0; None if it has none."""
+        if isinstance(self.cols, slice):
+            start, stop = max(self.cols.start, lo), min(self.cols.stop, hi)
+            return BasisBlock(self.rows, slice(start - lo, stop - lo)) \
+                if start < stop else None
+        cols = self.cols[(self.cols >= lo) & (self.cols < hi)]
+        return BasisBlock(self.rows, cols - lo) if cols.size else None
+
+
 @dataclass
 class EigenSystem:
     """Eigenpairs of a block Hamiltonian in the flat representation.
 
     ``eigenvectors`` columns are orthonormal in the h-weighted inner product
     (h * v^H v = 1); a column reshapes channel-major to (n_ch, n_r).
+    ``blocks`` says which columns fill which rows (:class:`BasisBlock`);
+    every other entry is zero.  The h-weighted Gram matrix is formed once,
+    block by block, and both orthonormality diagnostics read it.
     """
 
     grid: RadialGrid
@@ -232,14 +268,20 @@ class EigenSystem:
     residual_max: float
     norm_h: float
     method: str
+    blocks: Tuple[BasisBlock, ...]
 
     @property
     def k(self) -> int:
         return self.eigenvalues.size
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """h V^H V, zero between columns of different blocks."""
+        v = self.eigenvectors
+        return self.grid.h * block_product(v, self.blocks, v, adjoint=True)
+
     def gram_error(self) -> float:
-        g = self.grid.h * (self.eigenvectors.conj().T @ self.eigenvectors)
-        return float(np.linalg.norm(g - np.eye(self.k), 2)) if self.k else 0.0
+        return float(np.linalg.norm(self.gram - np.eye(self.k), 2)) if self.k else 0.0
 
 
 def _residuals(h_sparse, vals, vecs) -> float:
@@ -281,14 +323,23 @@ def _block_diagonal_eigensystem(h: BlockHamiltonian, value_range=None) -> EigenS
     vals_all = np.array(vals_all)
     order = np.argsort(vals_all, kind="stable")
     vecs_full = np.zeros((h.dim, vals_all.size))
+    channel_of = np.empty(vals_all.size, dtype=int)
     for out_col, src in enumerate(order):
         c, v = cols_all[src]
         vecs_full[c * n:(c + 1) * n, out_col] = v / np.sqrt(h.grid.h)
+        channel_of[out_col] = c
+    blocks = tuple(BasisBlock(slice(c * n, (c + 1) * n), np.flatnonzero(channel_of == c))
+                   for c in np.unique(channel_of))
     return EigenSystem(
         grid=h.grid, channels=h.channels, eigenvalues=vals_all[order],
         eigenvectors=vecs_full, residual_max=res_max, norm_h=h.norm_inf(),
-        method="channel_tridiagonal",
+        method="channel_tridiagonal", blocks=blocks,
     )
+
+
+def _one_block(h: BlockHamiltonian, k: int) -> Tuple[BasisBlock, ...]:
+    """The block structure of coupled eigenvectors: every row, every column."""
+    return (BasisBlock(slice(0, h.dim), slice(0, k)),)
 
 
 class ShiftedFactor:
@@ -436,6 +487,7 @@ def _windowed_eigensystem(h: BlockHamiltonian, upper: float,
         grid=h.grid, channels=h.channels, eigenvalues=vals,
         eigenvectors=vecs / np.sqrt(h.grid.h), residual_max=res, norm_h=norm_h,
         method="dense" if factor.dense_below else "shift_invert_window",
+        blocks=_one_block(h, vals.size),
     )
 
 
@@ -468,7 +520,7 @@ def diagonalize(h: BlockHamiltonian, window_upper: Optional[float] = None) -> Ei
     return EigenSystem(
         grid=h.grid, channels=h.channels, eigenvalues=vals,
         eigenvectors=vecs / np.sqrt(h.grid.h), residual_max=res,
-        norm_h=h.norm_inf(), method="dense",
+        norm_h=h.norm_inf(), method="dense", blocks=_one_block(h, vals.size),
     )
 
 
@@ -498,6 +550,35 @@ def basis_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a @ cols.view(float)).view(complex).reshape(a.shape[:-1] + b.shape[1:])
 
 
+def block_product(v: np.ndarray, blocks, x: np.ndarray,
+                  adjoint: bool = False) -> np.ndarray:
+    """Products with a basis ``v`` whose nonzeros lie in ``blocks``, block by block.
+
+    By default ``x @ v.T``: each coefficient vector along the last axis of
+    ``x`` becomes a flat vector, so an (m, k) ``x`` gives m contiguous rows
+    of length dim.  A block's rows are written PANEL_ROWS at a time, and
+    each panel's product is transposed into place while it is small.  With
+    ``adjoint``, ``v^H @ x`` for x of shape (dim,) or (dim, m), each block
+    contracting only its own rows.  Rows and columns that no block holds
+    come out zero.  A block whose columns are a slice indexes ``v`` as a
+    view, so one block holding all of ``v`` runs the dense products; each
+    GEMM is a :func:`basis_product`.
+    """
+    dtype = np.result_type(v, x)
+    if adjoint:
+        out = np.zeros((v.shape[1],) + x.shape[1:], dtype=dtype)
+        for b in blocks:
+            out[b.cols] = basis_product(v[b.rows, b.cols].conj().T, x[b.rows])
+        return out
+    out = np.zeros(x.shape[:-1] + (v.shape[0],), dtype=dtype)
+    for b in blocks:
+        coeff = x[..., b.cols].T
+        for start in range(b.rows.start, b.rows.stop, PANEL_ROWS):
+            rows = slice(start, min(start + PANEL_ROWS, b.rows.stop))
+            out[..., rows] = basis_product(v[rows, b.cols], coeff).T
+    return out
+
+
 @dataclass
 class SpectralProjection:
     """Eigenpairs of H with eigenvalue in the closed window [e0, E0]."""
@@ -520,6 +601,13 @@ class SpectralProjection:
         return self.eigensystem.eigenvectors[:, self.selector]
 
     @property
+    def blocks(self) -> Tuple[BasisBlock, ...]:
+        """The eigensystem's blocks on the window columns, numbered as in ``basis``."""
+        lo, hi = self.selector.start, self.selector.stop
+        kept = (b.restrict(lo, hi) for b in self.eigensystem.blocks)
+        return tuple(b for b in kept if b is not None)
+
+    @property
     def grid(self) -> RadialGrid:
         return self.eigensystem.grid
 
@@ -530,16 +618,18 @@ class SpectralProjection:
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Project a flat (n_ch, n_r) amplitude array onto the window subspace."""
         flat = np.asarray(u).reshape(-1)
-        v = self.basis
-        coeff = self.grid.h * basis_product(v.conj().T, flat)
-        return basis_product(v, coeff).reshape(np.asarray(u).shape)
+        v, blocks = self.basis, self.blocks
+        coeff = self.grid.h * block_product(v, blocks, flat, adjoint=True)
+        return block_product(v, blocks, coeff).reshape(np.asarray(u).shape)
 
     def idempotency_error(self) -> float:
-        """|P^2 - P| = |P^* - P| on the retained basis (Gram defect norm)."""
+        """|P^2 - P| = |P^* - P| on the retained basis (Gram defect norm).
+
+        Reads the window block of the eigensystem's Gram matrix.
+        """
         if self.rank == 0:
             return 0.0
-        v = self.basis
-        g = self.grid.h * (v.conj().T @ v)
+        g = self.eigensystem.gram[self.selector, self.selector]
         return float(np.linalg.norm(g @ g - g, 2))
 
 

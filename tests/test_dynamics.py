@@ -70,12 +70,14 @@ def test_propagate_identity_at_t0_and_stationary_eigenvector():
     assert np.max(np.abs(np.abs(out[1].amplitudes) - np.abs(state.amplitudes))) < 1e-12
 
 
-@pytest.mark.parametrize("angular", [
-    np.cos,                                        # real basis
-    lambda t: np.cos(t) + 0.5 * np.sin(2 * t),     # complex-Hermitian basis
+@pytest.mark.parametrize("amp, angular", [
+    pytest.param(0.3, np.cos, id="cos"),                           # real basis
+    pytest.param(0.3, lambda t: np.cos(t) + 0.5 * np.sin(2 * t),   # complex-Hermitian basis
+                 id="<lambda>"),
+    pytest.param(0.0, np.cos, id="uncoupled"),                     # one block per channel
 ])
-def test_propagate_matches_per_time_reference(angular):
-    h, p = coupled_system(amp=0.3, angular=angular)
+def test_propagate_matches_per_time_reference(amp, angular):
+    h, p = coupled_system(amp=amp, angular=angular)
     assert np.iscomplexobj(p.basis) == (angular is not np.cos)
     state = prepare_state(p, {"kind": "gaussian", "j0": 2.0, "r0": 2.5,
                               "width_j": 2.0, "width_r": 1.0})
@@ -87,7 +89,7 @@ def test_propagate_matches_per_time_reference(angular):
     scale = np.sqrt(state.norm2())
     for t, s in zip(times, out):
         ref = v @ (np.exp(-1j * lam * (t - state.time)) * coeff)
-        assert s.time == t
+        assert s.time == t and s.amplitudes.flags.c_contiguous
         assert np.sqrt(h.grid.h * np.sum(np.abs(s.flat_vector() - ref) ** 2)) \
             <= 1e-13 * scale
     assert np.sqrt(h.grid.h * np.sum(np.abs(out[0].amplitudes - state.amplitudes) ** 2)) \
@@ -107,16 +109,17 @@ def test_basis_product_equals_matmul():
 
 
 def test_record_observables_matches_per_state_functions_bitwise():
-    h, p = coupled_system(amp=0.3)
-    state = prepare_state(p, {"kind": "gaussian", "j0": 3.0, "r0": 2.5,
-                              "width_j": 2.0, "width_r": 1.0})
-    states = propagate(p, state, geometric_times(1.0, 100.0, 6))
-    series = record_observables(states, nu=1.5, beta=1.0)
-    for k, s in enumerate(states):
-        assert series.x_moment[k] == moment_x(s, 1.5)
-        assert series.j_moment[k] == moment_j(s, 1.0)
-        assert series.norms[k] == s.norm2()
-        assert np.array_equal(series.channel_norm2[k], s.channel_norm2())
+    for amp in (0.3, 0.0):                 # coupled, and channel-pure (uncoupled)
+        h, p = coupled_system(amp=amp)
+        state = prepare_state(p, {"kind": "gaussian", "j0": 3.0, "r0": 2.5,
+                                  "width_j": 2.0, "width_r": 1.0})
+        states = propagate(p, state, geometric_times(1.0, 100.0, 6))
+        series = record_observables(states, nu=1.5, beta=1.0)
+        for k, s in enumerate(states):
+            assert series.x_moment[k] == moment_x(s, 1.5)
+            assert series.j_moment[k] == moment_j(s, 1.0)
+            assert series.norms[k] == s.norm2()
+            assert np.array_equal(series.channel_norm2[k], s.channel_norm2())
 
 
 def test_propagation_unitarity_and_time_reversal():
@@ -410,3 +413,15 @@ def test_channel_operators_from_one_table_equal_the_per_channel_build():
         assert np.array_equal(op.diagonal, expected)
         assert np.array_equal(single.diagonal, expected)
         assert np.array_equal(op.off_diagonal, off)
+
+
+def test_min_decay_rate_skips_nan_rates_in_any_order():
+    # a state whose classical region reaches the wall has no fitted rate (NaN)
+    def report(rates):
+        return MobilityReport(lam=1.0, localized=[
+            MobilityChannelRecord(j=0, eigenvalue=0.5, decay_rate=r) for r in rates])
+
+    for rates in ([np.nan, 0.5, 0.3], [0.5, np.nan, 0.3], [0.5, 0.3, np.nan]):
+        assert report(rates).min_decay_rate == 0.3
+    assert np.isnan(report([np.nan, np.nan]).min_decay_rate)
+    assert np.isnan(report([]).min_decay_rate)

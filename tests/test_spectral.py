@@ -4,8 +4,8 @@ import pytest
 from fluxlab.angular import AngularPotential, DecayClass, GevreyEnvelope, xi_constant
 from fluxlab.flux import FluxProfile
 from fluxlab.grid import build_channel_operator, build_grid
-from fluxlab.spectral import (BandCholesky, BlockHamiltonian, ShiftedFactor, SpectralWindow,
-                              assemble_hamiltonian, channel_projection_norm,
+from fluxlab.spectral import (BandCholesky, BasisBlock, BlockHamiltonian, ShiftedFactor,
+                              SpectralWindow, assemble_hamiltonian, channel_projection_norm,
                               diagonalize, estimate_c0, spectral_projection)
 
 
@@ -216,6 +216,7 @@ def test_window_over_whole_spectrum_takes_dense_fallback():
     windowed = _windowed_eigensystem(h, h.norm_inf() + 1.0, 0.1)
     assert windowed.method == "dense"
     assert windowed.k == h.dim
+    assert windowed.blocks == (BasisBlock(slice(0, h.dim), slice(0, h.dim)),)
     assert np.allclose(windowed.eigenvalues, full.eigenvalues, atol=1e-12)
     overlap = h.grid.h * np.abs(full.eigenvectors.T @ windowed.eigenvectors)
     assert np.allclose(overlap, np.eye(h.dim), atol=1e-9)
@@ -272,6 +273,32 @@ def test_projection_commutes_with_channels_when_w_is_zero():
     blocks = p.basis.reshape(h.n_ch, grid.n_r, p.rank)
     assert np.array_equal(np.count_nonzero(np.any(blocks != 0, axis=1), axis=0),
                           np.ones(p.rank, dtype=int))
+
+
+def test_blockwise_products_match_the_dense_basis_when_w_is_zero():
+    # channel-pure eigenvectors: one block per channel, and apply, the Gram
+    # matrix and both orthonormality diagnostics equal the dense products
+    profile = FluxProfile.power_law(1.0, 1.5)
+    grid = build_grid(120, 8.0)
+    h = assemble_hamiltonian(profile, None, grid, 4)
+    es = diagonalize(h, window_upper=3.0)
+    window = SpectralWindow(e0=float(es.eigenvalues[2]), E0=2.0, delta0=0.1, c0=0.0)
+    p = spectral_projection(h, window, eigensystem=es)
+    assert 0 < p.selector.start and p.selector.stop < es.k
+    assert len(p.blocks) > 1
+    cols = np.sort(np.concatenate([b.cols for b in es.blocks]))
+    assert np.array_equal(cols, np.arange(es.k))
+    v, hh = es.eigenvectors, grid.h
+    gram = hh * (v.T @ v)
+    assert np.max(np.abs(es.gram - gram)) <= 1e-13
+    assert abs(es.gram_error() - np.linalg.norm(gram - np.eye(es.k), 2)) <= 1e-13
+    g = gram[p.selector, p.selector]
+    assert abs(p.idempotency_error() - np.linalg.norm(g @ g - g, 2)) <= 1e-13
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal((h.n_ch, grid.n_r)) + 1j * rng.standard_normal((h.n_ch, grid.n_r))
+    vw = p.basis
+    ref = (vw @ (hh * (vw.T @ u.reshape(-1)))).reshape(u.shape)
+    assert np.max(np.abs(p.apply(u) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_rank_equals_eigenvalue_count_in_window():

@@ -248,6 +248,8 @@ def _run_spectrum(cfg, out_dir):
         "dropped_coupling_tail": h.dropped_tail_bound,
         "n_eigenvalues": int(eigensys.k),
         "solver": eigensys.method,
+        "factor_nnz": eigensys.factor_nnz,
+        "lu_solves": eigensys.lu_solves,
     }
     return ["eigenvalues.csv"], constants
 

@@ -11,7 +11,10 @@ Spectral projections onto an energy window [e0, E0] are computed by direct
 diagonalization: per-channel tridiagonal solves when no coupling is present,
 and otherwise one shifted factorization (:class:`ShiftedFactor`) at the
 window top, whose inertia counts the eigenvalues below it exactly and whose
-shift-inverted Lanczos sweep then returns exactly that many eigenpairs.
+shift-inverted Lanczos sweep then returns exactly that many eigenpairs.  The
+factorization runs on H in its node-major band order, where elimination in
+natural order fills only the band, so no fill-reducing ordering is computed;
+the eigenvectors return to channel-major order once, after the sweep.
 Repeated runs are deterministic (fixed start vectors, fixed assembly order).
 
 An :class:`EigenSystem` records the block structure its solver knows: each
@@ -28,8 +31,9 @@ Hamiltonian (``BlockHamiltonian.potential``) for the checks that compare it
 with an energy.  :meth:`BlockHamiltonian.to_band` is the one place that
 lays out H's entries: ordered node-major, a coupled H is a band matrix of
 half-bandwidth n_ch.  The sparse and dense forms and the max row sum are
-read back from that band, and :class:`BandCholesky` factors a shifted band
-matrix and certifies positive definiteness without an inertia count.
+read back from that band, :class:`ShiftedFactor` factors the band-order
+matrix for the window solve, and :class:`BandCholesky` factors a shifted
+band matrix and certifies positive definiteness without an inertia count.
 """
 
 from __future__ import annotations
@@ -121,17 +125,13 @@ class BlockHamiltonian:
     def to_sparse(self) -> sp.csr_matrix:
         """H as channel-major CSR, read back from :meth:`to_band`.
 
-        The strict upper band U and its mirror U^H join the diagonal, and
-        rows and columns return from band to channel-major order.  Entries
-        that are exactly zero are not stored.
+        The band-order matrix (:func:`_band_to_csc`) returns to channel-major
+        order in rows and columns.  Entries that are exactly zero are not
+        stored.
         """
         ab, order = self.to_band()
-        kd = ab.shape[0] - 1
-        strict = sp.dia_array((ab[:kd], kd - np.arange(kd)),
-                              shape=(self.dim, self.dim)).tocsr()
-        full = strict + strict.conj().T + sp.diags_array(ab[kd])
         back = np.argsort(order)                # band index of each channel-major index
-        return sp.csr_matrix(full[back][:, back])
+        return sp.csr_matrix(_band_to_csc(ab)[back][:, back])
 
     def to_dense(self) -> np.ndarray:
         return self.to_sparse().toarray()
@@ -139,6 +139,24 @@ class BlockHamiltonian:
     def norm_inf(self) -> float:
         """max absolute row sum, an upper bound for the operator 2-norm."""
         return _band_norm_inf(self.to_band()[0])
+
+
+def _band_to_csc(ab: np.ndarray) -> sp.csc_matrix:
+    """The Hermitian matrix held in upper band storage, as CSC in band order.
+
+    Column q holds rows q - kd .. q + kd: the stored upper entries and the
+    conjugates of row q's upper entries.  Entries that are exactly zero are
+    not stored.
+    """
+    kd, n = ab.shape[0] - 1, ab.shape[1]
+    cols = np.zeros((n, 2 * kd + 1), dtype=ab.dtype)     # cols[q, kd + p - q] = A[p, q]
+    cols[:, :kd + 1] = ab.T
+    for s in range(1, kd + 1):
+        cols[:n - s, kd + s] = np.conj(ab[kd - s, s:])
+    rows = np.arange(n)[:, None] + np.arange(-kd, kd + 1)
+    stored = (cols != 0) & (rows >= 0) & (rows < n)
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(stored, axis=1))))
+    return sp.csc_matrix((cols[stored], rows[stored], indptr), shape=(n, n))
 
 
 def _band_norm_inf(ab: np.ndarray) -> float:
@@ -269,6 +287,8 @@ class EigenSystem:
     norm_h: float
     method: str
     blocks: Tuple[BasisBlock, ...]
+    factor_nnz: int = 0             # nnz(L + U) of the window factor, 0 without one
+    lu_solves: int = 0              # solves of the window factor's Lanczos sweep
 
     @property
     def k(self) -> int:
@@ -281,7 +301,19 @@ class EigenSystem:
         return self.grid.h * block_product(v, self.blocks, v, adjoint=True)
 
     def gram_error(self) -> float:
-        return float(np.linalg.norm(self.gram - np.eye(self.k), 2)) if self.k else 0.0
+        """|h V^H V - I|_2, block by block."""
+        if not self.k:
+            return 0.0
+        return _blockwise_norm2(self.gram, self.blocks, lambda g: g - np.eye(len(g)))
+
+
+def _blockwise_norm2(m: np.ndarray, blocks, defect) -> float:
+    """|defect(m)|_2 for a square m that is zero between the columns of
+    different ``blocks``, every column in one block, and a defect that
+    keeps that structure: the largest 2-norm over the diagonal blocks.
+    One block holding every column takes the dense norm of ``defect(m)``.
+    """
+    return max(float(np.linalg.norm(defect(m[b.cols][:, b.cols]), 2)) for b in blocks)
 
 
 def _residuals(h_sparse, vals, vecs) -> float:
@@ -343,36 +375,44 @@ def _one_block(h: BlockHamiltonian, k: int) -> Tuple[BasisBlock, ...]:
 
 
 class ShiftedFactor:
-    """Factorization of a Hermitian A - sigma I with its Sylvester inertia.
+    """Factorization of a Hermitian band matrix A - sigma I with its inertia.
 
-    SuperLU runs in symmetric mode: a symmetric fill-reducing ordering and
-    diagonal pivots only, so P (A - sigma I) P^T = L U with U = D L^H and,
-    by Sylvester's law of inertia, the negative entries of diag(U) count the
-    eigenvalues of A below sigma exactly (``n_below``).  Without pivoting
-    the elimination is only trustworthy while no pivot is tiny, so a row
-    interchange or a pivot below ``1e-12 |A|`` raises instead of returning
-    a count.  The factor serves shift-inverted Lanczos sweeps about sigma
-    (Ericsson & Ruhe 1980; inertia slicing as in Grimes, Lewis & Simon 1994).
+    ``ab`` holds A in LAPACK upper band storage (see
+    :meth:`BlockHamiltonian.to_band`); ``a`` is the same matrix as CSC in
+    band order.  SuperLU runs in symmetric mode with diagonal pivots only and
+    in natural order: eliminating a band matrix without pivoting fills only
+    inside the band (Golub & Van Loan, Matrix Computations, 4th ed., section
+    4.3), so a fill-reducing ordering has nothing to save.  Then
+    A - sigma I = L U with U = D L^H and, by Sylvester's law of inertia, the
+    negative entries of diag(U) count the eigenvalues of A below sigma
+    exactly (``n_below``).  Without pivoting the elimination is only
+    trustworthy while no pivot is tiny, so a row interchange or a pivot
+    below ``1e-12 |A|`` raises instead of returning a count.  The factor
+    serves shift-inverted Lanczos sweeps about sigma (Ericsson & Ruhe 1980;
+    inertia slicing as in Grimes, Lewis & Simon 1994); ``nnz`` is the fill
+    nnz(L + U) and ``solves`` counts the solves the sweeps made.
     """
 
-    def __init__(self, a, sigma: float):
-        self.a = sp.csc_matrix(a)
+    def __init__(self, ab: np.ndarray, sigma: float):
+        self.a = _band_to_csc(ab)
         self.sigma = float(sigma)
+        self.norm_a = _band_norm_inf(ab)
         shifted = self.a - self.sigma * sp.identity(self.dim, dtype=self.a.dtype,
                                                     format="csc")
-        self.lu = splu(shifted, permc_spec="MMD_AT_PLUS_A",
+        self.lu = splu(shifted, permc_spec="NATURAL",
                        diag_pivot_thresh=0.0, options={"SymmetricMode": True})
         if not np.array_equal(self.lu.perm_r, self.lu.perm_c):
             raise RuntimeError(f"factorization at shift {self.sigma:.17g} needed "
                                "off-diagonal pivots; the inertia is undefined")
         pivots = self.lu.U.diagonal().real
-        norm_a = float(abs(self.a).sum(axis=1).max())
-        tiny = 1e-12 * max(1.0, norm_a)
+        tiny = 1e-12 * max(1.0, self.norm_a)
         if np.min(np.abs(pivots)) <= tiny:
             raise RuntimeError(
                 f"pivot {np.min(np.abs(pivots)):.3e} at shift {self.sigma:.17g} is "
                 f"below 1e-12 |A| = {tiny:.3e}; the inertia count is not trustworthy")
         self.n_below = int(np.count_nonzero(pivots < 0))
+        self.nnz = self.lu.L.nnz + self.lu.U.nnz - self.dim   # L's unit diagonal once
+        self.solves = 0
 
     @property
     def dim(self) -> int:
@@ -383,8 +423,14 @@ class ShiftedFactor:
         """True when ``below`` solves densely: ARPACK needs k < dim - 1."""
         return self.n_below >= self.dim - 1
 
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """(A - sigma I)^-1 b, counted in ``solves``."""
+        self.solves += 1
+        return self.lu.solve(b)
+
     def below(self):
-        """The ``n_below`` eigenpairs of A under sigma, eigenvalues ascending.
+        """The ``n_below`` eigenpairs of A under sigma, eigenvalues ascending,
+        eigenvectors in band order.
 
         In shift-invert mode the ``SA`` end of 1 / (lambda - sigma) is the
         set below sigma, so ARPACK is asked for exactly those pairs.
@@ -394,7 +440,7 @@ class ShiftedFactor:
             return np.zeros(0), np.zeros((self.dim, 0), dtype=self.a.dtype)
         if self.dense_below:
             return scipy.linalg.eigh(self.a.toarray(), subset_by_index=(0, k - 1))
-        op_inv = LinearOperator(self.a.shape, matvec=self.lu.solve, dtype=self.a.dtype)
+        op_inv = LinearOperator(self.a.shape, matvec=self.solve, dtype=self.a.dtype)
         vals, vecs = eigsh(self.a, k=k, sigma=self.sigma, which="SA",
                            v0=np.full(self.dim, 1.0 / np.sqrt(self.dim)), OPinv=op_inv)
         order = np.argsort(vals, kind="stable")
@@ -467,27 +513,32 @@ def _windowed_eigensystem(h: BlockHamiltonian, upper: float,
                           margin: float) -> EigenSystem:
     """Every eigenpair with eigenvalue below upper + margin.
 
-    One factorization at the top counts them exactly (nu); the Lanczos sweep
-    is asked for nu pairs and must return nu pairs below the top.
+    One factorization of H's band at the top counts them exactly (nu); the
+    Lanczos sweep is asked for nu pairs and must return nu pairs below the
+    top.  Its band-order eigenvectors return to channel-major order.
     """
     top = upper + margin
-    factor = ShiftedFactor(h.to_sparse(), top)
-    vals, vecs = factor.below()
+    ab, order = h.to_band()
+    factor = ShiftedFactor(ab, top)
+    vals, band_vecs = factor.below()
     found = int(np.count_nonzero(vals < top))
     if found != factor.n_below:
         raise RuntimeError(f"window solve found {found} eigenvalues below {top:g}; "
                            f"the inertia count is {factor.n_below}")
-    norm_h = h.norm_inf()
-    res = _residuals(factor.a, vals, vecs)
+    norm_h = factor.norm_a
+    res = _residuals(factor.a, vals, band_vecs)
     if res > 1e-9 * norm_h:
         raise RuntimeError(
             f"iterative eigensolve residual {res:.3e} exceeds 1e-9 * |H| = "
             f"{1e-9 * norm_h:.3e}")
+    vecs = np.empty_like(band_vecs)
+    vecs[order] = band_vecs / np.sqrt(h.grid.h)
     return EigenSystem(
         grid=h.grid, channels=h.channels, eigenvalues=vals,
-        eigenvectors=vecs / np.sqrt(h.grid.h), residual_max=res, norm_h=norm_h,
+        eigenvectors=vecs, residual_max=res, norm_h=norm_h,
         method="dense" if factor.dense_below else "shift_invert_window",
-        blocks=_one_block(h, vals.size),
+        blocks=_one_block(h, vals.size), factor_nnz=factor.nnz,
+        lu_solves=factor.solves,
     )
 
 
@@ -625,12 +676,13 @@ class SpectralProjection:
     def idempotency_error(self) -> float:
         """|P^2 - P| = |P^* - P| on the retained basis (Gram defect norm).
 
-        Reads the window block of the eigensystem's Gram matrix.
+        Reads the window block of the eigensystem's Gram matrix, block by
+        block.
         """
         if self.rank == 0:
             return 0.0
         g = self.eigensystem.gram[self.selector, self.selector]
-        return float(np.linalg.norm(g @ g - g, 2))
+        return _blockwise_norm2(g, self.blocks, lambda b: b @ b - b)
 
 
 def spectral_projection(h: BlockHamiltonian, window: SpectralWindow,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from fluxlab.angular import AngularPotential, DecayClass, GevreyEnvelope, xi_constant
 from fluxlab.flux import FluxProfile
@@ -114,28 +115,79 @@ def coupled_model(angular, n_r=90, j_max=6):
     return assemble_hamiltonian(profile, w, grid, j_max, m_max=3)
 
 
+both_couplings = pytest.mark.parametrize("angular", [
+    np.cos, lambda t: np.cos(t) + 0.5 * np.sin(2 * t)], ids=["real", "complex_hermitian"])
+
+
+@both_couplings
+def test_window_eigenvectors_come_back_channel_major(angular):
+    # the band-order factor's eigenvectors must be eigenvectors of the
+    # channel-major H, and the channel norms must match the dense route
+    h = coupled_model(angular)
+    es = diagonalize(h, window_upper=1.2)
+    assert es.method == "shift_invert_window" and es.k > 0
+    v = es.eigenvectors
+    resid = h.to_sparse() @ v - v * es.eigenvalues[None, :]
+    assert np.max(np.linalg.norm(resid, axis=0) / np.linalg.norm(v, axis=0)) \
+        <= 1e-9 * h.norm_inf()
+    window = SpectralWindow(e0=float(es.eigenvalues[0]), E0=1.2, delta0=0.1, c0=0.0)
+    p = spectral_projection(h, window, eigensystem=es)
+    p_dense = spectral_projection(h, window, eigensystem=diagonalize(h))
+    assert p.rank == p_dense.rank > 0
+    for j in (0, 2):
+        assert channel_projection_norm(p, j, (0.0, 4.0)) == pytest.approx(
+            channel_projection_norm(p_dense, j, (0.0, 4.0)), abs=1e-9)
+
+
 @pytest.mark.parametrize("angular", [
     np.cos,                                        # real symmetric
     lambda t: np.cos(t) + 0.5 * np.sin(2 * t),     # complex Hermitian
 ])
 def test_shifted_factor_inertia_matches_dense_count(angular):
     h = coupled_model(angular)
-    a = h.to_sparse()
-    dense = np.linalg.eigvalsh(a.toarray())
+    ab = h.to_band()[0]
+    dense = np.linalg.eigvalsh(h.to_dense())
     # below the spectrum, at a window top, and well inside the spectrum
     for sigma in (dense[0] - 0.5, 0.5, 1.05, 1.3, 5.0, 50.0):
-        assert ShiftedFactor(a, sigma).n_below == int(np.sum(dense < sigma))
+        assert ShiftedFactor(ab, sigma).n_below == int(np.sum(dense < sigma))
 
 
 def test_shifted_factor_rejects_untrustworthy_elimination():
     h = coupled_model(lambda t: np.cos(t) + 0.5 * np.sin(2 * t))
-    a = h.to_sparse()
-    lowest = np.linalg.eigvalsh(a.toarray())[0]
+    ab = h.to_band()[0]
+    # natural order eliminates the first band unknown first: a shift one ulp
+    # above H[0, 0] leaves that pivot at rounding level
+    kd = ab.shape[0] - 1
     with pytest.raises(RuntimeError, match="pivot"):
-        ShiftedFactor(a, lowest)
-    # a zero diagonal makes SuperLU interchange rows, which voids the count
+        ShiftedFactor(ab, np.nextafter(ab[kd, 0].real, np.inf))
+    # [[1, 1], [1, 1]] - I has a zero diagonal: SuperLU interchanges rows,
+    # which voids the count
     with pytest.raises(RuntimeError, match="off-diagonal"):
-        ShiftedFactor(np.array([[1.0, 1.0], [1.0, 1.0]]), 1.0)
+        ShiftedFactor(np.array([[0.0, 1.0], [1.0, 1.0]]), 1.0)
+
+
+@both_couplings
+def test_window_factor_is_formed_in_band_order(angular, monkeypatch):
+    # natural order on the node-major band: the factor fills only the band,
+    # nnz(L + U) <= dim (2 kd + 1); a channel-major input or a fill-reducing
+    # ordering breaks the identity column permutation or the count
+    from fluxlab import spectral
+    factors = []
+
+    def recording_splu(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(spectral, "splu", recording_splu)
+    h = coupled_model(angular)
+    es = diagonalize(h, window_upper=1.2)
+    (lu,) = factors
+    kd = h.to_band()[0].shape[0] - 1
+    assert kd == h.n_ch
+    assert np.array_equal(lu.perm_c, np.arange(h.dim))
+    assert es.factor_nnz == lu.L.nnz + lu.U.nnz - h.dim
+    assert es.factor_nnz <= h.dim * (2 * kd + 1)
+    assert es.method == "shift_invert_window" and es.lu_solves > 0
 
 
 def band_to_dense(ab):
@@ -294,6 +346,10 @@ def test_blockwise_products_match_the_dense_basis_when_w_is_zero():
     assert abs(es.gram_error() - np.linalg.norm(gram - np.eye(es.k), 2)) <= 1e-13
     g = gram[p.selector, p.selector]
     assert abs(p.idempotency_error() - np.linalg.norm(g @ g - g, 2)) <= 1e-13
+    # the diagnostics take per-block norms: equal to the dense norm of the same matrix
+    assert abs(es.gram_error() - np.linalg.norm(es.gram - np.eye(es.k), 2)) <= 1e-14
+    g = es.gram[p.selector, p.selector]
+    assert abs(p.idempotency_error() - np.linalg.norm(g @ g - g, 2)) <= 1e-14
     rng = np.random.default_rng(5)
     u = rng.standard_normal((h.n_ch, grid.n_r)) + 1j * rng.standard_normal((h.n_ch, grid.n_r))
     vw = p.basis

@@ -86,8 +86,8 @@ def prepare_state(p: SpectralProjection, seed) -> WaveState:
         k = int(seed["index"])
         if not 0 <= k < p.rank:
             raise IndexError(f"eigenvector index {k} out of range (rank {p.rank})")
-        amp = p.basis[:, k].reshape(len(channels), grid.n_r).astype(complex)
-        return WaveState(grid, channels, amp, 0.0)
+        amp = block_product(p.blocks, np.eye(1, p.rank, k)[0])     # column k
+        return WaveState(grid, channels, amp.reshape(len(channels), -1).astype(complex), 0.0)
     if kind == "gaussian":
         raw = _gaussian_seed(grid, channels, seed["j0"], seed["r0"],
                              seed.get("width_j", 2.0), seed.get("width_r", 1.0))
@@ -113,12 +113,12 @@ def propagate(p: SpectralProjection, state: WaveState,
     One blockwise product serves all times; each state is a contiguous row
     of its (n_t, dim) result.
     """
-    v, blocks = p.basis, p.blocks
-    coeff = p.grid.h * block_product(v, blocks, state.flat_vector(), adjoint=True)
+    blocks = p.blocks
+    coeff = p.grid.h * block_product(blocks, state.flat_vector(), adjoint=True)
     times = np.asarray(times, dtype=float)
     phased = np.exp(-1j * p.eigenvalues[:, None] * (times - state.time)[None, :]) \
         * coeff[:, None]
-    u = block_product(v, blocks, phased.T)
+    u = block_product(blocks, phased.T)
     shape = (len(p.channels), p.grid.n_r)
     return [WaveState(p.grid, p.channels, u[k].reshape(shape), float(t))
             for k, t in enumerate(times)]

@@ -17,14 +17,14 @@ natural order fills only the band, so no fill-reducing ordering is computed;
 the eigenvectors return to channel-major order once, after the sweep.
 Repeated runs are deterministic (fixed start vectors, fixed assembly order).
 
-An :class:`EigenSystem` records the block structure its solver knows: each
-:class:`BasisBlock` pairs a range of flat rows with the eigenvector columns
-that live in them.  The per-channel route gives one block per channel that
-holds eigenvectors; a coupled eigensystem is one block holding every row
-and column.  Every product with the eigenvectors (projection, propagation
-and the Gram matrix) runs block by block through :func:`block_product`, so
-channel-pure eigenvectors never meet the zero rows of other channels, and
-the one coupled block multiplies the whole basis in place.
+An :class:`EigenSystem` stores its eigenvectors only in blocks
+(:class:`BasisBlock`) whose rows tile the flat index: the per-channel route
+keeps one block of tridiagonal eigenvectors per channel, so memory scales
+with n_r k rather than dim k, and a coupled eigensystem is one block
+holding every row and column.  Every product with the eigenvectors
+(projection, propagation, the Gram matrix) runs block by block, so
+channel-pure eigenvectors never meet other channels' zero rows; the dense
+``EigenSystem.eigenvectors`` and ``SpectralProjection.basis`` are for tests.
 
 The assembly evaluates V_j(r_i) once, as an (n_ch, n_r) table kept on the
 Hamiltonian (``BlockHamiltonian.potential``) for the checks that compare it
@@ -41,7 +41,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -246,43 +246,41 @@ class SpectralWindow:
         return self.E0 + self.c0 + self.delta0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasisBlock:
-    """Flat rows and the eigenvector columns whose entries live in them.
+    """Flat rows, the eigenvector columns that live in them, and their entries.
 
-    Outside its own block's rows a column is exactly zero.  ``cols`` is a
-    slice for a block holding a contiguous column range (so the basis is
-    indexed as a view) and an ascending index array otherwise.
+    The columns are zero outside ``rows``, so ``vectors``, shape (rows,
+    len(cols)), holds all of them, in the column-major order the solvers
+    return: a cut to a column range stays contiguous.  ``cols`` ascends, and
+    so do the columns' eigenvalues.
     """
 
     rows: slice
-    cols: Union[slice, np.ndarray]
+    cols: np.ndarray
+    vectors: np.ndarray
 
-    def restrict(self, lo: int, hi: int) -> Optional["BasisBlock"]:
-        """The block on columns lo..hi-1, renumbered from 0; None if it has none."""
-        if isinstance(self.cols, slice):
-            start, stop = max(self.cols.start, lo), min(self.cols.stop, hi)
-            return BasisBlock(self.rows, slice(start - lo, stop - lo)) \
-                if start < stop else None
-        cols = self.cols[(self.cols >= lo) & (self.cols < hi)]
-        return BasisBlock(self.rows, cols - lo) if cols.size else None
+    def restrict(self, lo: int, hi: int) -> "BasisBlock":
+        """The block on columns lo..hi-1, renumbered from 0: a view of ``vectors``."""
+        start, stop = np.searchsorted(self.cols, (lo, hi))
+        return BasisBlock(self.rows, self.cols[start:stop] - lo,
+                          self.vectors[:, start:stop])
 
 
 @dataclass
 class EigenSystem:
     """Eigenpairs of a block Hamiltonian in the flat representation.
 
-    ``eigenvectors`` columns are orthonormal in the h-weighted inner product
-    (h * v^H v = 1); a column reshapes channel-major to (n_ch, n_r).
-    ``blocks`` says which columns fill which rows (:class:`BasisBlock`);
-    every other entry is zero.  The h-weighted Gram matrix is formed once,
-    block by block, and both orthonormality diagnostics read it.
+    The eigenvectors live in ``blocks`` (:class:`BasisBlock`), whose rows
+    tile the flat index in order.  Columns are h-orthonormal (h v^H v = 1)
+    and reshape channel-major to (n_ch, n_r).  The h-weighted Gram matrix
+    is formed once, block by block, and both orthonormality diagnostics
+    read it.
     """
 
     grid: RadialGrid
     channels: np.ndarray
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     residual_max: float
     norm_h: float
     method: str
@@ -294,11 +292,23 @@ class EigenSystem:
     def k(self) -> int:
         return self.eigenvalues.size
 
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """The dense (dim, k) basis, for tests only; a single block returns its array."""
+        if len(self.blocks) == 1:
+            return self.blocks[0].vectors
+        v = np.zeros((self.blocks[-1].rows.stop, self.k), dtype=self.blocks[0].vectors.dtype)
+        for b in self.blocks:
+            v[b.rows, b.cols] = b.vectors
+        return v
+
     @cached_property
     def gram(self) -> np.ndarray:
         """h V^H V, zero between columns of different blocks."""
-        v = self.eigenvectors
-        return self.grid.h * block_product(v, self.blocks, v, adjoint=True)
+        g = np.zeros((self.k, self.k), dtype=self.blocks[0].vectors.dtype)
+        for b in self.blocks:
+            g[np.ix_(b.cols, b.cols)] = basis_product(b.vectors.conj().T, b.vectors)
+        return self.grid.h * g
 
     def gram_error(self) -> float:
         """|h V^H V - I|_2, block by block."""
@@ -311,9 +321,9 @@ def _blockwise_norm2(m: np.ndarray, blocks, defect) -> float:
     """|defect(m)|_2 for a square m that is zero between the columns of
     different ``blocks``, every column in one block, and a defect that
     keeps that structure: the largest 2-norm over the diagonal blocks.
-    One block holding every column takes the dense norm of ``defect(m)``.
     """
-    return max(float(np.linalg.norm(defect(m[b.cols][:, b.cols]), 2)) for b in blocks)
+    return max(float(np.linalg.norm(defect(m[np.ix_(b.cols, b.cols)]), 2))
+               for b in blocks if b.cols.size)
 
 
 def _residuals(h_sparse, vals, vecs) -> float:
@@ -332,46 +342,31 @@ def _tridiag_matvec(diag, off, v):
 
 
 def _block_diagonal_eigensystem(h: BlockHamiltonian, value_range=None) -> EigenSystem:
-    """Per-channel tridiagonal solves; eigenvectors stay channel-pure."""
+    """Per-channel tridiagonal solves; each channel's eigenvectors are its
+    block, which records where one stable argsort puts its columns."""
     n = h.grid.n_r
-    vals_all, cols_all = [], []
+    select = ("i", (0, n - 1)) if value_range is None else ("v", tuple(value_range))
+    vals_c, vecs_c = [], []
     res_max = 0.0
     for c in range(h.n_ch):
-        if value_range is not None:
-            vals, vecs = scipy.linalg.eigh_tridiagonal(
-                h.diagonals[c], h.off_diagonal, select="v",
-                select_range=tuple(value_range))
-        else:
-            vals, vecs = scipy.linalg.eigh_tridiagonal(
-                h.diagonals[c], h.off_diagonal, select="i",
-                select_range=(0, n - 1))
+        vals, vecs = scipy.linalg.eigh_tridiagonal(
+            h.diagonals[c], h.off_diagonal, select=select[0], select_range=select[1])
         if vals.size:
             resid = _tridiag_matvec(h.diagonals[c], h.off_diagonal, vecs) \
                 - vecs * vals[None, :]
             res_max = max(res_max, float(np.max(np.sqrt(np.sum(resid ** 2, axis=0)))))
-        for col in range(vals.size):
-            vals_all.append(vals[col])
-            cols_all.append((c, vecs[:, col]))
-    vals_all = np.array(vals_all)
+        vals_c.append(vals)
+        vecs_c.append(vecs)
+    vals_all = np.concatenate(vals_c)
     order = np.argsort(vals_all, kind="stable")
-    vecs_full = np.zeros((h.dim, vals_all.size))
-    channel_of = np.empty(vals_all.size, dtype=int)
-    for out_col, src in enumerate(order):
-        c, v = cols_all[src]
-        vecs_full[c * n:(c + 1) * n, out_col] = v / np.sqrt(h.grid.h)
-        channel_of[out_col] = c
-    blocks = tuple(BasisBlock(slice(c * n, (c + 1) * n), np.flatnonzero(channel_of == c))
-                   for c in np.unique(channel_of))
+    cols = np.split(np.argsort(order), np.cumsum([v.size for v in vals_c])[:-1])
+    blocks = tuple(BasisBlock(slice(c * n, (c + 1) * n), cols[c], vecs / np.sqrt(h.grid.h))
+                   for c, vecs in enumerate(vecs_c))
     return EigenSystem(
         grid=h.grid, channels=h.channels, eigenvalues=vals_all[order],
-        eigenvectors=vecs_full, residual_max=res_max, norm_h=h.norm_inf(),
+        residual_max=res_max, norm_h=h.norm_inf(),
         method="channel_tridiagonal", blocks=blocks,
     )
-
-
-def _one_block(h: BlockHamiltonian, k: int) -> Tuple[BasisBlock, ...]:
-    """The block structure of coupled eigenvectors: every row, every column."""
-    return (BasisBlock(slice(0, h.dim), slice(0, k)),)
 
 
 class ShiftedFactor:
@@ -535,10 +530,10 @@ def _windowed_eigensystem(h: BlockHamiltonian, upper: float,
     vecs[order] = band_vecs / np.sqrt(h.grid.h)
     return EigenSystem(
         grid=h.grid, channels=h.channels, eigenvalues=vals,
-        eigenvectors=vecs, residual_max=res, norm_h=norm_h,
+        residual_max=res, norm_h=norm_h,
         method="dense" if factor.dense_below else "shift_invert_window",
-        blocks=_one_block(h, vals.size), factor_nnz=factor.nnz,
-        lu_solves=factor.solves,
+        blocks=(BasisBlock(slice(0, h.dim), np.arange(vals.size), vecs),),
+        factor_nnz=factor.nnz, lu_solves=factor.solves,
     )
 
 
@@ -569,9 +564,9 @@ def diagonalize(h: BlockHamiltonian, window_upper: Optional[float] = None) -> Ei
     vals, vecs = scipy.linalg.eigh(a)
     res = _residuals(sp.csr_matrix(a), vals, vecs)
     return EigenSystem(
-        grid=h.grid, channels=h.channels, eigenvalues=vals,
-        eigenvectors=vecs / np.sqrt(h.grid.h), residual_max=res,
-        norm_h=h.norm_inf(), method="dense", blocks=_one_block(h, vals.size),
+        grid=h.grid, channels=h.channels, eigenvalues=vals, residual_max=res,
+        norm_h=h.norm_inf(), method="dense",
+        blocks=(BasisBlock(slice(0, h.dim), np.arange(vals.size), vecs / np.sqrt(h.grid.h)),),
     )
 
 
@@ -601,32 +596,31 @@ def basis_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a @ cols.view(float)).view(complex).reshape(a.shape[:-1] + b.shape[1:])
 
 
-def block_product(v: np.ndarray, blocks, x: np.ndarray,
-                  adjoint: bool = False) -> np.ndarray:
-    """Products with a basis ``v`` whose nonzeros lie in ``blocks``, block by block.
+def block_product(blocks, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """Products with the basis V that ``blocks`` hold, block by block; their
+    rows tile the flat index and their columns number 0..k-1 between them.
 
-    By default ``x @ v.T``: each coefficient vector along the last axis of
-    ``x`` becomes a flat vector, so an (m, k) ``x`` gives m contiguous rows
-    of length dim.  A block's rows are written PANEL_ROWS at a time, and
-    each panel's product is transposed into place while it is small.  With
-    ``adjoint``, ``v^H @ x`` for x of shape (dim,) or (dim, m), each block
-    contracting only its own rows.  Rows and columns that no block holds
-    come out zero.  A block whose columns are a slice indexes ``v`` as a
-    view, so one block holding all of ``v`` runs the dense products; each
-    GEMM is a :func:`basis_product`.
+    By default ``x @ V.T``: an (m, k) ``x`` gives m contiguous flat rows of
+    length dim, each block's rows written PANEL_ROWS at a time and each
+    panel's product transposed into place while it is small.  With
+    ``adjoint``, ``V^H @ x`` for x of shape (dim,) or (dim, m), each block
+    contracting only its own rows.  Each GEMM is a :func:`basis_product`.
     """
-    dtype = np.result_type(v, x)
+    dtype = np.result_type(x, *(b.vectors for b in blocks))
     if adjoint:
-        out = np.zeros((v.shape[1],) + x.shape[1:], dtype=dtype)
+        out = np.zeros((sum(b.cols.size for b in blocks),) + x.shape[1:], dtype=dtype)
         for b in blocks:
-            out[b.cols] = basis_product(v[b.rows, b.cols].conj().T, x[b.rows])
+            out[b.cols] = basis_product(b.vectors.conj().T, x[b.rows])
         return out
-    out = np.zeros(x.shape[:-1] + (v.shape[0],), dtype=dtype)
+    out = np.zeros(x.shape[:-1] + (blocks[-1].rows.stop,), dtype=dtype)
     for b in blocks:
+        if not b.cols.size:
+            continue                        # its rows stay zero
         coeff = x[..., b.cols].T
-        for start in range(b.rows.start, b.rows.stop, PANEL_ROWS):
-            rows = slice(start, min(start + PANEL_ROWS, b.rows.stop))
-            out[..., rows] = basis_product(v[rows, b.cols], coeff).T
+        rows = out[..., b.rows]
+        for start in range(0, rows.shape[-1], PANEL_ROWS):
+            panel = slice(start, start + PANEL_ROWS)
+            rows[..., panel] = basis_product(b.vectors[panel], coeff).T
     return out
 
 
@@ -648,15 +642,14 @@ class SpectralProjection:
 
     @property
     def basis(self) -> np.ndarray:
-        """Flat h-orthonormal window eigenvectors, shape (dim, rank): a column view."""
+        """The dense (dim, rank) window eigenvectors, for tests only."""
         return self.eigensystem.eigenvectors[:, self.selector]
 
     @property
     def blocks(self) -> Tuple[BasisBlock, ...]:
-        """The eigensystem's blocks on the window columns, numbered as in ``basis``."""
+        """The eigensystem's blocks on the window columns, renumbered from 0."""
         lo, hi = self.selector.start, self.selector.stop
-        kept = (b.restrict(lo, hi) for b in self.eigensystem.blocks)
-        return tuple(b for b in kept if b is not None)
+        return tuple(b.restrict(lo, hi) for b in self.eigensystem.blocks)
 
     @property
     def grid(self) -> RadialGrid:
@@ -669,15 +662,14 @@ class SpectralProjection:
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Project a flat (n_ch, n_r) amplitude array onto the window subspace."""
         flat = np.asarray(u).reshape(-1)
-        v, blocks = self.basis, self.blocks
-        coeff = self.grid.h * block_product(v, blocks, flat, adjoint=True)
-        return block_product(v, blocks, coeff).reshape(np.asarray(u).shape)
+        blocks = self.blocks
+        coeff = self.grid.h * block_product(blocks, flat, adjoint=True)
+        return block_product(blocks, coeff).reshape(np.asarray(u).shape)
 
     def idempotency_error(self) -> float:
         """|P^2 - P| = |P^* - P| on the retained basis (Gram defect norm).
 
-        Reads the window block of the eigensystem's Gram matrix, block by
-        block.
+        Reads the window block of the eigensystem's Gram matrix, block by block.
         """
         if self.rank == 0:
             return 0.0
@@ -731,8 +723,8 @@ def channel_projection_norm(p: SpectralProjection, j: int,
                             radial_weight=None) -> float:
     """Operator norm of 1_region(|x|) P_j E_I, optionally with a radial weight.
 
-    Computed as the largest singular value of the masked (and weighted) rows
-    of the window eigenvector block for channel j.
+    Computed as the largest singular value of the masked (and weighted)
+    channel-j rows of the window block that holds them.
     """
     lo, hi = region
     grid = p.grid
@@ -743,9 +735,11 @@ def channel_projection_norm(p: SpectralProjection, j: int,
     mask = (grid.nodes >= lo) & (grid.nodes <= hi)
     if not np.any(mask):
         return 0.0
-    c = p.eigensystem.channels.tolist().index(j)
-    n = grid.n_r
-    rows = np.sqrt(grid.h) * p.basis[c * n:(c + 1) * n][mask]
+    first = p.eigensystem.channels.tolist().index(j) * grid.n_r
+    b = next(b for b in p.eigensystem.blocks if b.rows.start <= first < b.rows.stop)
+    b = b.restrict(p.selector.start, p.selector.stop)
+    start = first - b.rows.start
+    rows = np.sqrt(grid.h) * b.vectors[start:start + grid.n_r][mask]
     if radial_weight is not None:
         rows = np.asarray(radial_weight(grid.nodes[mask]), dtype=float)[:, None] * rows
     s = np.linalg.svd(rows, compute_uv=False)

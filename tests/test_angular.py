@@ -86,6 +86,23 @@ def test_gevrey_validate_zero_table(grid):
     assert gevrey_validate(table, env).passed
 
 
+def test_gevrey_validate_passes_the_fft_round_off_of_a_true_envelope(tmp_path):
+    # the coupled-ref W (gevrey_exp, a = 1.5, 270 x 12 grid) meets its envelope
+    # exactly; FFT round-off of about 0.3 eps max|W^| once failed 1,061 entries
+    from fluxlab.cli import _w_from_config
+    from fluxlab.runio import RunConfig
+    cfg = tmp_path / "w.cfg"
+    cfg.write_text("w.form = gevrey_exp\nw.amp = 0.2\nw.a = 1.5\nw.mu = 0.5\nw.s = 1.0\n")
+    grid = build_grid(270, 18.0)
+    w = _w_from_config(RunConfig.parse(str(cfg)), grid)
+    table = w.coefficients(grid, min(default_m_max(w.envelope, grid), 24))
+    report = gevrey_validate(table, w.envelope)
+    assert report.passed and report.worst_ratio <= 1.0
+    assert report.tightest_a == pytest.approx(1.5, rel=1e-12)
+    steeper = GevreyEnvelope(a=1.05 * 1.5, zeta=w.envelope.zeta, b=w.envelope.b)
+    assert not gevrey_validate(table, steeper).passed
+
+
 def test_symmetric_split(grid):
     table = fourier_coefficients(lambda r, t: 1.0 + np.cos(t), grid,
                                  m_max=3, n_theta=16)

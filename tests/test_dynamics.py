@@ -261,6 +261,18 @@ def test_growth_fit_exact_power_data():
     assert report.passed and report.reliable and not report.flat
 
 
+def test_growth_fit_fails_growth_above_the_bound():
+    # the must-fail twin of A5: an increment growing as t^1 against
+    # gamma beta = 0.6 and slack 0.1
+    times = np.geomspace(1.0, 1000.0, 40)
+    series = _synthetic_series(times, 5.0 + 2.0 * times)
+    report = growth_fit_thm2(series, "power", zeta=1.0, sigma_plus=1.5, p=4.0,
+                             slack=0.1, baseline=5.0)
+    assert report.bound == pytest.approx(0.6)
+    assert report.fitted_exponent == pytest.approx(1.0, abs=1e-3)
+    assert not report.passed and not report.flat and report.reliable
+
+
 def test_growth_fit_flat_series_passes_with_zero_exponent():
     times = np.geomspace(1.0, 1000.0, 30)
     series = _synthetic_series(times, np.full(30, 7.0))

@@ -5,7 +5,7 @@ from scipy.sparse.linalg import splu
 from fluxlab.angular import AngularPotential, DecayClass, GevreyEnvelope, xi_constant
 from fluxlab.flux import FluxProfile
 from fluxlab.grid import build_channel_operator, build_grid
-from fluxlab.spectral import (BandCholesky, BasisBlock, BlockHamiltonian, ShiftedFactor,
+from fluxlab.spectral import (BandCholesky, BlockHamiltonian, EigenSystem, ShiftedFactor,
                               SpectralWindow, assemble_hamiltonian, channel_projection_norm,
                               diagonalize, estimate_c0, spectral_projection)
 
@@ -268,7 +268,9 @@ def test_window_over_whole_spectrum_takes_dense_fallback():
     windowed = _windowed_eigensystem(h, h.norm_inf() + 1.0, 0.1)
     assert windowed.method == "dense"
     assert windowed.k == h.dim
-    assert windowed.blocks == (BasisBlock(slice(0, h.dim), slice(0, h.dim)),)
+    (block,) = windowed.blocks
+    assert block.rows == slice(0, h.dim) and np.array_equal(block.cols, np.arange(h.dim))
+    assert windowed.eigenvectors is block.vectors
     assert np.allclose(windowed.eigenvalues, full.eigenvalues, atol=1e-12)
     overlap = h.grid.h * np.abs(full.eigenvectors.T @ windowed.eigenvectors)
     assert np.allclose(overlap, np.eye(h.dim), atol=1e-9)
@@ -296,7 +298,11 @@ def test_projection_basis_is_a_column_view():
     window = SpectralWindow(e0=5.0, E0=7.0, delta0=0.5, c0=0.0)
     p = spectral_projection(h, window, eigensystem=es)
     assert p.selector.start > 0 and p.selector.stop < es.k
-    assert np.shares_memory(p.basis, es.eigenvectors)
+    # each window block is a column view of the eigensystem block it cuts
+    for whole, cut in zip(es.blocks, p.blocks):
+        assert cut.rows == whole.rows
+        assert cut.cols.size == 0 or np.shares_memory(cut.vectors, whole.vectors)
+    assert sum(b.cols.size for b in p.blocks) == p.rank
     inside = (es.eigenvalues >= 5.0) & (es.eigenvalues <= 7.0)
     assert np.array_equal(p.basis, es.eigenvectors[:, inside])
 
@@ -355,6 +361,30 @@ def test_blockwise_products_match_the_dense_basis_when_w_is_zero():
     vw = p.basis
     ref = (vw @ (hh * (vw.T @ u.reshape(-1)))).reshape(u.shape)
     assert np.max(np.abs(p.apply(u) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_channel_pure_route_never_forms_a_dense_basis(monkeypatch):
+    # W = 0: every library path works from the channel blocks; the dense
+    # (dim, k) eigenvectors exist only for tests
+    from fluxlab.dynamics import prepare_state, propagate
+
+    def refuse(self):
+        pytest.fail("dense eigenvector basis formed on the per-channel route")
+
+    monkeypatch.setattr(EigenSystem, "eigenvectors", property(refuse), raising=False)
+    profile = FluxProfile.power_law(1.0, 1.5)
+    grid = build_grid(120, 8.0)
+    h = assemble_hamiltonian(profile, None, grid, 4)
+    es = diagonalize(h, window_upper=3.0)
+    window = SpectralWindow(e0=float(es.eigenvalues[2]), E0=2.0, delta0=0.1, c0=0.0)
+    p = spectral_projection(h, window, eigensystem=es)
+    assert p.apply(np.ones((h.n_ch, grid.n_r))).shape == (h.n_ch, grid.n_r)
+    for seed in ({"kind": "eigenvector", "index": 1},
+                 {"kind": "gaussian", "j0": 1.0, "r0": 3.0}):
+        states = propagate(p, prepare_state(p, seed), [0.5, 1.0])
+        assert abs(states[-1].norm2() - 1.0) < 1e-10
+    assert channel_projection_norm(p, 1, (0.0, 4.0)) > 0
+    assert es.gram_error() < 1e-12 and p.idempotency_error() < 1e-12
 
 
 def test_rank_equals_eigenvalue_count_in_window():

@@ -14,8 +14,7 @@ from fluxlab import (FluxProfile, assemble_hamiltonian, build_grid,
                      build_weight, forbidden_region_check, twisted_gap_check,
                      weight_validate)
 from fluxlab.angular import AngularPotential, DecayClass, GevreyEnvelope
-from fluxlab.spectral import SpectralWindow, diagonalize, estimate_c0, \
-    spectral_projection
+from fluxlab.spectral import SpectralWindow, estimate_c0, lowest_eigenvalue
 
 AMP, A_RATE = 0.2, 1.5
 modes = np.arange(1, 30)
@@ -39,8 +38,7 @@ grid = build_grid(400, 15.0)
 J_MAX = 16
 
 h = assemble_hamiltonian(profile, w, grid, J_MAX)
-es = diagonalize(h, window_upper=1.0)
-e0 = float(es.eigenvalues[0])
+e0 = lowest_eigenvalue(h).value
 c0 = estimate_c0(w.envelope.b, A_RATE, 1.0, grid)
 window = SpectralWindow(e0=e0, E0=1.0, delta0=0.1 * (1 - e0), c0=c0)
 print(f"window [{e0:.4f}, 1.0], c0 = {c0:.4f}, E~ = {window.e_tilde:.4f}")

@@ -216,16 +216,26 @@ def _assemble_from_config(cfg: RunConfig):
     return profile, w, grid, j_max, h
 
 
-def _window_and_projection(cfg: RunConfig, h, w):
-    from .spectral import diagonalize, make_window, spectral_projection
+def _window(cfg: RunConfig, h, w, lowest):
+    """The window [e0, E0]: e0 is H's lowest eigenvalue ``lowest`` when it
+    lies at or below E0 + margin, the top :func:`~fluxlab.spectral.diagonalize`
+    solves to, and E0 otherwise (also when ``lowest`` is None)."""
+    from .spectral import WINDOW_MARGIN, make_window
     e_upper = cfg.get_float("window.E0", required=True)
-    eigensys = diagonalize(h, window_upper=e_upper)
-    e0 = float(eigensys.eigenvalues[0]) if eigensys.k else e_upper
+    top = e_upper + WINDOW_MARGIN * max(1.0, abs(e_upper))
+    e0 = lowest if lowest is not None and lowest <= top else e_upper
     try:
-        window = make_window(h, e0, e_upper, delta0=cfg.get_float("window.delta0"),
-                             envelope=w.envelope if w is not None else None)
+        return make_window(h, e0, e_upper, delta0=cfg.get_float("window.delta0"),
+                           envelope=w.envelope if w is not None else None)
     except ValueError as exc:
         raise ConfigError("window.delta0", str(exc)) from None
+
+
+def _window_and_projection(cfg: RunConfig, h, w):
+    from .spectral import diagonalize, spectral_projection
+    eigensys = diagonalize(h, window_upper=cfg.get_float("window.E0", required=True))
+    lowest = float(eigensys.eigenvalues[0]) if eigensys.k else None
+    window = _window(cfg, h, w, lowest)
     proj = spectral_projection(h, window, eigensystem=eigensys)
     return window, proj, eigensys
 
@@ -370,13 +380,21 @@ def _run_tunnel(cfg, out_dir):
 
 
 def _run_validate_weights(cfg, out_dir):
+    # the hypotheses and the coercivity check read the window only through
+    # e0, c0, delta0 and E~, so H's lowest eigenvalue replaces the window solve
+    from .spectral import RANK_ZERO_WARNING, lowest_eigenvalue
     from .weights import forbidden_region_check, twisted_gap_check, weight_validate
     profile, w, grid, j_max, h = _assemble_from_config(cfg)
-    window, proj, eigensys = _window_and_projection(cfg, h, w)
+    lowest = lowest_eigenvalue(h)
+    window = _window(cfg, h, w, lowest.value)
+    if lowest.value > window.E0:
+        # e0 = E0: the window holds no eigenvalue, as a rank-0 projection says
+        warnings.warn(RANK_ZERO_WARNING, stacklevel=2)
     built, zeta, a = _build_weights(cfg, profile, window, grid, j_max, w)
 
     report, constants = {}, {
         "e0": window.e0, "c0": window.c0, "E_tilde": window.e_tilde,
+        "e0_solver": lowest.method, "e0_lower_bound": lowest.lower_bound,
     }
     all_pass = True
     for name, weight in built.items():

@@ -17,6 +17,12 @@ natural order fills only the band, so no fill-reducing ordering is computed;
 the eigenvectors return to channel-major order once, after the sweep.
 Repeated runs are deterministic (fixed start vectors, fixed assembly order).
 
+A check that reads only the window's bottom e0 takes H's lowest eigenvalue
+from :func:`lowest_eigenvalue` instead: one Sturm bisection over the
+uncoupled channels, and, when W couples them, one band Cholesky factor at a
+shift that Weyl's inequality puts below the spectrum plus one shift-inverted
+Lanczos run for a single eigenvalue.
+
 An :class:`EigenSystem` stores its eigenvectors only in blocks
 (:class:`BasisBlock`) whose rows tile the flat index: the per-channel route
 keeps one block of tridiagonal eigenvectors per channel, so memory scales
@@ -41,7 +47,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -56,10 +62,13 @@ __all__ = [
     "BlockHamiltonian", "SpectralWindow", "EigenSystem", "SpectralProjection",
     "assemble_hamiltonian", "diagonalize", "make_window", "spectral_projection",
     "estimate_c0", "channel_projection_norm", "ShiftedFactor", "BandCholesky",
-    "basis_product", "BasisBlock", "block_product",
+    "basis_product", "BasisBlock", "block_product", "LowestEigenvalue",
+    "lowest_eigenvalue",
 ]
 
 DENSE_LIMIT = 4000      # largest coupled dimension whose full spectrum is solved densely
+WINDOW_MARGIN = 0.05    # a window solve to E0 covers E0 + WINDOW_MARGIN max(1, |E0|)
+RANK_ZERO_WARNING = "spectral window selected no eigenvalues (rank-0 projection)"
 PANEL_ROWS = 1024       # rows of a block one GEMM writes in block_product's V x
 
 
@@ -110,10 +119,7 @@ class BlockHamiltonian:
         """
         n, n_ch = self.grid.n_r, self.n_ch
         if self.is_block_diagonal:
-            ab = np.zeros((2, self.dim))
-            ab[1] = self.diagonals.reshape(-1)
-            ab[0].reshape(n_ch, n)[:, 1:] = self.off_diagonal
-            return ab, np.arange(self.dim)
+            return self.channel_band(), np.arange(self.dim)
         ab = np.zeros((n_ch + 1, self.dim), dtype=self.dtype)
         ab[n_ch] = self.diagonals.T.reshape(-1)
         ab[0, n_ch:] = np.repeat(self.off_diagonal, n_ch)
@@ -121,6 +127,15 @@ class BlockHamiltonian:
             # node i, channels c < c + m: the upper entry of the (c + m, c) block is conj(w)
             ab[n_ch - m].reshape(n, n_ch)[:, m:] = np.conj(w)[:, None]
         return ab, np.arange(self.dim).reshape(n_ch, n).T.reshape(-1)
+
+    def channel_band(self) -> np.ndarray:
+        """The uncoupled part of H (``diagonals`` with W_s, ``off_diagonal``)
+        in channel-major upper band storage, ``kd = 1``: one tridiagonal per
+        channel, with zeros on the off-diagonal where channels meet."""
+        ab = np.zeros((2, self.dim))
+        ab[1] = self.diagonals.reshape(-1)
+        ab[0].reshape(self.n_ch, self.grid.n_r)[:, 1:] = self.off_diagonal
+        return ab
 
     def to_sparse(self) -> sp.csr_matrix:
         """H as channel-major CSR, read back from :meth:`to_band`.
@@ -479,20 +494,15 @@ class BandCholesky:
         """The lowest eigenvalue of A; A - sigma I must be positive definite.
 
         A tridiagonal A (``kd == 1``, block-diagonal H in channel-major
-        order) is unitarily similar to the real tridiagonal with the moduli
-        of its off-diagonals, whose lowest eigenvalue Sturm-sequence
-        bisection (``?stebz``) finds to LAPACK's default tolerance
-        eps |A|_1.  A wider band takes shift-inverted Lanczos about sigma:
-        the lowest eigenvalue is the one nearest sigma, the ``LM`` end of
-        1 / (lambda - sigma).
+        order) takes :func:`_tridiagonal_lowest`.  A wider band takes
+        shift-inverted Lanczos about sigma: the lowest eigenvalue is the one
+        nearest sigma, the ``LM`` end of 1 / (lambda - sigma).
         """
         if not self.positive_definite:
             raise ValueError(f"A - {self.sigma:.17g} I is not positive definite")
         kd, n = self.ab.shape[0] - 1, self.ab.shape[1]
         if kd == 1:
-            return float(scipy.linalg.eigh_tridiagonal(
-                self.ab[1].real, np.abs(self.ab[0, 1:]), eigvals_only=True,
-                select="i", select_range=(0, 0))[0])
+            return _tridiagonal_lowest(self.ab)
         band_mv = scipy.linalg.get_blas_funcs(
             "hbmv" if np.iscomplexobj(self.ab) else "sbmv", (self.ab,))
         a = LinearOperator((n, n), matvec=lambda x: band_mv(kd, 1.0, self.ab, x),
@@ -502,6 +512,59 @@ class BandCholesky:
         return float(eigsh(a, k=1, sigma=self.sigma, which="LM",
                            v0=np.full(n, 1.0 / np.sqrt(n)), OPinv=op_inv,
                            return_eigenvectors=False)[0])
+
+
+def _tridiagonal_lowest(ab: np.ndarray) -> float:
+    """The lowest eigenvalue of the Hermitian tridiagonal in upper band
+    storage (``kd == 1``).
+
+    It is unitarily similar to the real tridiagonal with the moduli of its
+    off-diagonals, whose lowest eigenvalue one Sturm-sequence bisection
+    (``?stebz``) finds to LAPACK's default tolerance eps |A|_1; a zero
+    off-diagonal splits it into blocks that the one call handles together.
+    """
+    return float(scipy.linalg.eigh_tridiagonal(
+        ab[1].real, np.abs(ab[0, 1:]), eigvals_only=True,
+        select="i", select_range=(0, 0))[0])
+
+
+class LowestEigenvalue(NamedTuple):
+    """H's lowest eigenvalue, the certified lower bound it was solved from,
+    and the route (``channel_tridiagonal`` or ``band_cholesky_lanczos``)."""
+
+    value: float
+    lower_bound: float
+    method: str
+
+
+def lowest_eigenvalue(h: BlockHamiltonian) -> LowestEigenvalue:
+    """The lowest eigenvalue of H, without eigenvectors or a window solve.
+
+    The uncoupled part D (:meth:`BlockHamiltonian.channel_band`) gives its
+    lowest eigenvalue t from one ``?stebz`` call over all channels
+    (:func:`_tridiagonal_lowest`); for block-diagonal H that is the answer,
+    and t is its own bound.  Otherwise W couples only the channels of one
+    node, so the coupling W_off = H - D is block-diagonal over nodes and
+    |W_off|_2 <= |W_off|_inf <= max_i sum_m 2 |w_m(r_i)|.  Weyl's
+    inequality then puts every eigenvalue of H at or above
+    sigma = t - |W_off| - guard; the guard, 1e-9 max(1, |D|_1), covers
+    ``?stebz``'s tolerance eps |D|_1 many times over and keeps
+    lambda_min - sigma far above :class:`BandCholesky`'s pivot floor.  The
+    band Cholesky factor of H - sigma I certifies the bound (a failure
+    means a theorem failed, and raises), and its shift-inverted Lanczos run
+    returns the eigenvalue nearest sigma, the lowest one.
+    """
+    d = h.channel_band()
+    t = _tridiagonal_lowest(d)
+    if h.is_block_diagonal:
+        return LowestEigenvalue(t, t, "channel_tridiagonal")
+    coupling = float(np.max(sum(2.0 * np.abs(w) for w in h.couplings.values())))
+    sigma = t - coupling - 1e-9 * max(1.0, _band_norm_inf(d))
+    factor = BandCholesky(h.to_band()[0], sigma)
+    if not factor.positive_definite:
+        raise RuntimeError(f"H - {sigma:.17g} I is not positive definite, yet Weyl's "
+                           "inequality bounds lambda_min(H) below by that shift")
+    return LowestEigenvalue(factor.lowest(), sigma, "band_cholesky_lanczos")
 
 
 def _windowed_eigensystem(h: BlockHamiltonian, upper: float,
@@ -544,12 +607,12 @@ def diagonalize(h: BlockHamiltonian, window_upper: Optional[float] = None) -> Ei
     dense for coupled blocks, whose dimension must stay within
     ``DENSE_LIMIT`` = 4000).  With ``window_upper`` the result holds every
     eigenpair with eigenvalue <= window_upper + margin, margin =
-    0.05 max(1, |window_upper|), and no other: per channel when uncoupled,
-    otherwise by one inertia-counted shifted factorization at the top
-    (:class:`ShiftedFactor`).
+    ``WINDOW_MARGIN`` max(1, |window_upper|), and no other: per channel
+    when uncoupled, otherwise by one inertia-counted shifted factorization
+    at the top (:class:`ShiftedFactor`).
     """
     if window_upper is not None:
-        margin = 0.05 * max(1.0, abs(window_upper))
+        margin = WINDOW_MARGIN * max(1.0, abs(window_upper))
         if not h.is_block_diagonal:
             return _windowed_eigensystem(h, window_upper, margin)
         lb = -h.norm_inf() - 1.0
@@ -687,8 +750,7 @@ def spectral_projection(h: BlockHamiltonian, window: SpectralWindow,
     tie = 1e-12 * scale
     inside = np.flatnonzero((vals >= window.e0 - tie) & (vals <= window.E0 + tie))
     if not inside.size:
-        warnings.warn("spectral window selected no eigenvalues (rank-0 projection)",
-                      stacklevel=2)
+        warnings.warn(RANK_ZERO_WARNING, stacklevel=2)
         return SpectralProjection(window=window, eigensystem=eigensystem,
                                   selector=slice(0, 0))
     # a degenerate cluster straddling E0 enters as a whole

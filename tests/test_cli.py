@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -35,6 +36,15 @@ time.t1 = 50.0
 time.n = 12
 seed.j0 = 4
 seed.r0 = 2.6
+"""
+
+LINEAR_CFG = """
+profile.kind = linear
+profile.lambda = 1.0
+grid.n_r = 200
+grid.r_max = 16.0
+channels.j_max = 8
+window.E0 = 0.9
 """
 
 
@@ -160,6 +170,58 @@ def test_warnings_reach_stderr_and_manifest(tmp_path, capsys):
     assert json.loads((tmp_path / "ok" / "manifest.json").read_text())["warnings"] == []
 
 
+def test_validate_weights_on_an_empty_window_sets_e0_to_E0(tmp_path):
+    # below the lowest Landau level, 2: e0 = E0, and the manifest keeps the
+    # rank-0 warning the window solve's projection used to raise
+    text = BASE_CFG.replace("window.E0 = 3.0", "window.E0 = 1.0\nwindow.delta0 = 0.1")
+    out = tmp_path / "out"
+    assert run("validate-weights", write_cfg(tmp_path, text), str(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["constants"]["e0"] == 1.0
+    assert manifest["constants"]["E_tilde"] == pytest.approx(1.1, rel=1e-15)
+    assert manifest["constants"]["e0_solver"] == "channel_tridiagonal"
+    assert manifest["constants"]["e0_lower_bound"] == pytest.approx(2.0, rel=1e-3)
+    assert manifest["warnings"] == [
+        "spectral window selected no eigenvalues (rank-0 projection)"]
+    # the report bytes the window-solve route wrote for this config
+    report = (out / "weights_report.json").read_bytes()
+    assert json.loads(report)["all_passed"]
+    assert hashlib.sha256(report).hexdigest() \
+        == "01a042a9274243908b758d3e0784ddf152cd77a382fc303bb606773ba951e633"
+
+
+def test_validate_weights_makes_no_window_solve(tmp_path, monkeypatch):
+    # e0 is H's lowest eigenvalue, certified without a window eigensolve, and
+    # equals the spectrum's e0 to the accuracy of the route that found it
+    from fluxlab import spectral
+
+    for name, text in (("coupled", COUPLED_CFG), ("linear", LINEAR_CFG)):
+        cfg = write_cfg(tmp_path, text, f"{name}.cfg")
+        assert run("spectrum", cfg, str(tmp_path / f"{name}-spectrum")) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate-weights ran a window solve")
+
+    monkeypatch.setattr(spectral, "diagonalize", refuse)
+    monkeypatch.setattr(spectral, "ShiftedFactor", refuse)
+    for name, solver in (("coupled", "band_cholesky_lanczos"),
+                         ("linear", "channel_tridiagonal")):
+        out = tmp_path / f"{name}-weights"
+        assert run("validate-weights", str(tmp_path / f"{name}.cfg"), str(out)) == 0
+        assert json.loads((out / "weights_report.json").read_text())["all_passed"]
+        constants = json.loads((out / "manifest.json").read_text())["constants"]
+        spectrum = json.loads(
+            (tmp_path / f"{name}-spectrum" / "manifest.json").read_text())["constants"]
+        assert constants["e0_solver"] == solver
+        assert constants["e0_lower_bound"] <= constants["e0"]
+        if name == "coupled":
+            assert constants["e0"] == pytest.approx(spectrum["e0"], rel=1e-12, abs=0)
+        else:
+            # both are Sturm bisections to LAPACK's tolerance eps |T|_1
+            tol = np.finfo(float).eps * spectrum["norm_inf"]
+            assert abs(constants["e0"] - spectrum["e0"]) <= tol
+
+
 def test_mobility_requires_linear_w_free_model(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE_CFG)
     assert main(["mobility", "--config", cfg, "--out", str(tmp_path / "m")]) == 2
@@ -195,11 +257,9 @@ def test_write_csv_bytes_equal_fmt17_per_cell(tmp_path):
 
 def test_weight_params_carry_only_their_own_kind(tmp_path):
     # j0 belongs to the interior weight; exterior and mobility weights have none
-    linear = ("profile.kind = linear\nprofile.lambda = 1.0\ngrid.n_r = 200\n"
-              "grid.r_max = 16.0\nchannels.j_max = 8\nwindow.E0 = 0.9\n")
     expected = {"coupled": {"interior": True, "exterior": False},
                 "linear": {"mobility": False}}
-    for name, text in (("coupled", COUPLED_CFG), ("linear", linear)):
+    for name, text in (("coupled", COUPLED_CFG), ("linear", LINEAR_CFG)):
         out = tmp_path / name
         assert run("validate-weights", write_cfg(tmp_path, text, f"{name}.cfg"),
                    str(out)) == 0
@@ -224,9 +284,7 @@ def test_weight_parameter_keys_are_not_read(tmp_path):
     assert set(keys) <= set(manifest["unused_keys"])
     assert (out / "weights_report.json").read_bytes() \
         == (plain / "weights_report.json").read_bytes()
-    linear = ("profile.kind = linear\nprofile.lambda = 1.0\ngrid.n_r = 200\n"
-              "grid.r_max = 16.0\nchannels.j_max = 8\nwindow.E0 = 0.9\n"
-              "weights.delta1 = 0.1\nweights.eta1 = 9.0\n")
+    linear = LINEAR_CFG + "weights.delta1 = 0.1\nweights.eta1 = 9.0\n"
     assert run("validate-weights", write_cfg(tmp_path, linear, "linear.cfg"),
                str(tmp_path / "linear")) == 0
     manifest = json.loads((tmp_path / "linear" / "manifest.json").read_text())

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.sparse.linalg import splu
 
 from fluxlab.angular import AngularPotential, DecayClass, GevreyEnvelope, xi_constant
@@ -7,7 +8,8 @@ from fluxlab.flux import FluxProfile
 from fluxlab.grid import build_channel_operator, build_grid
 from fluxlab.spectral import (BandCholesky, BlockHamiltonian, EigenSystem, ShiftedFactor,
                               SpectralWindow, assemble_hamiltonian, channel_projection_norm,
-                              diagonalize, estimate_c0, spectral_projection)
+                              diagonalize, estimate_c0, lowest_eigenvalue,
+                              spectral_projection)
 
 
 def make_w(fn, a=1.0, zeta=1.0, b=None, decay=None):
@@ -258,6 +260,47 @@ def test_band_cholesky_verdict_and_pivot_guard():
     # pivots r_kk^2 = 1 and 1e-14 <= 1e-12 |A|: too close to singular to certify
     with pytest.raises(RuntimeError, match="pivot"):
         BandCholesky(ab, 0.0)
+
+
+@both_couplings
+def test_lowest_eigenvalue_matches_dense_from_a_certified_shift(angular):
+    # the complex-Hermitian coupling takes the hbmv Lanczos path
+    h = coupled_model(angular)
+    dense_min = float(np.linalg.eigvalsh(h.to_dense())[0])
+    lowest = lowest_eigenvalue(h)
+    assert lowest.method == "band_cholesky_lanczos"
+    # the window solve's residual contract
+    assert abs(lowest.value - dense_min) <= 1e-9 * h.norm_inf()
+    # Weyl's shift lies below the spectrum, where the band Cholesky holds
+    assert lowest.lower_bound < dense_min
+    ab = h.to_band()[0]
+    assert BandCholesky(ab, lowest.lower_bound).positive_definite
+    # must-fail twin: a shift above lambda_min is not positive definite
+    assert not BandCholesky(ab, dense_min + 1e-6).positive_definite
+
+
+@pytest.mark.parametrize("model", [
+    radial_w_model,                                                # W_s only
+    lambda: assemble_hamiltonian(FluxProfile.power_law(1.0, 1.5), None,
+                                 build_grid(50, 6.0), 4),          # W = 0
+], ids=["w_s_only", "w_zero"])
+def test_lowest_eigenvalue_of_block_diagonal_h_is_the_lowest_channel(model):
+    h = model()
+    per_channel = min(scipy.linalg.eigh_tridiagonal(d, h.off_diagonal, eigvals_only=True)[0]
+                      for d in h.diagonals)
+    lowest = lowest_eigenvalue(h)
+    assert lowest.method == "channel_tridiagonal"
+    assert lowest.lower_bound == lowest.value
+    assert abs(lowest.value - per_channel) <= np.finfo(float).eps * h.norm_inf()
+
+
+def test_lowest_eigenvalue_raises_when_the_certificate_fails(monkeypatch):
+    # a Weyl shift above lambda_min must not return a number
+    from fluxlab import spectral
+    h = coupled_model(np.cos)
+    monkeypatch.setattr(spectral, "_tridiagonal_lowest", lambda ab: 50.0)
+    with pytest.raises(RuntimeError, match="not positive definite"):
+        lowest_eigenvalue(h)
 
 
 def test_window_over_whole_spectrum_takes_dense_fallback():

@@ -1,4 +1,4 @@
-"""A traced evolve run: the benchmark tracer's hooks against the library."""
+"""Traced runs: the benchmark tracer's hooks against the library."""
 
 import os
 import sys
@@ -9,6 +9,8 @@ sys.path.insert(0, BENCH)
 from tracing import Tracer  # noqa: E402
 
 from fluxlab import cli  # noqa: E402
+
+from test_cli import COUPLED_CFG  # noqa: E402
 
 W0_EVOLVE = """
 profile.kind = linear
@@ -25,20 +27,37 @@ seed.r0 = 3.0
 """
 
 
-def test_traced_evolve_counts_propagate_bytes_and_restores(tmp_path):
+def traced_run(tmp_path, command, text):
+    """Run one subcommand under an installed tracer, restore it, and check
+    that every patched name is back; returns the tracer."""
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(W0_EVOLVE)
+    cfg.write_text(text)
     tracer = Tracer()
     tracer.install()
     patched = list(tracer._originals)
     try:
-        status = tracer.call("cli", cli.run, "evolve", str(cfg), str(tmp_path / "out"),
+        status = tracer.call("cli", cli.run, command, str(cfg), str(tmp_path / "out"),
                              verify=True)
     finally:
         tracer.restore()
     assert status == 0
     assert patched and all(getattr(owner, name) is original
                            for owner, name, original in patched)
+    return tracer
+
+
+def test_traced_evolve_counts_propagate_bytes_and_restores(tmp_path):
+    tracer = traced_run(tmp_path, "evolve", W0_EVOLVE)
     counts = tracer.counts_by_root()[0]
     assert counts["dynamics.propagate_bytes"] > 0
     assert tracer.self_times()[0]["dynamics.propagate"] > 0
+
+
+def test_traced_validate_weights_makes_no_window_solve(tmp_path):
+    # e0 comes from a band Cholesky and one shift-inverted Lanczos run, not
+    # from the LU-factored window solve
+    tracer = traced_run(tmp_path, "validate-weights", COUPLED_CFG)
+    assert not any(span[0] == "spectral.diagonalize" for span in tracer.spans)
+    counts = tracer.counts_by_root()[0]
+    assert counts["spectral.lu_solves"] == 0
+    assert counts["spectral.eigsh_calls"] >= 1

@@ -38,7 +38,7 @@ grid = build_grid(400, 15.0)
 J_MAX = 16
 
 h = assemble_hamiltonian(profile, w, grid, J_MAX)
-e0 = lowest_eigenvalue(h).value
+e0 = lowest_eigenvalue(h.to_band()[0]).value
 c0 = estimate_c0(w.envelope.b, A_RATE, 1.0, grid)
 window = SpectralWindow(e0=e0, E0=1.0, delta0=0.1 * (1 - e0), c0=c0)
 print(f"window [{e0:.4f}, 1.0], c0 = {c0:.4f}, E~ = {window.e_tilde:.4f}")

@@ -36,7 +36,7 @@ print(f"  (ballistic/extended states fill the box: ratio ~ 2)")
 
 # a closer look at one localized state: amplitude profile past the turning point
 op = build_channel_operator(profile, 2, grid)
-vals, u, _ = op.eigenpairs(value_range=(0.3, 0.6))
+vals, u = op.eigenpairs(value_range=(0.3, 0.6))
 val = vals[0]
 region = classical_region(profile, 2, float(val), grid)
 r_hi = region.interval[1]

@@ -218,12 +218,11 @@ def _assemble_from_config(cfg: RunConfig):
 
 def _window(cfg: RunConfig, h, w, lowest):
     """The window [e0, E0]: e0 is H's lowest eigenvalue ``lowest`` when it
-    lies at or below E0 + margin, the top :func:`~fluxlab.spectral.diagonalize`
-    solves to, and E0 otherwise (also when ``lowest`` is None)."""
-    from .spectral import WINDOW_MARGIN, make_window
+    lies at or below E0; otherwise (also when ``lowest`` is None) e0 = E0,
+    and the window holds no eigenvalue."""
+    from .spectral import make_window
     e_upper = cfg.get_float("window.E0", required=True)
-    top = e_upper + WINDOW_MARGIN * max(1.0, abs(e_upper))
-    e0 = lowest if lowest is not None and lowest <= top else e_upper
+    e0 = e_upper if lowest is None else min(lowest, e_upper)
     try:
         return make_window(h, e0, e_upper, delta0=cfg.get_float("window.delta0"),
                            envelope=w.envelope if w is not None else None)
@@ -385,7 +384,7 @@ def _run_validate_weights(cfg, out_dir):
     from .spectral import RANK_ZERO_WARNING, lowest_eigenvalue
     from .weights import forbidden_region_check, twisted_gap_check, weight_validate
     profile, w, grid, j_max, h = _assemble_from_config(cfg)
-    lowest = lowest_eigenvalue(h)
+    lowest = lowest_eigenvalue(h.to_band()[0])
     window = _window(cfg, h, w, lowest.value)
     if lowest.value > window.E0:
         # e0 = E0: the window holds no eigenvalue, as a rank-0 projection says

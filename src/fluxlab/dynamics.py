@@ -421,7 +421,7 @@ def mobility_edge_scan(lam: float, grid: RadialGrid, j_max: int,
 
     for op, op_big, op2 in boxes:
         j = op.j
-        vals, u, _ = op.eigenpairs(value_range=low_band)
+        vals, u = op.eigenpairs(value_range=low_band)
         if vals.size:
             vals_big = op_big.eigenvalues(
                 value_range=(low_band[0] - 0.05, low_band[1] + 0.05))
@@ -435,11 +435,11 @@ def mobility_edge_scan(lam: float, grid: RadialGrid, j_max: int,
                     j=j, eigenvalue=float(vals[idx]), decay_rate=rate,
                     eigenvalue_shift=shift))
 
-        vals, u, _ = op.eigenpairs(value_range=high_band)
+        vals, u = op.eigenpairs(value_range=high_band)
         if vals.size:
             widths = [participation_width(u[:, idx], grid.h)
                       for idx in range(vals.size)]
-            vals2, u2, _ = op2.eigenpairs(value_range=high_band)
+            vals2, u2 = op2.eigenpairs(value_range=high_band)
             if vals2.size:
                 widths2 = [participation_width(u2[:, k], grid_double.h)
                            for k in range(vals2.size)]

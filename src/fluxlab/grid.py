@@ -57,14 +57,6 @@ class RadialGrid:
         off = -(i / np.sqrt(i * i - 0.25)) / h ** 2
         return diag, off
 
-    def to_flat(self, phi: np.ndarray) -> np.ndarray:
-        """Weighted representation phi -> flat u = sqrt(r) phi (last axis radial)."""
-        return phi * np.sqrt(self.nodes)
-
-    def to_weighted(self, u: np.ndarray) -> np.ndarray:
-        """Flat u -> weighted phi = u / sqrt(r) (last axis radial)."""
-        return u / np.sqrt(self.nodes)
-
 
 def build_grid(n_r: int, r_max: float) -> RadialGrid:
     """Build the uniform radial grid; n_r >= 8 and r_max > 0 required."""
@@ -89,13 +81,12 @@ class ChannelOperator:
 
         Exactly one of ``n_lowest`` and ``value_range`` is given; a range
         (lo, hi) selects the eigenvalues in the half-open interval (lo, hi].
-        Returns (eigenvalues, u, phi): eigenvalues ascending, ``u`` the flat
-        eigenvectors as columns normalized to sum |u_i|^2 h = 1, and ``phi``
-        the weighted representation u / sqrt(r).
+        Returns (eigenvalues, u): eigenvalues ascending and ``u`` the flat
+        eigenvectors as columns normalized to sum |u_i|^2 h = 1; the weighted
+        representation is u / sqrt(r).
         """
         vals, vecs = self._solve(n_lowest, value_range, eigvals_only=False)
-        u = vecs / np.sqrt(self.grid.h)
-        return vals, u, self.grid.to_weighted(u.T).T
+        return vals, vecs / np.sqrt(self.grid.h)
 
     def eigenvalues(self, n_lowest: int = None, value_range=None) -> np.ndarray:
         """The eigenvalues :meth:`eigenpairs` returns, without eigenvectors.

@@ -18,10 +18,11 @@ the eigenvectors return to channel-major order once, after the sweep.
 Repeated runs are deterministic (fixed start vectors, fixed assembly order).
 
 A check that reads only the window's bottom e0 takes H's lowest eigenvalue
-from :func:`lowest_eigenvalue` instead: one Sturm bisection over the
-uncoupled channels, and, when W couples them, one band Cholesky factor at a
-shift that Weyl's inequality puts below the spectrum plus one shift-inverted
-Lanczos run for a single eigenvalue.
+from :func:`lowest_eigenvalue` instead, which also gives the twisted
+operator's: one Sturm bisection over the channel tridiagonals of H's band,
+and, when W couples them, one band Cholesky factor at a shift that Weyl's
+inequality puts below the spectrum plus one shift-inverted Lanczos run for
+a single eigenvalue.
 
 An :class:`EigenSystem` stores its eigenvectors only in blocks
 (:class:`BasisBlock`) whose rows tile the flat index: the per-channel route
@@ -115,11 +116,15 @@ class BlockHamiltonian:
         node-major, index ``i n_ch + c``, with ``kd = n_ch``: W couples the
         channels of one node (distance m <= 2 j_max < n_ch) and the kinetic
         term couples neighbouring nodes (distance n_ch).  Block-diagonal H
-        keeps channel-major order with ``kd = 1``.
+        keeps channel-major order with ``kd = 1``: one tridiagonal per
+        channel, with zeros on the off-diagonal where channels meet.
         """
         n, n_ch = self.grid.n_r, self.n_ch
         if self.is_block_diagonal:
-            return self.channel_band(), np.arange(self.dim)
+            ab = np.zeros((2, self.dim))
+            ab[1] = self.diagonals.reshape(-1)
+            ab[0].reshape(n_ch, n)[:, 1:] = self.off_diagonal
+            return ab, np.arange(self.dim)
         ab = np.zeros((n_ch + 1, self.dim), dtype=self.dtype)
         ab[n_ch] = self.diagonals.T.reshape(-1)
         ab[0, n_ch:] = np.repeat(self.off_diagonal, n_ch)
@@ -127,15 +132,6 @@ class BlockHamiltonian:
             # node i, channels c < c + m: the upper entry of the (c + m, c) block is conj(w)
             ab[n_ch - m].reshape(n, n_ch)[:, m:] = np.conj(w)[:, None]
         return ab, np.arange(self.dim).reshape(n_ch, n).T.reshape(-1)
-
-    def channel_band(self) -> np.ndarray:
-        """The uncoupled part of H (``diagonals`` with W_s, ``off_diagonal``)
-        in channel-major upper band storage, ``kd = 1``: one tridiagonal per
-        channel, with zeros on the off-diagonal where channels meet."""
-        ab = np.zeros((2, self.dim))
-        ab[1] = self.diagonals.reshape(-1)
-        ab[0].reshape(self.n_ch, self.grid.n_r)[:, 1:] = self.off_diagonal
-        return ab
 
     def to_sparse(self) -> sp.csr_matrix:
         """H as channel-major CSR, read back from :meth:`to_band`.
@@ -493,16 +489,12 @@ class BandCholesky:
     def lowest(self) -> float:
         """The lowest eigenvalue of A; A - sigma I must be positive definite.
 
-        A tridiagonal A (``kd == 1``, block-diagonal H in channel-major
-        order) takes :func:`_tridiagonal_lowest`.  A wider band takes
-        shift-inverted Lanczos about sigma: the lowest eigenvalue is the one
+        Shift-inverted Lanczos about sigma: the lowest eigenvalue is the one
         nearest sigma, the ``LM`` end of 1 / (lambda - sigma).
         """
         if not self.positive_definite:
             raise ValueError(f"A - {self.sigma:.17g} I is not positive definite")
         kd, n = self.ab.shape[0] - 1, self.ab.shape[1]
-        if kd == 1:
-            return _tridiagonal_lowest(self.ab)
         band_mv = scipy.linalg.get_blas_funcs(
             "hbmv" if np.iscomplexobj(self.ab) else "sbmv", (self.ab,))
         a = LinearOperator((n, n), matvec=lambda x: band_mv(kd, 1.0, self.ab, x),
@@ -529,41 +521,49 @@ def _tridiagonal_lowest(ab: np.ndarray) -> float:
 
 
 class LowestEigenvalue(NamedTuple):
-    """H's lowest eigenvalue, the certified lower bound it was solved from,
-    and the route (``channel_tridiagonal`` or ``band_cholesky_lanczos``)."""
+    """A band matrix's lowest eigenvalue, the certified lower bound it was
+    solved from, and the route (``channel_tridiagonal`` or
+    ``band_cholesky_lanczos``)."""
 
     value: float
     lower_bound: float
     method: str
 
 
-def lowest_eigenvalue(h: BlockHamiltonian) -> LowestEigenvalue:
-    """The lowest eigenvalue of H, without eigenvectors or a window solve.
+def lowest_eigenvalue(ab: np.ndarray) -> LowestEigenvalue:
+    """The lowest eigenvalue of a Hermitian band A, without eigenvectors.
 
-    The uncoupled part D (:meth:`BlockHamiltonian.channel_band`) gives its
-    lowest eigenvalue t from one ``?stebz`` call over all channels
-    (:func:`_tridiagonal_lowest`); for block-diagonal H that is the answer,
-    and t is its own bound.  Otherwise W couples only the channels of one
-    node, so the coupling W_off = H - D is block-diagonal over nodes and
-    |W_off|_2 <= |W_off|_inf <= max_i sum_m 2 |w_m(r_i)|.  Weyl's
-    inequality then puts every eigenvalue of H at or above
-    sigma = t - |W_off| - guard; the guard, 1e-9 max(1, |D|_1), covers
-    ``?stebz``'s tolerance eps |D|_1 many times over and keeps
+    ``ab`` holds A in upper band storage in the layout of
+    :meth:`BlockHamiltonian.to_band` (H, or the twisted operator of
+    :func:`~fluxlab.weights.twisted_gap_check`): channel-major tridiagonal
+    with ``kd = 1``, or node-major with ``kd = n_ch``.  The diagonal and the
+    distance-kd row are the channel tridiagonals D; read channel-major, with
+    a zero off-diagonal where channels meet, one ``?stebz`` call
+    (:func:`_tridiagonal_lowest`) gives their lowest eigenvalue t.  For
+    ``kd == 1`` that is the answer, and t is its own bound.  Otherwise rows
+    1..kd-1 hold only node-local couplings W_off, whose 2-norm is at most
+    their max row sum w, so Weyl's inequality puts every eigenvalue of A at
+    or above sigma = t - w - guard.  The guard, 1e-9 max(1, |A|_inf),
+    covers ``?stebz``'s tolerance eps |D|_1 many times over and keeps
     lambda_min - sigma far above :class:`BandCholesky`'s pivot floor.  The
-    band Cholesky factor of H - sigma I certifies the bound (a failure
+    band Cholesky factor of A - sigma I certifies the bound (a failure
     means a theorem failed, and raises), and its shift-inverted Lanczos run
     returns the eigenvalue nearest sigma, the lowest one.
     """
-    d = h.channel_band()
-    t = _tridiagonal_lowest(d)
-    if h.is_block_diagonal:
+    kd = ab.shape[0] - 1
+    # rows 0 and kd, node-major (n, kd) read as channel-major (kd, n)
+    tri = ab[[0, kd]].reshape(2, -1, kd).transpose(0, 2, 1).reshape(2, -1)
+    tri[0, ::ab.shape[1] // kd] = 0.0
+    t = _tridiagonal_lowest(tri)
+    if kd == 1:
         return LowestEigenvalue(t, t, "channel_tridiagonal")
-    coupling = float(np.max(sum(2.0 * np.abs(w) for w in h.couplings.values())))
-    sigma = t - coupling - 1e-9 * max(1.0, _band_norm_inf(d))
-    factor = BandCholesky(h.to_band()[0], sigma)
+    off = ab.copy()
+    off[[0, kd]] = 0.0
+    sigma = t - _band_norm_inf(off) - 1e-9 * max(1.0, _band_norm_inf(ab))
+    factor = BandCholesky(ab, sigma)
     if not factor.positive_definite:
-        raise RuntimeError(f"H - {sigma:.17g} I is not positive definite, yet Weyl's "
-                           "inequality bounds lambda_min(H) below by that shift")
+        raise RuntimeError(f"A - {sigma:.17g} I is not positive definite, yet Weyl's "
+                           "inequality bounds lambda_min(A) below by that shift")
     return LowestEigenvalue(factor.lowest(), sigma, "band_cholesky_lanczos")
 
 

@@ -22,8 +22,9 @@ hypotheses pointwise, and ``twisted_gap_check`` verifies the resulting
 coercivity bound on the symmetrized exponentially twisted operator: it has
 no eigenvalue under the threshold E0 + delta0/2 exactly when its band
 Cholesky factorization (:class:`~fluxlab.spectral.BandCholesky`) at a shift
-just below the threshold completes.  When it does not, bisection on
-Cholesky success brackets the lowest eigenvalue for the report.
+just below the threshold completes.  Its lowest eigenvalue, reported on a
+PASS and a FAIL alike, comes from :func:`~fluxlab.spectral.lowest_eigenvalue`,
+the route that gives H's.
 
 All of these compare the table V_j(r_i) with E~.  Each consumer evaluates
 the table once for all its channels (``FluxProfile.effective_potential``
@@ -45,7 +46,7 @@ from scipy.sparse.linalg import splu  # noqa: F401
 from .flux import FluxProfile
 from .grid import RadialGrid
 from .spectral import BandCholesky, BlockHamiltonian, SpectralProjection, \
-    SpectralWindow, channel_projection_norm
+    SpectralWindow, channel_projection_norm, lowest_eigenvalue
 
 __all__ = [
     "WeightSequence", "build_weight", "WeightValidation", "weight_validate",
@@ -281,32 +282,10 @@ def weight_validate(weight: WeightSequence, profile: FluxProfile,
 @dataclass
 class TwistedGapReport:
     lambda_min: float
+    lower_bound: float            # the certified shift lambda_min was solved from
     threshold: float              # E0 + delta0 / 2
     slack: float
     passed: bool
-
-
-def _highest_positive_definite_shift(ab: np.ndarray, sigma: float,
-                                     norm_a: float) -> BandCholesky:
-    """The factor at the highest shift below sigma found positive definite.
-
-    Bisects on Cholesky success over [-|A| - 1, sigma], whose lower end is
-    always positive definite, to a width of 1e-3 max(1, |shift|); a shift
-    whose factor trips the tiny-pivot guard counts as not positive definite.
-    """
-    lo, hi = -norm_a - 1.0, sigma
-    best = None
-    while hi - lo > 1e-3 * max(1.0, abs(lo), abs(hi)):
-        mid = 0.5 * (lo + hi)
-        try:
-            trial = BandCholesky(ab, mid)
-        except RuntimeError:
-            trial = None
-        if trial is not None and trial.positive_definite:
-            lo, best = mid, trial
-        else:
-            hi = mid
-    return best if best is not None else BandCholesky(ab, lo)
 
 
 def twisted_gap_check(h: BlockHamiltonian, weight: WeightSequence,
@@ -320,9 +299,9 @@ def twisted_gap_check(h: BlockHamiltonian, weight: WeightSequence,
     :meth:`~fluxlab.spectral.BlockHamiltonian.to_band`.  It passes iff the
     band Cholesky factorization of the operator shifted to threshold - tol,
     threshold = E0 + delta0/2, completes, i.e. no eigenvalue lies below the
-    shift.  lambda_min is then the eigenvalue nearest the shift.  On a FAIL,
-    bisection on Cholesky success finds a positive definite shift just
-    below the lowest eigenvalue, and lambda_min is the eigenvalue nearest it.
+    shift.  lambda_min and its certified lower bound come from
+    :func:`~fluxlab.spectral.lowest_eigenvalue` on the same band, whichever
+    the verdict.
     """
     ab, order = h.to_band()
     kd = ab.shape[0] - 1
@@ -333,13 +312,11 @@ def twisted_gap_check(h: BlockHamiltonian, weight: WeightSequence,
         ab[r, kd - r:] *= np.cosh(f[:r - kd] - f[kd - r:])
 
     threshold = window.E0 + 0.5 * window.delta0
-    factor = BandCholesky(ab, threshold - 1e-9 * max(1.0, abs(threshold)))
-    passed = factor.positive_definite
-    if not passed:
-        factor = _highest_positive_definite_shift(ab, factor.sigma, factor.norm_a)
-    lam_min = factor.lowest()
-    return TwistedGapReport(lambda_min=lam_min, threshold=threshold,
-                            slack=lam_min - threshold, passed=passed)
+    passed = BandCholesky(ab, threshold - 1e-9 * max(1.0, abs(threshold))).positive_definite
+    lowest = lowest_eigenvalue(ab)
+    return TwistedGapReport(lambda_min=lowest.value, lower_bound=lowest.lower_bound,
+                            threshold=threshold, slack=lowest.value - threshold,
+                            passed=passed)
 
 
 @dataclass

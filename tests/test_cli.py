@@ -190,6 +190,21 @@ def test_validate_weights_on_an_empty_window_sets_e0_to_E0(tmp_path):
         == "01a042a9274243908b758d3e0784ddf152cd77a382fc303bb606773ba951e633"
 
 
+def test_lowest_eigenvalue_just_above_E0_leaves_the_window_empty(tmp_path):
+    # the lowest Landau level, about 2, lies above E0 = 1.96 but below the
+    # top the window solve reaches: e0 = E0, not the level, so the window is
+    # empty rather than inverted
+    text = BASE_CFG.replace("window.E0 = 3.0", "window.E0 = 1.96\nwindow.delta0 = 0.1")
+    cfg = write_cfg(tmp_path, text)
+    for command in ("spectrum", "project", "validate-weights"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0, command
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["constants"]["e0"] == 1.96, command
+        assert manifest["warnings"] == [
+            "spectral window selected no eigenvalues (rank-0 projection)"], command
+
+
 def test_validate_weights_makes_no_window_solve(tmp_path, monkeypatch):
     # e0 is H's lowest eigenvalue, certified without a window eigensolve, and
     # equals the spectrum's e0 to the accuracy of the route that found it

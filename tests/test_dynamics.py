@@ -322,7 +322,7 @@ def reference_mobility_scan(lam, grid, j_max, low_band=(0.1, 0.8),
     grid_double = RadialGrid(n_r=n_double, r_max=n_double * grid.h)
     for j in range(-j_max, j_max + 1):
         op = build_channel_operator(profile, j, grid)
-        vals, u, _ = op.eigenpairs(value_range=(low_band[0], high_band[1]))
+        vals, u = op.eigenpairs(value_range=(low_band[0], high_band[1]))
         low_sel = (vals >= low_band[0]) & (vals <= low_band[1])
         if np.any(low_sel):
             op_big = build_channel_operator(profile, j, grid_big)
@@ -342,7 +342,7 @@ def reference_mobility_scan(lam, grid, j_max, low_band=(0.1, 0.8),
             widths = [participation_width(u[:, idx], grid.h)
                       for idx in np.flatnonzero(high_sel)]
             op2 = build_channel_operator(profile, j, grid_double)
-            vals2, u2, _ = op2.eigenpairs(value_range=tuple(high_band))
+            vals2, u2 = op2.eigenpairs(value_range=tuple(high_band))
             if vals2.size:
                 widths2 = [participation_width(u2[:, k], grid_double.h)
                            for k in range(vals2.size)]

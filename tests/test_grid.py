@@ -36,14 +36,6 @@ def test_cell_measure_is_exact():
     assert np.sum(g.nodes) * g.h == pytest.approx(g.r_max ** 2 / 2.0, rel=1e-14)
 
 
-def test_representation_round_trip():
-    g = build_grid(32, 2.0)
-    rng = np.random.default_rng(3)
-    phi = rng.normal(size=32) + 1j * rng.normal(size=32)
-    back = g.to_weighted(g.to_flat(phi))
-    assert np.max(np.abs(back - phi)) < 1e-15
-
-
 def test_channel_operator_landau_levels():
     profile = FluxProfile.uniform_field(2.0)
     g = build_grid(2000, 12.0)
@@ -67,10 +59,11 @@ def test_eigenvector_normalization_and_weighted_form():
     profile = FluxProfile.uniform_field(2.0)
     g = build_grid(500, 10.0)
     op = build_channel_operator(profile, 1, g)
-    vals, u, phi = op.eigenpairs(n_lowest=2)
+    vals, u = op.eigenpairs(n_lowest=2)
     assert g.h * np.sum(u[:, 0] ** 2) == pytest.approx(1.0, abs=1e-12)
-    assert np.sum(np.abs(phi[:, 0]) ** 2 * g.nodes) * g.h == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(phi[:, 0], u[:, 0] / np.sqrt(g.nodes))
+    # the weighted form u / sqrt(r) is normalized in L^2(r dr)
+    phi = u[:, 0] / np.sqrt(g.nodes)
+    assert np.sum(np.abs(phi) ** 2 * g.nodes) * g.h == pytest.approx(1.0, abs=1e-12)
 
 
 def test_off_diagonal_metric_weights():

@@ -267,13 +267,13 @@ def test_lowest_eigenvalue_matches_dense_from_a_certified_shift(angular):
     # the complex-Hermitian coupling takes the hbmv Lanczos path
     h = coupled_model(angular)
     dense_min = float(np.linalg.eigvalsh(h.to_dense())[0])
-    lowest = lowest_eigenvalue(h)
+    ab = h.to_band()[0]
+    lowest = lowest_eigenvalue(ab)
     assert lowest.method == "band_cholesky_lanczos"
     # the window solve's residual contract
     assert abs(lowest.value - dense_min) <= 1e-9 * h.norm_inf()
     # Weyl's shift lies below the spectrum, where the band Cholesky holds
     assert lowest.lower_bound < dense_min
-    ab = h.to_band()[0]
     assert BandCholesky(ab, lowest.lower_bound).positive_definite
     # must-fail twin: a shift above lambda_min is not positive definite
     assert not BandCholesky(ab, dense_min + 1e-6).positive_definite
@@ -288,7 +288,7 @@ def test_lowest_eigenvalue_of_block_diagonal_h_is_the_lowest_channel(model):
     h = model()
     per_channel = min(scipy.linalg.eigh_tridiagonal(d, h.off_diagonal, eigvals_only=True)[0]
                       for d in h.diagonals)
-    lowest = lowest_eigenvalue(h)
+    lowest = lowest_eigenvalue(h.to_band()[0])
     assert lowest.method == "channel_tridiagonal"
     assert lowest.lower_bound == lowest.value
     assert abs(lowest.value - per_channel) <= np.finfo(float).eps * h.norm_inf()
@@ -300,7 +300,7 @@ def test_lowest_eigenvalue_raises_when_the_certificate_fails(monkeypatch):
     h = coupled_model(np.cos)
     monkeypatch.setattr(spectral, "_tridiagonal_lowest", lambda ab: 50.0)
     with pytest.raises(RuntimeError, match="not positive definite"):
-        lowest_eigenvalue(h)
+        lowest_eigenvalue(h.to_band()[0])
 
 
 def test_window_over_whole_spectrum_takes_dense_fallback():

@@ -137,6 +137,17 @@ def test_twisted_gap_mobility_weight():
     assert report.passed, report
 
 
+def assert_matches_dense(h, report, dense, **tol):
+    """lambda_min is the dense minimum, solved from a certified lower bound:
+    Weyl's shift, below the dense minimum, when W couples the channels, and
+    the Sturm bisection's own value when the band is one tridiagonal."""
+    assert report.lambda_min == pytest.approx(dense, **tol)
+    if h.is_block_diagonal:
+        assert report.lower_bound == report.lambda_min
+    else:
+        assert report.lower_bound < dense
+
+
 def dense_twisted_minimum(profile, h, weight, window):
     """Lowest eigenvalue of the dense symmetrized twisted operator."""
     f = np.exp(weight.matrix(h.channels, h.grid.nodes).reshape(-1))
@@ -159,8 +170,8 @@ def test_twisted_gap_block_diagonal_lowest_matches_dense(scale, passed):
     weight = dataclasses.replace(built, delta1=scale * built.delta1)
     report = twisted_gap_check(h, weight, window)
     assert report.passed == passed
-    assert report.lambda_min == pytest.approx(
-        dense_twisted_minimum(profile, h, weight, window), rel=1e-9)
+    assert_matches_dense(h, report, dense_twisted_minimum(profile, h, weight, window),
+                         rel=1e-9)
 
 
 def a6_twin_model():
@@ -187,25 +198,39 @@ def test_twisted_gap_fails_for_tripled_interior_eps():
     # (F')^2 <= V - E~ and the twisted operator acquires eigenvalues below
     # E0 + delta0 / 2
     profile, h, window, built = a6_twin_model()
-    assert twisted_gap_check(h, built, window).passed
+    report = twisted_gap_check(h, built, window)
+    assert report.passed
+    assert_matches_dense(h, report, dense_twisted_minimum(profile, h, built, window),
+                         abs=1e-9)
 
     tripled = dataclasses.replace(built, eps=3.0 * built.eps)
     report = twisted_gap_check(h, tripled, window)
     assert not report.passed and report.slack < 0
-    assert report.lambda_min == pytest.approx(
-        dense_twisted_minimum(profile, h, tripled, window), abs=1e-9)
+    assert_matches_dense(h, report, dense_twisted_minimum(profile, h, tripled, window),
+                         abs=1e-9)
 
 
-def test_twisted_gap_fails_for_tenfold_interior_eps():
+def test_twisted_gap_fails_for_tenfold_interior_eps(monkeypatch):
     # far past the coercivity edge about 150 eigenvalues lie below the
-    # threshold; the FAIL report brackets only the lowest one, by bisection
-    # on Cholesky success, and must still match the dense minimum
+    # threshold, and the cosh factors push the lowest to about -7.6e7; the
+    # FAIL report still solves it from Weyl's shift, so the verdict's factor
+    # and the one at that shift are the only band Cholesky factors built
+    from fluxlab import spectral
     profile, h, window, built = a6_twin_model()
     tenfold = dataclasses.replace(built, eps=10.0 * built.eps)
+    shifts = []
+    init = spectral.BandCholesky.__init__
+
+    def recorded(self, ab, sigma):
+        shifts.append(sigma)
+        init(self, ab, sigma)
+
+    monkeypatch.setattr(spectral.BandCholesky, "__init__", recorded)
     report = twisted_gap_check(h, tenfold, window)
     assert not report.passed
-    assert report.lambda_min == pytest.approx(
-        dense_twisted_minimum(profile, h, tenfold, window), rel=1e-9)
+    assert shifts == [pytest.approx(report.threshold, rel=1e-8), report.lower_bound]
+    assert_matches_dense(h, report, dense_twisted_minimum(profile, h, tenfold, window),
+                         rel=1e-9)
 
 
 @pytest.mark.parametrize("scale, passed", [(1.0, True), (3.0, False)])
@@ -226,8 +251,8 @@ def test_twisted_gap_complex_hermitian_matches_dense(scale, passed):
     weight = dataclasses.replace(built, eps=scale * built.eps)
     report = twisted_gap_check(h, weight, window)
     assert report.passed == passed
-    assert report.lambda_min == pytest.approx(
-        dense_twisted_minimum(profile, h, weight, window), abs=1e-9)
+    assert_matches_dense(h, report, dense_twisted_minimum(profile, h, weight, window),
+                         abs=1e-9)
 
 
 def test_twisted_gap_keeps_allowed_node_where_e_tilde_equals_v():
@@ -242,8 +267,8 @@ def test_twisted_gap_keeps_allowed_node_where_e_tilde_equals_v():
     assert window.e_tilde == t and grid.nodes[7] == 2.5
     zero = WeightSequence(kind="zero")
     report = twisted_gap_check(h, zero, window)
-    assert report.lambda_min == pytest.approx(
-        dense_twisted_minimum(profile, h, zero, window), abs=1e-9)
+    assert_matches_dense(h, report, dense_twisted_minimum(profile, h, zero, window),
+                         abs=1e-9)
     assert h.potential[0, 7] == t
 
 

@@ -401,11 +401,14 @@ def mobility_edge_scan(lam: float, grid: RadialGrid, j_max: int,
     doubled box, for channels with high-band states.  V_j is evaluated once
     per box for all channels.
 
-    An ``eigenvalue_shift`` compares eigenvalues that Sturm-sequence
-    bisection (``?stebz``) finds to LAPACK's default tolerance eps |T|_1 of
-    the channel's tridiagonal T, so shifts below that tolerance are rounding,
-    not box sensitivity.  V_j near r = 0 makes |T|_1 large: about 1e6 at
-    |j| = 20 with n_r = 800 and r_max = 32, a tolerance of about 2e-10.
+    Eigenpairs come from :meth:`~fluxlab.grid.ChannelOperator.eigenpairs`,
+    so base-box eigenvalues are Ritz values, accurate to about the residual
+    (below 1e-12 on the benchmark grids).  The grown box's eigenvalues come
+    from Sturm-sequence bisection (``?stebz``) to LAPACK's default tolerance
+    eps |T|_1 of the channel's tridiagonal T, so an ``eigenvalue_shift``
+    below that tolerance is rounding, not box sensitivity.  V_j near r = 0
+    makes |T|_1 large: about 1e6 at |j| = 20 with n_r = 800 and r_max = 32,
+    a tolerance of about 2e-10.
     """
     profile = FluxProfile.linear(lam)
     report = MobilityReport(lam=lam)

@@ -16,6 +16,12 @@ stencil keeps second-order eigenvalue convergence in every channel,
 including j = 0.  The cell measure r_i h integrates r dr exactly, so the
 weighted norm sum_i |phi(r_i)|^2 r_i h is the exact L^2(r dr) norm of the
 piecewise representation.
+
+The stencil is positive definite, so no eigenvalue of a channel lies at or
+below min_i V_j(r_i).  Eigenpairs in a value range come from one kernel,
+:func:`tridiagonal_eigenpairs`: Sturm bisection only to a coarse tolerance,
+inverse iteration, and a Rayleigh-Ritz step that returns the accuracy the
+bisection skipped.  Eigenvalue-only solves keep full-precision bisection.
 """
 
 from __future__ import annotations
@@ -24,13 +30,16 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+import scipy.linalg
 
 from .flux import FluxProfile
 
 __all__ = ["RadialGrid", "ChannelOperator", "build_grid",
            "build_channel_operator", "build_channel_operators",
-           "truncation_margin", "check_truncation"]
+           "tridiagonal_eigenpairs", "tridiagonal_matvec", "truncation_margin",
+           "check_truncation"]
+
+COARSE_TOL = 1e-6   # bisection tolerance relative to max(1, |top|) before Rayleigh-Ritz
 
 
 @dataclass(frozen=True)
@@ -80,20 +89,25 @@ class ChannelOperator:
         """Lowest eigenpairs (or all in a value range) of the channel operator.
 
         Exactly one of ``n_lowest`` and ``value_range`` is given; a range
-        (lo, hi) selects the eigenvalues in the half-open interval (lo, hi].
+        (lo, hi) selects the eigenvalues in the half-open interval (lo, hi],
+        solved by :func:`tridiagonal_eigenpairs` (Ritz values).
         Returns (eigenvalues, u): eigenvalues ascending and ``u`` the flat
         eigenvectors as columns normalized to sum |u_i|^2 h = 1; the weighted
         representation is u / sqrt(r).
         """
-        vals, vecs = self._solve(n_lowest, value_range, eigvals_only=False)
+        if n_lowest is None and value_range is not None:
+            vals, vecs, _ = tridiagonal_eigenpairs(self.diagonal, self.off_diagonal,
+                                                   *value_range)
+        else:
+            vals, vecs = self._solve(n_lowest, value_range, eigvals_only=False)
         return vals, vecs / np.sqrt(self.grid.h)
 
     def eigenvalues(self, n_lowest: int = None, value_range=None) -> np.ndarray:
-        """The eigenvalues :meth:`eigenpairs` returns, without eigenvectors.
+        """The eigenvalues in the selection of :meth:`eigenpairs`, without
+        eigenvectors.
 
-        Same contract as :meth:`eigenpairs`; the Sturm-sequence bisection
-        (``?stebz``) is the same, and the inverse-iteration step (``?stein``)
-        that builds the eigenvectors is skipped.
+        Sturm-sequence bisection (``?stebz``) to LAPACK's default tolerance
+        eps |T|_1, with no inverse iteration (``?stein``) and no Ritz step.
         """
         return self._solve(n_lowest, value_range, eigvals_only=True)
 
@@ -104,9 +118,41 @@ class ChannelOperator:
             select, bounds = "i", (0, min(int(n_lowest), self.grid.n_r) - 1)
         else:
             select, bounds = "v", tuple(value_range)
-        return eigh_tridiagonal(self.diagonal, self.off_diagonal,
-                                eigvals_only=eigvals_only, select=select,
-                                select_range=bounds)
+        return scipy.linalg.eigh_tridiagonal(self.diagonal, self.off_diagonal,
+                                             eigvals_only=eigvals_only, select=select,
+                                             select_range=bounds)
+
+
+def tridiagonal_matvec(diagonal, off_diagonal, v):
+    """T v for the symmetric tridiagonal T and the columns of v."""
+    out = diagonal[:, None] * v
+    out[:-1] += off_diagonal[:, None] * v[1:]
+    out[1:] += off_diagonal[:, None] * v[:-1]
+    return out
+
+
+def tridiagonal_eigenpairs(diagonal, off_diagonal, lo: float, hi: float):
+    """Every eigenpair of the symmetric tridiagonal T with eigenvalue in (lo, hi].
+
+    The Sturm counts at lo and hi fix how many there are exactly; the
+    bisection (``?stebz``) that locates them stops at the coarse tolerance
+    ``COARSE_TOL max(1, |hi|)``, since inverse iteration (``?stein``) needs
+    only an approximate shift.  A Rayleigh-Ritz step on the ``?stein``
+    vectors V then restores full accuracy: the eigenpairs of V^T T V rotate
+    V into Ritz vectors, whose Ritz values are accurate to the square of the
+    vectors' error (Parlett, The Symmetric Eigenvalue Problem, ch. 11), and
+    a near-degenerate cluster that ``?stein`` orthogonalized is resolved in
+    its span.  Returns (values, V, T V), values ascending and V orthonormal,
+    so a caller reads the residual T V - V diag(values) without another
+    product.
+    """
+    vals, v = scipy.linalg.eigh_tridiagonal(diagonal, off_diagonal, select="v",
+                                            select_range=(lo, hi),
+                                            tol=COARSE_TOL * max(1.0, abs(hi)))
+    tv = tridiagonal_matvec(diagonal, off_diagonal, v)
+    g = v.T @ tv
+    vals, q = np.linalg.eigh(0.5 * (g + g.T))
+    return vals, v @ q, tv @ q
 
 
 def build_channel_operators(profile: FluxProfile, channels,

@@ -8,9 +8,11 @@ W^(r, 0) / sqrt(2 pi) joins the channel diagonals.  The normalization is
 anchored by W = g(r) cos(theta), whose (j, j±1) blocks must carry g(r)/2.
 
 Spectral projections onto an energy window [e0, E0] are computed by direct
-diagonalization: per-channel tridiagonal solves when no coupling is present,
-and otherwise one shifted factorization (:class:`ShiftedFactor`) at the
-window top, whose inertia counts the eigenvalues below it exactly and whose
+diagonalization: per-channel tridiagonal solves when no coupling is present
+(each channel's pairs between its potential floor and the window top, by
+coarse bisection, inverse iteration and a Rayleigh-Ritz step, see
+:func:`~fluxlab.grid.tridiagonal_eigenpairs`), and otherwise one shifted
+factorization (:class:`ShiftedFactor`) at the window top, whose inertia counts the eigenvalues below it exactly and whose
 shift-inverted Lanczos sweep then returns exactly that many eigenpairs.  The
 factorization runs on H in its node-major band order, where elimination in
 natural order fills only the band, so no fill-reducing ordering is computed;
@@ -19,10 +21,11 @@ Repeated runs are deterministic (fixed start vectors, fixed assembly order).
 
 A check that reads only the window's bottom e0 takes H's lowest eigenvalue
 from :func:`lowest_eigenvalue` instead, which also gives the twisted
-operator's: one Sturm bisection over the channel tridiagonals of H's band,
-and, when W couples them, one band Cholesky factor at a shift that Weyl's
-inequality puts below the spectrum plus one shift-inverted Lanczos run for
-a single eigenvalue.
+operator's: over the channel tridiagonals of H's band, one channel's lowest
+eigenvalue as an upper bound and one Sturm bisection of the eigenvalues
+below it, and, when W couples the channels, one band Cholesky factor at a
+shift that Weyl's inequality puts below the spectrum plus one
+shift-inverted Lanczos run for a single eigenvalue.
 
 An :class:`EigenSystem` stores its eigenvectors only in blocks
 (:class:`BasisBlock`) whose rows tile the flat index: the per-channel route
@@ -57,7 +60,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .angular import SQRT_2PI, AngularPotential, GevreyEnvelope, xi_constant
 from .flux import FluxProfile
-from .grid import RadialGrid
+from .grid import RadialGrid, tridiagonal_eigenpairs, tridiagonal_matvec
 
 __all__ = [
     "BlockHamiltonian", "SpectralWindow", "EigenSystem", "SpectralProjection",
@@ -345,26 +348,34 @@ def _residuals(h_sparse, vals, vecs) -> float:
                                 / np.sum(np.abs(vecs) ** 2, axis=0))))
 
 
-def _tridiag_matvec(diag, off, v):
-    out = diag[:, None] * v
-    out[:-1] += off[:, None] * v[1:]
-    out[1:] += off[:, None] * v[:-1]
-    return out
-
-
-def _block_diagonal_eigensystem(h: BlockHamiltonian, value_range=None) -> EigenSystem:
+def _block_diagonal_eigensystem(h: BlockHamiltonian, top: Optional[float] = None) -> EigenSystem:
     """Per-channel tridiagonal solves; each channel's eigenvectors are its
-    block, which records where one stable argsort puts its columns."""
+    block, which records where one stable argsort puts its columns.
+
+    Without ``top`` every eigenpair is solved.  With it, channel c's pairs
+    in (floor_c, top] come from :func:`~fluxlab.grid.tridiagonal_eigenpairs`,
+    where floor_c = min_i (V_j + W_s)(r_i), read as the channel's diagonal
+    less the kinetic one, minus a relative guard: the kinetic stencil is
+    positive definite, so no eigenvalue of the channel lies at or below it,
+    and a channel whose floor lies above the top has no pair to solve.
+    """
     n = h.grid.n_r
-    select = ("i", (0, n - 1)) if value_range is None else ("v", tuple(value_range))
+    floors = np.min(h.diagonals - h.grid.kinetic_tridiagonal()[0], axis=1)
+    floors -= 1e-9 * np.maximum(1.0, np.abs(floors))
     vals_c, vecs_c = [], []
     res_max = 0.0
     for c in range(h.n_ch):
-        vals, vecs = scipy.linalg.eigh_tridiagonal(
-            h.diagonals[c], h.off_diagonal, select=select[0], select_range=select[1])
+        d = h.diagonals[c]
+        if top is None:
+            vals, vecs = scipy.linalg.eigh_tridiagonal(
+                d, h.off_diagonal, select="i", select_range=(0, n - 1))
+            tv = tridiagonal_matvec(d, h.off_diagonal, vecs)
+        elif floors[c] < top:
+            vals, vecs, tv = tridiagonal_eigenpairs(d, h.off_diagonal, floors[c], top)
+        else:
+            vals, vecs = np.zeros(0), np.zeros((n, 0))
         if vals.size:
-            resid = _tridiag_matvec(h.diagonals[c], h.off_diagonal, vecs) \
-                - vecs * vals[None, :]
+            resid = tv - vecs * vals[None, :]
             res_max = max(res_max, float(np.max(np.sqrt(np.sum(resid ** 2, axis=0)))))
         vals_c.append(vals)
         vecs_c.append(vecs)
@@ -467,10 +478,20 @@ class BandCholesky:
     """
 
     def __init__(self, ab: np.ndarray, sigma: float):
+        self._factor(ab, sigma, _band_norm_inf(ab))
+
+    @classmethod
+    def _with_norm(cls, ab: np.ndarray, sigma: float, norm_a: float) -> "BandCholesky":
+        """The factor of a band whose |A|_inf the caller already holds."""
+        factor = cls.__new__(cls)
+        factor._factor(ab, sigma, norm_a)
+        return factor
+
+    def _factor(self, ab: np.ndarray, sigma: float, norm_a: float) -> None:
         self.ab = ab
         self.sigma = float(sigma)
+        self.norm_a = norm_a
         kd = ab.shape[0] - 1
-        self.norm_a = _band_norm_inf(ab)
         shifted = ab.copy()
         shifted[kd] -= self.sigma
         pbtrf, self._pbtrs = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"), (ab,))
@@ -510,14 +531,29 @@ def _tridiagonal_lowest(ab: np.ndarray) -> float:
     """The lowest eigenvalue of the Hermitian tridiagonal in upper band
     storage (``kd == 1``).
 
-    It is unitarily similar to the real tridiagonal with the moduli of its
-    off-diagonals, whose lowest eigenvalue one Sturm-sequence bisection
-    (``?stebz``) finds to LAPACK's default tolerance eps |A|_1; a zero
-    off-diagonal splits it into blocks that the one call handles together.
+    It is unitarily similar to the real tridiagonal T with the moduli of its
+    off-diagonals, which its zero off-diagonals split into blocks.  The
+    lowest eigenvalue ub of the block with the lowest diagonal entry is an
+    eigenvalue of T, so it bounds lambda_min from above; that block alone is
+    bisected for it, in index mode.  One value-mode ``?stebz`` call over all
+    of T then bisects only the eigenvalues in (-inf, ub + guard], to
+    LAPACK's default tolerance eps |T|_1; blocks whose Gershgorin interval
+    lies above the slice cost one pass over their rows.  The guard covers
+    the block solve's tolerance, so the slice holds at least that block's
+    eigenvalue, and the answer is the slice's smallest eigenvalue, whichever
+    block holds it.
     """
-    return float(scipy.linalg.eigh_tridiagonal(
-        ab[1].real, np.abs(ab[0, 1:]), eigvals_only=True,
-        select="i", select_range=(0, 0))[0])
+    d, e = ab[1].real, np.abs(ab[0, 1:])
+    bounds = np.concatenate(([0], np.flatnonzero(e == 0.0) + 1, [d.size]))
+    k = int(np.searchsorted(bounds, np.argmin(d), side="right"))
+    block_d, block_e = d[bounds[k - 1]:bounds[k]], e[bounds[k - 1]:bounds[k] - 1]
+    ub = scipy.linalg.eigh_tridiagonal(block_d, block_e, eigvals_only=True,
+                                       select="i", select_range=(0, 0))[0]
+    # ?stebz bisects to about eps times the block's largest Gershgorin bound
+    guard = 16 * np.finfo(float).eps * max(
+        1.0, float(np.max(np.abs(block_d)) + 2 * np.max(block_e, initial=0.0)))
+    return float(np.min(scipy.linalg.eigh_tridiagonal(
+        d, e, eigvals_only=True, select="v", select_range=(-np.inf, ub + guard))))
 
 
 class LowestEigenvalue(NamedTuple):
@@ -538,18 +574,24 @@ def lowest_eigenvalue(ab: np.ndarray) -> LowestEigenvalue:
     :func:`~fluxlab.weights.twisted_gap_check`): channel-major tridiagonal
     with ``kd = 1``, or node-major with ``kd = n_ch``.  The diagonal and the
     distance-kd row are the channel tridiagonals D; read channel-major, with
-    a zero off-diagonal where channels meet, one ``?stebz`` call
-    (:func:`_tridiagonal_lowest`) gives their lowest eigenvalue t.  For
-    ``kd == 1`` that is the answer, and t is its own bound.  Otherwise rows
-    1..kd-1 hold only node-local couplings W_off, whose 2-norm is at most
-    their max row sum w, so Weyl's inequality puts every eigenvalue of A at
-    or above sigma = t - w - guard.  The guard, 1e-9 max(1, |A|_inf),
-    covers ``?stebz``'s tolerance eps |D|_1 many times over and keeps
-    lambda_min - sigma far above :class:`BandCholesky`'s pivot floor.  The
-    band Cholesky factor of A - sigma I certifies the bound (a failure
-    means a theorem failed, and raises), and its shift-inverted Lanczos run
-    returns the eigenvalue nearest sigma, the lowest one.
+    a zero off-diagonal where channels meet, :func:`_tridiagonal_lowest`
+    gives their lowest eigenvalue t from one block's bound and one value
+    slice.  For ``kd == 1`` that is the answer, and t is its own bound.
+    Otherwise rows 1..kd-1 hold only node-local couplings W_off, whose
+    2-norm is at most their max row sum w, so Weyl's inequality puts every
+    eigenvalue of A at or above sigma = t - w - guard.  The guard,
+    1e-9 max(1, |A|_inf), covers ``?stebz``'s tolerance eps |D|_1 many times
+    over and keeps lambda_min - sigma far above :class:`BandCholesky`'s
+    pivot floor.  The band Cholesky factor of A - sigma I certifies the
+    bound (a failure means a theorem failed, and raises), and its
+    shift-inverted Lanczos run returns the eigenvalue nearest sigma, the
+    lowest one.
     """
+    return _lowest_eigenvalue(ab)
+
+
+def _lowest_eigenvalue(ab: np.ndarray, norm_a: Optional[float] = None) -> LowestEigenvalue:
+    """:func:`lowest_eigenvalue`, reusing |A|_inf when the caller holds it."""
     kd = ab.shape[0] - 1
     # rows 0 and kd, node-major (n, kd) read as channel-major (kd, n)
     tri = ab[[0, kd]].reshape(2, -1, kd).transpose(0, 2, 1).reshape(2, -1)
@@ -557,10 +599,12 @@ def lowest_eigenvalue(ab: np.ndarray) -> LowestEigenvalue:
     t = _tridiagonal_lowest(tri)
     if kd == 1:
         return LowestEigenvalue(t, t, "channel_tridiagonal")
+    if norm_a is None:
+        norm_a = _band_norm_inf(ab)
     off = ab.copy()
     off[[0, kd]] = 0.0
-    sigma = t - _band_norm_inf(off) - 1e-9 * max(1.0, _band_norm_inf(ab))
-    factor = BandCholesky(ab, sigma)
+    sigma = t - _band_norm_inf(off) - 1e-9 * max(1.0, norm_a)
+    factor = BandCholesky._with_norm(ab, sigma, norm_a)
     if not factor.positive_definite:
         raise RuntimeError(f"A - {sigma:.17g} I is not positive definite, yet Weyl's "
                            "inequality bounds lambda_min(A) below by that shift")
@@ -615,8 +659,7 @@ def diagonalize(h: BlockHamiltonian, window_upper: Optional[float] = None) -> Ei
         margin = WINDOW_MARGIN * max(1.0, abs(window_upper))
         if not h.is_block_diagonal:
             return _windowed_eigensystem(h, window_upper, margin)
-        lb = -h.norm_inf() - 1.0
-        return _block_diagonal_eigensystem(h, value_range=(lb, window_upper + margin))
+        return _block_diagonal_eigensystem(h, top=window_upper + margin)
     if h.is_block_diagonal:
         return _block_diagonal_eigensystem(h)
     if h.dim > DENSE_LIMIT:

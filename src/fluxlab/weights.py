@@ -46,7 +46,7 @@ from scipy.sparse.linalg import splu  # noqa: F401
 from .flux import FluxProfile
 from .grid import RadialGrid
 from .spectral import BandCholesky, BlockHamiltonian, SpectralProjection, \
-    SpectralWindow, channel_projection_norm, lowest_eigenvalue
+    SpectralWindow, _lowest_eigenvalue, channel_projection_norm
 
 __all__ = [
     "WeightSequence", "build_weight", "WeightValidation", "weight_validate",
@@ -301,7 +301,7 @@ def twisted_gap_check(h: BlockHamiltonian, weight: WeightSequence,
     threshold = E0 + delta0/2, completes, i.e. no eigenvalue lies below the
     shift.  lambda_min and its certified lower bound come from
     :func:`~fluxlab.spectral.lowest_eigenvalue` on the same band, whichever
-    the verdict.
+    the verdict, reusing the verdict factor's |A|_inf.
     """
     ab, order = h.to_band()
     kd = ab.shape[0] - 1
@@ -312,11 +312,11 @@ def twisted_gap_check(h: BlockHamiltonian, weight: WeightSequence,
         ab[r, kd - r:] *= np.cosh(f[:r - kd] - f[kd - r:])
 
     threshold = window.E0 + 0.5 * window.delta0
-    passed = BandCholesky(ab, threshold - 1e-9 * max(1.0, abs(threshold))).positive_definite
-    lowest = lowest_eigenvalue(ab)
+    verdict = BandCholesky(ab, threshold - 1e-9 * max(1.0, abs(threshold)))
+    lowest = _lowest_eigenvalue(ab, verdict.norm_a)
     return TwistedGapReport(lambda_min=lowest.value, lower_bound=lowest.lower_bound,
                             threshold=threshold, slack=lowest.value - threshold,
-                            passed=passed)
+                            passed=verdict.positive_definite)
 
 
 @dataclass

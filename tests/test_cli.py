@@ -183,11 +183,12 @@ def test_validate_weights_on_an_empty_window_sets_e0_to_E0(tmp_path):
     assert manifest["constants"]["e0_lower_bound"] == pytest.approx(2.0, rel=1e-3)
     assert manifest["warnings"] == [
         "spectral window selected no eigenvalues (rank-0 projection)"]
-    # the report bytes the window-solve route wrote for this config
+    # the report bytes for this config; they pin both twisted lambda_min,
+    # which come from the block-bound value slice of the tridiagonal route
     report = (out / "weights_report.json").read_bytes()
     assert json.loads(report)["all_passed"]
     assert hashlib.sha256(report).hexdigest() \
-        == "01a042a9274243908b758d3e0784ddf152cd77a382fc303bb606773ba951e633"
+        == "2f123e571474ac64627acfcfc7dc3402f6bd92fa73c9c9459c6c09836afc8f2e"
 
 
 def test_lowest_eigenvalue_just_above_E0_leaves_the_window_empty(tmp_path):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fluxlab.flux import FluxProfile
-from fluxlab.grid import (RadialGrid, build_channel_operator, build_grid,
-                          check_truncation, truncation_margin)
+from fluxlab.grid import (RadialGrid, build_channel_operator, build_channel_operators,
+                          build_grid, check_truncation, tridiagonal_eigenpairs,
+                          truncation_margin)
 
 
 def landau_level(n, j, b0):
@@ -74,14 +76,64 @@ def test_off_diagonal_metric_weights():
 
 
 def test_kinetic_is_positive_semidefinite():
-    g = build_grid(200, 5.0)
-    d, e = g.kinetic_tridiagonal()
-    from scipy.linalg import eigh_tridiagonal
-    lam0 = eigh_tridiagonal(d, e, eigvals_only=True, select="i",
-                            select_range=(0, 0))[0]
-    assert lam0 >= -1e-10
-    # continuum floor for the critical channel is (j_{0,1} / r_max)^2
-    assert lam0 == pytest.approx((2.404826 / g.r_max) ** 2, rel=0.01)
+    # the window solve's per-channel floor min V_j rests on this, so the
+    # benchmark grids (800 x 32, 270 x 18) are checked too
+    for n_r, r_max in [(200, 5.0), (800, 32.0), (270, 18.0)]:
+        g = build_grid(n_r, r_max)
+        d, e = g.kinetic_tridiagonal()
+        lam0 = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                                             select_range=(0, 0))[0]
+        assert lam0 >= -1e-10
+        # continuum floor for the critical channel is (j_{0,1} / r_max)^2
+        assert lam0 == pytest.approx((2.404826 / g.r_max) ** 2, rel=0.01)
+
+
+def assert_orthonormal(v, tol):
+    assert np.max(np.abs(v.T @ v - np.eye(v.shape[1]))) <= tol
+
+
+@pytest.mark.parametrize("lo, hi", [(-2.0, 11.0), (9.0, 11.0)])
+def test_tridiagonal_eigenpairs_resolve_wilkinson_pairs(lo, hi):
+    # Wilkinson's W21+: its top two eigenvalues are split by about 7e-14,
+    # far below the coarse bisection tolerance; the Ritz step separates them
+    d, e = np.abs(np.arange(-10.0, 11.0)), np.ones(20)
+    t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    exact = np.linalg.eigvalsh(t)
+    exact = exact[(exact > lo) & (exact <= hi)]
+    vals, v, tv = tridiagonal_eigenpairs(d, e, lo, hi)
+    assert vals.size == exact.size
+    norm = np.linalg.norm(t, 2)
+    assert np.max(np.abs(vals - exact)) <= 1e-12 * norm
+    assert exact[-1] - exact[-2] < 1e-13
+    assert_orthonormal(v, 1e-12)
+    assert np.allclose(tv, t @ v, rtol=0, atol=1e-14 * norm)
+
+
+def test_tridiagonal_eigenpairs_match_full_precision_on_the_linear_benchmark_grid():
+    # every channel of the uncoupled-linear benchmark model (800 x 32,
+    # |j| <= 20) up to its window top 0.9 + 0.05: Ritz values agree with
+    # full-precision bisection within its tolerance eps |T|_1, and the
+    # residuals lie below the 1.1e-10 that full-precision bisection and
+    # inverse iteration leave
+    grid = build_grid(800, 32.0)
+    ops = build_channel_operators(FluxProfile.linear(1.0), np.arange(-20, 21), grid)
+    lo, top = -1.0, 0.95
+    counted = 0
+    for op in ops:
+        d, e = op.diagonal, op.off_diagonal
+        exact = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, select="v",
+                                              select_range=(lo, top))
+        vals, v, tv = tridiagonal_eigenpairs(d, e, lo, top)
+        assert vals.size == exact.size, op.j
+        counted += vals.size
+        if not vals.size:
+            continue
+        norm_1 = np.max(np.abs(d) + np.abs(np.r_[e, 0.0]) + np.abs(np.r_[0.0, e]))
+        assert np.max(np.abs(vals - exact)) <= np.finfo(float).eps * norm_1, op.j
+        residual = np.linalg.norm(tv - v * vals, axis=0)
+        assert np.max(residual) < 1.1e-10, op.j
+        assert_orthonormal(v, 1e-12)
+    assert counted == 125                 # the window's rank plus its margin
 
 
 def test_truncation_warning():

@@ -288,10 +288,94 @@ def test_lowest_eigenvalue_of_block_diagonal_h_is_the_lowest_channel(model):
     h = model()
     per_channel = min(scipy.linalg.eigh_tridiagonal(d, h.off_diagonal, eigvals_only=True)[0]
                       for d in h.diagonals)
+    dense = np.linalg.eigvalsh(h.to_dense())[0]
     lowest = lowest_eigenvalue(h.to_band()[0])
     assert lowest.method == "channel_tridiagonal"
     assert lowest.lower_bound == lowest.value
-    assert abs(lowest.value - per_channel) <= np.finfo(float).eps * h.norm_inf()
+    # |H|_1 = |H|_inf for symmetric H
+    tol = np.finfo(float).eps * h.norm_inf()
+    assert abs(lowest.value - per_channel) <= tol
+    assert abs(lowest.value - dense) <= tol
+
+
+def split_tridiagonal_band(blocks):
+    """Upper band storage (kd = 1) of the direct sum of (diagonal, off) blocks."""
+    d = np.concatenate([b[0] for b in blocks])
+    e = np.concatenate([np.concatenate(([0.0], b[1])) for b in blocks])
+    return np.stack([e, d])
+
+
+def test_lowest_eigenvalue_of_a_split_tridiagonal_outside_the_lowest_diagonal_block():
+    # the block holding the lowest diagonal entry, -1, has its lowest
+    # eigenvalue at -sqrt(1.25) = -1.12; the strongly coupled block has
+    # diagonal entries 0 but the eigenvalue -7 cos(pi / 7) = -6.31
+    rng = np.random.default_rng(3)
+    blocks = [(np.array([2.0, 3.0, 2.5]), np.array([0.5, 0.5])),
+              (np.array([-1.0, 1.0]), np.array([0.5])),
+              (np.zeros(6), np.full(5, 3.5)),
+              (rng.uniform(0.0, 4.0, 9), rng.uniform(-1.0, 1.0, 8))]
+    ab = split_tridiagonal_band(blocks)
+    dense = band_to_dense(ab)
+    dense_min = np.linalg.eigvalsh(dense)[0]
+    tol = np.finfo(float).eps * np.max(np.sum(np.abs(dense), axis=0))
+    lowest = lowest_eigenvalue(ab)
+    assert abs(lowest.value - dense_min) <= tol
+    # must-fail twin: the lowest diagonal block's own eigenvalue, an upper
+    # bound that a route returning it would report, misses lambda_min
+    ub = np.linalg.eigvalsh(band_to_dense(split_tridiagonal_band(blocks[1:2])))[0]
+    assert ub - dense_min > 1.0
+
+
+def record_eigh_tridiagonal(monkeypatch):
+    """The ``select`` of every later ``scipy.linalg.eigh_tridiagonal`` call."""
+    calls = []
+    original = scipy.linalg.eigh_tridiagonal
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("select", "a"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
+    return calls
+
+
+@pytest.mark.parametrize("j_max", [2, 9])
+def test_tridiagonal_lowest_is_one_block_solve_and_one_value_slice(j_max, monkeypatch):
+    h = assemble_hamiltonian(FluxProfile.linear(1.0), None, build_grid(120, 12.0), j_max)
+    calls = record_eigh_tridiagonal(monkeypatch)
+    lowest_eigenvalue(h.to_band()[0])
+    assert calls == ["i", "v"]
+
+
+def test_window_solve_skips_channels_whose_floor_is_above_the_top(monkeypatch):
+    # linear flux gives V_j = (1 - j / r)^2 >= 1 for j <= 0, so those
+    # channels' floors lie above the top and they have no pair to solve
+    h = assemble_hamiltonian(FluxProfile.linear(1.0), None, build_grid(200, 16.0), 6)
+    floors = np.min(h.potential + h.symmetric_part, axis=1)
+    top = 0.9 + 0.05                      # window_upper + WINDOW_MARGIN
+    assert 0 < np.count_nonzero(floors < top) < h.n_ch
+    calls = record_eigh_tridiagonal(monkeypatch)
+    es = diagonalize(h, window_upper=0.9)
+    assert len(calls) == np.count_nonzero(floors < top)
+    skipped = [b for b, floor in zip(es.blocks, floors) if floor >= top]
+    assert all(b.cols.size == 0 for b in skipped)
+
+
+def test_lowest_eigenvalue_norms_the_band_once(monkeypatch):
+    # Weyl's guard and the factor at sigma share H's |A|_inf; the only
+    # other band normed is that of the coupling rows
+    from fluxlab import spectral
+    ab = coupled_model(np.cos).to_band()[0]
+    normed = []
+    norm = spectral._band_norm_inf
+
+    def counted(a):
+        normed.append(a)
+        return norm(a)
+
+    monkeypatch.setattr(spectral, "_band_norm_inf", counted)
+    lowest_eigenvalue(ab)
+    assert len(normed) == 2 and sum(a is ab for a in normed) == 1
 
 
 def test_lowest_eigenvalue_raises_when_the_certificate_fails(monkeypatch):

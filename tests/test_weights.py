@@ -114,9 +114,12 @@ def test_twisted_gap_zero_weight_zero_w():
     # with F = 0 and W = 0, H~ = H + E~ chi >= E0 + delta0 up to grid error
     profile, grid, h, window, _ = linear_projection(j_max=4, n_r=300, r_max=20.0,
                                                     upper=0.5)
-    report = twisted_gap_check(h, WeightSequence(kind="zero"), window)
+    zero = WeightSequence(kind="zero")
+    report = twisted_gap_check(h, zero, window)
     assert report.passed
     assert report.lambda_min >= window.E0 + 0.5 * window.delta0
+    assert_matches_dense(h, report, dense_twisted_minimum(profile, h, zero, window),
+                         rel=1e-9)
 
 
 def test_twisted_gap_window_below_spectrum_passes_with_slack():
@@ -124,9 +127,12 @@ def test_twisted_gap_window_below_spectrum_passes_with_slack():
     grid = build_grid(200, 8.0)
     h = assemble_hamiltonian(profile, None, grid, 2)
     window = SpectralWindow(e0=0.5, E0=1.0, delta0=0.2, c0=0.0)
-    report = twisted_gap_check(h, WeightSequence(kind="zero"), window)
+    zero = WeightSequence(kind="zero")
+    report = twisted_gap_check(h, zero, window)
     assert report.passed
     assert report.slack > 0.5
+    assert_matches_dense(h, report, dense_twisted_minimum(profile, h, zero, window),
+                         rel=1e-9)
 
 
 def test_twisted_gap_mobility_weight():
@@ -135,27 +141,43 @@ def test_twisted_gap_mobility_weight():
     w = build_weight("mobility", profile, window, grid, 1.0, 4)
     report = twisted_gap_check(h, w, window)
     assert report.passed, report
+    assert_matches_dense(h, report, dense_twisted_minimum(profile, h, w, window),
+                         rel=1e-9)
 
 
 def assert_matches_dense(h, report, dense, **tol):
     """lambda_min is the dense minimum, solved from a certified lower bound:
     Weyl's shift, below the dense minimum, when W couples the channels, and
-    the Sturm bisection's own value when the band is one tridiagonal."""
-    assert report.lambda_min == pytest.approx(dense, **tol)
+    the Sturm bisection's own value, within its tolerance eps |A|_1, when
+    the band is one tridiagonal."""
+    dense_min, norm_1 = dense
+    assert report.lambda_min == pytest.approx(dense_min, **tol)
     if h.is_block_diagonal:
+        assert abs(report.lambda_min - dense_min) <= np.finfo(float).eps * norm_1
         assert report.lower_bound == report.lambda_min
     else:
-        assert report.lower_bound < dense
+        assert report.lower_bound < dense_min
 
 
 def dense_twisted_minimum(profile, h, weight, window):
-    """Lowest eigenvalue of the dense symmetrized twisted operator."""
-    f = np.exp(weight.matrix(h.channels, h.grid.nodes).reshape(-1))
-    allowed = np.concatenate([profile.effective_potential(int(j), h.grid.nodes)
-                              <= window.e_tilde for j in h.channels])
-    boosted = h.to_dense() + np.diag(window.e_tilde * allowed)
-    twisted = 0.5 * (f[:, None] * boosted / f[None, :] + boosted * f[None, :] / f[:, None])
-    return np.linalg.eigvalsh(twisted)[0]
+    """Lowest eigenvalue of the dense symmetrized twisted operator, and the
+    operator's 1-norm; block-diagonal H is solved one channel block at a time."""
+    f = np.exp(weight.matrix(h.channels, h.grid.nodes))
+    allowed = np.stack([profile.effective_potential(int(j), h.grid.nodes)
+                        <= window.e_tilde for j in h.channels])
+    if h.is_block_diagonal:
+        off = np.diag(h.off_diagonal, 1) + np.diag(h.off_diagonal, -1)
+        blocks = [(np.diag(d) + off, fc, ac) for d, fc, ac in zip(h.diagonals, f, allowed)]
+    else:
+        blocks = [(h.to_dense(), f.reshape(-1), allowed.reshape(-1))]
+    dense_min, norm_1 = np.inf, 0.0
+    for a, fc, ac in blocks:
+        boosted = a + np.diag(window.e_tilde * ac)
+        twisted = 0.5 * (fc[:, None] * boosted / fc[None, :]
+                         + boosted * fc[None, :] / fc[:, None])
+        dense_min = min(dense_min, np.linalg.eigvalsh(twisted)[0])
+        norm_1 = max(norm_1, np.max(np.sum(np.abs(twisted), axis=0)))
+    return dense_min, norm_1
 
 
 @pytest.mark.parametrize("scale, passed", [(1.0, True), (3.0, False)])
@@ -219,18 +241,45 @@ def test_twisted_gap_fails_for_tenfold_interior_eps(monkeypatch):
     profile, h, window, built = a6_twin_model()
     tenfold = dataclasses.replace(built, eps=10.0 * built.eps)
     shifts = []
-    init = spectral.BandCholesky.__init__
+    factor = spectral.BandCholesky._factor
 
-    def recorded(self, ab, sigma):
+    def recorded(self, ab, sigma, norm_a):
         shifts.append(sigma)
-        init(self, ab, sigma)
+        factor(self, ab, sigma, norm_a)
 
-    monkeypatch.setattr(spectral.BandCholesky, "__init__", recorded)
+    monkeypatch.setattr(spectral.BandCholesky, "_factor", recorded)
     report = twisted_gap_check(h, tenfold, window)
     assert not report.passed
     assert shifts == [pytest.approx(report.threshold, rel=1e-8), report.lower_bound]
     assert_matches_dense(h, report, dense_twisted_minimum(profile, h, tenfold, window),
                          rel=1e-9)
+
+
+@pytest.mark.parametrize("model", ["coupled", "w_zero"])
+def test_twisted_gap_takes_each_band_norm_once(model, monkeypatch):
+    # the verdict's factor, lowest_eigenvalue's Weyl guard and the factor at
+    # Weyl's shift share one |A|_inf of the twisted band; the coupled route
+    # also norms the band of its coupling rows, and the tridiagonal route
+    # needs no norm beyond the verdict's
+    from fluxlab import spectral
+    if model == "coupled":
+        profile, h, window, weight = a6_twin_model()
+    else:
+        profile, _, h, window, _ = linear_projection(j_max=4, n_r=200, upper=0.5)
+        weight = WeightSequence(kind="zero")
+    normed = []
+    norm = spectral._band_norm_inf
+
+    def counted(ab):
+        normed.append(ab)
+        return norm(ab)
+
+    monkeypatch.setattr(spectral, "_band_norm_inf", counted)
+    assert twisted_gap_check(h, weight, window).passed
+    kd = normed[0].shape[0] - 1
+    assert len({id(ab) for ab in normed}) == len(normed) == (2 if kd > 1 else 1)
+    if kd > 1:
+        assert not np.any(normed[1][[0, kd]])        # the coupling rows alone
 
 
 @pytest.mark.parametrize("scale, passed", [(1.0, True), (3.0, False)])

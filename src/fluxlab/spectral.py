@@ -40,8 +40,8 @@ The assembly evaluates V_j(r_i) once, as an (n_ch, n_r) table kept on the
 Hamiltonian (``BlockHamiltonian.potential``) for the checks that compare it
 with an energy.  :meth:`BlockHamiltonian.to_band` is the one place that
 lays out H's entries: ordered node-major, a coupled H is a band matrix of
-half-bandwidth n_ch.  The sparse and dense forms and the max row sum are
-read back from that band, :class:`ShiftedFactor` factors the band-order
+half-bandwidth n_ch.  The dense form and the max row sum are read back
+from that band, :class:`ShiftedFactor` factors the band-order
 matrix for the window solve, and :class:`BandCholesky` factors a shifted
 band matrix and certifies positive definiteness without an inertia count.
 """
@@ -136,19 +136,11 @@ class BlockHamiltonian:
             ab[n_ch - m].reshape(n, n_ch)[:, m:] = np.conj(w)[:, None]
         return ab, np.arange(self.dim).reshape(n_ch, n).T.reshape(-1)
 
-    def to_sparse(self) -> sp.csr_matrix:
-        """H as channel-major CSR, read back from :meth:`to_band`.
-
-        The band-order matrix (:func:`_band_to_csc`) returns to channel-major
-        order in rows and columns.  Entries that are exactly zero are not
-        stored.
-        """
+    def to_dense(self) -> np.ndarray:
+        """H as a dense channel-major array, read back from :meth:`to_band`."""
         ab, order = self.to_band()
         back = np.argsort(order)                # band index of each channel-major index
-        return sp.csr_matrix(_band_to_csc(ab)[back][:, back])
-
-    def to_dense(self) -> np.ndarray:
-        return self.to_sparse().toarray()
+        return _band_to_csc(ab).toarray()[np.ix_(back, back)]
 
     def norm_inf(self) -> float:
         """max absolute row sum, an upper bound for the operator 2-norm."""
@@ -478,19 +470,9 @@ class BandCholesky:
     """
 
     def __init__(self, ab: np.ndarray, sigma: float):
-        self._factor(ab, sigma, _band_norm_inf(ab))
-
-    @classmethod
-    def _with_norm(cls, ab: np.ndarray, sigma: float, norm_a: float) -> "BandCholesky":
-        """The factor of a band whose |A|_inf the caller already holds."""
-        factor = cls.__new__(cls)
-        factor._factor(ab, sigma, norm_a)
-        return factor
-
-    def _factor(self, ab: np.ndarray, sigma: float, norm_a: float) -> None:
         self.ab = ab
         self.sigma = float(sigma)
-        self.norm_a = norm_a
+        self.norm_a = _band_norm_inf(ab)
         kd = ab.shape[0] - 1
         shifted = ab.copy()
         shifted[kd] -= self.sigma
@@ -557,9 +539,11 @@ def _tridiagonal_lowest(ab: np.ndarray) -> float:
 
 
 class LowestEigenvalue(NamedTuple):
-    """A band matrix's lowest eigenvalue, the certified lower bound it was
-    solved from, and the route (``channel_tridiagonal`` or
-    ``band_cholesky_lanczos``)."""
+    """A band matrix's lowest eigenvalue, a certified lower bound on it, and
+    the route (``channel_tridiagonal`` or ``band_cholesky_lanczos``).  The
+    bound is Weyl's shift, certified by a band Cholesky factor, on the
+    coupled route, and the bisected value less its tolerance on the
+    tridiagonal one."""
 
     value: float
     lower_bound: float
@@ -576,35 +560,32 @@ def lowest_eigenvalue(ab: np.ndarray) -> LowestEigenvalue:
     distance-kd row are the channel tridiagonals D; read channel-major, with
     a zero off-diagonal where channels meet, :func:`_tridiagonal_lowest`
     gives their lowest eigenvalue t from one block's bound and one value
-    slice.  For ``kd == 1`` that is the answer, and t is its own bound.
+    slice.  For ``kd == 1`` that is the answer.  t is the midpoint of a
+    ``?stebz`` interval, which stops at a width of eps |D|_1 or 2 eps |t|,
+    so the lower bound is t - 4 eps max(1, |A|_inf).
     Otherwise rows 1..kd-1 hold only node-local couplings W_off, whose
     2-norm is at most their max row sum w, so Weyl's inequality puts every
     eigenvalue of A at or above sigma = t - w - guard.  The guard,
-    1e-9 max(1, |A|_inf), covers ``?stebz``'s tolerance eps |D|_1 many times
+    1e-9 max(1, |A|_inf), covers ``?stebz``'s tolerance many times
     over and keeps lambda_min - sigma far above :class:`BandCholesky`'s
     pivot floor.  The band Cholesky factor of A - sigma I certifies the
     bound (a failure means a theorem failed, and raises), and its
     shift-inverted Lanczos run returns the eigenvalue nearest sigma, the
     lowest one.
     """
-    return _lowest_eigenvalue(ab)
-
-
-def _lowest_eigenvalue(ab: np.ndarray, norm_a: Optional[float] = None) -> LowestEigenvalue:
-    """:func:`lowest_eigenvalue`, reusing |A|_inf when the caller holds it."""
     kd = ab.shape[0] - 1
     # rows 0 and kd, node-major (n, kd) read as channel-major (kd, n)
     tri = ab[[0, kd]].reshape(2, -1, kd).transpose(0, 2, 1).reshape(2, -1)
     tri[0, ::ab.shape[1] // kd] = 0.0
     t = _tridiagonal_lowest(tri)
+    scale = max(1.0, _band_norm_inf(ab))
     if kd == 1:
-        return LowestEigenvalue(t, t, "channel_tridiagonal")
-    if norm_a is None:
-        norm_a = _band_norm_inf(ab)
+        return LowestEigenvalue(t, t - 4 * float(np.finfo(float).eps) * scale,
+                                "channel_tridiagonal")
     off = ab.copy()
     off[[0, kd]] = 0.0
-    sigma = t - _band_norm_inf(off) - 1e-9 * max(1.0, norm_a)
-    factor = BandCholesky._with_norm(ab, sigma, norm_a)
+    sigma = t - _band_norm_inf(off) - 1e-9 * scale
+    factor = BandCholesky(ab, sigma)
     if not factor.positive_definite:
         raise RuntimeError(f"A - {sigma:.17g} I is not positive definite, yet Weyl's "
                            "inequality bounds lambda_min(A) below by that shift")
@@ -668,7 +649,7 @@ def diagonalize(h: BlockHamiltonian, window_upper: Optional[float] = None) -> Ei
             "pass window_upper for a spectrum-sliced solve")
     a = h.to_dense()
     vals, vecs = scipy.linalg.eigh(a)
-    res = _residuals(sp.csr_matrix(a), vals, vecs)
+    res = _residuals(a, vals, vecs)
     return EigenSystem(
         grid=h.grid, channels=h.channels, eigenvalues=vals, residual_max=res,
         norm_h=h.norm_inf(), method="dense",

@@ -20,11 +20,12 @@ constants satisfying (i)-(iii) instead of using the proofs' closed-form
 choices, which are far from tight.  ``weight_validate`` re-checks the three
 hypotheses pointwise, and ``twisted_gap_check`` verifies the resulting
 coercivity bound on the symmetrized exponentially twisted operator: it has
-no eigenvalue under the threshold E0 + delta0/2 exactly when its band
-Cholesky factorization (:class:`~fluxlab.spectral.BandCholesky`) at a shift
-just below the threshold completes.  Its lowest eigenvalue, reported on a
-PASS and a FAIL alike, comes from :func:`~fluxlab.spectral.lowest_eigenvalue`,
-the route that gives H's.
+no eigenvalue under a shift just below the threshold E0 + delta0/2.  Its
+lowest eigenvalue and a certified lower bound on it come from
+:func:`~fluxlab.spectral.lowest_eigenvalue`, the route that gives H's; a
+bound at or above the shift settles the verdict, and otherwise a band
+Cholesky factorization (:class:`~fluxlab.spectral.BandCholesky`) at the
+shift decides it, completing exactly when no eigenvalue lies below.
 
 All of these compare the table V_j(r_i) with E~.  Each consumer evaluates
 the table once for all its channels (``FluxProfile.effective_potential``
@@ -46,7 +47,7 @@ from scipy.sparse.linalg import splu  # noqa: F401
 from .flux import FluxProfile
 from .grid import RadialGrid
 from .spectral import BandCholesky, BlockHamiltonian, SpectralProjection, \
-    SpectralWindow, _lowest_eigenvalue, channel_projection_norm
+    SpectralWindow, channel_projection_norm, lowest_eigenvalue
 
 __all__ = [
     "WeightSequence", "build_weight", "WeightValidation", "weight_validate",
@@ -282,7 +283,7 @@ def weight_validate(weight: WeightSequence, profile: FluxProfile,
 @dataclass
 class TwistedGapReport:
     lambda_min: float
-    lower_bound: float            # the certified shift lambda_min was solved from
+    lower_bound: float            # certified: lambda_min >= lower_bound
     threshold: float              # E0 + delta0 / 2
     slack: float
     passed: bool
@@ -296,12 +297,16 @@ def twisted_gap_check(h: BlockHamiltonian, weight: WeightSequence,
     from ``h.potential``, and the symmetrization
     (e^F H~ e^-F + e^-F H~ e^F)/2, whose entries are those of H~ scaled by
     cosh(F_j(r_i) - F_k(r_l)), straight into the band storage of
-    :meth:`~fluxlab.spectral.BlockHamiltonian.to_band`.  It passes iff the
-    band Cholesky factorization of the operator shifted to threshold - tol,
-    threshold = E0 + delta0/2, completes, i.e. no eigenvalue lies below the
-    shift.  lambda_min and its certified lower bound come from
-    :func:`~fluxlab.spectral.lowest_eigenvalue` on the same band, whichever
-    the verdict, reusing the verdict factor's |A|_inf.
+    :meth:`~fluxlab.spectral.BlockHamiltonian.to_band`.  It passes iff no
+    eigenvalue lies below the shift threshold - 1e-9 max(1, |threshold|),
+    threshold = E0 + delta0/2.  :func:`~fluxlab.spectral.lowest_eigenvalue`
+    gives lambda_min and a certified lower bound on it, and a bound at or
+    above the shift passes with no further work.  Otherwise the band
+    Cholesky factorization of the operator minus the shift decides: it
+    completes iff no eigenvalue lies below the shift.  On a coupled band the
+    bound is Weyl's sigma, where the factor completed, and a factor at any
+    shift <= sigma completes too, with pivots no smaller, so the verdict is
+    the one the factor at the shift gives.
     """
     ab, order = h.to_band()
     kd = ab.shape[0] - 1
@@ -312,11 +317,12 @@ def twisted_gap_check(h: BlockHamiltonian, weight: WeightSequence,
         ab[r, kd - r:] *= np.cosh(f[:r - kd] - f[kd - r:])
 
     threshold = window.E0 + 0.5 * window.delta0
-    verdict = BandCholesky(ab, threshold - 1e-9 * max(1.0, abs(threshold)))
-    lowest = _lowest_eigenvalue(ab, verdict.norm_a)
+    shift = threshold - 1e-9 * max(1.0, abs(threshold))
+    lowest = lowest_eigenvalue(ab)
+    passed = lowest.lower_bound >= shift or BandCholesky(ab, shift).positive_definite
     return TwistedGapReport(lambda_min=lowest.value, lower_bound=lowest.lower_bound,
                             threshold=threshold, slack=lowest.value - threshold,
-                            passed=verdict.positive_definite)
+                            passed=passed)
 
 
 @dataclass

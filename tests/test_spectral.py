@@ -58,8 +58,8 @@ def test_assembled_matrix_is_exactly_hermitian():
     grid = build_grid(30, 5.0)
     w = make_w(lambda r, t: np.exp(-r) * (np.cos(t) + 0.3 * np.sin(2 * t)))
     h = assemble_hamiltonian(profile, w, grid, 4, m_max=4)
-    a = h.to_sparse()
-    assert (a - a.conjugate().transpose()).nnz == 0
+    a = h.to_dense()
+    assert np.array_equal(a, a.conj().T)
 
 
 def test_uncoupled_matrix_eigenvalues_equal_sorted_diagonal():
@@ -129,7 +129,7 @@ def test_window_eigenvectors_come_back_channel_major(angular):
     es = diagonalize(h, window_upper=1.2)
     assert es.method == "shift_invert_window" and es.k > 0
     v = es.eigenvectors
-    resid = h.to_sparse() @ v - v * es.eigenvalues[None, :]
+    resid = h.to_dense() @ v - v * es.eigenvalues[None, :]
     assert np.max(np.linalg.norm(resid, axis=0) / np.linalg.norm(v, axis=0)) \
         <= 1e-9 * h.norm_inf()
     window = SpectralWindow(e0=float(es.eigenvalues[0]), E0=1.2, delta0=0.1, c0=0.0)
@@ -240,16 +240,16 @@ def radial_w_model():
 def test_band_holds_the_permuted_sparse_entries(model, coupled):
     h = model()
     assert h.is_block_diagonal != coupled
-    # the oracle comes from the definition: to_sparse() is read back from the band
+    # the oracle comes from the definition: to_dense() is read back from the band
     expected = dense_from_definition(h)
     ab, order = h.to_band()
     # node-major half-bandwidth n_ch when coupled, channel-major tridiagonal otherwise
     assert ab.shape == (h.n_ch + 1 if coupled else 2, h.dim)
     assert ab.dtype == h.dtype
     assert np.array_equal(band_to_dense(ab), expected[np.ix_(order, order)])
-    sparse = h.to_sparse()
-    assert sparse.dtype == h.dtype
-    assert np.array_equal(sparse.toarray(), expected)
+    dense = h.to_dense()
+    assert dense.dtype == h.dtype
+    assert np.array_equal(dense, expected)
     assert h.norm_inf() == pytest.approx(np.max(np.sum(np.abs(expected), axis=1)), rel=1e-14)
 
 
@@ -291,7 +291,7 @@ def test_lowest_eigenvalue_of_block_diagonal_h_is_the_lowest_channel(model):
     dense = np.linalg.eigvalsh(h.to_dense())[0]
     lowest = lowest_eigenvalue(h.to_band()[0])
     assert lowest.method == "channel_tridiagonal"
-    assert lowest.lower_bound == lowest.value
+    assert lowest.lower_bound <= dense
     # |H|_1 = |H|_inf for symmetric H
     tol = np.finfo(float).eps * h.norm_inf()
     assert abs(lowest.value - per_channel) <= tol
@@ -324,6 +324,18 @@ def test_lowest_eigenvalue_of_a_split_tridiagonal_outside_the_lowest_diagonal_bl
     # bound that a route returning it would report, misses lambda_min
     ub = np.linalg.eigvalsh(band_to_dense(split_tridiagonal_band(blocks[1:2])))[0]
     assert ub - dense_min > 1.0
+
+
+def test_lowest_eigenvalue_lower_bound_lies_below_a_split_tridiagonal_minimum():
+    # tridiag(-1, 2, -1) of order 50 has lambda_min = 4 sin^2(pi / 102)
+    # exactly; beside a block with 1e6 on the diagonal the bisected value
+    # lands a few ulps above it, and the bound must not
+    ab = split_tridiagonal_band([(np.full(50, 2.0), np.full(49, -1.0)),
+                                 (np.array([1e6]), np.zeros(0))])
+    lowest = lowest_eigenvalue(ab)
+    exact = 4 * np.sin(np.pi / 102) ** 2
+    assert lowest.lower_bound <= exact
+    assert abs(lowest.value - exact) <= np.finfo(float).eps * 1e6
 
 
 def record_eigh_tridiagonal(monkeypatch):
@@ -359,23 +371,6 @@ def test_window_solve_skips_channels_whose_floor_is_above_the_top(monkeypatch):
     assert len(calls) == np.count_nonzero(floors < top)
     skipped = [b for b, floor in zip(es.blocks, floors) if floor >= top]
     assert all(b.cols.size == 0 for b in skipped)
-
-
-def test_lowest_eigenvalue_norms_the_band_once(monkeypatch):
-    # Weyl's guard and the factor at sigma share H's |A|_inf; the only
-    # other band normed is that of the coupling rows
-    from fluxlab import spectral
-    ab = coupled_model(np.cos).to_band()[0]
-    normed = []
-    norm = spectral._band_norm_inf
-
-    def counted(a):
-        normed.append(a)
-        return norm(a)
-
-    monkeypatch.setattr(spectral, "_band_norm_inf", counted)
-    lowest_eigenvalue(ab)
-    assert len(normed) == 2 and sum(a is ab for a in normed) == 1
 
 
 def test_lowest_eigenvalue_raises_when_the_certificate_fails(monkeypatch):

@@ -146,15 +146,15 @@ def test_twisted_gap_mobility_weight():
 
 
 def assert_matches_dense(h, report, dense, **tol):
-    """lambda_min is the dense minimum, solved from a certified lower bound:
-    Weyl's shift, below the dense minimum, when W couples the channels, and
-    the Sturm bisection's own value, within its tolerance eps |A|_1, when
-    the band is one tridiagonal."""
+    """lambda_min is the dense minimum, and the report's lower bound lies
+    below it: Weyl's shift when W couples the channels, and the Sturm
+    bisection's value, within its tolerance eps |A|_1, less a guard when the
+    band is one tridiagonal."""
     dense_min, norm_1 = dense
     assert report.lambda_min == pytest.approx(dense_min, **tol)
     if h.is_block_diagonal:
         assert abs(report.lambda_min - dense_min) <= np.finfo(float).eps * norm_1
-        assert report.lower_bound == report.lambda_min
+        assert report.lower_bound <= dense_min
     else:
         assert report.lower_bound < dense_min
 
@@ -232,54 +232,79 @@ def test_twisted_gap_fails_for_tripled_interior_eps():
                          abs=1e-9)
 
 
+def record_band_cholesky_shifts(monkeypatch):
+    """The shift of every later ``BandCholesky`` construction."""
+    from fluxlab import spectral
+    shifts = []
+    init = spectral.BandCholesky.__init__
+
+    def recorded(self, ab, sigma):
+        shifts.append(sigma)
+        init(self, ab, sigma)
+
+    monkeypatch.setattr(spectral.BandCholesky, "__init__", recorded)
+    return shifts
+
+
+def shift_of(report):
+    """The shift just below the threshold that the verdict is taken at."""
+    return pytest.approx(report.threshold - 1e-9 * max(1.0, abs(report.threshold)),
+                         rel=1e-15)
+
+
 def test_twisted_gap_fails_for_tenfold_interior_eps(monkeypatch):
     # far past the coercivity edge about 150 eigenvalues lie below the
     # threshold, and the cosh factors push the lowest to about -7.6e7; the
-    # FAIL report still solves it from Weyl's shift, so the verdict's factor
-    # and the one at that shift are the only band Cholesky factors built
-    from fluxlab import spectral
+    # FAIL report still solves it from Weyl's shift, and that factor and the
+    # verdict's at the shift are the only band Cholesky factors built
     profile, h, window, built = a6_twin_model()
     tenfold = dataclasses.replace(built, eps=10.0 * built.eps)
-    shifts = []
-    factor = spectral.BandCholesky._factor
-
-    def recorded(self, ab, sigma, norm_a):
-        shifts.append(sigma)
-        factor(self, ab, sigma, norm_a)
-
-    monkeypatch.setattr(spectral.BandCholesky, "_factor", recorded)
+    shifts = record_band_cholesky_shifts(monkeypatch)
     report = twisted_gap_check(h, tenfold, window)
     assert not report.passed
-    assert shifts == [pytest.approx(report.threshold, rel=1e-8), report.lower_bound]
+    assert shifts == [report.lower_bound, shift_of(report)]
     assert_matches_dense(h, report, dense_twisted_minimum(profile, h, tenfold, window),
                          rel=1e-9)
 
 
-@pytest.mark.parametrize("model", ["coupled", "w_zero"])
-def test_twisted_gap_takes_each_band_norm_once(model, monkeypatch):
-    # the verdict's factor, lowest_eigenvalue's Weyl guard and the factor at
-    # Weyl's shift share one |A|_inf of the twisted band; the coupled route
-    # also norms the band of its coupling rows, and the tridiagonal route
-    # needs no norm beyond the verdict's
-    from fluxlab import spectral
+@pytest.mark.parametrize("model, scale, passed", [
+    ("coupled", 1.0, True), ("coupled", 3.0, False),
+    ("w_zero", 1.0, True), ("w_zero", 3.0, False)])
+def test_twisted_gap_factors_only_where_the_bound_leaves_the_verdict_open(
+        model, scale, passed, monkeypatch):
+    # a PASS whose certified lower bound clears the shift builds only the
+    # factor at Weyl's shift (coupled) or none (tridiagonal); a FAIL adds
+    # the verdict's factor at the shift
     if model == "coupled":
-        profile, h, window, weight = a6_twin_model()
+        _, h, window, built = a6_twin_model()
+        weight = dataclasses.replace(built, eps=scale * built.eps)
     else:
-        profile, _, h, window, _ = linear_projection(j_max=4, n_r=200, upper=0.5)
-        weight = WeightSequence(kind="zero")
-    normed = []
-    norm = spectral._band_norm_inf
+        profile, grid, h, window, _ = linear_projection(j_max=4, n_r=200, upper=0.5)
+        built = build_weight("mobility", profile, window, grid, 1.0, 4)
+        weight = dataclasses.replace(built, delta1=scale * built.delta1)
+    shifts = record_band_cholesky_shifts(monkeypatch)
+    report = twisted_gap_check(h, weight, window)
+    assert report.passed == passed
+    weyl = [report.lower_bound] if model == "coupled" else []
+    assert shifts == (weyl if passed else weyl + [shift_of(report)])
 
-    def counted(ab):
-        normed.append(ab)
-        return norm(ab)
 
-    monkeypatch.setattr(spectral, "_band_norm_inf", counted)
-    assert twisted_gap_check(h, weight, window).passed
-    kd = normed[0].shape[0] - 1
-    assert len({id(ab) for ab in normed}) == len(normed) == (2 if kd > 1 else 1)
-    if kd > 1:
-        assert not np.any(normed[1][[0, kd]])        # the coupling rows alone
+@pytest.mark.parametrize("scale, passed", [(1.55, True), (1.6, False)])
+def test_twisted_gap_verdict_factor_decides_where_weyl_shift_is_below_threshold(
+        scale, passed, monkeypatch):
+    # at 1.55 eps Weyl's shift (0.977) lies below the threshold (1.010) and
+    # lambda_min (1.074) above it: the bound cannot settle the PASS and the
+    # factor at the shift decides it; at 1.6 eps lambda_min (0.904) falls
+    # below the threshold, the must-fail twin on the same path
+    profile, h, window, built = a6_twin_model()
+    weight = dataclasses.replace(built, eps=scale * built.eps)
+    shifts = record_band_cholesky_shifts(monkeypatch)
+    report = twisted_gap_check(h, weight, window)
+    assert report.lower_bound < report.threshold
+    assert report.passed == passed == (report.lambda_min > report.threshold)
+    assert shifts == [report.lower_bound, shift_of(report)]
+    assert_matches_dense(h, report, dense_twisted_minimum(profile, h, weight, window),
+                         abs=1e-9)
 
 
 @pytest.mark.parametrize("scale, passed", [(1.0, True), (3.0, False)])

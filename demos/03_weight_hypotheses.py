@@ -54,7 +54,7 @@ print(f"  exterior (eta = {frr.exterior_eta:.3f}, level = {frr.exterior_level:.3
 
 for kind in ("interior", "exterior"):
     weight = build_weight(kind, profile, window, grid, 1.0, J_MAX, a=A_RATE)
-    v = weight_validate(weight, profile, window, grid, J_MAX, a=A_RATE, zeta=1.0)
+    v = weight_validate(weight, profile, window, grid, J_MAX, a=A_RATE)
     gap = twisted_gap_check(h, weight, window)
     print(f"\n{kind} weight "
           + (f"(eps = {weight.eps:.4f}, j0 = {weight.j0})" if kind == "interior"

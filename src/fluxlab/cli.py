@@ -389,7 +389,7 @@ def _run_validate_weights(cfg, out_dir):
     if lowest.value > window.E0:
         # e0 = E0: the window holds no eigenvalue, as a rank-0 projection says
         warnings.warn(RANK_ZERO_WARNING, stacklevel=2)
-    built, zeta, a = _build_weights(cfg, profile, window, grid, j_max, w)
+    built, _, a = _build_weights(cfg, profile, window, grid, j_max, w)
 
     report, constants = {}, {
         "e0": window.e0, "c0": window.c0, "E_tilde": window.e_tilde,
@@ -397,8 +397,7 @@ def _run_validate_weights(cfg, out_dir):
     }
     all_pass = True
     for name, weight in built.items():
-        validation = weight_validate(weight, profile, window, grid, j_max,
-                                     a=a, zeta=zeta)
+        validation = weight_validate(weight, profile, window, grid, j_max, a=a)
         gap = twisted_gap_check(h, weight, window)
         all_pass &= validation.passed and gap.passed
         params = {k: v for k, v in dataclasses.asdict(weight).items()

@@ -304,9 +304,9 @@ def growth_fit_thm2(series: ObservableSeries, decay_kind: str,
     shrank = incr < -floor
     if not np.any(grew):
         # no measurable growth at any recorded time (localized or W_ns = 0):
-        # the bound holds with exponent 0
+        # the bound holds with exponent 0, but a moment that fell is no flat fit
         return GrowthFitReport(fitted_exponent=0.0, bound=bound, slack=slack,
-                               passed=True, reliable=True, flat=True,
+                               passed=True, reliable=not np.any(shrank), flat=True,
                                kind=kind, n_points=0)
 
     # sign-flipping or non-monotone increments make the fit untrustworthy

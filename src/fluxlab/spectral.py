@@ -150,19 +150,14 @@ class BlockHamiltonian:
 def _band_to_csc(ab: np.ndarray) -> sp.csc_matrix:
     """The Hermitian matrix held in upper band storage, as CSC in band order.
 
-    Column q holds rows q - kd .. q + kd: the stored upper entries and the
-    conjugates of row q's upper entries.  Entries that are exactly zero are
+    Band row kd - s holds the s-th superdiagonal aligned by column, which is
+    scipy's DIA layout at offset s; the lower triangle is the conjugate
+    transpose of the strict upper one.  Entries that are exactly zero are
     not stored.
     """
     kd, n = ab.shape[0] - 1, ab.shape[1]
-    cols = np.zeros((n, 2 * kd + 1), dtype=ab.dtype)     # cols[q, kd + p - q] = A[p, q]
-    cols[:, :kd + 1] = ab.T
-    for s in range(1, kd + 1):
-        cols[:n - s, kd + s] = np.conj(ab[kd - s, s:])
-    rows = np.arange(n)[:, None] + np.arange(-kd, kd + 1)
-    stored = (cols != 0) & (rows >= 0) & (rows < n)
-    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(stored, axis=1))))
-    return sp.csc_matrix((cols[stored], rows[stored], indptr), shape=(n, n))
+    upper = sp.dia_array((ab[::-1], np.arange(kd + 1)), shape=(n, n)).tocsc()
+    return sp.csc_matrix(upper + sp.triu(upper, 1, format="csc").conj().T)
 
 
 def _band_norm_inf(ab: np.ndarray) -> float:

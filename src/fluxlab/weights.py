@@ -31,7 +31,9 @@ All of these compare the table V_j(r_i) with E~.  Each consumer evaluates
 the table once for all its channels (``FluxProfile.effective_potential``
 with an array of channels), and the gap check reads chi from the table the
 assembly kept (``BlockHamiltonian.potential``), so it classifies every node
-as ``weight_validate`` does, ties V_j = E~ included.
+as ``weight_validate`` does, ties V_j = E~ included.  A weight gives F and
+|F'| on all channels in one call (``WeightSequence.evaluate``), and every
+per-channel power comes from :func:`_powers`, so scans and weights agree.
 """
 
 from __future__ import annotations
@@ -72,46 +74,36 @@ class WeightSequence:
     delta1: float = np.nan        # mobility
     eta1: float = np.nan          # mobility
 
-    def values(self, j: int, r: np.ndarray) -> np.ndarray:
+    def evaluate(self, channels: np.ndarray,
+                 r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """F_j(r_i) and |F_j'(r_i)| (off the kink, which never sits on a node),
+        each (n_channels, n_nodes): a column of per-channel factors per form."""
         r = np.asarray(r, dtype=float)
-        aj = abs(int(j))
+        aj = np.abs(np.asarray(channels, dtype=int))[:, None]
         if self.kind == "zero":
-            return np.zeros_like(r)
+            return np.zeros((aj.size, r.size)), np.zeros((aj.size, r.size))
         if self.kind == "interior":
-            if aj <= self.j0:
-                return np.zeros_like(r)
-            amp = aj ** (self.zeta * (1.0 - 1.0 / self.sigma_plus))
-            return amp * np.clip(self.eps * aj ** (self.zeta / self.sigma_plus) - r,
-                                 0.0, None)
-        if self.kind == "exterior":
-            thresh = self.eta ** (self.zeta * self.sigma_minus) * (1.0 + aj) ** self.zeta
-            return self.c * np.clip(r ** (self.zeta * self.sigma_minus) - thresh,
-                                    0.0, None)
-        if self.kind == "mobility":
-            return self.delta1 * np.clip(r - self.eta1 * aj, 0.0, None)
-        raise ValueError(f"unknown weight kind {self.kind!r}")
-
-    def derivative_abs(self, j: int, r: np.ndarray) -> np.ndarray:
-        """|F_j'(r)| (defined off the kink, which never sits on a node)."""
-        r = np.asarray(r, dtype=float)
-        aj = abs(int(j))
-        if self.kind == "zero":
-            return np.zeros_like(r)
-        if self.kind == "interior":
-            if aj <= self.j0:
-                return np.zeros_like(r)
-            amp = aj ** (self.zeta * (1.0 - 1.0 / self.sigma_plus))
-            return amp * (r < self.eps * aj ** (self.zeta / self.sigma_plus))
+            amp = np.where(aj > self.j0,
+                           _powers(aj, self.zeta * (1.0 - 1.0 / self.sigma_plus)), 0.0)
+            reach = self.eps * _powers(aj, self.zeta / self.sigma_plus)
+            return amp * np.clip(reach - r, 0.0, None), amp * (r < reach)
         if self.kind == "exterior":
             zs = self.zeta * self.sigma_minus
-            support = r > self.eta * (1.0 + aj) ** (1.0 / self.sigma_minus)
-            return self.c * zs * r ** (zs - 1.0) * support
+            thresh = self.eta ** zs * _powers(1.0 + aj, self.zeta)
+            support = r > self.eta * _powers(1.0 + aj, 1.0 / self.sigma_minus)
+            return (self.c * np.clip(r ** zs - thresh, 0.0, None),
+                    self.c * zs * r ** (zs - 1.0) * support)
         if self.kind == "mobility":
-            return self.delta1 * (r > self.eta1 * aj)
+            return (self.delta1 * np.clip(r - self.eta1 * aj, 0.0, None),
+                    self.delta1 * (r > self.eta1 * aj))
         raise ValueError(f"unknown weight kind {self.kind!r}")
 
-    def matrix(self, channels: np.ndarray, r: np.ndarray) -> np.ndarray:
-        return np.stack([self.values(int(j), r) for j in channels])
+
+def _powers(base, p: float) -> np.ndarray:
+    """float(b) ** p per entry: Python's scalar pow, from which numpy's array
+    ``**`` may differ in the last bit, for every per-channel power here."""
+    base = np.asarray(base)
+    return np.array([float(b) ** p for b in base.ravel()]).reshape(base.shape)
 
 
 def _interior_scan(profile: FluxProfile, e_tilde: float, grid: RadialGrid,
@@ -126,17 +118,15 @@ def _interior_scan(profile: FluxProfile, e_tilde: float, grid: RadialGrid,
     """
     sigma = profile.sigma_plus
     nodes = grid.nodes
-    # scalar powers, as WeightSequence takes them (numpy's vectorized pow
-    # may differ in the last bit)
-    level = np.array([aj ** (2.0 * zeta * (1.0 - 1.0 / sigma)) for aj in range(1, j_max + 1)])
-    scale = np.array([aj ** (zeta / sigma) for aj in range(1, j_max + 1)])
-    ok = profile.effective_potential(np.arange(1, j_max + 1), nodes) - e_tilde \
-        >= level[:, None]
+    js = np.arange(1, j_max + 1)
+    level = _powers(js, 2.0 * zeta * (1.0 - 1.0 / sigma))
+    scale = _powers(js, zeta / sigma)
+    ok = profile.effective_potential(js, nodes) - e_tilde >= level[:, None]
     s_max = np.where(ok.all(axis=1), grid.r_max, nodes[np.argmin(ok, axis=1)])
     # eps[j0] = min over |j| > j0 of s_j / |j|^{zeta/sigma_+}, for j0 <= 8
     eps = np.minimum.accumulate((s_max / scale)[::-1])[::-1][:min(8, j_max - 1) + 1]
     if a is not None:
-        eps = np.minimum(eps, [0.5 * a / (j0 + 1) ** zeta for j0 in range(eps.size)])
+        eps = np.minimum(eps, 0.5 * a / _powers(js[:eps.size], zeta))
     j0 = int(np.argmax(eps))
     if eps[j0] <= 0:
         raise ValueError(
@@ -171,12 +161,12 @@ def _exterior_scan(profile: FluxProfile, e_tilde: float, grid: RadialGrid,
     # suffix[c, k]: the cap of the support nodes[k:] of channel c; +inf when empty
     suffix = np.minimum.accumulate(ratio[:, ::-1], axis=1)[:, ::-1]
     suffix = np.hstack([suffix, np.full((j_max + 1, 1), np.inf)])
-    growth = np.array([(1.0 + aj) ** (1.0 / sigma) for aj in range(j_max + 1)])
+    growth = _powers(1.0 + np.arange(j_max + 1), 1.0 / sigma)
     start = np.searchsorted(nodes, etas[:, None] * growth, side="right")
     c_cap = suffix[np.arange(j_max + 1), start].min(axis=1)
     c_cap[c_cap == np.inf] = -np.inf            # every support empty
     if a is not None:
-        c_cap = np.minimum(c_cap, [0.5 * a * eta ** (-zs) for eta in etas])
+        c_cap = np.minimum(c_cap, 0.5 * a * _powers(etas, -zs))
     best = int(np.argmax(c_cap))
     if c_cap[best] <= 0:
         raise ValueError(
@@ -246,20 +236,15 @@ class WeightValidation:
 
 def weight_validate(weight: WeightSequence, profile: FluxProfile,
                     window: SpectralWindow, grid: RadialGrid, j_max: int,
-                    a: Optional[float] = None,
-                    zeta: Optional[float] = None) -> WeightValidation:
-    """Check hypotheses (i)-(iii) at every node and channel pair, to 1e-9."""
+                    a: Optional[float] = None) -> WeightValidation:
+    """Check hypotheses (i)-(iii) at every node and channel pair, to 1e-9;
+    (iii) only when the Gevrey rate ``a`` is given, with ``weight.zeta``."""
     tol = 1e-9
     channels = np.arange(-j_max, j_max + 1)
-    nodes = grid.nodes
-    if zeta is None:
-        zeta = weight.zeta
-
-    f = weight.matrix(channels, nodes)
-    v = profile.effective_potential(channels, nodes)
+    f, slope = weight.evaluate(channels, grid.nodes)
+    v = profile.effective_potential(channels, grid.nodes)
     allowed = v <= window.e_tilde
-    lhs = np.stack([weight.derivative_abs(int(j), nodes) for j in channels]) ** 2
-    margin = v - window.e_tilde * (~allowed) - lhs
+    margin = v - window.e_tilde * (~allowed) - slope ** 2
     deriv_ok = np.all(margin >= -tol, axis=1)
     max_allowed_weight = float(f[allowed].max(initial=0.0))
     bounded_ok = max_allowed_weight <= tol
@@ -269,7 +254,7 @@ def weight_validate(weight: WeightSequence, profile: FluxProfile,
         lip_excess = -np.inf
         for c1 in range(channels.size - 1):
             d = np.max(np.abs(f[c1 + 1:] - f[c1][None, :]), axis=1)
-            bound = 0.5 * a * np.abs(channels[c1 + 1:] - channels[c1]) ** zeta
+            bound = 0.5 * a * np.abs(channels[c1 + 1:] - channels[c1]) ** weight.zeta
             lip_excess = max(lip_excess, float(np.max(d - bound)))
 
     return WeightValidation(
@@ -310,7 +295,7 @@ def twisted_gap_check(h: BlockHamiltonian, weight: WeightSequence,
     """
     ab, order = h.to_band()
     kd = ab.shape[0] - 1
-    f = weight.matrix(h.channels, h.grid.nodes).reshape(-1)[order]
+    f = weight.evaluate(h.channels, h.grid.nodes)[0].reshape(-1)[order]
     chi = (h.potential <= window.e_tilde).reshape(-1)[order]
     ab[kd] += window.e_tilde * chi
     for r in range(kd):
@@ -357,12 +342,13 @@ def tunnelling_interior_sum(p: SpectralProjection, c_plus: float,
     the tail ratio compares the outermost two |j| shells.
     """
     channels = p.channels
+    radius = c_plus * _powers(np.abs(channels), zeta / sigma_plus)
+    weight = np.exp(delta_plus * _powers(np.abs(channels), zeta))
     norms = np.zeros(channels.size)
     terms = np.zeros(channels.size)
     for c, j in enumerate(channels):
-        radius = c_plus * abs(int(j)) ** (zeta / sigma_plus)
-        norms[c] = channel_projection_norm(p, int(j), (0.0, min(radius, p.grid.r_max)))
-        terms[c] = np.exp(delta_plus * abs(int(j)) ** zeta) * norms[c] ** 2
+        norms[c] = channel_projection_norm(p, int(j), (0.0, min(radius[c], p.grid.r_max)))
+        terms[c] = weight[c] * norms[c] ** 2
     return TunnellingSum(
         j=np.asarray(channels), norms=norms, terms=terms,
         partial_sum=float(terms.sum()), tail_ratio=_tail_ratio(channels, terms),
@@ -377,13 +363,13 @@ def tunnelling_exterior_sum(p: SpectralProjection, c_minus: float,
     """Exterior masked norms with the radial weight e^{delta_- r^{zeta sigma_-}}."""
     channels = p.channels
     zs = zeta * sigma_minus
+    lower = c_minus * _powers(np.abs(channels), zeta / sigma_minus)
     norms = np.zeros(channels.size)
     for c, j in enumerate(channels):
-        lo = c_minus * abs(int(j)) ** (zeta / sigma_minus)
-        if lo >= p.grid.r_max:
+        if lower[c] >= p.grid.r_max:
             continue
         norms[c] = channel_projection_norm(
-            p, int(j), (lo, p.grid.r_max),
+            p, int(j), (lower[c], p.grid.r_max),
             radial_weight=lambda r: np.exp(delta_minus * r ** zs))
     terms = norms ** 2
     return TunnellingSum(
@@ -451,8 +437,9 @@ def forbidden_region_check(profile: FluxProfile, energy: float, grid: RadialGrid
     j0 = max(1, math.ceil(4.0 * lp))
     eps_e = min((1.0 / (2.0 * lp)) ** (1.0 / sp_), 1.0 / (4.0 * math.sqrt(energy + 1.0)))
     gap = profile.effective_potential(np.arange(j_max + 1), nodes) - energy
-    radius = np.array([eps_e * aj ** (1.0 / sp_) for aj in range(j0, j_max + 1)])
-    level_in = np.array([aj ** (2.0 * (sp_ - 1.0) / sp_) for aj in range(j0, j_max + 1)])
+    js = np.arange(j0, j_max + 1)
+    radius = eps_e * _powers(js, 1.0 / sp_)
+    level_in = _powers(js, 2.0 * (sp_ - 1.0) / sp_)
     int_margin = float(np.min(gap[j0:] - level_in[:, None], initial=np.inf,
                               where=nodes <= radius[:, None]))
 
@@ -460,7 +447,7 @@ def forbidden_region_check(profile: FluxProfile, energy: float, grid: RadialGrid
     if sm > 1:
         eta_e = max(eta_e, (8.0 * energy / lm ** 2) ** (1.0 / (2.0 * (sm - 1.0))))
     level = lm ** 2 / 4.0 - energy / eta_e ** (2.0 * (sm - 1.0))
-    r_in = np.array([eta_e * (1.0 + aj) ** (1.0 / sm) for aj in range(j_max + 1)])
+    r_in = eta_e * _powers(1.0 + np.arange(j_max + 1), 1.0 / sm)
     ext_margin = float(np.min(gap - level * nodes ** (2.0 * (sm - 1.0)), initial=np.inf,
                               where=nodes >= r_in[:, None]))
 

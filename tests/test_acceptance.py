@@ -191,7 +191,7 @@ def test_A6_weight_hypotheses(tunnelling_lab):
         weight = build_weight(kind, profile, window, grid, 1.0, j_max,
                               a=w.envelope.a)
         validation = weight_validate(weight, profile, window, grid, j_max,
-                                     a=w.envelope.a, zeta=1.0)
+                                     a=w.envelope.a)
         gap = twisted_gap_check(h, weight, window)
         ok &= validation.passed and gap.passed and gap.slack >= 0
         details.append(f"{kind}: hypotheses "

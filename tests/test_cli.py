@@ -238,6 +238,30 @@ def test_validate_weights_makes_no_window_solve(tmp_path, monkeypatch):
             assert abs(constants["e0"] - spectrum["e0"]) <= tol
 
 
+# the two benchmark models: H's largest norm, and so the widest e0 tolerance
+REF_COUPLED_CFG = COUPLED_CFG.replace("grid.n_r = 160", "grid.n_r = 270") \
+    .replace("grid.r_max = 10.0", "grid.r_max = 18.0") \
+    .replace("channels.j_max = 6", "channels.j_max = 12")
+REF_LINEAR_CFG = LINEAR_CFG.replace("grid.n_r = 200", "grid.n_r = 800") \
+    .replace("grid.r_max = 16.0", "grid.r_max = 32.0") \
+    .replace("channels.j_max = 8", "channels.j_max = 20")
+
+
+@pytest.mark.parametrize("text", [COUPLED_CFG, LINEAR_CFG, REF_COUPLED_CFG, REF_LINEAR_CFG],
+                         ids=["coupled", "linear", "ref-coupled", "ref-linear"])
+def test_validate_weights_and_spectrum_agree_on_e0(tmp_path, text):
+    # validate-weights certifies e0 with lowest_eigenvalue, the window
+    # subcommands read it off the window solve: both resolve it to eps |H|_inf
+    cfg = write_cfg(tmp_path, text)
+    constants = {}
+    for command in ("spectrum", "validate-weights"):
+        assert run(command, cfg, str(tmp_path / command)) == 0, command
+        constants[command] = json.loads(
+            (tmp_path / command / "manifest.json").read_text())["constants"]
+    tol = np.finfo(float).eps * constants["spectrum"]["norm_inf"]
+    assert abs(constants["validate-weights"]["e0"] - constants["spectrum"]["e0"]) <= tol
+
+
 def test_mobility_requires_linear_w_free_model(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BASE_CFG)
     assert main(["mobility", "--config", cfg, "--out", str(tmp_path / "m")]) == 2

@@ -279,7 +279,18 @@ def test_growth_fit_flat_series_passes_with_zero_exponent():
     report = growth_fit_thm2(series, "power", zeta=1.0, sigma_plus=1.5, p=4.0)
     assert report.flat
     assert report.fitted_exponent == 0.0
+    assert report.passed and report.reliable
+
+
+def test_growth_fit_falling_series_is_not_a_reliable_flat_fit():
+    # a moment that only falls (here by 3.6 %) has no growth to fit: the
+    # bound holds, but the series does not show a flat moment either
+    times = np.geomspace(1.0, 1000.0, 30)
+    series = _synthetic_series(times, np.linspace(5.972, 5.757, 30))
+    report = growth_fit_thm2(series, "power", zeta=1.0, sigma_plus=1.5, p=4.0)
+    assert report.flat and report.n_points == 0
     assert report.passed
+    assert not report.reliable
 
 
 def test_growth_fit_log_power_data():

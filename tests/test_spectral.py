@@ -253,6 +253,22 @@ def test_band_holds_the_permuted_sparse_entries(model, coupled):
     assert h.norm_inf() == pytest.approx(np.max(np.sum(np.abs(expected), axis=1)), rel=1e-14)
 
 
+@pytest.mark.parametrize("model", [
+    lambda: coupled_model(np.cos),
+    lambda: coupled_model(lambda t: np.cos(t) + 0.5 * np.sin(2 * t)),
+    lambda: assemble_hamiltonian(FluxProfile.power_law(1.0, 1.5), None,
+                                 build_grid(50, 6.0), 4),          # kd = 1
+], ids=["real", "complex_hermitian", "tridiagonal"])
+def test_band_csc_is_the_hermitian_matrix_without_stored_zeros(model):
+    from fluxlab.spectral import _band_to_csc
+    ab = model().to_band()[0]
+    expected = band_to_dense(ab)
+    a = _band_to_csc(ab)
+    assert a.format == "csc" and a.dtype == ab.dtype and a.has_sorted_indices
+    assert np.count_nonzero(a.data) == a.nnz == np.count_nonzero(expected)
+    assert np.array_equal(a.toarray(), expected)
+
+
 def test_band_cholesky_verdict_and_pivot_guard():
     ab = np.array([[0.0, 0.0], [1.0, 1e-14]])      # diag(1, 1e-14), kd = 1
     assert BandCholesky(ab, -1.0).positive_definite

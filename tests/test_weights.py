@@ -28,19 +28,88 @@ def test_interior_weight_closed_form():
     w = WeightSequence(kind="interior", zeta=1.0, eps=0.5, j0=0, sigma_plus=2.0)
     r = np.linspace(0.01, 2.0, 50)
     expected = 2.0 * np.clip(1.0 - r, 0.0, None)
-    assert np.allclose(w.values(4, r), expected)
-    assert np.allclose(w.values(-4, r), expected)
+    f, slope = w.evaluate(np.array([4, -4]), r)
+    assert np.allclose(f[0], expected)
+    assert np.allclose(f[1], expected)
     # support ends exactly at eps |j|^{zeta/sigma}
-    assert np.all(w.values(4, r[r >= 1.0]) == 0.0)
-    assert np.all(w.derivative_abs(4, r[r > 1.0]) == 0.0)
+    assert np.all(f[0, r >= 1.0] == 0.0)
+    assert np.all(slope[0, r > 1.0] == 0.0)
 
 
 def test_zero_weight():
     w = WeightSequence(kind="zero")
     r = np.linspace(0.1, 5.0, 20)
-    for j in (-3, 0, 7):
-        assert np.all(w.values(j, r) == 0.0)
-        assert np.all(w.derivative_abs(j, r) == 0.0)
+    f, slope = w.evaluate(np.array([-3, 0, 7]), r)
+    assert f.shape == slope.shape == (3, r.size)
+    assert np.all(f == 0.0)
+    assert np.all(slope == 0.0)
+
+
+def closed_form(w, j, r):
+    """F_j and |F_j'| of one channel, each family's formula with scalar powers."""
+    aj = abs(j)
+    if w.kind == "zero" or (w.kind == "interior" and aj <= w.j0):
+        return np.zeros_like(r), np.zeros_like(r)
+    if w.kind == "interior":
+        amp = aj ** (w.zeta * (1.0 - 1.0 / w.sigma_plus))
+        reach = w.eps * aj ** (w.zeta / w.sigma_plus)
+        return amp * np.clip(reach - r, 0.0, None), amp * (r < reach)
+    if w.kind == "exterior":
+        zs = w.zeta * w.sigma_minus
+        thresh = w.eta ** zs * (1.0 + aj) ** w.zeta
+        support = r > w.eta * (1.0 + aj) ** (1.0 / w.sigma_minus)
+        return (w.c * np.clip(r ** zs - thresh, 0.0, None),
+                w.c * zs * r ** (zs - 1.0) * support)
+    return w.delta1 * np.clip(r - w.eta1 * aj, 0.0, None), w.delta1 * (r > w.eta1 * aj)
+
+
+BENCH_GRIDS = [(800, 32.0, 20), (270, 18.0, 12)]      # (n_r, r_max, j_max)
+# at zeta = 0.7 numpy's array pow differs from scalar pow in the last bit on
+# a few channels of the interior reach and the exterior threshold
+EVERY_KIND = [
+    WeightSequence(kind="interior", zeta=0.7, eps=0.4995, j0=3, sigma_plus=1.5),
+    WeightSequence(kind="exterior", zeta=0.7, c=0.3045, eta=1.8224, sigma_minus=1.5),
+    WeightSequence(kind="mobility", zeta=1.0, delta1=0.0863, eta1=1.25),
+    WeightSequence(kind="zero"),
+]
+
+
+@pytest.mark.parametrize("n_r, r_max, j_max", BENCH_GRIDS)
+@pytest.mark.parametrize("w", EVERY_KIND, ids=[w.kind for w in EVERY_KIND])
+def test_evaluate_rows_are_the_closed_forms(w, n_r, r_max, j_max):
+    # every row, both signs of j, equals its channel's closed form bit for bit
+    nodes = build_grid(n_r, r_max).nodes
+    channels = np.arange(-j_max, j_max + 1)
+    f, slope = w.evaluate(channels, nodes)
+    assert f.shape == slope.shape == (channels.size, n_r)
+    for row, j in enumerate(channels):
+        f_j, slope_j = closed_form(w, int(j), nodes)
+        assert np.array_equal(f[row], f_j), j
+        assert np.array_equal(slope[row], slope_j), j
+    if w.kind == "interior":
+        # the weight starts at channel j0 + 1
+        assert not f[channels == w.j0].any() and not slope[channels == -w.j0].any()
+        assert f[channels == w.j0 + 1].any() and slope[channels == -w.j0 - 1].any()
+    if w.kind != "zero":
+        assert slope.any()
+
+
+@pytest.mark.parametrize("n_r, r_max, j_max", BENCH_GRIDS)
+def test_exterior_support_starts_where_the_scan_put_it(n_r, r_max, j_max):
+    # the scan places channel |j|'s support at the first node past
+    # eta (1 + |j|)^{1/sigma_-}; the built weight's |F'| starts there too
+    profile = FluxProfile.power_law(1.0, 1.5)
+    grid = build_grid(n_r, r_max)
+    window = SpectralWindow(e0=0.64, E0=1.0, delta0=0.0356, c0=0.126)
+    w = build_weight("exterior", profile, window, grid, 1.0, j_max, a=1.5)
+    growth = np.array([(1.0 + aj) ** (1.0 / profile.sigma_minus)
+                       for aj in range(j_max + 1)])
+    start = np.searchsorted(grid.nodes, w.eta * growth, side="right")
+    channels = np.arange(-j_max, j_max + 1)
+    slope = w.evaluate(channels, grid.nodes)[1] > 0
+    first = np.where(slope.any(axis=1), np.argmax(slope, axis=1), n_r)
+    assert np.array_equal(first, start[np.abs(channels)])
+    assert np.all(start < n_r)
 
 
 def test_mobility_weight_eta_threshold():
@@ -70,7 +139,7 @@ def test_built_weights_validate_on_their_grid():
     a, zeta, j_max = 1.5, 1.0, 10
     for kind in ("interior", "exterior"):
         w = build_weight(kind, profile, window, grid, zeta, j_max, a=a)
-        report = weight_validate(w, profile, window, grid, j_max, a=a, zeta=zeta)
+        report = weight_validate(w, profile, window, grid, j_max, a=a)
         assert report.passed, (kind, report)
         assert report.max_exp_weight_on_allowed == pytest.approx(1.0)
 
@@ -81,8 +150,8 @@ def test_cross_channel_bound_holds_exactly_as_stated():
     window = SpectralWindow(e0=0.4, E0=1.0, delta0=0.06, c0=0.0)
     a, zeta, j_max = 1.2, 1.0, 8
     w = build_weight("interior", profile, window, grid, zeta, j_max, a=a)
-    f = w.matrix(np.arange(-j_max, j_max + 1), grid.nodes)
     channels = np.arange(-j_max, j_max + 1)
+    f = w.evaluate(channels, grid.nodes)[0]
     for c1 in range(len(channels)):
         for c2 in range(len(channels)):
             diff = np.max(np.abs(f[c1] - f[c2]))
@@ -97,7 +166,7 @@ def test_interior_weight_with_doubled_eps_fails_lipschitz():
     w = build_weight("interior", profile, window, grid, zeta, j_max, a=a)
     doubled = WeightSequence(kind="interior", zeta=zeta, eps=2.0 * w.eps,
                              j0=w.j0, sigma_plus=w.sigma_plus)
-    report = weight_validate(doubled, profile, window, grid, j_max, a=a, zeta=zeta)
+    report = weight_validate(doubled, profile, window, grid, j_max, a=a)
     assert not report.lipschitz_ok
 
 
@@ -106,7 +175,7 @@ def test_weight_validate_zero_weight_passes():
     grid = build_grid(150, 8.0)
     window = SpectralWindow(e0=0.4, E0=1.0, delta0=0.06, c0=0.0)
     report = weight_validate(WeightSequence(kind="zero"), profile, window,
-                             grid, 6, a=1.0, zeta=1.0)
+                             grid, 6, a=1.0)
     assert report.passed
 
 
@@ -162,7 +231,7 @@ def assert_matches_dense(h, report, dense, **tol):
 def dense_twisted_minimum(profile, h, weight, window):
     """Lowest eigenvalue of the dense symmetrized twisted operator, and the
     operator's 1-norm; block-diagonal H is solved one channel block at a time."""
-    f = np.exp(weight.matrix(h.channels, h.grid.nodes))
+    f = np.exp(weight.evaluate(h.channels, h.grid.nodes)[0])
     allowed = np.stack([profile.effective_potential(int(j), h.grid.nodes)
                         <= window.e_tilde for j in h.channels])
     if h.is_block_diagonal:

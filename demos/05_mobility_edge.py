@@ -9,8 +9,7 @@ the box above it.
 
 import numpy as np
 
-from fluxlab import FluxProfile, RadialGrid, build_channel_operator, build_grid, \
-    classical_region
+from fluxlab import FluxProfile, build_channel_operator, build_grid, classical_region
 from fluxlab.dynamics import mobility_edge_scan, participation_width
 
 LAM = 1.0
@@ -22,24 +21,14 @@ report = mobility_edge_scan(LAM, grid, 3, low_band=(0.1, 0.8),
                             high_band=(1.8, 2.2), box_growth=GROWTH)
 profile = FluxProfile.linear(LAM)
 
-# The grown box's eigenvalues come from bisection to eps |T|_1 of each
-# channel's tridiagonal T, so a smaller shift is rounding, not box sensitivity.
-n_big = int(round(grid.n_r * GROWTH))
-grid_big = RadialGrid(n_r=n_big, r_max=n_big * grid.h)
-
-
-def bisection_tolerance(j):
-    op = build_channel_operator(profile, j, grid_big)
-    e = np.abs(op.off_diagonal)
-    return np.finfo(float).eps * np.max(np.abs(op.diagonal) + np.r_[e, 0.0] + np.r_[0.0, e])
-
-
 print("\nBelow the edge (band [0.1, 0.8]):")
 print(f"  j   eigenvalue   classical region      decay rate   shift under {GROWTH}x box")
 for rec in report.localized:
     region = classical_region(profile, rec.j, rec.eigenvalue, grid)
     lo, hi = region.interval
-    tol = bisection_tolerance(rec.j)
+    # the grown box's eigenvalues are bisected to eps |T|_1 of each channel's
+    # tridiagonal T, so a smaller shift is rounding, not box sensitivity
+    tol = rec.shift_resolution
     shift = f"{rec.eigenvalue_shift:.2e}" if rec.eigenvalue_shift >= tol \
         else f"unresolved (< {tol:.1e})"
     print(f"  {rec.j}   {rec.eigenvalue:.6f}    [{lo:5.2f}, {hi:5.2f}]    "

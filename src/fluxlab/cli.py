@@ -391,9 +391,11 @@ def _run_validate_weights(cfg, out_dir):
         warnings.warn(RANK_ZERO_WARNING, stacklevel=2)
     built, _, a = _build_weights(cfg, profile, window, grid, j_max, w)
 
+    e0_channel = int(h.channels[lowest.channel])
     report, constants = {}, {
         "e0": window.e0, "c0": window.c0, "E_tilde": window.e_tilde,
         "e0_solver": lowest.method, "e0_lower_bound": lowest.lower_bound,
+        "e0_channel": e0_channel, "e0_channel_outermost": abs(e0_channel) == j_max,
     }
     all_pass = True
     for name, weight in built.items():
@@ -528,9 +530,9 @@ def _run_mobility(cfg, out_dir):
                                 high_band=high,
                                 box_growth=cfg.get_float("mobility.box_growth", 1.5))
     write_csv(os.path.join(out_dir, "mobility_localized.csv"),
-              ["j", "eigenvalue", "decay_rate", "eigenvalue_shift"],
-              [(rec.j, rec.eigenvalue, rec.decay_rate, rec.eigenvalue_shift)
-               for rec in report.localized])
+              ["j", "eigenvalue", "decay_rate", "eigenvalue_shift", "shift_resolution"],
+              [(rec.j, rec.eigenvalue, rec.decay_rate, rec.eigenvalue_shift,
+                rec.shift_resolution) for rec in report.localized])
     write_csv(os.path.join(out_dir, "mobility_width_ratios.csv"),
               ["ratio"], [(r,) for r in report.extended_width_ratios])
     summary = {

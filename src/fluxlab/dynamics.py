@@ -344,6 +344,7 @@ class MobilityChannelRecord:
     eigenvalue: float
     decay_rate: float = np.nan
     eigenvalue_shift: float = np.nan
+    shift_resolution: float = np.nan    # eps |T|_1 of the grown box's tridiagonal T
 
 
 @dataclass
@@ -406,9 +407,10 @@ def mobility_edge_scan(lam: float, grid: RadialGrid, j_max: int,
     (below 1e-12 on the benchmark grids).  The grown box's eigenvalues come
     from Sturm-sequence bisection (``?stebz``) to LAPACK's default tolerance
     eps |T|_1 of the channel's tridiagonal T, so an ``eigenvalue_shift``
-    below that tolerance is rounding, not box sensitivity.  V_j near r = 0
-    makes |T|_1 large: about 1e6 at |j| = 20 with n_r = 800 and r_max = 32,
-    a tolerance of about 2e-10.
+    below that tolerance is rounding, not box sensitivity; each record
+    carries it as ``shift_resolution``.  V_j near r = 0 makes |T|_1 large:
+    about 1e6 at |j| = 20 with n_r = 800 and r_max = 32, a tolerance of
+    about 2e-10.
     """
     profile = FluxProfile.linear(lam)
     report = MobilityReport(lam=lam)
@@ -428,6 +430,10 @@ def mobility_edge_scan(lam: float, grid: RadialGrid, j_max: int,
         if vals.size:
             vals_big = op_big.eigenvalues(
                 value_range=(low_band[0] - 0.05, low_band[1] + 0.05))
+            row_sums = np.abs(op_big.diagonal)          # |T|_1 = max row sum
+            row_sums[:-1] += np.abs(op_big.off_diagonal)
+            row_sums[1:] += np.abs(op_big.off_diagonal)
+            resolution = float(np.finfo(float).eps * row_sums.max())
             for idx in range(vals.size):
                 region = classical_region(profile, j, float(vals[idx]), grid)
                 r_hi = region.interval[1] if not region.empty else 0.0
@@ -436,7 +442,7 @@ def mobility_edge_scan(lam: float, grid: RadialGrid, j_max: int,
                     if vals_big.size else np.inf
                 report.localized.append(MobilityChannelRecord(
                     j=j, eigenvalue=float(vals[idx]), decay_rate=rate,
-                    eigenvalue_shift=shift))
+                    eigenvalue_shift=shift, shift_resolution=resolution))
 
         vals, u = op.eigenpairs(value_range=high_band)
         if vals.size:

@@ -22,10 +22,11 @@ Repeated runs are deterministic (fixed start vectors, fixed assembly order).
 A check that reads only the window's bottom e0 takes H's lowest eigenvalue
 from :func:`lowest_eigenvalue` instead, which also gives the twisted
 operator's: over the channel tridiagonals of H's band, one channel's lowest
-eigenvalue as an upper bound and one Sturm bisection of the eigenvalues
-below it, and, when W couples the channels, one band Cholesky factor at a
-shift that Weyl's inequality puts below the spectrum plus one
-shift-inverted Lanczos run for a single eigenvalue.
+eigenvalue as an upper bound, certified over the other channels by one
+LDL^T sweep that bisects only a channel whose pivot fails, and, when W
+couples the channels, one band Cholesky factor at a shift that Weyl's
+inequality puts below the spectrum plus one shift-inverted Lanczos run for
+a single eigenvalue.
 
 An :class:`EigenSystem` stores its eigenvectors only in blocks
 (:class:`BasisBlock`) whose rows tile the flat index: the per-channel route
@@ -55,6 +56,7 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
@@ -74,6 +76,7 @@ DENSE_LIMIT = 4000      # largest coupled dimension whose full spectrum is solve
 WINDOW_MARGIN = 0.05    # a window solve to E0 covers E0 + WINDOW_MARGIN max(1, |E0|)
 RANK_ZERO_WARNING = "spectral window selected no eigenvalues (rank-0 projection)"
 PANEL_ROWS = 1024       # rows of a block one GEMM writes in block_product's V x
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -160,15 +163,26 @@ def _band_to_csc(ab: np.ndarray) -> sp.csc_matrix:
     return sp.csc_matrix(upper + sp.triu(upper, 1, format="csc").conj().T)
 
 
+def _band_row_sums(ab: np.ndarray, rows) -> np.ndarray:
+    """Absolute row sums of the Hermitian matrix held in upper band storage,
+    counting only the entries of the band rows ``rows`` (row kd is the
+    diagonal), added in the order given."""
+    kd = ab.shape[0] - 1
+    total = np.zeros(ab.shape[1])
+    for r in rows:
+        entries = np.abs(ab[r, kd - r:])
+        if r == kd:
+            total += entries
+        else:
+            total[:r - kd] += entries
+            total[kd - r:] += entries
+    return total
+
+
 def _band_norm_inf(ab: np.ndarray) -> float:
     """Max absolute row sum of the Hermitian matrix held in upper band storage."""
     kd = ab.shape[0] - 1
-    row = np.abs(ab[kd])
-    for r in range(kd):
-        entries = np.abs(ab[r, kd - r:])
-        row[:r - kd] += entries
-        row[kd - r:] += entries
-    return float(row.max())
+    return float(_band_row_sums(ab, (kd, *range(kd))).max())
 
 
 def assemble_hamiltonian(profile: FluxProfile, w: Optional[AngularPotential],
@@ -504,45 +518,81 @@ class BandCholesky:
                            return_eigenvectors=False)[0])
 
 
-def _tridiagonal_lowest(ab: np.ndarray) -> float:
+class _TridiagonalLowest(NamedTuple):
+    """The lowest eigenvalue of a split tridiagonal T, bisected to
+    ``?stebz``'s tolerance, and the block of T that holds it: its index
+    among the blocks that zero off-diagonals split T into, and its rows."""
+
+    value: float
+    block: int
+    rows: slice
+
+
+def _tridiagonal_lowest(ab: np.ndarray) -> _TridiagonalLowest:
     """The lowest eigenvalue of the Hermitian tridiagonal in upper band
-    storage (``kd == 1``).
+    storage (``kd == 1``), and the block that holds it.
 
     It is unitarily similar to the real tridiagonal T with the moduli of its
     off-diagonals, which its zero off-diagonals split into blocks.  The
     lowest eigenvalue ub of the block with the lowest diagonal entry is an
     eigenvalue of T, so it bounds lambda_min from above; that block alone is
-    bisected for it, in index mode.  One value-mode ``?stebz`` call over all
-    of T then bisects only the eigenvalues in (-inf, ub + guard], to
-    LAPACK's default tolerance eps |T|_1; blocks whose Gershgorin interval
-    lies above the slice cost one pass over their rows.  The guard covers
-    the block solve's tolerance, so the slice holds at least that block's
-    eigenvalue, and the answer is the slice's smallest eigenvalue, whichever
-    block holds it.
+    bisected for it, in index mode, and ``top`` starts there.  By
+    Sylvester's law of inertia a block has an eigenvalue below s exactly
+    when the LDL^T factorization of its rows minus s I meets a pivot that is
+    not positive (Parlett, The Symmetric Eigenvalue Problem, ch. 3).  So one
+    ``?pttrf`` sweep of T - (top + guard) I over the other blocks' rows
+    certifies that none of them goes lower.  The zero off-diagonals restart
+    the elimination at every block, so a failing pivot names its block;
+    only that block is bisected, over its own rows, for its eigenvalues in
+    (-inf, ub + guard], ``top`` falls to the lowest if lower, and the sweep
+    restarts after the block at the new shift, where every block it passed
+    is still positive definite.  Each restart re-reads only the rows left.
+    The guard covers the block solve's tolerance, so a block tied with
+    ``top`` within rounding is bisected too, and a failing block's values
+    are those a single value slice (-inf, ub + guard] over all of T gives.
     """
     d, e = ab[1].real, np.abs(ab[0, 1:])
     bounds = np.concatenate(([0], np.flatnonzero(e == 0.0) + 1, [d.size]))
-    k = int(np.searchsorted(bounds, np.argmin(d), side="right"))
-    block_d, block_e = d[bounds[k - 1]:bounds[k]], e[bounds[k - 1]:bounds[k] - 1]
-    ub = scipy.linalg.eigh_tridiagonal(block_d, block_e, eigvals_only=True,
-                                       select="i", select_range=(0, 0))[0]
+    best = int(np.searchsorted(bounds, np.argmin(d), side="right")) - 1
+    lo, hi = bounds[best], bounds[best + 1]
+    ub = float(scipy.linalg.eigh_tridiagonal(d[lo:hi], e[lo:hi - 1], eigvals_only=True,
+                                             select="i", select_range=(0, 0))[0])
     # ?stebz bisects to about eps times the block's largest Gershgorin bound
-    guard = 16 * np.finfo(float).eps * max(
-        1.0, float(np.max(np.abs(block_d)) + 2 * np.max(block_e, initial=0.0)))
-    return float(np.min(scipy.linalg.eigh_tridiagonal(
-        d, e, eigvals_only=True, select="v", select_range=(-np.inf, ub + guard))))
+    guard = 16 * EPS * max(1.0, float(np.max(np.abs(d[lo:hi]))
+                                      + 2 * np.max(e[lo:hi - 1], initial=0.0)))
+    top = ub
+    e_pad = np.append(e, 0.0)               # ?pttrf's wrapper wants len(e) = max(n - 1, 1)
+    for start, stop in ((0, lo), (hi, d.size)):
+        while start < stop:
+            info = scipy.linalg.lapack.dpttrf(
+                d[start:stop] - (top + guard), e_pad[start:max(stop - 1, start + 1)],
+                overwrite_d=1)[2]
+            if info == 0:
+                break
+            k = int(np.searchsorted(bounds, start + info - 1, side="right")) - 1
+            b_lo, b_hi = bounds[k], bounds[k + 1]
+            # empty when ?stebz's count puts the pivot's eigenvalue above ub + guard
+            block_min = float(np.min(scipy.linalg.eigh_tridiagonal(
+                d[b_lo:b_hi], e[b_lo:b_hi - 1], eigvals_only=True, select="v",
+                select_range=(-np.inf, ub + guard)), initial=np.inf))
+            if block_min < top:
+                top, best = block_min, k
+            start = b_hi
+    return _TridiagonalLowest(top, best, slice(int(bounds[best]), int(bounds[best + 1])))
 
 
 class LowestEigenvalue(NamedTuple):
-    """A band matrix's lowest eigenvalue, a certified lower bound on it, and
-    the route (``channel_tridiagonal`` or ``band_cholesky_lanczos``).  The
-    bound is Weyl's shift, certified by a band Cholesky factor, on the
-    coupled route, and the bisected value less its tolerance on the
-    tridiagonal one."""
+    """A band matrix's lowest eigenvalue, a certified lower bound on it, the
+    route (``channel_tridiagonal`` or ``band_cholesky_lanczos``), and the
+    channel whose tridiagonal holds the channel tridiagonals' lowest
+    eigenvalue t.  The bound is Weyl's shift, certified by a band Cholesky
+    factor, on the coupled route, and the bisected t less its tolerance on
+    the tridiagonal one."""
 
     value: float
     lower_bound: float
     method: str
+    channel: int
 
 
 def lowest_eigenvalue(ab: np.ndarray) -> LowestEigenvalue:
@@ -554,37 +604,45 @@ def lowest_eigenvalue(ab: np.ndarray) -> LowestEigenvalue:
     with ``kd = 1``, or node-major with ``kd = n_ch``.  The diagonal and the
     distance-kd row are the channel tridiagonals D; read channel-major, with
     a zero off-diagonal where channels meet, :func:`_tridiagonal_lowest`
-    gives their lowest eigenvalue t from one block's bound and one value
-    slice.  For ``kd == 1`` that is the answer.  t is the midpoint of a
-    ``?stebz`` interval, which stops at a width of eps |D|_1 or 2 eps |t|,
-    so the lower bound is t - 4 eps max(1, |A|_inf).
+    gives their lowest eigenvalue t, bisected in the channel that holds it
+    and certified over the others by one LDL^T sweep.  Its block is the
+    returned ``channel``.
+    For ``kd == 1`` D is A.  t is the midpoint of a ``?stebz`` interval,
+    which stops at a width of eps |D|_1 or 2 eps |t|, so the lower bound is
+    t - 4 eps max(1, |A|_inf).  The value is the Ritz value that
+    :func:`~fluxlab.grid.tridiagonal_eigenpairs`, the window solve's kernel,
+    gives on that channel in (t - g, t + g], g = 16 eps max(1, |A|_inf):
+    one inverse-iteration vector, and on H the e0 the window solve gives.
     Otherwise rows 1..kd-1 hold only node-local couplings W_off, whose
     2-norm is at most their max row sum w, so Weyl's inequality puts every
     eigenvalue of A at or above sigma = t - w - guard.  The guard,
     1e-9 max(1, |A|_inf), covers ``?stebz``'s tolerance many times
     over and keeps lambda_min - sigma far above :class:`BandCholesky`'s
-    pivot floor.  The band Cholesky factor of A - sigma I certifies the
-    bound (a failure means a theorem failed, and raises), and its
-    shift-inverted Lanczos run returns the eigenvalue nearest sigma, the
-    lowest one.
+    pivot floor; w and |A|_inf come from one pass over the band rows.  The
+    band Cholesky factor of A - sigma I certifies the bound (a failure
+    means a theorem failed, and raises), and its shift-inverted Lanczos run
+    returns the eigenvalue nearest sigma, the lowest one.
     """
     kd = ab.shape[0] - 1
     # rows 0 and kd, node-major (n, kd) read as channel-major (kd, n)
     tri = ab[[0, kd]].reshape(2, -1, kd).transpose(0, 2, 1).reshape(2, -1)
     tri[0, ::ab.shape[1] // kd] = 0.0
-    t = _tridiagonal_lowest(tri)
-    scale = max(1.0, _band_norm_inf(ab))
+    low = _tridiagonal_lowest(tri)
     if kd == 1:
-        return LowestEigenvalue(t, t - 4 * float(np.finfo(float).eps) * scale,
-                                "channel_tridiagonal")
-    off = ab.copy()
-    off[[0, kd]] = 0.0
-    sigma = t - _band_norm_inf(off) - 1e-9 * scale
+        scale = max(1.0, _band_norm_inf(ab))
+        guard = 16 * EPS * scale
+        ritz = tridiagonal_eigenpairs(tri[1, low.rows].real, np.abs(tri[0, low.rows][1:]),
+                                      low.value - guard, low.value + guard)[0]
+        return LowestEigenvalue(float(ritz[0]), low.value - 4 * EPS * scale,
+                                "channel_tridiagonal", low.block)
+    off = _band_row_sums(ab, range(1, kd))
+    scale = max(1.0, float(np.max(off + _band_row_sums(ab, (0, kd)))))
+    sigma = low.value - float(off.max()) - 1e-9 * scale
     factor = BandCholesky(ab, sigma)
     if not factor.positive_definite:
         raise RuntimeError(f"A - {sigma:.17g} I is not positive definite, yet Weyl's "
                            "inequality bounds lambda_min(A) below by that shift")
-    return LowestEigenvalue(factor.lowest(), sigma, "band_cholesky_lanczos")
+    return LowestEigenvalue(factor.lowest(), sigma, "band_cholesky_lanczos", low.block)
 
 
 def _windowed_eigensystem(h: BlockHamiltonian, upper: float,

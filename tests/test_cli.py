@@ -184,11 +184,11 @@ def test_validate_weights_on_an_empty_window_sets_e0_to_E0(tmp_path):
     assert manifest["warnings"] == [
         "spectral window selected no eigenvalues (rank-0 projection)"]
     # the report bytes for this config; they pin both twisted lambda_min,
-    # which come from the block-bound value slice of the tridiagonal route
+    # the Ritz values that polish the tridiagonal route's bisected minimum
     report = (out / "weights_report.json").read_bytes()
     assert json.loads(report)["all_passed"]
     assert hashlib.sha256(report).hexdigest() \
-        == "2f123e571474ac64627acfcfc7dc3402f6bd92fa73c9c9459c6c09836afc8f2e"
+        == "9ebab0f9f9cc70812eb478d3254babf0c375e9968fd197dd811faba453f969fb"
 
 
 def test_lowest_eigenvalue_just_above_E0_leaves_the_window_empty(tmp_path):
@@ -233,7 +233,7 @@ def test_validate_weights_makes_no_window_solve(tmp_path, monkeypatch):
         if name == "coupled":
             assert constants["e0"] == pytest.approx(spectrum["e0"], rel=1e-12, abs=0)
         else:
-            # both are Sturm bisections to LAPACK's tolerance eps |T|_1
+            # both are Ritz values of the window solve's tridiagonal kernel
             tol = np.finfo(float).eps * spectrum["norm_inf"]
             assert abs(constants["e0"] - spectrum["e0"]) <= tol
 
@@ -260,6 +260,78 @@ def test_validate_weights_and_spectrum_agree_on_e0(tmp_path, text):
             (tmp_path / command / "manifest.json").read_text())["constants"]
     tol = np.finfo(float).eps * constants["spectrum"]["norm_inf"]
     assert abs(constants["validate-weights"]["e0"] - constants["spectrum"]["e0"]) <= tol
+
+
+@pytest.mark.parametrize("text", [LINEAR_CFG, REF_LINEAR_CFG], ids=["linear", "ref-linear"])
+def test_validate_weights_e0_is_the_window_solves_ritz_value(tmp_path, text):
+    # on W = 0 both subcommands read e0 from the Ritz step of one kernel on
+    # the channel that holds it, so E_tilde and the weights built from it agree
+    cfg = write_cfg(tmp_path, text)
+    e0 = {}
+    for command in ("spectrum", "validate-weights"):
+        assert run(command, cfg, str(tmp_path / command)) == 0, command
+        e0[command] = json.loads(
+            (tmp_path / command / "manifest.json").read_text())["constants"]["e0"]
+    assert abs(e0["validate-weights"] - e0["spectrum"]) \
+        <= 1e-14 * max(1.0, abs(e0["spectrum"]))
+
+
+# W = 0 power law with sigma > 2: the channel floors rise with |j|
+STEEP_CFG = """
+profile.kind = power_law
+profile.lambda = 1.0
+profile.sigma = 2.5
+grid.n_r = 160
+grid.r_max = 10.0
+channels.j_max = 6
+window.E0 = 3.0
+"""
+
+
+@pytest.mark.parametrize("text, channel, outermost", [
+    (LINEAR_CFG, 8, True), (COUPLED_CFG, 6, True), (STEEP_CFG, 0, False),
+], ids=["linear", "coupled", "steep"])
+def test_validate_weights_names_the_channel_that_holds_e0(tmp_path, text, channel,
+                                                          outermost):
+    out = tmp_path / "out"
+    assert run("validate-weights", write_cfg(tmp_path, text), str(out)) == 0
+    constants = json.loads((out / "manifest.json").read_text())["constants"]
+    assert constants["e0_channel"] == channel
+    assert constants["e0_channel_outermost"] is outermost
+
+
+def test_validate_weights_gives_every_tridiagonal_solve_one_channel(tmp_path, monkeypatch):
+    # an eigh_tridiagonal call over more rows than one channel (a value slice
+    # over all of H's channel tridiagonals) must not come back
+    import scipy.linalg
+
+    rows = []
+    original = scipy.linalg.eigh_tridiagonal
+
+    def recorded(d, *args, **kwargs):
+        rows.append(len(d))
+        return original(d, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", recorded)
+    for name, text in (("linear", LINEAR_CFG), ("coupled", COUPLED_CFG)):
+        cfg = write_cfg(tmp_path, text, f"{name}.cfg")
+        n_r = RunConfig.parse(cfg).get_int("grid.n_r")
+        rows.clear()
+        assert run("validate-weights", cfg, str(tmp_path / name)) == 0
+        assert rows, name
+        assert max(rows) <= n_r, name
+
+
+def test_mobility_csv_writes_each_shifts_resolution(tmp_path):
+    from fluxlab.dynamics import mobility_edge_scan
+    from fluxlab.grid import build_grid
+
+    assert run("mobility", write_cfg(tmp_path, LINEAR_CFG), str(tmp_path / "out")) == 0
+    header, rows = read_csv(str(tmp_path / "out" / "mobility_localized.csv"))
+    assert header == ["j", "eigenvalue", "decay_rate", "eigenvalue_shift", "shift_resolution"]
+    report = mobility_edge_scan(1.0, build_grid(200, 16.0), 8)
+    assert [fmt17(rec.shift_resolution) for rec in report.localized] == [r[4] for r in rows]
+    assert rows and all(float(r[4]) > 0 for r in rows)
 
 
 def test_mobility_requires_linear_w_free_model(tmp_path, capsys):

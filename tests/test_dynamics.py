@@ -425,6 +425,23 @@ def test_mobility_grown_box_takes_no_eigenvectors(monkeypatch):
     assert set(solved) == {grid.n_r, 2 * grid.n_r}
 
 
+def test_mobility_records_carry_the_grown_box_bisection_tolerance():
+    # eps |T|_1 of each channel's tridiagonal on the 1.5x box, whose
+    # eigenvalues the shifts compare with
+    grid = build_grid(270, 18.0)
+    report = mobility_edge_scan(1.0, grid, 12)
+    n_big = int(round(grid.n_r * 1.5))
+    grid_big = RadialGrid(n_r=n_big, r_max=n_big * grid.h)
+    assert not report.empty_low_band
+    for j in {rec.j for rec in report.localized}:
+        op = build_channel_operator(FluxProfile.linear(1.0), j, grid_big)
+        t = np.diag(op.diagonal) + np.diag(op.off_diagonal, 1) + np.diag(op.off_diagonal, -1)
+        expected = np.finfo(float).eps * np.linalg.norm(t, 1)
+        for rec in report.localized:
+            if rec.j == j:
+                assert rec.shift_resolution == pytest.approx(expected, rel=1e-15, abs=0)
+
+
 def test_channel_operators_from_one_table_equal_the_per_channel_build():
     profile = FluxProfile.linear(1.0)
     grid = build_grid(270, 18.0)

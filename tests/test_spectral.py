@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 from scipy.sparse.linalg import splu
 
 from fluxlab.angular import AngularPotential, DecayClass, GevreyEnvelope, xi_constant
@@ -355,24 +356,158 @@ def test_lowest_eigenvalue_lower_bound_lies_below_a_split_tridiagonal_minimum():
 
 
 def record_eigh_tridiagonal(monkeypatch):
-    """The ``select`` of every later ``scipy.linalg.eigh_tridiagonal`` call."""
+    """(select, rows) of every later ``scipy.linalg.eigh_tridiagonal`` call."""
     calls = []
     original = scipy.linalg.eigh_tridiagonal
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("select", "a"))
-        return original(*args, **kwargs)
+    def counted(d, *args, **kwargs):
+        calls.append((kwargs.get("select", "a"), len(d)))
+        return original(d, *args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
     return calls
 
 
-@pytest.mark.parametrize("j_max", [2, 9])
-def test_tridiagonal_lowest_is_one_block_solve_and_one_value_slice(j_max, monkeypatch):
-    h = assemble_hamiltonian(FluxProfile.linear(1.0), None, build_grid(120, 12.0), j_max)
+def record_ldl_sweeps(monkeypatch):
+    """(rows, info) of every later ``?pttrf`` call."""
+    sweeps = []
+    original = scipy.linalg.lapack.dpttrf
+
+    def counted(d, e, **kwargs):
+        out = original(d, e, **kwargs)
+        sweeps.append((len(d), out[2]))
+        return out
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", counted)
+    return sweeps
+
+
+def split_oracle(blocks):
+    """Dense lambda_min of the direct sum of (diagonal, off) blocks, the index
+    of the block that holds it, and eps |T|_1."""
+    minima = [np.linalg.eigvalsh(band_to_dense(split_tridiagonal_band([b])))[0]
+              for b in blocks]
+    dense = band_to_dense(split_tridiagonal_band(blocks))
+    tol = np.finfo(float).eps * np.max(np.sum(np.abs(dense), axis=0))
+    return min(minima), int(np.argmin(minima)), tol
+
+
+def channel_minima(h):
+    """Each channel tridiagonal's lowest eigenvalue, from dense eigvalsh."""
+    return [np.linalg.eigvalsh(np.diag(d) + np.diag(h.off_diagonal, 1)
+                               + np.diag(h.off_diagonal, -1))[0] for d in h.diagonals]
+
+
+def path(n, coupling):
+    """A zero-diagonal path of n rows with one off-diagonal value: its
+    lowest eigenvalue is -2 coupling cos(pi / (n + 1))."""
+    return np.zeros(n), np.full(n - 1, coupling)
+
+
+SPLIT_CASES = {
+    # ub = -1.12 sits in the fourth block; the three before it each go lower
+    # than the last, so the sweep fails in each and restarts after it
+    "three_failing_before": [path(4, 1.0), path(5, 1.5), path(6, 2.0),
+                             (np.array([-1.0, 1.0]), np.array([0.5]))],
+    # after ub, a failing block is followed at once by the lowest one, whose
+    # first row alone (0) would pass: a restart one row late misses it
+    "failing_then_lowest_after": [(np.array([1.0, 2.0]), np.array([0.3])),
+                                  (np.array([-1.0, 1.0]), np.array([0.5])),
+                                  path(3, 3.0), path(2, 5.0),
+                                  (np.array([0.5]), np.zeros(0))],
+    # size-1 blocks first, last and holding the lowest diagonal entry
+    "size_one_blocks": [(np.array([3.0]), np.zeros(0)), path(6, 3.5),
+                        (np.array([-1.0]), np.zeros(0)), (np.array([2.0]), np.zeros(0)),
+                        path(2, 0.25), (np.array([4.0]), np.zeros(0))],
+    "diagonal": [(np.array([v]), np.zeros(0)) for v in (3.0, -2.0, 5.0, -2.5, 0.0)],
+}
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES)
+def test_lowest_eigenvalue_of_split_tridiagonals_matches_the_dense_oracle(case):
+    blocks = SPLIT_CASES[case]
+    dense_min, block, tol = split_oracle(blocks)
+    lowest = lowest_eigenvalue(split_tridiagonal_band(blocks))
+    assert abs(lowest.value - dense_min) <= tol
+    assert lowest.lower_bound <= dense_min
+    assert lowest.channel == block
+
+
+def test_failing_blocks_are_each_bisected_over_their_own_rows(monkeypatch):
+    # the lowest diagonal block and the three failing ones, one solve each,
+    # then the Ritz polish of the lowest; each sweep starts where the last
+    # failing block ends and fails in the next block's leading rows, and the
+    # last failing block ends the rows before the lowest diagonal block
+    blocks = SPLIT_CASES["three_failing_before"]
+    sizes = [b[0].size for b in blocks]
     calls = record_eigh_tridiagonal(monkeypatch)
-    lowest_eigenvalue(h.to_band()[0])
-    assert calls == ["i", "v"]
+    sweeps = record_ldl_sweeps(monkeypatch)
+    lowest = lowest_eigenvalue(split_tridiagonal_band(blocks))
+    assert calls == [("i", 2), ("v", 4), ("v", 5), ("v", 6), ("v", 6)]
+    assert sweeps == [(15, 3), (11, 3), (6, 3)]
+    assert lowest.channel == 2 and sum(sizes) == 17
+
+
+def test_lowest_eigenvalue_of_a_complex_hermitian_tridiagonal():
+    # unit phases on the off-diagonals leave the spectrum of the moduli's
+    # tridiagonal, which splits where a modulus is zero
+    blocks = SPLIT_CASES["failing_then_lowest_after"]
+    ab = split_tridiagonal_band(blocks).astype(complex)
+    ab[0] *= np.exp(1j * np.linspace(0.0, 3.0, ab.shape[1]))
+    dense_min = np.linalg.eigvalsh(band_to_dense(ab))[0]
+    _, block, tol = split_oracle(blocks)
+    lowest = lowest_eigenvalue(ab)
+    assert abs(lowest.value - dense_min) <= tol
+    assert lowest.channel == block
+
+
+@both_couplings
+def test_channel_tridiagonal_minimum_of_a_coupled_band(angular, monkeypatch):
+    # t, the channel tridiagonals' lowest eigenvalue, read from H's node-major
+    # band, is the lowest per-channel eigenvalue, and its channel is named
+    from fluxlab import spectral
+    h = coupled_model(angular)
+    minima = channel_minima(h)
+    found = []
+    original = spectral._tridiagonal_lowest
+    monkeypatch.setattr(spectral, "_tridiagonal_lowest",
+                        lambda ab: found.append(original(ab)) or found[-1])
+    lowest = lowest_eigenvalue(h.to_band()[0])
+    (t,) = found
+    tol = np.finfo(float).eps * np.max(np.abs(h.diagonals) + 2 * np.abs(h.off_diagonal[0]))
+    assert abs(t.value - min(minima)) <= tol
+    assert t.block == lowest.channel == int(np.argmin(minima))
+    assert t.rows == slice(t.block * h.grid.n_r, (t.block + 1) * h.grid.n_r)
+
+
+@pytest.mark.parametrize("j_max", [2, 9])
+def test_tridiagonal_lowest_bisects_only_the_channels_whose_pivot_fails(j_max, monkeypatch):
+    # the channel with the lowest diagonal entry is bisected first; the sweep
+    # visits the others in row order and bisects each one that goes lower
+    # than every channel bisected before it; the Ritz polish comes last
+    h = assemble_hamiltonian(FluxProfile.linear(1.0), None, build_grid(120, 12.0), j_max)
+    n = h.grid.n_r
+    minima = channel_minima(h)
+    first = int(np.argmin(h.diagonals.min(axis=1)))
+    failing, top = 0, minima[first]
+    for c in range(h.n_ch):
+        if c != first and minima[c] < top:
+            failing, top = failing + 1, minima[c]
+    from fluxlab import spectral
+    polished = []
+    kernel = spectral.tridiagonal_eigenpairs
+    monkeypatch.setattr(spectral, "tridiagonal_eigenpairs",
+                        lambda *args: polished.append(kernel(*args)) or polished[-1])
+    calls = record_eigh_tridiagonal(monkeypatch)
+    sweeps = record_ldl_sweeps(monkeypatch)
+    lowest = lowest_eigenvalue(h.to_band()[0])
+    assert calls == [("i", n)] + [("v", n)] * failing + [("v", n)]
+    # the polish spends one inverse-iteration vector
+    assert [vecs.shape for _, vecs, _ in polished] == [(n, 1)]
+    assert sum(info != 0 for _, info in sweeps) == failing
+    assert all(rows <= h.dim - n for rows, _ in sweeps)
+    assert lowest.channel == int(np.argmin(minima))
+    assert (j_max, failing) != (9, 0)
 
 
 def test_window_solve_skips_channels_whose_floor_is_above_the_top(monkeypatch):
@@ -393,7 +528,8 @@ def test_lowest_eigenvalue_raises_when_the_certificate_fails(monkeypatch):
     # a Weyl shift above lambda_min must not return a number
     from fluxlab import spectral
     h = coupled_model(np.cos)
-    monkeypatch.setattr(spectral, "_tridiagonal_lowest", lambda ab: 50.0)
+    monkeypatch.setattr(spectral, "_tridiagonal_lowest",
+                        lambda ab: spectral._TridiagonalLowest(50.0, 0, slice(0, 1)))
     with pytest.raises(RuntimeError, match="not positive definite"):
         lowest_eigenvalue(h.to_band()[0])
 

@@ -526,9 +526,17 @@ def _run_mobility(cfg, out_dir):
     j_max = cfg.get_int("channels.j_max", required=True)
     low = (cfg.get_float("mobility.low_lo", 0.1), cfg.get_float("mobility.low_hi", 0.8))
     high = (cfg.get_float("mobility.high_lo", 1.8), cfg.get_float("mobility.high_hi", 2.2))
-    report = mobility_edge_scan(profile.lam, grid, j_max, low_band=low,
-                                high_band=high,
-                                box_growth=cfg.get_float("mobility.box_growth", 1.5))
+    try:
+        report = mobility_edge_scan(profile.lam, grid, j_max, low_band=low,
+                                    high_band=high,
+                                    box_growth=cfg.get_float("mobility.box_growth", 1.5))
+    except ValueError as exc:
+        # the scan names the argument that makes its verdict unable to fail
+        key = {"box_growth": "mobility.box_growth", "low_band": "mobility.low_lo",
+               "high_band": "mobility.high_lo"}.get(str(exc).split(" ", 1)[0])
+        if key is None:
+            raise
+        raise ConfigError(key, str(exc)) from None
     write_csv(os.path.join(out_dir, "mobility_localized.csv"),
               ["j", "eigenvalue", "decay_rate", "eigenvalue_shift", "shift_resolution"],
               [(rec.j, rec.eigenvalue, rec.decay_rate, rec.eigenvalue_shift,
@@ -545,7 +553,10 @@ def _run_mobility(cfg, out_dir):
         "empty_high_band": report.empty_high_band,
     }
     write_json(os.path.join(out_dir, "mobility_report.json"), summary)
-    constants = dict(summary)
+    constants = dict(summary,
+                     tridiagonal_solves=report.tridiagonal_solves,
+                     eigenvalues_computed=report.eigenvalues_computed,
+                     eigenvectors_computed=report.eigenvectors_computed)
     return ["mobility_localized.csv", "mobility_width_ratios.csv",
             "mobility_report.json"], constants
 

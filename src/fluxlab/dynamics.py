@@ -331,11 +331,16 @@ def growth_fit_thm2(series: ObservableSeries, decay_kind: str,
                            n_points=int(np.count_nonzero(usable)))
 
 
-def participation_width(u: np.ndarray, h: float) -> float:
-    """Participation length (sum |u|^2 h)^2 / sum |u|^4 h of a radial vector."""
-    p2 = float(np.sum(np.abs(u) ** 2) * h)
-    p4 = float(np.sum(np.abs(u) ** 4) * h)
-    return p2 ** 2 / p4 if p4 > 0 else 0.0
+def participation_width(u: np.ndarray, h: float):
+    """Participation length (sum |u|^2 h)^2 / sum |u|^4 h of a radial vector
+    (a float), or of each column of a 2-D array (an array); 0 for a zero
+    vector.  Each column is summed as one contiguous row, so a column's
+    width has the bits of that column's width alone."""
+    mag = np.abs(np.ascontiguousarray(u.T))
+    p2 = np.sum(mag ** 2, axis=-1) * h
+    p4 = np.sum(mag ** 4, axis=-1) * h
+    width = np.divide(p2 ** 2, p4, out=np.zeros_like(p2), where=p4 > 0)
+    return float(width) if width.ndim == 0 else width
 
 
 @dataclass
@@ -347,6 +352,10 @@ class MobilityChannelRecord:
     shift_resolution: float = np.nan    # eps |T|_1 of the grown box's tridiagonal T
 
 
+def _box_counts() -> dict:
+    return dict.fromkeys(("base", "grown", "doubled"), 0)
+
+
 @dataclass
 class MobilityReport:
     lam: float
@@ -354,6 +363,10 @@ class MobilityReport:
     extended_width_ratios: list = field(default_factory=list)
     empty_low_band: bool = False
     empty_high_band: bool = False
+    # per box: tridiagonal solves, and the eigenvalues and eigenvectors they returned
+    tridiagonal_solves: dict = field(default_factory=_box_counts)
+    eigenvalues_computed: dict = field(default_factory=_box_counts)
+    eigenvectors_computed: dict = field(default_factory=_box_counts)
 
     @property
     def min_decay_rate(self) -> float:
@@ -371,16 +384,32 @@ class MobilityReport:
     def min_width_ratio(self) -> float:
         return float(min(self.extended_width_ratios)) if self.extended_width_ratios else np.nan
 
+    def _count(self, box: str, vals, vectors: bool) -> None:
+        self.tridiagonal_solves[box] += 1
+        self.eigenvalues_computed[box] += vals.size
+        self.eigenvectors_computed[box] += vals.size if vectors else 0
 
-def _eigen_decay_rate(u: np.ndarray, grid: RadialGrid, r_start: float) -> float:
-    """Fitted exponential decay rate of |u| on nodes beyond r_start where
-    |u| exceeds 1e-12 max |u|."""
+
+def _decay_rates(u: np.ndarray, nodes: np.ndarray, r_start: np.ndarray) -> list:
+    """Fitted exponential decay rate of |u| for each column of u: minus the
+    least-squares slope of log |u| against r over the nodes beyond that
+    column's r_start where |u| exceeds 1e-12 of the column's max |u|, and
+    ``np.nan`` for a column with fewer than 4 such nodes.  One masked pass
+    over all columns: each sum runs over the selected nodes only."""
     mag = np.abs(u)
-    sel = (grid.nodes > r_start) & (mag > 1e-12 * mag.max())
-    if np.count_nonzero(sel) < 4:
-        return np.nan
-    slope, _, _ = decay_rate_fit(grid.nodes[sel], mag[sel])
-    return -slope
+    sel = (nodes[:, None] > r_start[None, :]) & (mag > 1e-12 * mag.max(axis=0))
+    count = np.count_nonzero(sel, axis=0)
+    rates = [np.nan] * u.shape[1]
+    fit = np.flatnonzero(count >= 4)
+    if fit.size:
+        sel, n = sel[:, fit], count[fit]
+        x = np.where(sel, nodes[:, None], 0.0)
+        y = np.log(np.where(sel, mag[:, fit], 1.0))     # log 1 = 0 off the mask
+        dx = np.where(sel, x - np.sum(x, axis=0) / n, 0.0)
+        dy = y - np.sum(y, axis=0) / n
+        for k, slope in zip(fit, np.sum(dx * dy, axis=0) / np.sum(dx * dx, axis=0)):
+            rates[k] = -float(slope)
+    return rates
 
 
 def mobility_edge_scan(lam: float, grid: RadialGrid, j_max: int,
@@ -400,7 +429,10 @@ def mobility_edge_scan(lam: float, grid: RadialGrid, j_max: int,
     eigenvalues in (low_lo - 0.05, low_hi + 0.05] on the ``box_growth`` box,
     for channels with low-band states; eigenpairs in the high band on the
     doubled box, for channels with high-band states.  V_j is evaluated once
-    per box for all channels.
+    per box for all channels.  A channel's decay rates come from one masked
+    least-squares pass over its low-band eigenvectors, and its participation
+    widths from one pass over each box's high-band eigenvectors.  The report
+    counts the solves and the eigenvalues and eigenvectors each box returned.
 
     Eigenpairs come from :meth:`~fluxlab.grid.ChannelOperator.eigenpairs`,
     so base-box eigenvalues are Ritz values, accurate to about the residual
@@ -411,49 +443,66 @@ def mobility_edge_scan(lam: float, grid: RadialGrid, j_max: int,
     carries it as ``shift_resolution``.  V_j near r = 0 makes |T|_1 large:
     about 1e6 at |j| = 20 with n_r = 800 and r_max = 32, a tolerance of
     about 2e-10.
+
+    Raises ``ValueError``, its message starting with the argument's name,
+    when a verdict could not fail: ``box_growth`` that leaves round(n_r
+    box_growth) at or below n_r (no grown box, so every shift is 0 or no
+    shift is defined), or a band (lo, hi] with lo >= hi.  A band below the
+    spectrum is legal; it is simply empty.
     """
+    n_big = int(round(grid.n_r * box_growth))
+    if n_big <= grid.n_r:
+        raise ValueError(f"box_growth = {box_growth:g} does not grow the box: "
+                         f"round({grid.n_r} x {box_growth:g}) = {n_big} nodes, "
+                         f"not more than n_r = {grid.n_r}")
+    for name, (lo, hi) in (("low_band", low_band), ("high_band", high_band)):
+        if not lo < hi:
+            raise ValueError(f"{name} ({lo:g}, {hi:g}] is empty: it needs lo < hi")
     profile = FluxProfile.linear(lam)
     report = MobilityReport(lam=lam)
     # grow the boxes at exactly the same spacing so eigenvalue shifts measure
     # the wall, not a re-discretization
-    n_big = int(round(grid.n_r * box_growth))
     grid_big = RadialGrid(n_r=n_big, r_max=n_big * grid.h)
     n_double = 2 * grid.n_r
     grid_double = RadialGrid(n_r=n_double, r_max=n_double * grid.h)
     channels = np.arange(-int(j_max), int(j_max) + 1)
     boxes = zip(*(build_channel_operators(profile, channels, g)
                   for g in (grid, grid_big, grid_double)))
+    grown_range = (low_band[0] - 0.05, low_band[1] + 0.05)
 
     for op, op_big, op2 in boxes:
         j = op.j
         vals, u = op.eigenpairs(value_range=low_band)
+        report._count("base", vals, vectors=True)
         if vals.size:
-            vals_big = op_big.eigenvalues(
-                value_range=(low_band[0] - 0.05, low_band[1] + 0.05))
+            vals_big = op_big.eigenvalues(value_range=grown_range)
+            report._count("grown", vals_big, vectors=False)
             row_sums = np.abs(op_big.diagonal)          # |T|_1 = max row sum
             row_sums[:-1] += np.abs(op_big.off_diagonal)
             row_sums[1:] += np.abs(op_big.off_diagonal)
             resolution = float(np.finfo(float).eps * row_sums.max())
-            for idx in range(vals.size):
-                region = classical_region(profile, j, float(vals[idx]), grid)
-                r_hi = region.interval[1] if not region.empty else 0.0
-                rate = _eigen_decay_rate(u[:, idx], grid, r_hi)
-                shift = float(np.min(np.abs(vals_big - vals[idx]))) \
-                    if vals_big.size else np.inf
-                report.localized.append(MobilityChannelRecord(
-                    j=j, eigenvalue=float(vals[idx]), decay_rate=rate,
-                    eigenvalue_shift=shift, shift_resolution=resolution))
+            r_start = []
+            for val in vals:
+                region = classical_region(profile, j, float(val), grid)
+                r_start.append(region.interval[1] if not region.empty else 0.0)
+            rates = _decay_rates(u, grid.nodes, np.array(r_start))
+            shifts = np.min(np.abs(vals_big[None, :] - vals[:, None]), axis=1) \
+                if vals_big.size else np.full(vals.size, np.inf)
+            report.localized.extend(
+                MobilityChannelRecord(j=j, eigenvalue=float(val), decay_rate=rate,
+                                      eigenvalue_shift=float(shift),
+                                      shift_resolution=resolution)
+                for val, rate, shift in zip(vals, rates, shifts))
 
         vals, u = op.eigenpairs(value_range=high_band)
+        report._count("base", vals, vectors=True)
         if vals.size:
-            widths = [participation_width(u[:, idx], grid.h)
-                      for idx in range(vals.size)]
             vals2, u2 = op2.eigenpairs(value_range=high_band)
+            report._count("doubled", vals2, vectors=True)
             if vals2.size:
-                widths2 = [participation_width(u2[:, k], grid_double.h)
-                           for k in range(vals2.size)]
                 report.extended_width_ratios.append(
-                    float(np.mean(widths2) / np.mean(widths)))
+                    float(np.mean(participation_width(u2, grid_double.h))
+                          / np.mean(participation_width(u, grid.h))))
 
     report.empty_low_band = not report.localized
     report.empty_high_band = not report.extended_width_ratios

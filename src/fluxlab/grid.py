@@ -18,10 +18,18 @@ weighted norm sum_i |phi(r_i)|^2 r_i h is the exact L^2(r dr) norm of the
 piecewise representation.
 
 The stencil is positive definite, so no eigenvalue of a channel lies at or
-below min_i V_j(r_i).  Eigenpairs in a value range come from one kernel,
+below min_i V_j(r_i).  Eigenpairs in a value range come from
 :func:`tridiagonal_eigenpairs`: Sturm bisection only to a coarse tolerance,
 inverse iteration, and a Rayleigh-Ritz step that returns the accuracy the
 bisection skipped.  Eigenvalue-only solves keep full-precision bisection.
+
+Every tridiagonal eigensolve of the package, here and in
+:mod:`fluxlab.spectral`, is one call of ``_tridiagonal_eigh``: LAPACK's
+``?stebz`` bisection, and ``?stein`` inverse iteration for eigenvectors,
+called directly with the arguments ``scipy.linalg.eigh_tridiagonal`` would
+pass.  The results are the same bits; what goes is that wrapper's per-call
+argument handling, which outweighs the bisection itself on a channel whose
+value range holds few eigenvalues or none.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack as _lapack
 
 from .flux import FluxProfile
 
@@ -118,9 +126,58 @@ class ChannelOperator:
             select, bounds = "i", (0, min(int(n_lowest), self.grid.n_r) - 1)
         else:
             select, bounds = "v", tuple(value_range)
-        return scipy.linalg.eigh_tridiagonal(self.diagonal, self.off_diagonal,
-                                             eigvals_only=eigvals_only, select=select,
-                                             select_range=bounds)
+        return _tridiagonal_eigh(self.diagonal, self.off_diagonal, select, bounds,
+                                 vectors=not eigvals_only)
+
+
+def _tridiagonal_eigh(d, e, select: str, bounds, tol: float = 0.0, vectors: bool = False):
+    """Eigenvalues, or eigenpairs, of the symmetric tridiagonal T = (d, e)
+    in a slice: ``select`` "v" takes the values in the half-open interval
+    (lo, hi] of ``bounds``, "i" the 0-based indices lo..hi.
+
+    One ``?stebz`` bisection to absolute tolerance ``tol`` (0 means LAPACK's
+    default, eps |T|_1) and, for eigenpairs, one ``?stein`` inverse
+    iteration, called with the arguments ``scipy.linalg.eigh_tridiagonal``
+    passes them, so its values and vectors come back bit for bit, without
+    its per-call argument handling.  Values are ascending; eigenvectors are
+    the columns of the second result.  Non-finite entries and an empty or
+    out-of-range slice raise ``ValueError`` before LAPACK is called, whose
+    error handler would print to stderr; a LAPACK error raises
+    ``ValueError`` and a failed convergence ``LinAlgError``.
+    """
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ValueError("tridiagonal entries must be finite")
+    if e.size != d.size - 1:
+        raise ValueError(f"d ({d.size}) must have one more entry than e ({e.size})")
+    lo, hi = bounds
+    if select == "v":
+        if not lo < hi:
+            raise ValueError(f"value range ({lo}, {hi}] is empty")
+        code, vl, vu, il, iu = 1, float(lo), float(hi), 1, 1
+    else:
+        if not 0 <= lo <= hi < d.size:
+            raise ValueError(f"index range {lo}..{hi} out of 0..{d.size - 1}")
+        code, vl, vu, il, iu = 2, 0.0, 1.0, int(lo) + 1, int(hi) + 1
+    if d.size == 1:                 # LAPACK's wrappers reject an empty e
+        w = d[:1] if code == 2 or vl < d[0] <= vu else d[:0]
+        return (w.copy(), np.ones((1, w.size))) if vectors else w.copy()
+    m, w, iblock, isplit, info = _lapack.dstebz(d, e, code, vl, vu, il, iu, float(tol),
+                                                "B" if vectors else "E")
+    _check_info(info, "?stebz")
+    w = w[:m]
+    if not vectors:
+        return w
+    v, info = _lapack.dstein(d, e, w, iblock, isplit)
+    _check_info(info, "?stein")
+    order = np.argsort(w)
+    return w[order], v[:, order]
+
+
+def _check_info(info: int, routine: str) -> None:
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{routine} did not converge (LAPACK info={info})")
 
 
 def tridiagonal_matvec(diagonal, off_diagonal, v):
@@ -146,9 +203,10 @@ def tridiagonal_eigenpairs(diagonal, off_diagonal, lo: float, hi: float):
     so a caller reads the residual T V - V diag(values) without another
     product.
     """
-    vals, v = scipy.linalg.eigh_tridiagonal(diagonal, off_diagonal, select="v",
-                                            select_range=(lo, hi),
-                                            tol=COARSE_TOL * max(1.0, abs(hi)))
+    vals, v = _tridiagonal_eigh(diagonal, off_diagonal, "v", (lo, hi),
+                                tol=COARSE_TOL * max(1.0, abs(hi)), vectors=True)
+    if not vals.size:               # nothing in (lo, hi]: no product, no Ritz step
+        return vals, v, v.copy()
     tv = tridiagonal_matvec(diagonal, off_diagonal, v)
     g = v.T @ tv
     vals, q = np.linalg.eigh(0.5 * (g + g.T))

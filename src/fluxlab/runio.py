@@ -2,7 +2,8 @@
 
 Config files are flat text with dotted keys, one ``key = value`` pair per
 line; ``#`` starts a comment.  CSV artifacts use ',' separators, '.' decimal
-points, and 17 significant digits; JSON artifacts are sorted-key indented.
+points, and 17 significant digits; JSON artifacts are sorted-key indented
+strict JSON, with null for a non-finite number.
 All files are written atomically (temp file + rename) so identical configs
 reproduce identical artifact bytes.
 """
@@ -10,6 +11,7 @@ reproduce identical artifact bytes.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -143,8 +145,21 @@ def write_csv(path, header, rows) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _finite_or_null(obj):
+    """``obj`` with every non-finite float, at any depth, replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def write_json(path, obj) -> None:
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Write ``obj`` as strict JSON (RFC 8259): NaN and infinities become null."""
+    _atomic_write(path, json.dumps(_finite_or_null(obj), indent=2, sort_keys=True,
+                                   allow_nan=False) + "\n")
 
 
 def read_csv(path):

@@ -62,7 +62,8 @@ from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .angular import SQRT_2PI, AngularPotential, GevreyEnvelope, xi_constant
 from .flux import FluxProfile
-from .grid import RadialGrid, tridiagonal_eigenpairs, tridiagonal_matvec
+from .grid import (RadialGrid, _tridiagonal_eigh, tridiagonal_eigenpairs,
+                   tridiagonal_matvec)
 
 __all__ = [
     "BlockHamiltonian", "SpectralWindow", "EigenSystem", "SpectralProjection",
@@ -368,8 +369,8 @@ def _block_diagonal_eigensystem(h: BlockHamiltonian, top: Optional[float] = None
     for c in range(h.n_ch):
         d = h.diagonals[c]
         if top is None:
-            vals, vecs = scipy.linalg.eigh_tridiagonal(
-                d, h.off_diagonal, select="i", select_range=(0, n - 1))
+            vals, vecs = _tridiagonal_eigh(d, h.off_diagonal, "i", (0, n - 1),
+                                           vectors=True)
             tv = tridiagonal_matvec(d, h.off_diagonal, vecs)
         elif floors[c] < top:
             vals, vecs, tv = tridiagonal_eigenpairs(d, h.off_diagonal, floors[c], top)
@@ -555,8 +556,7 @@ def _tridiagonal_lowest(ab: np.ndarray) -> _TridiagonalLowest:
     bounds = np.concatenate(([0], np.flatnonzero(e == 0.0) + 1, [d.size]))
     best = int(np.searchsorted(bounds, np.argmin(d), side="right")) - 1
     lo, hi = bounds[best], bounds[best + 1]
-    ub = float(scipy.linalg.eigh_tridiagonal(d[lo:hi], e[lo:hi - 1], eigvals_only=True,
-                                             select="i", select_range=(0, 0))[0])
+    ub = float(_tridiagonal_eigh(d[lo:hi], e[lo:hi - 1], "i", (0, 0))[0])
     # ?stebz bisects to about eps times the block's largest Gershgorin bound
     guard = 16 * EPS * max(1.0, float(np.max(np.abs(d[lo:hi]))
                                       + 2 * np.max(e[lo:hi - 1], initial=0.0)))
@@ -572,9 +572,9 @@ def _tridiagonal_lowest(ab: np.ndarray) -> _TridiagonalLowest:
             k = int(np.searchsorted(bounds, start + info - 1, side="right")) - 1
             b_lo, b_hi = bounds[k], bounds[k + 1]
             # empty when ?stebz's count puts the pivot's eigenvalue above ub + guard
-            block_min = float(np.min(scipy.linalg.eigh_tridiagonal(
-                d[b_lo:b_hi], e[b_lo:b_hi - 1], eigvals_only=True, select="v",
-                select_range=(-np.inf, ub + guard)), initial=np.inf))
+            block_min = float(np.min(_tridiagonal_eigh(
+                d[b_lo:b_hi], e[b_lo:b_hi - 1], "v", (-np.inf, ub + guard)),
+                initial=np.inf))
             if block_min < top:
                 top, best = block_min, k
             start = b_hi
@@ -851,9 +851,7 @@ def estimate_c0(v, a: float, zeta: float, grid: RadialGrid) -> float:
         return 0.0
     xi = xi_constant(a, zeta)
     diag, off = grid.kinetic_tridiagonal()
-    lam_min = scipy.linalg.eigh_tridiagonal(
-        diag - xi * vals, off, eigvals_only=True, select="i",
-        select_range=(0, 0))[0]
+    lam_min = _tridiagonal_eigh(diag - xi * vals, off, "i", (0, 0))[0]
     return float(max(0.0, -lam_min))
 
 

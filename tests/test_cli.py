@@ -301,18 +301,19 @@ def test_validate_weights_names_the_channel_that_holds_e0(tmp_path, text, channe
 
 
 def test_validate_weights_gives_every_tridiagonal_solve_one_channel(tmp_path, monkeypatch):
-    # an eigh_tridiagonal call over more rows than one channel (a value slice
+    # a tridiagonal solve over more rows than one channel (a value slice
     # over all of H's channel tridiagonals) must not come back
-    import scipy.linalg
+    from fluxlab import grid, spectral
 
     rows = []
-    original = scipy.linalg.eigh_tridiagonal
+    original = grid._tridiagonal_eigh
 
     def recorded(d, *args, **kwargs):
         rows.append(len(d))
         return original(d, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", recorded)
+    for module in (grid, spectral):
+        monkeypatch.setattr(module, "_tridiagonal_eigh", recorded)
     for name, text in (("linear", LINEAR_CFG), ("coupled", COUPLED_CFG)):
         cfg = write_cfg(tmp_path, text, f"{name}.cfg")
         n_r = RunConfig.parse(cfg).get_int("grid.n_r")
@@ -438,3 +439,84 @@ def test_mobility_evaluates_the_potential_table_once_per_box(tmp_path, monkeypat
     report = json.loads((tmp_path / "out" / "mobility_report.json").read_text())
     assert report["n_localized"] > 0 and not report["empty_high_band"]
     assert len(calls) <= 3, calls
+
+
+def strict_json(path):
+    """Parse a JSON file as RFC 8259 JSON: NaN and Infinity are rejected."""
+    def reject(name):
+        raise ValueError(f"{path}: {name} is not JSON")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
+
+
+def linear_on_grid(text):
+    """The linear-flux, W = 0 model on ``text``'s grid and channels, as the
+    benchmark's mobility call builds it for a coupled model."""
+    keep = [line for line in text.splitlines() if line.startswith(("grid.", "channels."))]
+    return "profile.kind = linear\nprofile.lambda = 1.0\n" + "\n".join(keep) + "\n"
+
+
+@pytest.mark.parametrize("text", [LINEAR_CFG, COUPLED_CFG], ids=["linear", "coupled"])
+def test_no_subcommand_calls_scipys_tridiagonal_wrapper(tmp_path, monkeypatch, text):
+    # every tridiagonal solve goes through the ?stebz/?stein kernel; every
+    # JSON artifact parses as strict JSON
+    import scipy.linalg
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scipy.linalg.eigh_tridiagonal was called")
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", forbidden)
+    for command in ("spectrum", "project", "tunnel", "validate-weights", "evolve",
+                    "mobility"):
+        cfg = write_cfg(tmp_path, linear_on_grid(text) if command == "mobility" else text,
+                        f"{command}.cfg")
+        out = tmp_path / command
+        assert run(command, cfg, str(out), verify=True) == 0, command
+        for name in os.listdir(out):
+            if name.endswith(".json"):
+                strict_json(out / name)
+
+
+def test_json_artifacts_write_a_missing_number_as_null(tmp_path):
+    # a low band (0.1, 0.1001] holds no state, so the scan has no decay rate
+    # and no shift: the report and the manifest say null, not NaN
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, LINEAR_CFG + "mobility.low_hi = 0.1001\n")
+    assert run("mobility", cfg, str(out)) == 0
+    report = strict_json(out / "mobility_report.json")
+    constants = strict_json(out / "manifest.json")["constants"]
+    for values in (report, constants):
+        assert values["empty_low_band"] is True
+        assert values["min_decay_rate"] is None
+        assert values["max_eigenvalue_shift"] is None
+
+
+@pytest.mark.parametrize("extra, key", [
+    ("mobility.box_growth = 1.0", "mobility.box_growth"),
+    ("mobility.box_growth = 0.5", "mobility.box_growth"),
+    ("mobility.low_lo = 0.8\nmobility.low_hi = 0.1", "mobility.low_lo"),
+    ("mobility.high_lo = 2.0\nmobility.high_hi = 2.0", "mobility.high_lo"),
+], ids=["growth_1", "growth_half", "low_inverted", "high_empty"])
+def test_mobility_rejects_inputs_whose_verdict_cannot_fail(tmp_path, capfd, extra, key):
+    # a box that does not grow makes every shift rounding (or infinite), and
+    # an empty band fails before LAPACK can print to stderr
+    cfg = write_cfg(tmp_path, LINEAR_CFG + extra + "\n")
+    assert main(["mobility", "--config", cfg, "--out", str(tmp_path / "m")]) == 2
+    err = capfd.readouterr().err
+    assert err.startswith(f"config error: {key}:")
+    assert "illegal value" not in err
+
+
+def test_mobility_manifest_counts_the_solves_of_each_box(tmp_path):
+    out = tmp_path / "out"
+    assert run("mobility", write_cfg(tmp_path, LINEAR_CFG), str(out)) == 0
+    constants = json.loads((out / "manifest.json").read_text())["constants"]
+    solves = constants["tridiagonal_solves"]
+    values, vectors = constants["eigenvalues_computed"], constants["eigenvectors_computed"]
+    n_ch = 2 * 8 + 1
+    # two base solves per channel (one per band), eigenvalues only on the grown box
+    assert solves["base"] == 2 * n_ch
+    assert 0 < solves["grown"] <= n_ch and 0 < solves["doubled"] <= n_ch
+    assert vectors == dict(values, grown=0)
+    assert values["base"] >= constants["n_localized"] > 0

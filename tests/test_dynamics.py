@@ -5,7 +5,7 @@ import pytest
 
 from fluxlab.angular import AngularPotential, DecayClass, GevreyEnvelope
 from fluxlab.dynamics import (MobilityChannelRecord, MobilityReport,
-                              ObservableSeries, WaveState, _eigen_decay_rate,
+                              ObservableSeries, WaveState, _decay_rates,
                               bound_check_thm1, geometric_times, growth_fit_thm2,
                               heisenberg_check, mobility_edge_scan, moment_j,
                               moment_x, participation_width, prepare_state,
@@ -15,6 +15,7 @@ from fluxlab.grid import (ChannelOperator, RadialGrid, build_channel_operator,
                           build_channel_operators, build_grid)
 from fluxlab.spectral import (SpectralWindow, assemble_hamiltonian, basis_product,
                               diagonalize, spectral_projection)
+from fluxlab.weights import decay_rate_fit
 
 
 def coupled_system(j_max=4, n_r=150, r_max=10.0, upper=1.0, amp=0.3, angular=np.cos):
@@ -310,6 +311,58 @@ def test_participation_width_uniform_vector():
     assert participation_width(u, h) == pytest.approx(10.0)
 
 
+def test_participation_width_of_columns_matches_each_vector():
+    rng = np.random.default_rng(5)
+    u = rng.normal(size=(50, 4))
+    u[:, 2] = 0.0
+    widths = participation_width(u, 0.2)
+    assert widths.shape == (4,) and widths[2] == 0.0
+    for k in range(4):
+        assert widths[k] == participation_width(u[:, k], 0.2)
+    assert isinstance(participation_width(u[:, 0], 0.2), float)
+
+
+def _eigen_decay_rate(u, grid, r_start):
+    """Per-vector reference: the fitted exponential decay rate of |u| on
+    nodes beyond r_start where |u| exceeds 1e-12 max |u|."""
+    mag = np.abs(u)
+    sel = (grid.nodes > r_start) & (mag > 1e-12 * mag.max())
+    if np.count_nonzero(sel) < 4:
+        return np.nan
+    slope, _, _ = decay_rate_fit(grid.nodes[sel], mag[sel])
+    return -slope
+
+
+def test_decay_rates_pass_matches_the_per_vector_fit_and_its_node_count():
+    # r_start leaves 6, 4 and 3 nodes (then the fit needs 4) and, for the
+    # last column, nodes where |u| is below 1e-12 of its max
+    grid = build_grid(40, 4.0)
+    r = grid.nodes
+    u = np.stack([np.exp(-0.7 * r) * (1 + 0.1 * np.sin(3 * r)), np.exp(-1.3 * r),
+                  -np.exp(-0.4 * r), np.where(r < 2.0, np.exp(-20 * r), 0.0)], axis=1)
+    r_start = np.array([r[-7], r[-5], r[-4], 0.5])
+    rates = _decay_rates(u, r, r_start)
+    assert np.isnan(rates[2]) and not np.isnan(rates[1])
+    for k in range(u.shape[1]):
+        assert rates[k] == pytest.approx(_eigen_decay_rate(u[:, k], grid, r_start[k]),
+                                         rel=1e-12, abs=0, nan_ok=True)
+
+
+@pytest.mark.parametrize("lam, box_growth", [(1.0, 1.0), (1.0, 0.5), (1.0, 1.001)])
+def test_mobility_scan_rejects_a_box_that_does_not_grow(lam, box_growth):
+    # round(270 x 1.001) = 270: the "grown" box is the base box, so every
+    # shift would be rounding and the shift verdict could not fail
+    with pytest.raises(ValueError, match="^box_growth"):
+        mobility_edge_scan(lam, build_grid(270, 18.0), 2, box_growth=box_growth)
+
+
+@pytest.mark.parametrize("band", ["low_band", "high_band"])
+@pytest.mark.parametrize("bounds", [(0.5, 0.5), (0.8, 0.1)])
+def test_mobility_scan_rejects_an_empty_band(band, bounds):
+    with pytest.raises(ValueError, match=f"^{band}"):
+        mobility_edge_scan(1.0, build_grid(270, 18.0), 2, **{band: bounds})
+
+
 def test_mobility_scan_basics():
     grid = build_grid(1200, 30.0)
     report = mobility_edge_scan(1.0, grid, 2, low_band=(0.1, 0.5),
@@ -322,9 +375,11 @@ def test_mobility_scan_basics():
 
 
 def reference_mobility_scan(lam, grid, j_max, low_band=(0.1, 0.8),
-                            high_band=(1.8, 2.2), box_growth=1.5):
-    """The earlier scan: one eigenpair solve over (low_lo, high_hi] per channel,
-    full eigenpairs on the grown box, V_j evaluated per channel operator."""
+                            high_band=(1.8, 2.2), box_growth=1.5, single_range=True):
+    """The earlier scan: one eigenpair solve over (low_lo, high_hi] per channel
+    (or, with ``single_range`` False, one per band, as the scan solves),
+    full eigenpairs on the grown box, V_j evaluated per channel operator, and
+    one decay-rate fit and one participation width per eigenvector."""
     profile = FluxProfile.linear(lam)
     report = MobilityReport(lam=lam)
     n_big = int(round(grid.n_r * box_growth))
@@ -333,13 +388,20 @@ def reference_mobility_scan(lam, grid, j_max, low_band=(0.1, 0.8),
     grid_double = RadialGrid(n_r=n_double, r_max=n_double * grid.h)
     for j in range(-j_max, j_max + 1):
         op = build_channel_operator(profile, j, grid)
-        vals, u = op.eigenpairs(value_range=(low_band[0], high_band[1]))
-        low_sel = (vals >= low_band[0]) & (vals <= low_band[1])
-        if np.any(low_sel):
+        if single_range:
+            vals, u = op.eigenpairs(value_range=(low_band[0], high_band[1]))
+            low_sel = (vals >= low_band[0]) & (vals <= low_band[1])
+            high_sel = (vals >= high_band[0]) & (vals <= high_band[1])
+            low, high = (vals[low_sel], u[:, low_sel]), (vals[high_sel], u[:, high_sel])
+        else:
+            low = op.eigenpairs(value_range=low_band)
+            high = op.eigenpairs(value_range=high_band)
+        vals, u = low
+        if vals.size:
             op_big = build_channel_operator(profile, j, grid_big)
             vals_big = op_big.eigenpairs(
                 value_range=(low_band[0] - 0.05, low_band[1] + 0.05))[0]
-            for idx in np.flatnonzero(low_sel):
+            for idx in range(vals.size):
                 region = classical_region(profile, j, float(vals[idx]), grid)
                 r_hi = region.interval[1] if not region.empty else 0.0
                 rate = _eigen_decay_rate(u[:, idx], grid, r_hi)
@@ -348,10 +410,9 @@ def reference_mobility_scan(lam, grid, j_max, low_band=(0.1, 0.8),
                 report.localized.append(MobilityChannelRecord(
                     j=j, eigenvalue=float(vals[idx]), decay_rate=rate,
                     eigenvalue_shift=shift))
-        high_sel = (vals >= high_band[0]) & (vals <= high_band[1])
-        if np.any(high_sel):
-            widths = [participation_width(u[:, idx], grid.h)
-                      for idx in np.flatnonzero(high_sel)]
+        vals, u = high
+        if vals.size:
+            widths = [participation_width(u[:, idx], grid.h) for idx in range(vals.size)]
             op2 = build_channel_operator(profile, j, grid_double)
             vals2, u2 = op2.eigenpairs(value_range=tuple(high_band))
             if vals2.size:
@@ -383,6 +444,21 @@ def test_mobility_scan_agrees_with_the_single_range_reference():
     grid = build_grid(270, 18.0)
     new = mobility_edge_scan(1.0, grid, 12)
     old = reference_mobility_scan(1.0, grid, 12)
+    assert not new.empty_low_band and not new.empty_high_band
+    assert_scans_agree(new, old)
+
+
+@pytest.mark.parametrize("n_r, r_max, j_max", [(270, 18.0, 12), (800, 32.0, 20),
+                                                (3000, 60.0, 3)],
+                         ids=["coupled_ref_grid", "uncoupled_linear", "A7"])
+def test_mobility_scan_agrees_with_the_per_vector_reference(n_r, r_max, j_max):
+    # the per-channel decay-rate and width passes against one fit and one
+    # width per eigenvector of the same per-band solves; the single-range
+    # reference is no 1e-12 oracle here, since its wider bisection interval
+    # moves the far tails of the eigenvectors that the fits read
+    grid = build_grid(n_r, r_max)
+    new = mobility_edge_scan(1.0, grid, j_max)
+    old = reference_mobility_scan(1.0, grid, j_max, single_range=False)
     assert not new.empty_low_band and not new.empty_high_band
     assert_scans_agree(new, old)
 

@@ -3,9 +3,9 @@ import pytest
 import scipy.linalg
 
 from fluxlab.flux import FluxProfile
-from fluxlab.grid import (RadialGrid, build_channel_operator, build_channel_operators,
-                          build_grid, check_truncation, tridiagonal_eigenpairs,
-                          truncation_margin)
+from fluxlab.grid import (COARSE_TOL, RadialGrid, _tridiagonal_eigh, build_channel_operator,
+                          build_channel_operators, build_grid, check_truncation,
+                          tridiagonal_eigenpairs, truncation_margin)
 
 
 def landau_level(n, j, b0):
@@ -134,6 +134,75 @@ def test_tridiagonal_eigenpairs_match_full_precision_on_the_linear_benchmark_gri
         assert np.max(residual) < 1.1e-10, op.j
         assert_orthonormal(v, 1e-12)
     assert counted == 125                 # the window's rank plus its margin
+
+
+def assert_same_bits(got, expected):
+    for a, b in zip(got, expected) if isinstance(got, tuple) else [(got, expected)]:
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n_r, r_max, j_max", [(270, 18.0, 12), (800, 32.0, 20)],
+                         ids=["coupled_ref_grid", "uncoupled_linear"])
+def test_kernel_returns_eigh_tridiagonals_bits_on_every_benchmark_channel(n_r, r_max,
+                                                                          j_max):
+    # the linear model of both benchmark grids: value-range pairs at the
+    # coarse tolerance (the mobility bands and a window slice from below
+    # the spectrum), value slices at LAPACK's default tolerance, index
+    # slices with and without vectors, and on the smaller grid every pair
+    grid = build_grid(n_r, r_max)
+    for op in build_channel_operators(FluxProfile.linear(1.0), np.arange(-j_max, j_max + 1),
+                                      grid):
+        d, e = op.diagonal, op.off_diagonal
+        for lo, hi in [(0.1, 0.8), (1.8, 2.2), (-1.0, 0.95)]:
+            tol = COARSE_TOL * max(1.0, abs(hi))
+            assert_same_bits(
+                _tridiagonal_eigh(d, e, "v", (lo, hi), tol=tol, vectors=True),
+                scipy.linalg.eigh_tridiagonal(d, e, select="v", select_range=(lo, hi),
+                                              tol=tol))
+            assert_same_bits(
+                _tridiagonal_eigh(d, e, "v", (lo, hi)),
+                scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, select="v",
+                                              select_range=(lo, hi)))
+        assert_same_bits(
+            _tridiagonal_eigh(d, e, "v", (-np.inf, 0.95)),
+            scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, select="v",
+                                          select_range=(-np.inf, 0.95)))
+        top = n_r - 1 if n_r < 500 else 9
+        for bounds, vectors in [((0, 0), False), ((0, top), True)]:
+            expected = scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=not vectors,
+                                                     select="i", select_range=bounds)
+            assert_same_bits(_tridiagonal_eigh(d, e, "i", bounds, vectors=vectors),
+                             expected)
+
+
+def test_kernel_matches_eigh_tridiagonal_on_a_single_row():
+    # LAPACK's wrappers reject the empty off-diagonal of a 1 x 1 block
+    d, e = np.array([0.5]), np.zeros(0)
+    for select, bounds in [("i", (0, 0)), ("v", (0.0, 1.0)), ("v", (0.5, 1.0)),
+                           ("v", (-1.0, 0.5))]:
+        for vectors in (False, True):
+            assert_same_bits(
+                _tridiagonal_eigh(d, e, select, bounds, vectors=vectors),
+                scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=not vectors,
+                                              select=select, select_range=bounds))
+
+
+def test_kernel_rejects_non_finite_entries_and_empty_slices(capfd):
+    d, e = np.full(6, 2.0), np.full(5, -1.0)
+    for bad_d, bad_e in [(np.r_[d[:5], np.nan], e), (d, np.r_[e[:4], np.inf])]:
+        with pytest.raises(ValueError, match="finite"):
+            _tridiagonal_eigh(bad_d, bad_e, "v", (0.0, 1.0))
+    # an empty value range would reach LAPACK's XERBLA, which prints
+    for bounds in [(1.0, 1.0), (2.0, 1.0)]:
+        for vectors in (False, True):
+            with pytest.raises(ValueError, match="empty"):
+                _tridiagonal_eigh(d, e, "v", bounds, vectors=vectors)
+    for bounds in [(0, 6), (-1, 0), (3, 2)]:
+        with pytest.raises(ValueError, match="index range"):
+            _tridiagonal_eigh(d, e, "i", bounds)
+    captured = capfd.readouterr()
+    assert captured.err == "" and captured.out == ""
 
 
 def test_truncation_warning():

@@ -355,16 +355,19 @@ def test_lowest_eigenvalue_lower_bound_lies_below_a_split_tridiagonal_minimum():
     assert abs(lowest.value - exact) <= np.finfo(float).eps * 1e6
 
 
-def record_eigh_tridiagonal(monkeypatch):
-    """(select, rows) of every later ``scipy.linalg.eigh_tridiagonal`` call."""
+def record_tridiagonal_solves(monkeypatch):
+    """(select, rows) of every later call of the ``?stebz`` kernel
+    (``fluxlab.grid._tridiagonal_eigh``), under each name it is bound to."""
+    from fluxlab import grid, spectral
     calls = []
-    original = scipy.linalg.eigh_tridiagonal
+    original = grid._tridiagonal_eigh
 
-    def counted(d, *args, **kwargs):
-        calls.append((kwargs.get("select", "a"), len(d)))
-        return original(d, *args, **kwargs)
+    def counted(d, e, select, *args, **kwargs):
+        calls.append((select, len(d)))
+        return original(d, e, select, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
+    for module in (grid, spectral):
+        monkeypatch.setattr(module, "_tridiagonal_eigh", counted)
     return calls
 
 
@@ -440,7 +443,7 @@ def test_failing_blocks_are_each_bisected_over_their_own_rows(monkeypatch):
     # last failing block ends the rows before the lowest diagonal block
     blocks = SPLIT_CASES["three_failing_before"]
     sizes = [b[0].size for b in blocks]
-    calls = record_eigh_tridiagonal(monkeypatch)
+    calls = record_tridiagonal_solves(monkeypatch)
     sweeps = record_ldl_sweeps(monkeypatch)
     lowest = lowest_eigenvalue(split_tridiagonal_band(blocks))
     assert calls == [("i", 2), ("v", 4), ("v", 5), ("v", 6), ("v", 6)]
@@ -498,7 +501,7 @@ def test_tridiagonal_lowest_bisects_only_the_channels_whose_pivot_fails(j_max, m
     kernel = spectral.tridiagonal_eigenpairs
     monkeypatch.setattr(spectral, "tridiagonal_eigenpairs",
                         lambda *args: polished.append(kernel(*args)) or polished[-1])
-    calls = record_eigh_tridiagonal(monkeypatch)
+    calls = record_tridiagonal_solves(monkeypatch)
     sweeps = record_ldl_sweeps(monkeypatch)
     lowest = lowest_eigenvalue(h.to_band()[0])
     assert calls == [("i", n)] + [("v", n)] * failing + [("v", n)]
@@ -517,7 +520,7 @@ def test_window_solve_skips_channels_whose_floor_is_above_the_top(monkeypatch):
     floors = np.min(h.potential + h.symmetric_part, axis=1)
     top = 0.9 + 0.05                      # window_upper + WINDOW_MARGIN
     assert 0 < np.count_nonzero(floors < top) < h.n_ch
-    calls = record_eigh_tridiagonal(monkeypatch)
+    calls = record_tridiagonal_solves(monkeypatch)
     es = diagonalize(h, window_upper=0.9)
     assert len(calls) == np.count_nonzero(floors < top)
     skipped = [b for b, floor in zip(es.blocks, floors) if floor >= top]

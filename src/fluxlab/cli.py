@@ -230,6 +230,25 @@ def _window(cfg: RunConfig, h, w, lowest):
         raise ConfigError("window.delta0", str(exc)) from None
 
 
+def _window_solve_constants(eigensys) -> dict:
+    """The window solve's diagnostics, for the manifest constants of every
+    subcommand that runs it: route, count certificate, Weyl's bracket and
+    the coupling bound it rests on (null on the per-channel route), pair
+    count, band-LU storage and solves (0 on the per-channel route), and the
+    largest residual."""
+    bracket = eigensys.weyl_bracket
+    return {
+        "solver": eigensys.method,
+        "count_certificate": eigensys.count_certificate,
+        "weyl_bracket": None if bracket is None else list(bracket),
+        "coupling_bound": eigensys.coupling_bound,
+        "n_eigenvalues": int(eigensys.k),
+        "factor_nnz": eigensys.factor_nnz,
+        "lu_solves": eigensys.lu_solves,
+        "residual_max": eigensys.residual_max,
+    }
+
+
 def _window_and_projection(cfg: RunConfig, h, w):
     from .spectral import diagonalize, spectral_projection
     eigensys = diagonalize(h, window_upper=cfg.get_float("window.E0", required=True))
@@ -253,12 +272,8 @@ def _run_spectrum(cfg, out_dir):
         "e0": window.e0, "E0": window.E0, "c0": window.c0,
         "delta0": window.delta0, "E_tilde": window.e_tilde,
         "dim": h.dim, "norm_inf": eigensys.norm_h,
-        "residual_max": eigensys.residual_max,
         "dropped_coupling_tail": h.dropped_tail_bound,
-        "n_eigenvalues": int(eigensys.k),
-        "solver": eigensys.method,
-        "factor_nnz": eigensys.factor_nnz,
-        "lu_solves": eigensys.lu_solves,
+        **_window_solve_constants(eigensys),
     }
     return ["eigenvalues.csv"], constants
 
@@ -279,8 +294,8 @@ def _run_project(cfg, out_dir):
     }
     write_json(os.path.join(out_dir, "projection.json"), meta)
     constants = dict(meta["window"])
-    constants.update(rank=meta["rank"], residual_max=meta["residual_max"],
-                     idempotency_error=meta["idempotency_error"])
+    constants.update(rank=meta["rank"], idempotency_error=meta["idempotency_error"],
+                     gram_error=meta["gram_error"], **_window_solve_constants(eigensys))
     return ["eigenvalues.csv", "projection.json"], constants
 
 
@@ -333,6 +348,7 @@ def _run_tunnel(cfg, out_dir):
 
     artifacts, constants = [], {
         "e0": window.e0, "E_tilde": window.e_tilde, "rank": int(proj.rank),
+        **_window_solve_constants(eigensys),
     }
     report = {}
     if "interior" in built:
@@ -495,7 +511,7 @@ def _run_evolve(cfg, out_dir):
                  "trend_ok": thm1.trend_ok, "passed": thm1.passed},
     }
     constants = {"e0": window.e0, "rank": int(proj.rank), "nu": nu, "beta": beta,
-                 "thm1_sup_ratio": thm1.sup_ratio}
+                 "thm1_sup_ratio": thm1.sup_ratio, **_window_solve_constants(eigensys)}
 
     if w is not None and w.decay.kind != "none":
         from .dynamics import moment_j

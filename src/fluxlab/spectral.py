@@ -11,13 +11,17 @@ Spectral projections onto an energy window [e0, E0] are computed by direct
 diagonalization: per-channel tridiagonal solves when no coupling is present
 (each channel's pairs between its potential floor and the window top, by
 coarse bisection, inverse iteration and a Rayleigh-Ritz step, see
-:func:`~fluxlab.grid.tridiagonal_eigenpairs`), and otherwise one shifted
-factorization (:class:`ShiftedFactor`) at the window top, whose inertia counts the eigenvalues below it exactly and whose
-shift-inverted Lanczos sweep then returns exactly that many eigenpairs.  The
-factorization runs on H in its node-major band order, where elimination in
-natural order fills only the band, so no fill-reducing ordering is computed;
-the eigenvectors return to channel-major order once, after the sweep.
-Repeated runs are deterministic (fixed start vectors, fixed assembly order).
+:func:`~fluxlab.grid.tridiagonal_eigenpairs`), and otherwise one pivoted
+band LU (:class:`BandLU`) of H in its node-major band order at the window
+top, whose shift-inverted Lanczos sweep returns exactly as many eigenpairs
+as lie below the top.  That count is certified exactly
+(:func:`_window_count`): Weyl's inequality brackets it by two Sturm counts
+of the channel tridiagonals at the top shifted by the coupling bound, the
+LU's determinant sign settles a bracket one wide, and only a wider bracket,
+or a sign too close to singular to trust, takes SuperLU's inertia count
+(:class:`ShiftedFactor`).  The eigenvectors return to channel-major order
+once, after the sweep.  Repeated runs are deterministic (fixed start
+vectors, fixed assembly order).
 
 A check that reads only the window's bottom e0 takes H's lowest eigenvalue
 from :func:`lowest_eigenvalue` instead, which also gives the twisted
@@ -42,9 +46,9 @@ Hamiltonian (``BlockHamiltonian.potential``) for the checks that compare it
 with an energy.  :meth:`BlockHamiltonian.to_band` is the one place that
 lays out H's entries: ordered node-major, a coupled H is a band matrix of
 half-bandwidth n_ch.  The dense form and the max row sum are read back
-from that band, :class:`ShiftedFactor` factors the band-order
-matrix for the window solve, and :class:`BandCholesky` factors a shifted
-band matrix and certifies positive definiteness without an inertia count.
+from that band, :class:`BandLU` and :class:`ShiftedFactor` factor it for
+the window solve, and :class:`BandCholesky` factors a shifted band matrix
+and certifies positive definiteness without an inertia count.
 """
 
 from __future__ import annotations
@@ -58,7 +62,8 @@ import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, eigsh, splu
+import scipy.sparse.linalg
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .angular import SQRT_2PI, AngularPotential, GevreyEnvelope, xi_constant
 from .flux import FluxProfile
@@ -68,7 +73,7 @@ from .grid import (RadialGrid, _tridiagonal_eigh, tridiagonal_eigenpairs,
 __all__ = [
     "BlockHamiltonian", "SpectralWindow", "EigenSystem", "SpectralProjection",
     "assemble_hamiltonian", "diagonalize", "make_window", "spectral_projection",
-    "estimate_c0", "channel_projection_norm", "ShiftedFactor", "BandCholesky",
+    "estimate_c0", "channel_projection_norm", "ShiftedFactor", "BandLU", "BandCholesky",
     "basis_product", "BasisBlock", "block_product", "LowestEigenvalue",
     "lowest_eigenvalue",
 ]
@@ -77,6 +82,8 @@ DENSE_LIMIT = 4000      # largest coupled dimension whose full spectrum is solve
 WINDOW_MARGIN = 0.05    # a window solve to E0 covers E0 + WINDOW_MARGIN max(1, |E0|)
 RANK_ZERO_WARNING = "spectral window selected no eigenvalues (rank-0 projection)"
 PANEL_ROWS = 1024       # rows of a block one GEMM writes in block_product's V x
+SWEEP_RESTARTS = 1000   # ARPACK restarts after which a window sweep stops short
+PHASE_TOL = 1e-6        # a complex determinant's phase must lie this close to 0 or pi
 EPS = float(np.finfo(float).eps)
 
 
@@ -301,8 +308,11 @@ class EigenSystem:
     norm_h: float
     method: str
     blocks: Tuple[BasisBlock, ...]
-    factor_nnz: int = 0             # nnz(L + U) of the window factor, 0 without one
-    lu_solves: int = 0              # solves of the window factor's Lanczos sweep
+    factor_nnz: int = 0             # entries the window's band LU stores, 0 without one
+    lu_solves: int = 0              # solves of the window's band LU
+    count_certificate: str = "full_spectrum"    # what fixes the number of pairs
+    weyl_bracket: Optional[Tuple[int, int]] = None  # Weyl's bounds on a coupled window count
+    coupling_bound: Optional[float] = None      # w, the bound on |W_off|_2 they rest on
 
     @property
     def k(self) -> int:
@@ -342,10 +352,11 @@ def _blockwise_norm2(m: np.ndarray, blocks, defect) -> float:
                for b in blocks if b.cols.size)
 
 
-def _residuals(h_sparse, vals, vecs) -> float:
+def _residuals(a, vals, vecs) -> float:
+    """max_i |A v_i - lambda_i v_i| / |v_i| for a dense array or operator ``a``."""
     if vals.size == 0:
         return 0.0
-    r = h_sparse @ vecs - vecs * vals[None, :]
+    r = a @ vecs - vecs * vals[None, :]
     return float(np.max(np.sqrt(np.sum(np.abs(r) ** 2, axis=0)
                                 / np.sum(np.abs(vecs) ** 2, axis=0))))
 
@@ -356,7 +367,8 @@ def _block_diagonal_eigensystem(h: BlockHamiltonian, top: Optional[float] = None
 
     Without ``top`` every eigenpair is solved.  With it, channel c's pairs
     in (floor_c, top] come from :func:`~fluxlab.grid.tridiagonal_eigenpairs`,
-    where floor_c = min_i (V_j + W_s)(r_i), read as the channel's diagonal
+    whose Sturm counts fix how many there are (``channel_sturm``);
+    floor_c = min_i (V_j + W_s)(r_i), read as the channel's diagonal
     less the kinetic one, minus a relative guard: the kinetic stencil is
     positive definite, so no eigenvalue of the channel lies at or below it,
     and a channel whose floor lies above the top has no pair to solve.
@@ -390,80 +402,122 @@ def _block_diagonal_eigensystem(h: BlockHamiltonian, top: Optional[float] = None
         grid=h.grid, channels=h.channels, eigenvalues=vals_all[order],
         residual_max=res_max, norm_h=h.norm_inf(),
         method="channel_tridiagonal", blocks=blocks,
+        count_certificate="full_spectrum" if top is None else "channel_sturm",
     )
 
 
 class ShiftedFactor:
-    """Factorization of a Hermitian band matrix A - sigma I with its inertia.
+    """The inertia of A - sigma I for a Hermitian band matrix A.
 
     ``ab`` holds A in LAPACK upper band storage (see
-    :meth:`BlockHamiltonian.to_band`); ``a`` is the same matrix as CSC in
-    band order.  SuperLU runs in symmetric mode with diagonal pivots only and
-    in natural order: eliminating a band matrix without pivoting fills only
-    inside the band (Golub & Van Loan, Matrix Computations, 4th ed., section
-    4.3), so a fill-reducing ordering has nothing to save.  Then
-    A - sigma I = L U with U = D L^H and, by Sylvester's law of inertia, the
-    negative entries of diag(U) count the eigenvalues of A below sigma
-    exactly (``n_below``).  Without pivoting the elimination is only
-    trustworthy while no pivot is tiny, so a row interchange or a pivot
-    below ``1e-12 |A|`` raises instead of returning a count.  The factor
-    serves shift-inverted Lanczos sweeps about sigma (Ericsson & Ruhe 1980;
-    inertia slicing as in Grimes, Lewis & Simon 1994); ``nnz`` is the fill
-    nnz(L + U) and ``solves`` counts the solves the sweeps made.
+    :meth:`BlockHamiltonian.to_band`).  SuperLU factors it, as CSC in band
+    order, in symmetric mode with diagonal pivots only and in natural order:
+    eliminating a band matrix without pivoting fills only inside the band
+    (Golub & Van Loan, Matrix Computations, 4th ed., section 4.3), so a
+    fill-reducing ordering has nothing to save.  Then A - sigma I = L U with
+    U = D L^H and, by Sylvester's law of inertia, the negative entries of
+    diag(U) count the eigenvalues of A below sigma exactly (``n_below``).
+    Without pivoting the elimination is only trustworthy while no pivot is
+    tiny, so a row interchange or a pivot below ``1e-12 |A|`` raises instead
+    of returning a count.  The window solve counts with it only when Weyl's
+    bracket and a determinant sign cannot (:func:`_window_count`).
     """
 
     def __init__(self, ab: np.ndarray, sigma: float):
-        self.a = _band_to_csc(ab)
+        a = _band_to_csc(ab)
         self.sigma = float(sigma)
-        self.norm_a = _band_norm_inf(ab)
-        shifted = self.a - self.sigma * sp.identity(self.dim, dtype=self.a.dtype,
-                                                    format="csc")
-        self.lu = splu(shifted, permc_spec="NATURAL",
-                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-        if not np.array_equal(self.lu.perm_r, self.lu.perm_c):
+        shifted = a - self.sigma * sp.identity(a.shape[0], dtype=a.dtype, format="csc")
+        lu = scipy.sparse.linalg.splu(shifted, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                                      options={"SymmetricMode": True})
+        if not np.array_equal(lu.perm_r, lu.perm_c):
             raise RuntimeError(f"factorization at shift {self.sigma:.17g} needed "
                                "off-diagonal pivots; the inertia is undefined")
-        pivots = self.lu.U.diagonal().real
-        tiny = 1e-12 * max(1.0, self.norm_a)
+        pivots = lu.U.diagonal().real
+        tiny = 1e-12 * max(1.0, _band_norm_inf(ab))
         if np.min(np.abs(pivots)) <= tiny:
             raise RuntimeError(
                 f"pivot {np.min(np.abs(pivots)):.3e} at shift {self.sigma:.17g} is "
                 f"below 1e-12 |A| = {tiny:.3e}; the inertia count is not trustworthy")
         self.n_below = int(np.count_nonzero(pivots < 0))
-        self.nnz = self.lu.L.nnz + self.lu.U.nnz - self.dim   # L's unit diagonal once
+
+
+class BandLU:
+    """Pivoted band LU factor P (A - sigma I) = L U of a Hermitian band matrix A.
+
+    ``ab`` holds A in LAPACK upper band storage (see
+    :meth:`BlockHamiltonian.to_band`), whose conjugate transpose gives the
+    lower band.  ``?gbtrf`` factors A - sigma I in general band storage with
+    3 kd + 1 rows, kd of them for the fill that row interchanges bring, and
+    ``nnz`` counts that storage; ``solve`` applies the factor with
+    ``?gbtrs`` and counts the solves in ``solves``.  Partial pivoting gives
+    no inertia, but every LU gives det(A - sigma I), the product of
+    lambda_i - sigma over A's eigenvalues, whose sign is (-1) to the number
+    of them below sigma (Golub & Van Loan, Matrix Computations, 4th ed.,
+    sections 3.4 and 4.3); :meth:`det_sign` reads it.  An exactly zero pivot
+    (sigma is an eigenvalue) raises.
+    """
+
+    def __init__(self, ab: np.ndarray, sigma: float):
+        kd, n = ab.shape[0] - 1, ab.shape[1]
+        self.kd, self.sigma = kd, float(sigma)
+        # Fortran order, so ?gbtrf factors it in place; A[p, q] sits at row 2 kd + p - q
+        gb = np.zeros((n, 3 * kd + 1), dtype=ab.dtype).T
+        gb[kd:2 * kd + 1] = ab
+        gb[2 * kd] -= self.sigma
+        for s in range(1, kd + 1):
+            gb[2 * kd + s, :n - s] = np.conj(ab[kd - s, s:])
+        gbtrf, self._gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+        self.lu, self.piv, info = gbtrf(gb, kd, kd, overwrite_ab=1)
+        if info < 0:
+            raise ValueError(f"?gbtrf rejected argument {-info}")
+        if info > 0:
+            raise RuntimeError(f"A - {self.sigma:.17g} I is singular: pivot {info} is zero")
+        self.nnz = self.lu.size
         self.solves = 0
-
-    @property
-    def dim(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def dense_below(self) -> bool:
-        """True when ``below`` solves densely: ARPACK needs k < dim - 1."""
-        return self.n_below >= self.dim - 1
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """(A - sigma I)^-1 b, counted in ``solves``."""
         self.solves += 1
-        return self.lu.solve(b)
+        x, info = self._gbtrs(self.lu, self.kd, self.kd, b, self.piv)
+        if info < 0:
+            raise ValueError(f"?gbtrs rejected argument {-info}")
+        return x
 
-    def below(self):
-        """The ``n_below`` eigenpairs of A under sigma, eigenvalues ascending,
-        eigenvectors in band order.
+    def det_sign(self) -> Optional[int]:
+        """The sign of det(A - sigma I), or None when it cannot be read.
 
-        In shift-invert mode the ``SA`` end of 1 / (lambda - sigma) is the
-        set below sigma, so ARPACK is asked for exactly those pairs.
+        det = (-1)^(row interchanges) prod u_ii.  Only signs and phases
+        enter, never the magnitudes, whose product over and underflows.  For
+        real A the sign counts the negative u_ii.  For complex Hermitian A
+        the determinant is real, so the phases of the u_ii, plus pi per
+        interchange, must add up to 0 or pi modulo 2 pi; a sum farther than
+        ``PHASE_TOL`` from both gives None.
         """
-        k = self.n_below
-        if k == 0:
-            return np.zeros(0), np.zeros((self.dim, 0), dtype=self.a.dtype)
-        if self.dense_below:
-            return scipy.linalg.eigh(self.a.toarray(), subset_by_index=(0, k - 1))
-        op_inv = LinearOperator(self.a.shape, matvec=self.solve, dtype=self.a.dtype)
-        vals, vecs = eigsh(self.a, k=k, sigma=self.sigma, which="SA",
-                           v0=np.full(self.dim, 1.0 / np.sqrt(self.dim)), OPinv=op_inv)
-        order = np.argsort(vals, kind="stable")
-        return vals[order], vecs[:, order]
+        u = self.lu[2 * self.kd]
+        swaps = int(np.count_nonzero(self.piv != np.arange(self.piv.size)))
+        if not np.iscomplexobj(u):
+            return -1 if (swaps + np.count_nonzero(u < 0)) % 2 else 1
+        phase = float(np.sum(np.angle(u)) + np.pi * swaps) % (2 * np.pi)
+        if min(phase, 2 * np.pi - phase) <= PHASE_TOL:
+            return 1
+        if abs(phase - np.pi) <= PHASE_TOL:
+            return -1
+        return None
+
+
+# The window solve builds its band LU through this name, which the benchmark
+# tracer (bench/tracing.py) wraps: it times the factorization as
+# spectral.factorize and counts the solves as spectral.lu_solves.
+splu = BandLU
+
+
+def _band_operator(ab: np.ndarray) -> LinearOperator:
+    """The Hermitian matrix held in upper band storage, as an operator whose
+    products are ``?sbmv`` / ``?hbmv`` calls, one per column; a Fortran-order
+    ``ab`` is read without a copy."""
+    kd, n = ab.shape[0] - 1, ab.shape[1]
+    band_mv = scipy.linalg.get_blas_funcs("hbmv" if np.iscomplexobj(ab) else "sbmv", (ab,))
+    return LinearOperator((n, n), matvec=lambda x: band_mv(kd, 1.0, ab, x), dtype=ab.dtype)
 
 
 class BandCholesky:
@@ -484,7 +538,7 @@ class BandCholesky:
         self.sigma = float(sigma)
         self.norm_a = _band_norm_inf(ab)
         kd = ab.shape[0] - 1
-        shifted = ab.copy()
+        shifted = np.array(ab, order="F")        # ?pbtrf factors it in place
         shifted[kd] -= self.sigma
         pbtrf, self._pbtrs = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"), (ab,))
         self.factor, info = pbtrf(shifted, overwrite_ab=1)
@@ -507,12 +561,9 @@ class BandCholesky:
         """
         if not self.positive_definite:
             raise ValueError(f"A - {self.sigma:.17g} I is not positive definite")
-        kd, n = self.ab.shape[0] - 1, self.ab.shape[1]
-        band_mv = scipy.linalg.get_blas_funcs(
-            "hbmv" if np.iscomplexobj(self.ab) else "sbmv", (self.ab,))
-        a = LinearOperator((n, n), matvec=lambda x: band_mv(kd, 1.0, self.ab, x),
-                           dtype=self.ab.dtype)
-        op_inv = LinearOperator((n, n), matvec=lambda b: self._pbtrs(self.factor, b)[0],
+        a = _band_operator(self.ab)
+        n = a.shape[0]
+        op_inv = LinearOperator(a.shape, matvec=lambda b: self._pbtrs(self.factor, b)[0],
                                 dtype=self.ab.dtype)
         return float(eigsh(a, k=1, sigma=self.sigma, which="LM",
                            v0=np.full(n, 1.0 / np.sqrt(n)), OPinv=op_inv,
@@ -581,6 +632,28 @@ def _tridiagonal_lowest(ab: np.ndarray) -> _TridiagonalLowest:
     return _TridiagonalLowest(top, best, slice(int(bounds[best]), int(bounds[best + 1])))
 
 
+def _channel_tridiagonal(ab: np.ndarray) -> Tuple[np.ndarray, float, float]:
+    """The channel tridiagonals D of a Hermitian band A in the layout of
+    :meth:`BlockHamiltonian.to_band`, the max row sum w of the rest of A,
+    and max(1, |A|_inf).
+
+    D is rows 0 and kd of ``ab``, node-major (n, kd) read as channel-major
+    (kd, n) in kd = 1 upper band storage, with a zero off-diagonal where
+    channels meet.  For ``kd == 1`` D is A and w = 0; otherwise rows
+    1..kd-1 hold only node-local couplings W_off, and w, their max row sum,
+    bounds |W_off|_2, so Weyl's inequality puts each eigenvalue of A within
+    w of the same-index eigenvalue of D.  w and |A|_inf come from one pass
+    over the band rows.
+    """
+    kd = ab.shape[0] - 1
+    tri = ab[[0, kd]].reshape(2, -1, kd).transpose(0, 2, 1).reshape(2, -1)
+    tri[0, ::ab.shape[1] // kd] = 0.0
+    if kd == 1:
+        return tri, 0.0, max(1.0, _band_norm_inf(ab))
+    off = _band_row_sums(ab, range(1, kd))
+    return tri, float(off.max()), max(1.0, float(np.max(off + _band_row_sums(ab, (0, kd)))))
+
+
 class LowestEigenvalue(NamedTuple):
     """A band matrix's lowest eigenvalue, a certified lower bound on it, the
     route (``channel_tridiagonal`` or ``band_cholesky_lanczos``), and the
@@ -601,9 +674,8 @@ def lowest_eigenvalue(ab: np.ndarray) -> LowestEigenvalue:
     ``ab`` holds A in upper band storage in the layout of
     :meth:`BlockHamiltonian.to_band` (H, or the twisted operator of
     :func:`~fluxlab.weights.twisted_gap_check`): channel-major tridiagonal
-    with ``kd = 1``, or node-major with ``kd = n_ch``.  The diagonal and the
-    distance-kd row are the channel tridiagonals D; read channel-major, with
-    a zero off-diagonal where channels meet, :func:`_tridiagonal_lowest`
+    with ``kd = 1``, or node-major with ``kd = n_ch``.  Over the channel
+    tridiagonals D (:func:`_channel_tridiagonal`), :func:`_tridiagonal_lowest`
     gives their lowest eigenvalue t, bisected in the channel that holds it
     and certified over the others by one LDL^T sweep.  Its block is the
     returned ``channel``.
@@ -613,31 +685,24 @@ def lowest_eigenvalue(ab: np.ndarray) -> LowestEigenvalue:
     :func:`~fluxlab.grid.tridiagonal_eigenpairs`, the window solve's kernel,
     gives on that channel in (t - g, t + g], g = 16 eps max(1, |A|_inf):
     one inverse-iteration vector, and on H the e0 the window solve gives.
-    Otherwise rows 1..kd-1 hold only node-local couplings W_off, whose
-    2-norm is at most their max row sum w, so Weyl's inequality puts every
-    eigenvalue of A at or above sigma = t - w - guard.  The guard,
+    Otherwise A = D + W_off with |W_off|_2 <= w, so Weyl's inequality puts
+    every eigenvalue of A at or above sigma = t - w - guard.  The guard,
     1e-9 max(1, |A|_inf), covers ``?stebz``'s tolerance many times
     over and keeps lambda_min - sigma far above :class:`BandCholesky`'s
-    pivot floor; w and |A|_inf come from one pass over the band rows.  The
-    band Cholesky factor of A - sigma I certifies the bound (a failure
-    means a theorem failed, and raises), and its shift-inverted Lanczos run
-    returns the eigenvalue nearest sigma, the lowest one.
+    pivot floor.  The band Cholesky factor of A - sigma I certifies the
+    bound (a failure means a theorem failed, and raises), and its
+    shift-inverted Lanczos run returns the eigenvalue nearest sigma, the
+    lowest one.
     """
-    kd = ab.shape[0] - 1
-    # rows 0 and kd, node-major (n, kd) read as channel-major (kd, n)
-    tri = ab[[0, kd]].reshape(2, -1, kd).transpose(0, 2, 1).reshape(2, -1)
-    tri[0, ::ab.shape[1] // kd] = 0.0
+    tri, w, scale = _channel_tridiagonal(ab)
     low = _tridiagonal_lowest(tri)
-    if kd == 1:
-        scale = max(1.0, _band_norm_inf(ab))
+    if ab.shape[0] - 1 == 1:
         guard = 16 * EPS * scale
         ritz = tridiagonal_eigenpairs(tri[1, low.rows].real, np.abs(tri[0, low.rows][1:]),
                                       low.value - guard, low.value + guard)[0]
         return LowestEigenvalue(float(ritz[0]), low.value - 4 * EPS * scale,
                                 "channel_tridiagonal", low.block)
-    off = _band_row_sums(ab, range(1, kd))
-    scale = max(1.0, float(np.max(off + _band_row_sums(ab, (0, kd)))))
-    sigma = low.value - float(off.max()) - 1e-9 * scale
+    sigma = low.value - w - 1e-9 * scale
     factor = BandCholesky(ab, sigma)
     if not factor.positive_definite:
         raise RuntimeError(f"A - {sigma:.17g} I is not positive definite, yet Weyl's "
@@ -645,24 +710,117 @@ def lowest_eigenvalue(ab: np.ndarray) -> LowestEigenvalue:
     return LowestEigenvalue(factor.lowest(), sigma, "band_cholesky_lanczos", low.block)
 
 
+class WindowCount(NamedTuple):
+    """The number of eigenvalues of A below a shift, the certificate that
+    fixes it (``weyl``, ``weyl_determinant_sign`` or ``inertia``), Weyl's
+    bracket (k_lo, k_hi) around it, and the coupling bound w of that bracket."""
+
+    n: int
+    certificate: str
+    bracket: Tuple[int, int]
+    coupling_bound: float
+
+
+def _window_count(ab: np.ndarray, top: float, factor=None) -> WindowCount:
+    """The number of eigenvalues of the Hermitian band A below ``top``.
+
+    ``ab`` is in the layout of :meth:`BlockHamiltonian.to_band`, and
+    ``factor`` the :class:`BandLU` of A - top I, formed here if needed and
+    not given.  A = D + W_off with D the channel tridiagonals and
+    |W_off|_2 <= w (:func:`_channel_tridiagonal`), so Weyl's inequality
+    (Math. Ann. 71, 1912) brackets the count between k_lo = N_D(top - w - g)
+    and k_hi = N_D(top + w + g), where N_D(s) is D's Sturm count of
+    eigenvalues at or below s (one ``?stebz`` value count over all of D's
+    rows, bisected no finer than w) and g = 1e-9 max(1, |A|_inf) is the guard
+    of :func:`lowest_eigenvalue`, which covers the counts' rounding.
+
+    - k_lo == k_hi: that is the count (``weyl``).
+    - k_hi == k_lo + 1: the sign of det(A - top I), (-1)^count, picks the end
+      of the bracket with its parity (``weyl_determinant_sign``).  The
+      factor's sign is the exact one of a matrix within rounding of
+      A - top I, so it is A's own only if no eigenvalue lies near top: the
+      sign is declined when two inverse-power steps show
+      |(A - top I)^-1| >= 1 / g, or a complex phase is neither 0 nor pi.
+      The pivots give no such guard: at a top 1e-13 above an eigenvalue of
+      the 270 x 12 reference model's H, min |u_ii| still reads 225.
+    - Otherwise, or when the sign is declined, SuperLU's inertia count
+      (:class:`ShiftedFactor`) gives it (``inertia``).
+    """
+    tri, w, scale = _channel_tridiagonal(ab)
+    g = 1e-9 * scale
+    d, e = tri[1].real, np.abs(tri[0, 1:])
+    k_lo, k_hi = (_tridiagonal_eigh(d, e, "v", (-np.inf, s), tol=w).size
+                  for s in (top - w - g, top + w + g))
+    bracket = (int(k_lo), int(k_hi))
+    if k_lo == k_hi:
+        return WindowCount(k_lo, "weyl", bracket, w)
+    if k_hi == k_lo + 1:
+        factor = splu(ab, top) if factor is None else factor
+        sign = factor.det_sign()
+        if sign is not None:
+            # two inverse-power steps from a fixed pseudo-random unit vector:
+            # |x| is a lower bound on |(A - top I)^-1|_2, close to it unless
+            # the start is nearly orthogonal to the eigenvector nearest top
+            x = np.random.default_rng(0).standard_normal(ab.shape[1])
+            for _ in range(2):
+                x = factor.solve(x / np.linalg.norm(x))
+            if np.linalg.norm(x) < 1.0 / g:
+                n = k_lo if sign == (-1) ** k_lo else k_hi
+                return WindowCount(n, "weyl_determinant_sign", bracket, w)
+    return WindowCount(ShiftedFactor(ab, top).n_below, "inertia", bracket, w)
+
+
 def _windowed_eigensystem(h: BlockHamiltonian, upper: float,
                           margin: float) -> EigenSystem:
-    """Every eigenpair with eigenvalue below upper + margin.
+    """Every eigenpair with eigenvalue below top = upper + margin.
 
-    One factorization of H's band at the top counts them exactly (nu); the
-    Lanczos sweep is asked for nu pairs and must return nu pairs below the
-    top.  Its band-order eigenvectors return to channel-major order.
+    One band LU of H's band at the top (:class:`BandLU`) serves the count
+    certificate (:func:`_window_count`) and every solve of the
+    shift-inverted Lanczos sweep (Ericsson & Ruhe 1980), which is asked for
+    exactly the counted pairs: in shift-invert mode the ``SA`` end of
+    1 / (lambda - top) is the set below the top.  The sweep must return
+    that many pairs below the top, within ``SWEEP_RESTARTS`` restarts, with
+    residuals at most 1e-9 |H| from band products; a count of dim - 1 or
+    more, which ARPACK cannot serve, is solved densely.  A count too high
+    fails there; a count too low could only come from a sign that picked
+    the bracket's bottom, so then a band Cholesky factor just under the
+    lowest pair certifies that no eigenvalue was left out.  The band-order
+    eigenvectors return to channel-major order.
     """
     top = upper + margin
     ab, order = h.to_band()
-    factor = ShiftedFactor(ab, top)
-    vals, band_vecs = factor.below()
+    factor = splu(ab, top)
+    count = _window_count(ab, top, factor)
+    a = _band_operator(np.asfortranarray(ab))
+    dense = count.n >= h.dim - 1
+    if count.n == 0:
+        vals, band_vecs = np.zeros(0), np.zeros((h.dim, 0), dtype=ab.dtype)
+    elif dense:
+        vals, band_vecs = scipy.linalg.eigh(_band_to_csc(ab).toarray(),
+                                            subset_by_index=(0, count.n - 1))
+    else:
+        op_inv = LinearOperator(a.shape, matvec=factor.solve, dtype=ab.dtype)
+        try:
+            vals, band_vecs = eigsh(a, k=count.n, sigma=top, which="SA",
+                                    v0=np.full(h.dim, 1.0 / np.sqrt(h.dim)), OPinv=op_inv,
+                                    maxiter=SWEEP_RESTARTS)
+        except ArpackNoConvergence as exc:
+            vals, band_vecs = np.real(exc.eigenvalues), exc.eigenvectors
+        ascending = np.argsort(vals, kind="stable")
+        vals, band_vecs = vals[ascending], band_vecs[:, ascending]
     found = int(np.count_nonzero(vals < top))
-    if found != factor.n_below:
+    if found != count.n or vals.size != count.n:
         raise RuntimeError(f"window solve found {found} eigenvalues below {top:g}; "
-                           f"the inertia count is {factor.n_below}")
-    norm_h = factor.norm_a
-    res = _residuals(factor.a, vals, band_vecs)
+                           f"the {count.certificate} count is {count.n}")
+    norm_h = _band_norm_inf(ab)
+    if count.certificate == "weyl_determinant_sign" and count.n == count.bracket[0]:
+        # a sign that wrongly picked the bracket's bottom leaves the lowest pair out
+        bottom = (vals[0] if count.n else top) - 1e-9 * max(1.0, norm_h)
+        if not BandCholesky(ab, bottom).positive_definite:
+            raise RuntimeError(f"an eigenvalue lies below {bottom:g}, under the window "
+                               f"solve's lowest; the {count.certificate} count "
+                               f"{count.n} is short")
+    res = _residuals(a, vals, band_vecs)
     if res > 1e-9 * norm_h:
         raise RuntimeError(
             f"iterative eigensolve residual {res:.3e} exceeds 1e-9 * |H| = "
@@ -672,9 +830,11 @@ def _windowed_eigensystem(h: BlockHamiltonian, upper: float,
     return EigenSystem(
         grid=h.grid, channels=h.channels, eigenvalues=vals,
         residual_max=res, norm_h=norm_h,
-        method="dense" if factor.dense_below else "shift_invert_window",
+        method="dense" if dense else "shift_invert_window",
         blocks=(BasisBlock(slice(0, h.dim), np.arange(vals.size), vecs),),
         factor_nnz=factor.nnz, lu_solves=factor.solves,
+        count_certificate=count.certificate, weyl_bracket=count.bracket,
+        coupling_bound=count.coupling_bound,
     )
 
 
@@ -686,8 +846,8 @@ def diagonalize(h: BlockHamiltonian, window_upper: Optional[float] = None) -> Ei
     ``DENSE_LIMIT`` = 4000).  With ``window_upper`` the result holds every
     eigenpair with eigenvalue <= window_upper + margin, margin =
     ``WINDOW_MARGIN`` max(1, |window_upper|), and no other: per channel
-    when uncoupled, otherwise by one inertia-counted shifted factorization
-    at the top (:class:`ShiftedFactor`).
+    when uncoupled, otherwise by one band LU at the top and a certified
+    count (:func:`_windowed_eigensystem`).
     """
     if window_upper is not None:
         margin = WINDOW_MARGIN * max(1.0, abs(window_upper))

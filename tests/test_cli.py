@@ -262,6 +262,54 @@ def test_validate_weights_and_spectrum_agree_on_e0(tmp_path, text):
     assert abs(constants["validate-weights"]["e0"] - constants["spectrum"]["e0"]) <= tol
 
 
+@pytest.mark.parametrize("text", [COUPLED_CFG, REF_COUPLED_CFG], ids=["coupled", "ref-coupled"])
+def test_coupled_windows_are_counted_by_weyl_and_the_determinant_sign(tmp_path, text):
+    # Weyl's bracket from the channel tridiagonals is one wide on both
+    # models, the band LU's determinant sign settles it, and the count it
+    # picks is SuperLU's inertia count at the same top
+    from fluxlab.cli import _assemble_from_config
+    from fluxlab.spectral import WINDOW_MARGIN, ShiftedFactor
+    cfg = write_cfg(tmp_path, text)
+    assert run("spectrum", cfg, str(tmp_path / "out")) == 0
+    constants = json.loads((tmp_path / "out" / "manifest.json").read_text())["constants"]
+    assert constants["count_certificate"] == "weyl_determinant_sign"
+    n = constants["n_eigenvalues"]
+    assert constants["weyl_bracket"] in ([n, n + 1], [n - 1, n])
+    h = _assemble_from_config(RunConfig.parse(cfg))[-1]
+    top = constants["E0"] * (1 + WINDOW_MARGIN)
+    assert n == ShiftedFactor(h.to_band()[0], top).n_below
+
+
+WINDOW_SOLVE_KEYS = ("solver", "count_certificate", "weyl_bracket", "coupling_bound",
+                     "n_eigenvalues", "factor_nnz", "lu_solves", "residual_max")
+
+
+@pytest.mark.parametrize("text, certificate", [(COUPLED_CFG, "weyl_determinant_sign"),
+                                               (LINEAR_CFG, "channel_sturm")],
+                         ids=["coupled", "linear"])
+def test_every_window_subcommand_writes_the_window_solve_diagnostics(tmp_path, text,
+                                                                     certificate):
+    cfg = write_cfg(tmp_path, text)
+    written = {}
+    for command in ("spectrum", "project", "tunnel", "evolve"):
+        out = tmp_path / command
+        assert run(command, cfg, str(out)) == 0, command
+        constants = json.loads((out / "manifest.json").read_text())["constants"]
+        written[command] = {key: constants[key] for key in WINDOW_SOLVE_KEYS}
+        if command == "project":
+            meta = json.loads((out / "projection.json").read_text())
+            assert constants["gram_error"] == meta["gram_error"]
+    diagnostics = written["spectrum"]
+    assert all(d == diagnostics for d in written.values())
+    assert diagnostics["count_certificate"] == certificate
+    if certificate == "channel_sturm":
+        assert diagnostics["weyl_bracket"] is diagnostics["coupling_bound"] is None
+        assert diagnostics["factor_nnz"] == diagnostics["lu_solves"] == 0
+    else:
+        assert 0 < diagnostics["coupling_bound"] < 1
+        assert diagnostics["factor_nnz"] > 0 and diagnostics["lu_solves"] > 0
+
+
 @pytest.mark.parametrize("text", [LINEAR_CFG, REF_LINEAR_CFG], ids=["linear", "ref-linear"])
 def test_validate_weights_e0_is_the_window_solves_ritz_value(tmp_path, text):
     # on W = 0 both subcommands read e0 from the Ritz step of one kernel on

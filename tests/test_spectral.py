@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.linalg.lapack
-from scipy.sparse.linalg import splu
 
 from fluxlab.angular import AngularPotential, DecayClass, GevreyEnvelope, xi_constant
 from fluxlab.flux import FluxProfile
 from fluxlab.grid import build_channel_operator, build_grid
-from fluxlab.spectral import (BandCholesky, BlockHamiltonian, EigenSystem, ShiftedFactor,
-                              SpectralWindow, assemble_hamiltonian, channel_projection_norm,
-                              diagonalize, estimate_c0, lowest_eigenvalue,
-                              spectral_projection)
+from fluxlab.spectral import (BandCholesky, BandLU, BlockHamiltonian, EigenSystem,
+                              ShiftedFactor, SpectralWindow, _window_count,
+                              _windowed_eigensystem, assemble_hamiltonian,
+                              channel_projection_norm, diagonalize, estimate_c0,
+                              lowest_eigenvalue, spectral_projection)
 
 
 def make_w(fn, a=1.0, zeta=1.0, b=None, decay=None):
@@ -110,10 +110,10 @@ def test_full_spectrum_above_dense_limit_raises_before_dense_work(monkeypatch):
         diagonalize(h)
 
 
-def coupled_model(angular, n_r=90, j_max=6):
+def coupled_model(angular, n_r=90, j_max=6, amp=0.3):
     profile = FluxProfile.power_law(1.0, 1.5)
     grid = build_grid(n_r, 8.0)
-    w = make_w(lambda r, t: 0.3 * np.exp(-r / 2) * angular(t), a=0.7,
+    w = make_w(lambda r, t: amp * np.exp(-r / 2) * angular(t), a=0.7,
                b=lambda r: np.exp(-r / 2))
     return assemble_hamiltonian(profile, w, grid, j_max, m_max=3)
 
@@ -121,25 +121,40 @@ def coupled_model(angular, n_r=90, j_max=6):
 both_couplings = pytest.mark.parametrize("angular", [
     np.cos, lambda t: np.cos(t) + 0.5 * np.sin(2 * t)], ids=["real", "complex_hermitian"])
 
+# amp 0.3 puts w at 0.29 (real) and 0.44 (complex): Weyl's brackets are up to
+# six wide and the count takes SuperLU's inertia; at amp 0.02 (w 0.020 and
+# 0.029) every bracket below is at most one wide
+WEAK = 0.02
+WEAK_SHIFTS = (0.5, 0.8, 1.05, 1.3, 2.0, 3.0)
+
 
 @both_couplings
 def test_window_eigenvectors_come_back_channel_major(angular):
-    # the band-order factor's eigenvectors must be eigenvectors of the
-    # channel-major H, and the channel norms must match the dense route
-    h = coupled_model(angular)
-    es = diagonalize(h, window_upper=1.2)
-    assert es.method == "shift_invert_window" and es.k > 0
-    v = es.eigenvectors
-    resid = h.to_dense() @ v - v * es.eigenvalues[None, :]
-    assert np.max(np.linalg.norm(resid, axis=0) / np.linalg.norm(v, axis=0)) \
-        <= 1e-9 * h.norm_inf()
-    window = SpectralWindow(e0=float(es.eigenvalues[0]), E0=1.2, delta0=0.1, c0=0.0)
-    p = spectral_projection(h, window, eigensystem=es)
-    p_dense = spectral_projection(h, window, eigensystem=diagonalize(h))
-    assert p.rank == p_dense.rank > 0
-    for j in (0, 2):
-        assert channel_projection_norm(p, j, (0.0, 4.0)) == pytest.approx(
-            channel_projection_norm(p_dense, j, (0.0, 4.0)), abs=1e-9)
+    # on both count routes the band-order sweep's eigenpairs must be the
+    # dense route's below the top, its eigenvectors eigenvectors of the
+    # channel-major H, and the channel norms must match; brackets wider than
+    # one take the inertia
+    for amp, certificate in ((0.3, "inertia"), (WEAK, "weyl_determinant_sign")):
+        h = coupled_model(angular, amp=amp)
+        es = diagonalize(h, window_upper=1.2)
+        assert es.method == "shift_invert_window" and es.k > 0
+        assert es.count_certificate == certificate
+        k_lo, k_hi = es.weyl_bracket
+        assert (k_hi - k_lo > 1) == (certificate == "inertia")
+        full = diagonalize(h)
+        assert np.allclose(es.eigenvalues, full.eigenvalues[full.eigenvalues < 1.2 + 0.06],
+                           rtol=0, atol=1e-9 * h.norm_inf())
+        v = es.eigenvectors
+        resid = h.to_dense() @ v - v * es.eigenvalues[None, :]
+        assert np.max(np.linalg.norm(resid, axis=0) / np.linalg.norm(v, axis=0)) \
+            <= 1e-9 * h.norm_inf()
+        window = SpectralWindow(e0=float(es.eigenvalues[0]), E0=1.2, delta0=0.1, c0=0.0)
+        p = spectral_projection(h, window, eigensystem=es)
+        p_dense = spectral_projection(h, window, eigensystem=full)
+        assert p.rank == p_dense.rank > 0
+        for j in (0, 2):
+            assert channel_projection_norm(p, j, (0.0, 4.0)) == pytest.approx(
+                channel_projection_norm(p_dense, j, (0.0, 4.0)), abs=1e-9)
 
 
 @pytest.mark.parametrize("angular", [
@@ -171,26 +186,122 @@ def test_shifted_factor_rejects_untrustworthy_elimination():
 
 @both_couplings
 def test_window_factor_is_formed_in_band_order(angular, monkeypatch):
-    # natural order on the node-major band: the factor fills only the band,
-    # nnz(L + U) <= dim (2 kd + 1); a channel-major input or a fill-reducing
-    # ordering breaks the identity column permutation or the count
+    # one ?gbtrf of H's node-major band (kd = n_ch) at the top serves the
+    # count and every sweep solve, in 3 kd + 1 stored rows; SuperLU factors
+    # only when the count takes the inertia route
     from fluxlab import spectral
-    factors = []
+    factors, inertia = [], []
 
-    def recording_splu(*args, **kwargs):
-        factors.append(splu(*args, **kwargs))
+    def recording_splu(ab, sigma):
+        factors.append(BandLU(ab, sigma))
         return factors[-1]
 
+    def recording_inertia(ab, sigma):
+        inertia.append(sigma)
+        return ShiftedFactor(ab, sigma)
+
     monkeypatch.setattr(spectral, "splu", recording_splu)
+    monkeypatch.setattr(spectral, "ShiftedFactor", recording_inertia)
+    for amp in (0.3, WEAK):
+        factors.clear()
+        inertia.clear()
+        h = coupled_model(angular, amp=amp)
+        es = diagonalize(h, window_upper=1.2)
+        (lu,) = factors
+        ab = h.to_band()[0]
+        kd = ab.shape[0] - 1
+        assert kd == h.n_ch
+        assert lu.lu.shape == (3 * kd + 1, h.dim)
+        assert es.factor_nnz == (3 * kd + 1) * h.dim
+        assert es.method == "shift_invert_window" and es.lu_solves == lu.solves > 2
+        assert len(inertia) == (es.count_certificate == "inertia")
+        b = np.linspace(-1.0, 1.0, h.dim)
+        x = lu.solve(b)
+        assert np.linalg.norm((band_to_dense(ab) - lu.sigma * np.eye(h.dim)) @ x - b) \
+            <= 1e-10 * h.norm_inf() * np.linalg.norm(x)
+
+
+@both_couplings
+def test_narrow_bracket_counts_match_the_dense_count(angular):
+    # with the coupling scaled down every bracket is at most one wide: equal
+    # ends are the count, and the determinant sign settles ends one apart
+    h = coupled_model(angular, amp=WEAK)
+    ab = h.to_band()[0]
+    dense = np.linalg.eigvalsh(h.to_dense())
+    routes = set()
+    for sigma in WEAK_SHIFTS:
+        count = _window_count(ab, sigma)
+        k_lo, k_hi = count.bracket
+        assert k_hi - k_lo <= 1, sigma
+        assert count.n == int(np.sum(dense < sigma)), sigma
+        assert count.certificate == ("weyl" if k_lo == k_hi else "weyl_determinant_sign")
+        routes.add(count.certificate)
+    assert routes == {"weyl", "weyl_determinant_sign"}
+
+
+@both_couplings
+def test_det_sign_is_the_parity_of_the_count_below_the_shift(angular):
     h = coupled_model(angular)
-    es = diagonalize(h, window_upper=1.2)
-    (lu,) = factors
-    kd = h.to_band()[0].shape[0] - 1
-    assert kd == h.n_ch
-    assert np.array_equal(lu.perm_c, np.arange(h.dim))
-    assert es.factor_nnz == lu.L.nnz + lu.U.nnz - h.dim
-    assert es.factor_nnz <= h.dim * (2 * kd + 1)
-    assert es.method == "shift_invert_window" and es.lu_solves > 0
+    ab = h.to_band()[0]
+    dense = np.linalg.eigvalsh(h.to_dense())
+    for sigma in (dense[0] - 0.5, 0.5, 1.05, 1.3, 5.0, 50.0):
+        lu = BandLU(ab, sigma)
+        assert lu.det_sign() == (-1) ** int(np.sum(dense < sigma)), sigma
+    # [[0, 1], [1, 0]] and [[0, i], [-i, 0]]: eigenvalues -1 and 1, one row
+    # interchange, det = -1
+    for ab in (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 1j], [0.0, 0.0]])):
+        lu = BandLU(ab, 0.0)
+        assert list(lu.piv) == [1, 1] and lu.det_sign() == -1
+
+
+def test_det_sign_declines_a_complex_phase_off_the_real_axis():
+    h = coupled_model(lambda t: np.cos(t) + 0.5 * np.sin(2 * t), amp=WEAK)
+    ab = h.to_band()[0]
+    assert _window_count(ab, 0.8).certificate == "weyl_determinant_sign"
+    lu = BandLU(ab, 0.8)
+    lu.lu[2 * lu.kd, 0] *= np.exp(0.5j)
+    assert lu.det_sign() is None
+    count = _window_count(ab, 0.8, lu)
+    assert count.certificate == "inertia" and count.bracket == (0, 1)
+    assert count.n == int(np.sum(np.linalg.eigvalsh(h.to_dense()) < 0.8))
+
+
+@both_couplings
+def test_a_top_next_to_an_eigenvalue_declines_the_sign(angular):
+    # 1e-13 above an eigenvalue the factor's sign need not be A's own; the
+    # inverse-power steps see |(A - top I)^-1| >= 1 / g and hand the count
+    # to the inertia route, though the LU's pivots stay far above any pivot
+    # floor such as ShiftedFactor's 1e-12 |A|
+    h = coupled_model(angular, amp=WEAK)
+    ab = h.to_band()[0]
+    top = np.linalg.eigvalsh(h.to_dense())[6] + 1e-13
+    count = _window_count(ab, top)
+    assert count.bracket[1] == count.bracket[0] + 1
+    assert count.certificate == "inertia"
+    lu = BandLU(ab, top)
+    assert np.min(np.abs(lu.lu[2 * lu.kd])) > 1e6 * 1e-12 * h.norm_inf()
+
+
+@both_couplings
+@pytest.mark.parametrize("upper, margin, true_end, message", [
+    (1.2, 0.06, 0, "found 5 eigenvalues below 1.26; the weyl_determinant_sign count is 6"),
+    (0.75, 0.05, 1, "the weyl_determinant_sign count 0 is short"),
+], ids=["over_claim", "under_claim"])
+def test_a_flipped_determinant_sign_raises_instead_of_a_short_window(
+        angular, upper, margin, true_end, message, monkeypatch):
+    # below top 1.26 lie as many eigenvalues as the bracket's bottom, below
+    # top 0.8 as many as its top: a flipped sign claims the other end, and
+    # the sweep (which cannot find a pair that is not there) or the band
+    # Cholesky under its lowest pair (which sees the pair the sweep was not
+    # asked for) must raise
+    h = coupled_model(angular, amp=WEAK)
+    es = _windowed_eigensystem(h, upper, margin)
+    assert es.count_certificate == "weyl_determinant_sign"
+    assert es.k == es.weyl_bracket[true_end]
+    sign = BandLU.det_sign
+    monkeypatch.setattr(BandLU, "det_sign", lambda self: -sign(self))
+    with pytest.raises(RuntimeError, match=message):
+        _windowed_eigensystem(h, upper, margin)
 
 
 def band_to_dense(ab):

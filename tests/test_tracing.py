@@ -61,3 +61,25 @@ def test_traced_validate_weights_makes_no_window_solve(tmp_path):
     counts = tracer.counts_by_root()[0]
     assert counts["spectral.lu_solves"] == 0
     assert counts["spectral.eigsh_calls"] >= 1
+
+
+def test_traced_coupled_spectrum_counts_the_band_lu_and_forms_no_superlu(tmp_path,
+                                                                        monkeypatch):
+    # the window solve builds its band LU through spectral.splu, the name the
+    # tracer wraps: one factorization span, and the traced solves are the
+    # solves the manifest reports; the count needs no SuperLU factor
+    import json
+
+    from fluxlab import spectral
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the window count formed a SuperLU factor")
+
+    monkeypatch.setattr(spectral, "ShiftedFactor", refuse)
+    tracer = traced_run(tmp_path, "spectrum", COUPLED_CFG)
+    counts = tracer.counts_by_root()[0]
+    constants = json.loads((tmp_path / "out" / "manifest.json").read_text())["constants"]
+    assert constants["count_certificate"] == "weyl_determinant_sign"
+    assert counts["spectral.eigsh_calls"] >= 1
+    assert counts["spectral.lu_solves"] == constants["lu_solves"] > 0
+    assert sum(span[0] == "spectral.factorize" for span in tracer.spans) == 1

@@ -5,6 +5,12 @@ field ``B(r)``, described in the rotationally symmetric gauge by the flux
 function ``Phi(r) = int_0^r B(s) s ds``.  Angular momentum channel ``j`` then
 sees the effective radial potential ``V_j(r) = (Phi(r) - j)^2 / r^2``.
 
+The decay theorems state their flux hypotheses as power-law envelopes
+lambda± r**sigma±, and the closed-form profiles are members of that family:
+the linear (mobility-edge) profile is sigma = 1 and the uniform field (Landau
+levels) is sigma = 2 with lambda = B0/2.  All three evaluate through
+``lam * r**sigma``.
+
 Profiles are restricted to nonnegative flux (``B >= 0``); ``j`` ranges over
 all integers.  Units are hbar = 2m = 1 throughout.
 """
@@ -24,17 +30,24 @@ __all__ = [
     "validate_growth_conditions",
 ]
 
+# The closed-form kinds: each is Phi(r) = lam * r**sigma.
+_CLOSED_FORMS = ("power_law", "linear", "uniform_field")
+
 
 @dataclass(frozen=True)
 class FluxProfile:
     """A nonnegative radial flux profile with its growth-envelope parameters.
 
-    The profile kinds are
+    The three closed-form kinds are one power law, Phi(r) = lam * r**sigma,
+    evaluated by one expression:
 
-    - ``power_law``: Phi(r) = lam * r**sigma, sigma >= 1
-    - ``linear``:    Phi(r) = lam * r (the sigma = 1 power law)
-    - ``uniform_field``: Phi(r) = B0 * r**2 / 2
-    - ``tabulated``: linear interpolation of (nodes, values) on (0, nodes[-1]]
+    - ``power_law``: any lam > 0, sigma >= 1
+    - ``linear``:    the sigma = 1 member (mobility-edge flux)
+    - ``uniform_field``: the sigma = 2 member with lam = B0/2, so
+      Phi(r) = B0 * r**2 / 2 (Landau levels)
+
+    The fourth kind, ``tabulated``, interpolates (nodes, values) linearly on
+    [nodes[0], nodes[-1]].
 
     ``lambda_plus, sigma_plus`` are the upper-envelope parameters
     (|Phi(r)| <= lambda_plus (1 + r**sigma_plus)) and
@@ -46,7 +59,6 @@ class FluxProfile:
     kind: str
     lam: float = 0.0
     sigma: float = 1.0
-    b0: float = 0.0
     table_nodes: Optional[np.ndarray] = None
     table_values: Optional[np.ndarray] = None
     lambda_plus: float = field(default=np.nan)
@@ -58,36 +70,31 @@ class FluxProfile:
     # -- constructors --------------------------------------------------------
 
     @staticmethod
+    def _closed_form(kind: str, lam: float, sigma: float) -> "FluxProfile":
+        """Phi(r) = lam * r**sigma, whose envelopes are exact: lambda± = lam, sigma± = sigma."""
+        lam, sigma = float(lam), float(sigma)
+        return FluxProfile(kind=kind, lam=lam, sigma=sigma, lambda_plus=lam, sigma_plus=sigma,
+                           lambda_minus=lam, sigma_minus=sigma)
+
+    @staticmethod
     def power_law(lam: float, sigma: float) -> "FluxProfile":
         if lam <= 0:
             raise ValueError("power_law requires lam > 0")
         if sigma < 1:
             raise ValueError("power_law requires sigma >= 1")
-        return FluxProfile(
-            kind="power_law", lam=float(lam), sigma=float(sigma),
-            lambda_plus=float(lam), sigma_plus=float(sigma),
-            lambda_minus=float(lam), sigma_minus=float(sigma), r0=1.0,
-        )
+        return FluxProfile._closed_form("power_law", lam, sigma)
 
     @staticmethod
     def linear(lam: float) -> "FluxProfile":
         if lam <= 0:
             raise ValueError("linear requires lam > 0")
-        return FluxProfile(
-            kind="linear", lam=float(lam), sigma=1.0,
-            lambda_plus=float(lam), sigma_plus=1.0,
-            lambda_minus=float(lam), sigma_minus=1.0, r0=1.0,
-        )
+        return FluxProfile._closed_form("linear", lam, 1.0)
 
     @staticmethod
     def uniform_field(b0: float) -> "FluxProfile":
         if b0 <= 0:
             raise ValueError("uniform_field requires B0 > 0")
-        return FluxProfile(
-            kind="uniform_field", b0=float(b0),
-            lambda_plus=float(b0) / 2.0, sigma_plus=2.0,
-            lambda_minus=float(b0) / 2.0, sigma_minus=2.0, r0=1.0,
-        )
+        return FluxProfile._closed_form("uniform_field", b0 / 2.0, 2.0)
 
     @staticmethod
     def tabulated(nodes, values, lambda_plus=np.nan, sigma_plus=np.nan,
@@ -113,12 +120,8 @@ class FluxProfile:
         r = np.asarray(r, dtype=float)
         if np.any(r <= 0):
             raise ValueError("flux is defined for r > 0")
-        if self.kind == "power_law":
+        if self.kind in _CLOSED_FORMS:
             out = self.lam * r ** self.sigma
-        elif self.kind == "linear":
-            out = self.lam * r
-        elif self.kind == "uniform_field":
-            out = 0.5 * self.b0 * r ** 2
         elif self.kind == "tabulated":
             lo, hi = self.table_nodes[0], self.table_nodes[-1]
             if np.any(r < lo) or np.any(r > hi):
@@ -134,12 +137,8 @@ class FluxProfile:
         r = np.asarray(r, dtype=float)
         if np.any(r <= 0):
             raise ValueError("field is defined for r > 0")
-        if self.kind == "power_law":
+        if self.kind in _CLOSED_FORMS:
             out = self.lam * self.sigma * r ** (self.sigma - 2.0)
-        elif self.kind == "linear":
-            out = self.lam / r
-        elif self.kind == "uniform_field":
-            out = np.full_like(r, self.b0)
         else:
             dr = np.minimum(1e-6 * np.maximum(r, 1.0),
                             0.49 * np.minimum(r - self.table_nodes[0],

@@ -30,7 +30,13 @@ eigenvalue as an upper bound, certified over the other channels by one
 LDL^T sweep that bisects only a channel whose pivot fails, and, when W
 couples the channels, one band Cholesky factor at a shift that Weyl's
 inequality puts below the spectrum plus one shift-inverted Lanczos run for
-a single eigenvalue.
+a single eigenpair, whose residual must meet the same 1e-9 max(1, |A|)
+contract as the window solve's pairs.
+
+Both shift-inverted Lanczos runs, the window sweep's and the lowest
+eigenvalue's, go through one driver (:func:`_shift_invert_lanczos`): the
+factor's solves, a fixed start vector, and a cap of ``SWEEP_RESTARTS``
+ARPACK restarts, after which the pairs that converged are returned.
 
 An :class:`EigenSystem` stores its eigenvectors only in blocks
 (:class:`BasisBlock`) whose rows tile the flat index: the per-channel route
@@ -82,7 +88,7 @@ DENSE_LIMIT = 4000      # largest coupled dimension whose full spectrum is solve
 WINDOW_MARGIN = 0.05    # a window solve to E0 covers E0 + WINDOW_MARGIN max(1, |E0|)
 RANK_ZERO_WARNING = "spectral window selected no eigenvalues (rank-0 projection)"
 PANEL_ROWS = 1024       # rows of a block one GEMM writes in block_product's V x
-SWEEP_RESTARTS = 1000   # ARPACK restarts after which a window sweep stops short
+SWEEP_RESTARTS = 1000   # ARPACK restarts after which a shift-inverted Lanczos run stops short
 PHASE_TOL = 1e-6        # a complex determinant's phase must lie this close to 0 or pi
 EPS = float(np.finfo(float).eps)
 
@@ -534,7 +540,6 @@ class BandCholesky:
     """
 
     def __init__(self, ab: np.ndarray, sigma: float):
-        self.ab = ab
         self.sigma = float(sigma)
         self.norm_a = _band_norm_inf(ab)
         kd = ab.shape[0] - 1
@@ -553,21 +558,31 @@ class BandCholesky:
                     f"Cholesky pivot {pivot:.3e} at shift {self.sigma:.17g} is below "
                     f"1e-12 |A| = {tiny:.3e}; positive definiteness is not trustworthy")
 
-    def lowest(self) -> float:
-        """The lowest eigenvalue of A; A - sigma I must be positive definite.
-
-        Shift-inverted Lanczos about sigma: the lowest eigenvalue is the one
-        nearest sigma, the ``LM`` end of 1 / (lambda - sigma).
-        """
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """(A - sigma I)^-1 b; A - sigma I must be positive definite."""
         if not self.positive_definite:
             raise ValueError(f"A - {self.sigma:.17g} I is not positive definite")
-        a = _band_operator(self.ab)
-        n = a.shape[0]
-        op_inv = LinearOperator(a.shape, matvec=lambda b: self._pbtrs(self.factor, b)[0],
-                                dtype=self.ab.dtype)
-        return float(eigsh(a, k=1, sigma=self.sigma, which="LM",
+        return self._pbtrs(self.factor, b)[0]
+
+
+def _shift_invert_lanczos(a: LinearOperator, factor, k: int,
+                          which: str) -> Tuple[np.ndarray, np.ndarray]:
+    """k eigenpairs of the Hermitian ``a``, ascending, by shift-inverted Lanczos
+    (Ericsson & Ruhe, Math. Comp. 35, 1980) on the solves of ``factor``, a
+    :class:`BandLU` or :class:`BandCholesky` at its ``sigma``: ``SA`` gives the
+    pairs below sigma, ``LM`` those nearest it.  The run starts from
+    (1, ..., 1) / sqrt(n) and stops after ``SWEEP_RESTARTS`` restarts with
+    the pairs converged by then, which may be fewer than k."""
+    n = a.shape[0]
+    op_inv = LinearOperator(a.shape, matvec=factor.solve, dtype=a.dtype)
+    try:
+        vals, vecs = eigsh(a, k=k, sigma=factor.sigma, which=which,
                            v0=np.full(n, 1.0 / np.sqrt(n)), OPinv=op_inv,
-                           return_eigenvectors=False)[0])
+                           maxiter=SWEEP_RESTARTS)
+    except ArpackNoConvergence as exc:
+        vals, vecs = np.real(exc.eigenvalues), exc.eigenvectors
+    ascending = np.argsort(vals, kind="stable")
+    return vals[ascending], vecs[:, ascending]
 
 
 class _TridiagonalLowest(NamedTuple):
@@ -691,8 +706,11 @@ def lowest_eigenvalue(ab: np.ndarray) -> LowestEigenvalue:
     over and keeps lambda_min - sigma far above :class:`BandCholesky`'s
     pivot floor.  The band Cholesky factor of A - sigma I certifies the
     bound (a failure means a theorem failed, and raises), and its
-    shift-inverted Lanczos run returns the eigenvalue nearest sigma, the
-    lowest one.
+    shift-inverted Lanczos run (:func:`_shift_invert_lanczos`, ``LM``, k = 1)
+    returns the eigenpair nearest sigma, the lowest one.  The pair must meet
+    the eigensolver's residual contract: one band product gives
+    |A x - lambda x| / |x|, and a residual above 1e-9 max(1, |A|_inf), or
+    no converged pair, raises.
     """
     tri, w, scale = _channel_tridiagonal(ab)
     low = _tridiagonal_lowest(tri)
@@ -707,7 +725,16 @@ def lowest_eigenvalue(ab: np.ndarray) -> LowestEigenvalue:
     if not factor.positive_definite:
         raise RuntimeError(f"A - {sigma:.17g} I is not positive definite, yet Weyl's "
                            "inequality bounds lambda_min(A) below by that shift")
-    return LowestEigenvalue(factor.lowest(), sigma, "band_cholesky_lanczos", low.block)
+    a = _band_operator(ab)
+    vals, vecs = _shift_invert_lanczos(a, factor, 1, "LM")
+    if not vals.size:
+        raise RuntimeError(f"shift-inverted Lanczos at {sigma:.17g} converged to no "
+                           f"eigenpair within {SWEEP_RESTARTS} restarts")
+    res = _residuals(a, vals, vecs)
+    if res > 1e-9 * scale:
+        raise RuntimeError(f"lowest eigenpair residual {res:.3e} exceeds "
+                           f"1e-9 max(1, |A|) = {1e-9 * scale:.3e}")
+    return LowestEigenvalue(float(vals[0]), sigma, "band_cholesky_lanczos", low.block)
 
 
 class WindowCount(NamedTuple):
@@ -721,18 +748,18 @@ class WindowCount(NamedTuple):
     coupling_bound: float
 
 
-def _window_count(ab: np.ndarray, top: float, factor=None) -> WindowCount:
+def _window_count(ab: np.ndarray, top: float, factor: BandLU) -> WindowCount:
     """The number of eigenvalues of the Hermitian band A below ``top``.
 
     ``ab`` is in the layout of :meth:`BlockHamiltonian.to_band`, and
-    ``factor`` the :class:`BandLU` of A - top I, formed here if needed and
-    not given.  A = D + W_off with D the channel tridiagonals and
-    |W_off|_2 <= w (:func:`_channel_tridiagonal`), so Weyl's inequality
-    (Math. Ann. 71, 1912) brackets the count between k_lo = N_D(top - w - g)
-    and k_hi = N_D(top + w + g), where N_D(s) is D's Sturm count of
-    eigenvalues at or below s (one ``?stebz`` value count over all of D's
-    rows, bisected no finer than w) and g = 1e-9 max(1, |A|_inf) is the guard
-    of :func:`lowest_eigenvalue`, which covers the counts' rounding.
+    ``factor`` the :class:`BandLU` of A - top I.  A = D + W_off with D the
+    channel tridiagonals and |W_off|_2 <= w (:func:`_channel_tridiagonal`),
+    so Weyl's inequality (Math. Ann. 71, 1912) brackets the count between
+    k_lo = N_D(top - w - g) and k_hi = N_D(top + w + g), where N_D(s) is D's
+    Sturm count of eigenvalues at or below s (one ``?stebz`` value count over
+    all of D's rows, bisected no finer than w) and g = 1e-9 max(1, |A|_inf)
+    is the guard of :func:`lowest_eigenvalue`, which covers the counts'
+    rounding.
 
     - k_lo == k_hi: that is the count (``weyl``).
     - k_hi == k_lo + 1: the sign of det(A - top I), (-1)^count, picks the end
@@ -755,7 +782,6 @@ def _window_count(ab: np.ndarray, top: float, factor=None) -> WindowCount:
     if k_lo == k_hi:
         return WindowCount(k_lo, "weyl", bracket, w)
     if k_hi == k_lo + 1:
-        factor = splu(ab, top) if factor is None else factor
         sign = factor.det_sign()
         if sign is not None:
             # two inverse-power steps from a fixed pseudo-random unit vector:
@@ -776,7 +802,7 @@ def _windowed_eigensystem(h: BlockHamiltonian, upper: float,
 
     One band LU of H's band at the top (:class:`BandLU`) serves the count
     certificate (:func:`_window_count`) and every solve of the
-    shift-inverted Lanczos sweep (Ericsson & Ruhe 1980), which is asked for
+    shift-inverted Lanczos sweep (:func:`_shift_invert_lanczos`), asked for
     exactly the counted pairs: in shift-invert mode the ``SA`` end of
     1 / (lambda - top) is the set below the top.  The sweep must return
     that many pairs below the top, within ``SWEEP_RESTARTS`` restarts, with
@@ -799,15 +825,7 @@ def _windowed_eigensystem(h: BlockHamiltonian, upper: float,
         vals, band_vecs = scipy.linalg.eigh(_band_to_csc(ab).toarray(),
                                             subset_by_index=(0, count.n - 1))
     else:
-        op_inv = LinearOperator(a.shape, matvec=factor.solve, dtype=ab.dtype)
-        try:
-            vals, band_vecs = eigsh(a, k=count.n, sigma=top, which="SA",
-                                    v0=np.full(h.dim, 1.0 / np.sqrt(h.dim)), OPinv=op_inv,
-                                    maxiter=SWEEP_RESTARTS)
-        except ArpackNoConvergence as exc:
-            vals, band_vecs = np.real(exc.eigenvalues), exc.eigenvectors
-        ascending = np.argsort(vals, kind="stable")
-        vals, band_vecs = vals[ascending], band_vecs[:, ascending]
+        vals, band_vecs = _shift_invert_lanczos(a, factor, count.n, "SA")
     found = int(np.count_nonzero(vals < top))
     if found != count.n or vals.size != count.n:
         raise RuntimeError(f"window solve found {found} eigenvalues below {top:g}; "

@@ -323,14 +323,31 @@ class TunnellingSum:
 
 
 def _tail_ratio(j: np.ndarray, terms: np.ndarray) -> float:
-    j_max = int(np.max(np.abs(j)))
-    if j_max < 2:
-        return 0.0
-    last = terms[np.abs(j) == j_max].sum()
-    prev = terms[np.abs(j) == j_max - 1].sum()
-    if prev <= 0:
-        return 0.0
-    return float(last / prev)
+    """The sum of the terms on the outermost |j| shell with a nonzero term,
+    over the sum on the next such shell inward.
+
+    A shell whose terms are all zero (say, a mask that lies past r_max) holds
+    no data, so it is skipped; fewer than two shells with data give NaN.
+    """
+    sums = np.bincount(np.abs(j), weights=terms)
+    data = np.flatnonzero(sums > 0)
+    return float(sums[data[-1]] / sums[data[-2]]) if data.size >= 2 else math.nan
+
+
+def _tunnelling_sum(p: SpectralProjection, lower: np.ndarray, upper: np.ndarray,
+                    weight: np.ndarray, radial_weight, params: dict) -> TunnellingSum:
+    """Terms weight_c |1_{[lower_c, upper_c]} P_j E_I|^2 over the channels, the
+    norm weighted by ``radial_weight(r)`` if given; an empty range keeps norm 0."""
+    channels = p.channels
+    norms = np.zeros(channels.size)
+    for c, j in enumerate(channels):
+        if lower[c] < upper[c]:
+            norms[c] = channel_projection_norm(p, int(j), (lower[c], upper[c]),
+                                               radial_weight=radial_weight)
+    terms = weight * norms ** 2
+    return TunnellingSum(j=np.asarray(channels), norms=norms, terms=terms,
+                         partial_sum=float(terms.sum()),
+                         tail_ratio=_tail_ratio(channels, terms), params=params)
 
 
 def tunnelling_interior_sum(p: SpectralProjection, c_plus: float,
@@ -338,46 +355,34 @@ def tunnelling_interior_sum(p: SpectralProjection, c_plus: float,
                             sigma_plus: float) -> TunnellingSum:
     """Interior masked norms with weights e^{delta_+ |j|^zeta}.
 
-    Terms are e^{delta_+ |j|^zeta} |1_{[0, c_+ |j|^{zeta/sigma_+}]} P_j E_I|^2;
-    the tail ratio compares the outermost two |j| shells.
+    Terms are e^{delta_+ |j|^zeta} |1_{[0, c_+ |j|^{zeta/sigma_+}]} P_j E_I|^2,
+    the mask cut at r_max; the tail ratio is that of :func:`_tail_ratio`.
     """
-    channels = p.channels
-    radius = c_plus * _powers(np.abs(channels), zeta / sigma_plus)
-    weight = np.exp(delta_plus * _powers(np.abs(channels), zeta))
-    norms = np.zeros(channels.size)
-    terms = np.zeros(channels.size)
-    for c, j in enumerate(channels):
-        norms[c] = channel_projection_norm(p, int(j), (0.0, min(radius[c], p.grid.r_max)))
-        terms[c] = weight[c] * norms[c] ** 2
-    return TunnellingSum(
-        j=np.asarray(channels), norms=norms, terms=terms,
-        partial_sum=float(terms.sum()), tail_ratio=_tail_ratio(channels, terms),
-        params={"c_plus": c_plus, "delta_plus": delta_plus, "zeta": zeta,
-                "sigma_plus": sigma_plus},
-    )
+    abs_j = np.abs(p.channels)
+    radius = np.minimum(c_plus * _powers(abs_j, zeta / sigma_plus), p.grid.r_max)
+    return _tunnelling_sum(
+        p, np.zeros(abs_j.size), radius, np.exp(delta_plus * _powers(abs_j, zeta)), None,
+        {"c_plus": c_plus, "delta_plus": delta_plus, "zeta": zeta,
+         "sigma_plus": sigma_plus})
 
 
 def tunnelling_exterior_sum(p: SpectralProjection, c_minus: float,
                             delta_minus: float, zeta: float,
                             sigma_minus: float) -> TunnellingSum:
-    """Exterior masked norms with the radial weight e^{delta_- r^{zeta sigma_-}}."""
-    channels = p.channels
+    """Exterior masked norms with the radial weight e^{delta_- r^{zeta sigma_-}}.
+
+    Terms are |e^{delta_- r^{zeta sigma_-}} 1_{[c_- |j|^{zeta/sigma_-}, r_max]}
+    P_j E_I|^2; a channel whose mask starts at or past r_max has no support
+    and keeps a zero term, and the tail ratio (:func:`_tail_ratio`) skips
+    such shells.
+    """
     zs = zeta * sigma_minus
-    lower = c_minus * _powers(np.abs(channels), zeta / sigma_minus)
-    norms = np.zeros(channels.size)
-    for c, j in enumerate(channels):
-        if lower[c] >= p.grid.r_max:
-            continue
-        norms[c] = channel_projection_norm(
-            p, int(j), (lower[c], p.grid.r_max),
-            radial_weight=lambda r: np.exp(delta_minus * r ** zs))
-    terms = norms ** 2
-    return TunnellingSum(
-        j=np.asarray(channels), norms=norms, terms=terms,
-        partial_sum=float(terms.sum()), tail_ratio=_tail_ratio(channels, terms),
-        params={"c_minus": c_minus, "delta_minus": delta_minus, "zeta": zeta,
-                "sigma_minus": sigma_minus},
-    )
+    lower = c_minus * _powers(np.abs(p.channels), zeta / sigma_minus)
+    return _tunnelling_sum(
+        p, lower, np.full(lower.size, p.grid.r_max), np.ones(lower.size),
+        lambda r: np.exp(delta_minus * r ** zs),
+        {"c_minus": c_minus, "delta_minus": delta_minus, "zeta": zeta,
+         "sigma_minus": sigma_minus})
 
 
 def decay_rate_fit(x, y) -> Tuple[float, float, float]:

@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fluxlab.cli import main, run
 from fluxlab.runio import ConfigError, RunConfig, fmt17, read_csv, write_csv
@@ -139,11 +140,16 @@ def test_full_pipeline_coupled_model(tmp_path):
     assert tunnel["interior"]["tail_ratio"] < 1.0
 
 
-def test_determinism_bitwise_artifacts(tmp_path):
-    cfg = write_cfg(tmp_path, COUPLED_CFG)
+@pytest.mark.parametrize("command", ["spectrum", "project", "tunnel", "validate-weights",
+                                     "evolve", "mobility"])
+def test_determinism_bitwise_artifacts(tmp_path, command):
+    # mobility needs linear flux and W = 0; every other subcommand runs the
+    # coupled model
+    cfg = write_cfg(tmp_path, LINEAR_CFG if command == "mobility" else COUPLED_CFG)
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    assert run("tunnel", cfg, str(out1)) == 0
-    assert run("tunnel", cfg, str(out2)) == 0
+    assert run(command, cfg, str(out1)) == 0
+    assert run(command, cfg, str(out2)) == 0
+    assert sorted(os.listdir(out1)) == sorted(os.listdir(out2))
     for name in sorted(os.listdir(out1)):
         b1 = (out1 / name).read_bytes()
         b2 = (out2 / name).read_bytes()
@@ -247,8 +253,9 @@ REF_LINEAR_CFG = LINEAR_CFG.replace("grid.n_r = 200", "grid.n_r = 800") \
     .replace("channels.j_max = 8", "channels.j_max = 20")
 
 
-@pytest.mark.parametrize("text", [COUPLED_CFG, LINEAR_CFG, REF_COUPLED_CFG, REF_LINEAR_CFG],
-                         ids=["coupled", "linear", "ref-coupled", "ref-linear"])
+@pytest.mark.parametrize("text", [COUPLED_CFG, LINEAR_CFG, REF_COUPLED_CFG, REF_LINEAR_CFG,
+                                  BASE_CFG],
+                         ids=["coupled", "linear", "ref-coupled", "ref-linear", "uniform-field"])
 def test_validate_weights_and_spectrum_agree_on_e0(tmp_path, text):
     # validate-weights certifies e0 with lowest_eigenvalue, the window
     # subcommands read it off the window solve: both resolve it to eps |H|_inf
@@ -568,3 +575,63 @@ def test_mobility_manifest_counts_the_solves_of_each_box(tmp_path):
     assert 0 < solves["grown"] <= n_ch and 0 < solves["doubled"] <= n_ch
     assert vectors == dict(values, grown=0)
     assert values["base"] >= constants["n_localized"] > 0
+
+
+def test_spectrum_of_a_complex_hermitian_coefficient_table(tmp_path):
+    # W = e^{-r/2} (cos t + sin 2t / 2) has imaginary Fourier coefficients:
+    # its table, written with save_table_csv and read by the CLI, gives a
+    # complex H, whose window eigenvalues must be the dense oracle's
+    from fluxlab.angular import (AngularPotential, DecayClass, GevreyEnvelope,
+                                 fourier_coefficients, load_table_csv, save_table_csv)
+    from fluxlab.flux import FluxProfile
+    from fluxlab.grid import build_grid
+    from fluxlab.spectral import assemble_hamiltonian
+    grid = build_grid(90, 8.0)
+    table = fourier_coefficients(
+        lambda r, t: 0.3 * np.exp(-r / 2) * (np.cos(t) + 0.5 * np.sin(2 * t)),
+        grid, m_max=3, n_theta=32)
+    assert np.max(np.abs(table.values.imag)) > 0.01
+    path = tmp_path / "w.csv"
+    save_table_csv(table, path)
+    model = COUPLED_CFG.replace("grid.n_r = 160", "grid.n_r = 90") \
+        .replace("grid.r_max = 10.0", "grid.r_max = 8.0")
+    text = "\n".join(line for line in model.splitlines() if not line.startswith("w.")) \
+        + f"\nw.form = table\nw.table = {path}\nw.a = 1.5\nchannels.m_max = 3\n"
+    out = tmp_path / "out"
+    assert run("spectrum", write_cfg(tmp_path, text), str(out)) == 0
+    _, rows = read_csv(out / "eigenvalues.csv")
+    vals = np.array([float(r[1]) for r in rows])
+    constants = json.loads((out / "manifest.json").read_text())["constants"]
+    assert constants["solver"] == "shift_invert_window" and vals.size > 0
+
+    w = AngularPotential(table=load_table_csv(path), decay=DecayClass.none(),
+                         envelope=GevreyEnvelope(a=1.5, zeta=1.0, b=np.ones_like))
+    h = assemble_hamiltonian(FluxProfile.power_law(1.0, 1.5), w, grid, 6, m_max=3)
+    assert np.iscomplexobj(h.to_band()[0])
+    dense = scipy.linalg.eigh(h.to_dense(), eigvals_only=True,
+                              subset_by_value=(-np.inf, 1.05))   # E0 + WINDOW_MARGIN
+    assert vals.size == dense.size
+    assert np.max(np.abs(vals - dense)) <= 1e-9 * constants["norm_inf"]
+
+
+COS_POWER_CFG = "\n".join(line for line in COUPLED_CFG.splitlines()
+                          if not line.startswith("w.")) + "\nw.form = cos_power\nw.p = 4.0\n"
+
+
+@pytest.mark.parametrize("text, thm2_kind", [
+    (COS_POWER_CFG, "power"),                                          # fitted as t^x
+    (COUPLED_CFG.replace("seed.j0 = 4", "seed.kind = channel_bump\nseed.j = 4"), "log_power"),
+], ids=["cos_power", "channel_bump"])
+def test_evolve_with_a_power_law_w_or_a_channel_bump_seed(tmp_path, text, thm2_kind):
+    out = tmp_path / "out"
+    assert run("evolve", write_cfg(tmp_path, text), str(out), verify=True) == 0
+    report = json.loads((out / "evolve_report.json").read_text())
+    assert report["norm_drift"] <= 1e-10
+    assert report["thm2"]["kind"] == thm2_kind
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["unused_keys"] == []
+    if "channel_bump" in text:
+        # the window's part of a bump in channel 4 stays there at t0 = 1
+        _, rows = read_csv(out / "channel_norms.csv")
+        first = {int(j): float(n2) for t, j, n2 in rows if t == rows[0][0]}
+        assert max(first, key=first.get) == 4 and first[4] > 0.99

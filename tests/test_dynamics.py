@@ -294,6 +294,18 @@ def test_growth_fit_falling_series_is_not_a_reliable_flat_fit():
     assert not report.reliable
 
 
+def test_growth_fit_with_three_points_fits_nothing():
+    # three growing points are too few for a fit: the exponent stays 0 and
+    # the report is marked unreliable, though the increment grows as t^1,
+    # above gamma beta = 0.6
+    times = np.array([1.0, 10.0, 100.0])
+    series = _synthetic_series(times, 5.0 + 2.0 * times)
+    report = growth_fit_thm2(series, "power", zeta=1.0, sigma_plus=1.5, p=4.0,
+                             baseline=5.0)
+    assert report.n_points == 3 and report.flat and not report.reliable
+    assert report.fitted_exponent == 0.0
+
+
 def test_growth_fit_log_power_data():
     times = np.geomspace(2.0, 1000.0, 40)
     series = _synthetic_series(times, 1.0 + 0.5 * np.log(times) ** 1.2)

@@ -6,7 +6,7 @@ import scipy.linalg.lapack
 from fluxlab.angular import AngularPotential, DecayClass, GevreyEnvelope, xi_constant
 from fluxlab.flux import FluxProfile
 from fluxlab.grid import build_channel_operator, build_grid
-from fluxlab.spectral import (BandCholesky, BandLU, BlockHamiltonian, EigenSystem,
+from fluxlab.spectral import (BandCholesky, BandLU, BasisBlock, BlockHamiltonian, EigenSystem,
                               ShiftedFactor, SpectralWindow, _window_count,
                               _windowed_eigensystem, assemble_hamiltonian,
                               channel_projection_norm, diagonalize, estimate_c0,
@@ -230,7 +230,7 @@ def test_narrow_bracket_counts_match_the_dense_count(angular):
     dense = np.linalg.eigvalsh(h.to_dense())
     routes = set()
     for sigma in WEAK_SHIFTS:
-        count = _window_count(ab, sigma)
+        count = _window_count(ab, sigma, BandLU(ab, sigma))
         k_lo, k_hi = count.bracket
         assert k_hi - k_lo <= 1, sigma
         assert count.n == int(np.sum(dense < sigma)), sigma
@@ -257,7 +257,7 @@ def test_det_sign_is_the_parity_of_the_count_below_the_shift(angular):
 def test_det_sign_declines_a_complex_phase_off_the_real_axis():
     h = coupled_model(lambda t: np.cos(t) + 0.5 * np.sin(2 * t), amp=WEAK)
     ab = h.to_band()[0]
-    assert _window_count(ab, 0.8).certificate == "weyl_determinant_sign"
+    assert _window_count(ab, 0.8, BandLU(ab, 0.8)).certificate == "weyl_determinant_sign"
     lu = BandLU(ab, 0.8)
     lu.lu[2 * lu.kd, 0] *= np.exp(0.5j)
     assert lu.det_sign() is None
@@ -275,7 +275,7 @@ def test_a_top_next_to_an_eigenvalue_declines_the_sign(angular):
     h = coupled_model(angular, amp=WEAK)
     ab = h.to_band()[0]
     top = np.linalg.eigvalsh(h.to_dense())[6] + 1e-13
-    count = _window_count(ab, top)
+    count = _window_count(ab, top, BandLU(ab, top))
     assert count.bracket[1] == count.bracket[0] + 1
     assert count.certificate == "inertia"
     lu = BandLU(ab, top)
@@ -405,6 +405,26 @@ def test_lowest_eigenvalue_matches_dense_from_a_certified_shift(angular):
     assert BandCholesky(ab, lowest.lower_bound).positive_definite
     # must-fail twin: a shift above lambda_min is not positive definite
     assert not BandCholesky(ab, dense_min + 1e-6).positive_definite
+
+
+@both_couplings
+def test_lowest_eigenvalue_enforces_the_residual_contract(angular, monkeypatch):
+    # the Lanczos pair passes |A x - lambda x| <= 1e-9 max(1, |A|) on the
+    # model; must-fail twin: solves scaled by 1 + 1e-3 are those of
+    # sigma + (A - sigma) / (1 + 1e-3), so Lanczos converges to that nearby
+    # matrix's pair, whose residual against A is about 1e-3 (lambda - sigma)
+    ab = coupled_model(angular).to_band()[0]
+    lowest_eigenvalue(ab)
+    init = BandCholesky.__init__
+
+    def perturbed(self, ab, sigma):
+        init(self, ab, sigma)
+        pbtrs = self._pbtrs
+        self._pbtrs = lambda factor, b: ((1 + 1e-3) * pbtrs(factor, b)[0], 0)
+
+    monkeypatch.setattr(BandCholesky, "__init__", perturbed)
+    with pytest.raises(RuntimeError, match="residual"):
+        lowest_eigenvalue(ab)
 
 
 @pytest.mark.parametrize("model", [
@@ -869,3 +889,21 @@ def test_coupling_truncation_is_logged():
     h = assemble_hamiltonian(profile, w, grid, 2, m_max=2)
     assert h.m_max <= 4
     assert h.dropped_tail_bound > 0
+
+
+def test_a_cluster_straddling_the_window_top_enters_whole():
+    # eigenvalue 2 lies within the tie 1e-12 max|lambda| above E0 = 1, so it
+    # is inside; eigenvalue 3 lies beyond E0 + tie but within the tie of
+    # eigenvalue 2, so the cluster enters whole; eigenvalue 4 stays out
+    grid = build_grid(8, 2.0)
+    tie = 1e-12 * 5.0
+    vals = np.array([0.5, 0.8, 1.0 + 0.6 * tie, 1.0 + 1.4 * tie, 3.0, 5.0])
+    es = EigenSystem(grid=grid, channels=np.array([0]), eigenvalues=vals,
+                     residual_max=0.0, norm_h=5.0, method="dense",
+                     blocks=(BasisBlock(slice(0, 8), np.arange(6),
+                                        np.eye(8)[:, :6] / np.sqrt(grid.h)),))
+    window = SpectralWindow(e0=0.5, E0=1.0, delta0=0.1, c0=0.0)
+    assert vals[3] > window.E0 + tie and vals[3] - vals[2] <= tie
+    p = spectral_projection(None, window, eigensystem=es)
+    assert p.selector == slice(0, 4)
+    assert np.array_equal(p.eigenvalues, vals[:4])

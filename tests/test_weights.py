@@ -426,6 +426,20 @@ def test_tunnelling_sums_rank_zero():
     assert np.all(res.norms == 0.0)
     res_e = tunnelling_exterior_sum(p0, 1.5, 0.1, 1.0, 1.5)
     assert res_e.partial_sum == 0.0
+    assert np.isnan(res.tail_ratio) and np.isnan(res_e.tail_ratio)
+
+
+def test_exterior_tail_ratio_skips_shells_with_no_support():
+    # c_- |j| >= r_max empties the masks of |j| = 5 and 6, so the ratio is
+    # taken over the outermost shells with data, |j| = 4 over |j| = 3; an
+    # empty shell must not read as a ratio of 0
+    _, _, _, _, p = linear_projection(j_max=6, n_r=400, r_max=20.0, upper=0.5)
+    res = tunnelling_exterior_sum(p, 4.5, 0.1, 1.0, 1.0)
+    shell = {s: res.terms[np.abs(res.j) == s].sum() for s in range(7)}
+    assert shell[5] == shell[6] == 0.0 and shell[3] > 0 and shell[4] > 0
+    assert res.tail_ratio == pytest.approx(shell[4] / shell[3], rel=1e-15)
+    # every mask past r_max: no shell has data, so there is no ratio
+    assert np.isnan(tunnelling_exterior_sum(p, 25.0, 0.1, 1.0, 1.0).tail_ratio)
 
 
 def test_interior_terms_decay_for_linear_flux():

@@ -25,7 +25,7 @@ _EXPORTS = {
     "AngularPotential": "angular", "GevreyEnvelope": "angular",
     "DecayClass": "angular", "CoefficientTable": "angular",
     "fourier_coefficients": "angular", "gevrey_validate": "angular",
-    "symmetric_split": "angular", "xi_constant": "angular",
+    "xi_constant": "angular",
     "BlockHamiltonian": "spectral", "SpectralWindow": "spectral",
     "SpectralProjection": "spectral", "assemble_hamiltonian": "spectral",
     "diagonalize": "spectral", "spectral_projection": "spectral",

@@ -1,4 +1,4 @@
-"""Angular perturbations: Fourier coefficients, Gevrey envelopes, splits.
+"""Angular perturbations: Fourier coefficients, Gevrey envelopes, the lattice sum xi.
 
 The angular transform convention is
 
@@ -22,7 +22,7 @@ from scipy.special import gamma, gammaincc
 __all__ = [
     "GevreyEnvelope", "DecayClass", "CoefficientTable", "AngularPotential",
     "fourier_coefficients", "gevrey_validate", "GevreyReport",
-    "symmetric_split", "xi_constant", "default_m_max",
+    "xi_constant", "default_m_max",
     "save_table_csv", "load_table_csv",
 ]
 
@@ -99,10 +99,6 @@ class CoefficientTable:
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-    def copy(self) -> "CoefficientTable":
-        return CoefficientTable(r=self.r.copy(), m_max=self.m_max,
-                                values=self.values.copy())
 
 
 @dataclass
@@ -202,21 +198,6 @@ def gevrey_validate(table: CoefficientTable, envelope: GevreyEnvelope,
     tightest = float(slack[nz].min(initial=np.inf))
     return GevreyReport(ok=ok, passed=bool(ok.all()), tightest_a=tightest,
                         worst_ratio=float(ratio.max(initial=0.0)))
-
-
-def symmetric_split(table: CoefficientTable):
-    """Split into the radial part W_s(r) and the nonsymmetric remainder.
-
-    W_s(r_i) = W^(r_i, 0) / sqrt(2 pi); the returned table has the m = 0
-    column zeroed.
-    """
-    w_s = table.column(0) / SQRT_2PI
-    if np.max(np.abs(w_s.imag)) > 1e-10 * max(1.0, np.max(np.abs(w_s))):
-        raise ValueError("m = 0 coefficient has a non-negligible imaginary part; "
-                         "W is not real-valued")
-    rest = table.copy()
-    rest.values[:, table.m_max] = 0.0
-    return w_s.real, rest
 
 
 def xi_constant(a: float, zeta: float, tol: float = 1e-14) -> float:

@@ -234,8 +234,8 @@ def _window_solve_constants(eigensys) -> dict:
     """The window solve's diagnostics, for the manifest constants of every
     subcommand that runs it: route, count certificate, Weyl's bracket and
     the coupling bound it rests on (null on the per-channel route), pair
-    count, band-LU storage and solves (0 on the per-channel route), and the
-    largest residual."""
+    count, band-LU storage and solves (0 on the per-channel route), the
+    largest residual, and |H|_inf, the scale of its 1e-9 contract."""
     bracket = eigensys.weyl_bracket
     return {
         "solver": eigensys.method,
@@ -246,6 +246,7 @@ def _window_solve_constants(eigensys) -> dict:
         "factor_nnz": eigensys.factor_nnz,
         "lu_solves": eigensys.lu_solves,
         "residual_max": eigensys.residual_max,
+        "norm_inf": eigensys.norm_h,
     }
 
 
@@ -271,7 +272,7 @@ def _run_spectrum(cfg, out_dir):
     constants = {
         "e0": window.e0, "E0": window.E0, "c0": window.c0,
         "delta0": window.delta0, "E_tilde": window.e_tilde,
-        "dim": h.dim, "norm_inf": eigensys.norm_h,
+        "dim": h.dim,
         "dropped_coupling_tail": h.dropped_tail_bound,
         **_window_solve_constants(eigensys),
     }
@@ -515,12 +516,17 @@ def _run_evolve(cfg, out_dir):
 
     if w is not None and w.decay.kind != "none":
         from .dynamics import moment_j
-        fit = growth_fit_thm2(series, w.decay.kind, zeta, profile.sigma_plus,
-                              p=w.decay.p, s=w.decay.s,
-                              slack=cfg.get_float("evolve.slack", 0.1),
-                              baseline=moment_j(state0, beta))
-        report["thm2"] = dataclasses.asdict(fit)
-        constants.update(thm2_fitted=fit.fitted_exponent, thm2_bound=fit.bound)
+        try:
+            fit = growth_fit_thm2(series, w.decay.kind, zeta, profile.sigma_plus,
+                                  p=w.decay.p, s=w.decay.s,
+                                  slack=cfg.get_float("evolve.slack", 0.1),
+                                  baseline=moment_j(state0, beta))
+        except ValueError as exc:
+            # W lies outside theorem 2's hypothesis; theorem 1 still stands
+            report["thm2"] = {"status": "not_applicable", "reason": str(exc)}
+        else:
+            report["thm2"] = dataclasses.asdict(fit)
+            constants.update(thm2_fitted=fit.fitted_exponent, thm2_bound=fit.bound)
     if kind == "uniform" and w is not None and h.couplings:
         hb = heisenberg_check(states, h)
         report["heisenberg_max_residual"] = hb.max_residual
@@ -589,13 +595,13 @@ def _verify_artifacts(command: str, out_dir, manifest) -> dict:
             failures.append(name)
 
     consts = manifest["constants"]
+    if command in ("spectrum", "project", "tunnel", "evolve"):
+        check("residuals_within_contract",
+              consts["residual_max"] <= 1e-9 * consts["norm_inf"] + 1e-30)
     if command in ("spectrum", "project"):
         _, rows = read_csv(os.path.join(out_dir, "eigenvalues.csv"))
         vals = [float(r[1]) for r in rows]
         check("eigenvalues_ascending", all(b >= a for a, b in zip(vals, vals[1:])))
-        if "norm_inf" in consts:
-            check("residuals_within_contract",
-                  consts["residual_max"] <= 1e-9 * consts["norm_inf"] + 1e-30)
     if command == "project":
         with open(os.path.join(out_dir, "projection.json")) as fh:
             meta = json.load(fh)

@@ -132,20 +132,6 @@ class FluxProfile:
             raise ValueError(f"unknown flux kind {self.kind!r}")
         return out if out.ndim else float(out)
 
-    def field_strength(self, r):
-        """B(r) = Phi'(r)/r; central differences for tabulated profiles."""
-        r = np.asarray(r, dtype=float)
-        if np.any(r <= 0):
-            raise ValueError("field is defined for r > 0")
-        if self.kind in _CLOSED_FORMS:
-            out = self.lam * self.sigma * r ** (self.sigma - 2.0)
-        else:
-            dr = np.minimum(1e-6 * np.maximum(r, 1.0),
-                            0.49 * np.minimum(r - self.table_nodes[0],
-                                              self.table_nodes[-1] - r).clip(min=1e-300))
-            out = (self.flux(r + dr) - self.flux(r - dr)) / (2.0 * dr) / r
-        return out if out.ndim else float(out)
-
     def effective_potential(self, j, r):
         """V_j(r) = (Phi(r) - j)^2 / r^2.
 

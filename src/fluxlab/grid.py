@@ -93,41 +93,33 @@ class ChannelOperator:
     diagonal: np.ndarray
     off_diagonal: np.ndarray
 
-    def eigenpairs(self, n_lowest: int = None, value_range=None):
-        """Lowest eigenpairs (or all in a value range) of the channel operator.
+    def eigenpairs(self, value_range):
+        """The eigenpairs with eigenvalue in the half-open interval (lo, hi]
+        of ``value_range``, solved by :func:`tridiagonal_eigenpairs` (Ritz
+        values).
 
-        Exactly one of ``n_lowest`` and ``value_range`` is given; a range
-        (lo, hi) selects the eigenvalues in the half-open interval (lo, hi],
-        solved by :func:`tridiagonal_eigenpairs` (Ritz values).
         Returns (eigenvalues, u): eigenvalues ascending and ``u`` the flat
         eigenvectors as columns normalized to sum |u_i|^2 h = 1; the weighted
         representation is u / sqrt(r).
         """
-        if n_lowest is None and value_range is not None:
-            vals, vecs, _ = tridiagonal_eigenpairs(self.diagonal, self.off_diagonal,
-                                                   *value_range)
-        else:
-            vals, vecs = self._solve(n_lowest, value_range, eigvals_only=False)
+        vals, vecs, _ = tridiagonal_eigenpairs(self.diagonal, self.off_diagonal,
+                                               *value_range)
         return vals, vecs / np.sqrt(self.grid.h)
 
     def eigenvalues(self, n_lowest: int = None, value_range=None) -> np.ndarray:
-        """The eigenvalues in the selection of :meth:`eigenpairs`, without
-        eigenvectors.
+        """The ``n_lowest`` lowest eigenvalues, or those in the half-open
+        interval (lo, hi] of ``value_range``; exactly one is given.
 
         Sturm-sequence bisection (``?stebz``) to LAPACK's default tolerance
         eps |T|_1, with no inverse iteration (``?stein``) and no Ritz step.
         """
-        return self._solve(n_lowest, value_range, eigvals_only=True)
-
-    def _solve(self, n_lowest, value_range, eigvals_only: bool):
         if (n_lowest is None) == (value_range is None):
             raise ValueError("specify exactly one of n_lowest, value_range")
         if n_lowest is not None:
             select, bounds = "i", (0, min(int(n_lowest), self.grid.n_r) - 1)
         else:
             select, bounds = "v", tuple(value_range)
-        return _tridiagonal_eigh(self.diagonal, self.off_diagonal, select, bounds,
-                                 vectors=not eigvals_only)
+        return _tridiagonal_eigh(self.diagonal, self.off_diagonal, select, bounds)
 
 
 def _tridiagonal_eigh(d, e, select: str, bounds, tol: float = 0.0, vectors: bool = False):

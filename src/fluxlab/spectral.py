@@ -1,4 +1,4 @@
-"""Block Hamiltonian assembly, diagonalization, and spectral projections.
+"""Block Hamiltonian assembly, window eigensolves, and spectral projections.
 
 The truncated operator acts on channels j in [-J_max, J_max], each carrying
 the tridiagonal radial operator of :mod:`fluxlab.grid`.  An angular
@@ -7,11 +7,12 @@ the radial index with entries W^(r_i, j - k) / sqrt(2 pi); its radial part
 W^(r, 0) / sqrt(2 pi) joins the channel diagonals.  The normalization is
 anchored by W = g(r) cos(theta), whose (j, j±1) blocks must carry g(r)/2.
 
-Spectral projections onto an energy window [e0, E0] are computed by direct
-diagonalization: per-channel tridiagonal solves when no coupling is present
-(each channel's pairs between its potential floor and the window top, by
-coarse bisection, inverse iteration and a Rayleigh-Ritz step, see
-:func:`~fluxlab.grid.tridiagonal_eigenpairs`), and otherwise one pivoted
+Every eigensolve is a window solve: :func:`diagonalize` returns the
+eigenpairs below a window top, and a projection onto [e0, E0] selects its
+columns.  Uncoupled H takes per-channel tridiagonal solves (each channel's
+pairs between its potential floor and the window top, by coarse bisection,
+inverse iteration and a Rayleigh-Ritz step, see
+:func:`~fluxlab.grid.tridiagonal_eigenpairs`).  Coupled H takes one pivoted
 band LU (:class:`BandLU`) of H in its node-major band order at the window
 top, whose shift-inverted Lanczos sweep returns exactly as many eigenpairs
 as lie below the top.  That count is certified exactly
@@ -19,8 +20,10 @@ as lie below the top.  That count is certified exactly
 of the channel tridiagonals at the top shifted by the coupling bound, the
 LU's determinant sign settles a bracket one wide, and only a wider bracket,
 or a sign too close to singular to trust, takes SuperLU's inertia count
-(:class:`ShiftedFactor`).  The eigenvectors return to channel-major order
-once, after the sweep.  Repeated runs are deterministic (fixed start
+(:class:`ShiftedFactor`).  A count of dim - 1 or more, which ARPACK cannot
+return, is solved densely instead: that is how a top above |H|_inf gives
+the whole spectrum.  The eigenvectors return to channel-major order once,
+after the sweep.  Repeated runs are deterministic (fixed start
 vectors, fixed assembly order).
 
 A check that reads only the window's bottom e0 takes H's lowest eigenvalue
@@ -73,8 +76,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .angular import SQRT_2PI, AngularPotential, GevreyEnvelope, xi_constant
 from .flux import FluxProfile
-from .grid import (RadialGrid, _tridiagonal_eigh, tridiagonal_eigenpairs,
-                   tridiagonal_matvec)
+from .grid import RadialGrid, _tridiagonal_eigh, tridiagonal_eigenpairs
 
 __all__ = [
     "BlockHamiltonian", "SpectralWindow", "EigenSystem", "SpectralProjection",
@@ -84,7 +86,6 @@ __all__ = [
     "lowest_eigenvalue",
 ]
 
-DENSE_LIMIT = 4000      # largest coupled dimension whose full spectrum is solved densely
 WINDOW_MARGIN = 0.05    # a window solve to E0 covers E0 + WINDOW_MARGIN max(1, |E0|)
 RANK_ZERO_WARNING = "spectral window selected no eigenvalues (rank-0 projection)"
 PANEL_ROWS = 1024       # rows of a block one GEMM writes in block_product's V x
@@ -314,9 +315,9 @@ class EigenSystem:
     norm_h: float
     method: str
     blocks: Tuple[BasisBlock, ...]
+    count_certificate: str          # channel_sturm, or _window_count's certificate when coupled
     factor_nnz: int = 0             # entries the window's band LU stores, 0 without one
     lu_solves: int = 0              # solves of the window's band LU
-    count_certificate: str = "full_spectrum"    # what fixes the number of pairs
     weyl_bracket: Optional[Tuple[int, int]] = None  # Weyl's bounds on a coupled window count
     coupling_bound: Optional[float] = None      # w, the bound on |W_off|_2 they rest on
 
@@ -367,13 +368,14 @@ def _residuals(a, vals, vecs) -> float:
                                 / np.sum(np.abs(vecs) ** 2, axis=0))))
 
 
-def _block_diagonal_eigensystem(h: BlockHamiltonian, top: Optional[float] = None) -> EigenSystem:
-    """Per-channel tridiagonal solves; each channel's eigenvectors are its
-    block, which records where one stable argsort puts its columns.
+def _block_diagonal_eigensystem(h: BlockHamiltonian, top: float) -> EigenSystem:
+    """Every eigenpair below ``top`` by per-channel tridiagonal solves; each
+    channel's eigenvectors are its block, which records where one stable
+    argsort puts its columns.
 
-    Without ``top`` every eigenpair is solved.  With it, channel c's pairs
-    in (floor_c, top] come from :func:`~fluxlab.grid.tridiagonal_eigenpairs`,
-    whose Sturm counts fix how many there are (``channel_sturm``);
+    Channel c's pairs in (floor_c, top] come from
+    :func:`~fluxlab.grid.tridiagonal_eigenpairs`, whose Sturm counts fix
+    how many there are (``channel_sturm``);
     floor_c = min_i (V_j + W_s)(r_i), read as the channel's diagonal
     less the kinetic one, minus a relative guard: the kinetic stencil is
     positive definite, so no eigenvalue of the channel lies at or below it,
@@ -385,13 +387,9 @@ def _block_diagonal_eigensystem(h: BlockHamiltonian, top: Optional[float] = None
     vals_c, vecs_c = [], []
     res_max = 0.0
     for c in range(h.n_ch):
-        d = h.diagonals[c]
-        if top is None:
-            vals, vecs = _tridiagonal_eigh(d, h.off_diagonal, "i", (0, n - 1),
-                                           vectors=True)
-            tv = tridiagonal_matvec(d, h.off_diagonal, vecs)
-        elif floors[c] < top:
-            vals, vecs, tv = tridiagonal_eigenpairs(d, h.off_diagonal, floors[c], top)
+        if floors[c] < top:
+            vals, vecs, tv = tridiagonal_eigenpairs(h.diagonals[c], h.off_diagonal,
+                                                    floors[c], top)
         else:
             vals, vecs = np.zeros(0), np.zeros((n, 0))
         if vals.size:
@@ -408,7 +406,7 @@ def _block_diagonal_eigensystem(h: BlockHamiltonian, top: Optional[float] = None
         grid=h.grid, channels=h.channels, eigenvalues=vals_all[order],
         residual_max=res_max, norm_h=h.norm_inf(),
         method="channel_tridiagonal", blocks=blocks,
-        count_certificate="full_spectrum" if top is None else "channel_sturm",
+        count_certificate="channel_sturm",
     )
 
 
@@ -856,36 +854,17 @@ def _windowed_eigensystem(h: BlockHamiltonian, upper: float,
     )
 
 
-def diagonalize(h: BlockHamiltonian, window_upper: Optional[float] = None) -> EigenSystem:
-    """Diagonalize a block Hamiltonian.
-
-    Without ``window_upper`` the full spectrum is computed (per-channel, or
-    dense for coupled blocks, whose dimension must stay within
-    ``DENSE_LIMIT`` = 4000).  With ``window_upper`` the result holds every
-    eigenpair with eigenvalue <= window_upper + margin, margin =
-    ``WINDOW_MARGIN`` max(1, |window_upper|), and no other: per channel
-    when uncoupled, otherwise by one band LU at the top and a certified
-    count (:func:`_windowed_eigensystem`).
+def diagonalize(h: BlockHamiltonian, window_upper: float) -> EigenSystem:
+    """Every eigenpair of a block Hamiltonian with eigenvalue <= window_upper
+    + margin, margin = ``WINDOW_MARGIN`` max(1, |window_upper|), and no
+    other: per channel when uncoupled, otherwise by one band LU at the top
+    and a certified count (:func:`_windowed_eigensystem`).  A window_upper
+    above |H|_inf gives the whole spectrum.
     """
-    if window_upper is not None:
-        margin = WINDOW_MARGIN * max(1.0, abs(window_upper))
-        if not h.is_block_diagonal:
-            return _windowed_eigensystem(h, window_upper, margin)
-        return _block_diagonal_eigensystem(h, top=window_upper + margin)
+    margin = WINDOW_MARGIN * max(1.0, abs(window_upper))
     if h.is_block_diagonal:
-        return _block_diagonal_eigensystem(h)
-    if h.dim > DENSE_LIMIT:
-        raise ValueError(
-            f"dimension {h.dim} exceeds DENSE_LIMIT = {DENSE_LIMIT}; "
-            "pass window_upper for a spectrum-sliced solve")
-    a = h.to_dense()
-    vals, vecs = scipy.linalg.eigh(a)
-    res = _residuals(a, vals, vecs)
-    return EigenSystem(
-        grid=h.grid, channels=h.channels, eigenvalues=vals, residual_max=res,
-        norm_h=h.norm_inf(), method="dense",
-        blocks=(BasisBlock(slice(0, h.dim), np.arange(vals.size), vecs / np.sqrt(h.grid.h)),),
-    )
+        return _block_diagonal_eigensystem(h, window_upper + margin)
+    return _windowed_eigensystem(h, window_upper, margin)
 
 
 def make_window(h: BlockHamiltonian, e0: float, upper: float,

@@ -3,8 +3,7 @@ import pytest
 
 from fluxlab.angular import (CoefficientTable, GevreyEnvelope, default_m_max,
                              fourier_coefficients, gevrey_validate,
-                             load_table_csv, save_table_csv, symmetric_split,
-                             xi_constant)
+                             load_table_csv, save_table_csv, xi_constant)
 from fluxlab.grid import build_grid
 
 SQRT_PI_2 = np.sqrt(np.pi / 2.0)
@@ -101,25 +100,6 @@ def test_gevrey_validate_passes_the_fft_round_off_of_a_true_envelope(tmp_path):
     assert report.tightest_a == pytest.approx(1.5, rel=1e-12)
     steeper = GevreyEnvelope(a=1.05 * 1.5, zeta=w.envelope.zeta, b=w.envelope.b)
     assert not gevrey_validate(table, steeper).passed
-
-
-def test_symmetric_split(grid):
-    table = fourier_coefficients(lambda r, t: 1.0 + np.cos(t), grid,
-                                 m_max=3, n_theta=16)
-    w_s, w_ns = symmetric_split(table)
-    assert np.allclose(w_s, 1.0, atol=1e-12)
-    assert np.max(np.abs(w_ns.column(0))) == 0.0
-    assert np.allclose(w_ns.column(1).real, SQRT_PI_2, atol=1e-12)
-
-    radial = fourier_coefficients(lambda r, t: np.exp(-r) * np.ones_like(t),
-                                  grid, m_max=3, n_theta=16)
-    _, ns = symmetric_split(radial)
-    assert ns.max_abs() < 1e-12
-
-    pure = fourier_coefficients(lambda r, t: np.cos(t) * np.ones_like(r),
-                                grid, m_max=3, n_theta=16)
-    w_s, _ = symmetric_split(pure)
-    assert np.max(np.abs(w_s)) < 1e-13
 
 
 def test_xi_constant_geometric_closed_form():

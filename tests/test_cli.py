@@ -288,7 +288,7 @@ def test_coupled_windows_are_counted_by_weyl_and_the_determinant_sign(tmp_path, 
 
 
 WINDOW_SOLVE_KEYS = ("solver", "count_certificate", "weyl_bracket", "coupling_bound",
-                     "n_eigenvalues", "factor_nnz", "lu_solves", "residual_max")
+                     "n_eigenvalues", "factor_nnz", "lu_solves", "residual_max", "norm_inf")
 
 
 @pytest.mark.parametrize("text, certificate", [(COUPLED_CFG, "weyl_determinant_sign"),
@@ -635,3 +635,37 @@ def test_evolve_with_a_power_law_w_or_a_channel_bump_seed(tmp_path, text, thm2_k
         _, rows = read_csv(out / "channel_norms.csv")
         first = {int(j): float(n2) for t, j, n2 in rows if t == rows[0][0]}
         assert max(first, key=first.get) == 4 and first[4] > 0.99
+
+
+@pytest.mark.parametrize("command", ["spectrum", "project", "tunnel", "evolve"])
+def test_verify_fails_a_residual_above_the_contract(tmp_path, command):
+    # every window subcommand's manifest carries norm_inf, so verify checks
+    # residual_max <= 1e-9 |H|_inf on each; a residual above it must fail
+    from fluxlab.cli import _verify_artifacts
+    out = tmp_path / "out"
+    assert run(command, write_cfg(tmp_path, LINEAR_CFG), str(out), verify=True) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["verify"]["passed"]
+    consts = manifest["constants"]
+    consts["residual_max"] = 2e-9 * consts["norm_inf"]
+    report = _verify_artifacts(command, str(out), manifest)
+    assert not report["passed"]
+    assert report["failures"] == ["residuals_within_contract"]
+
+
+def test_evolve_outside_theorem_2_hypothesis_reports_thm2_not_applicable(tmp_path):
+    # gevrey_power with p = 1 <= sigma_+ / zeta = 1.5 is outside theorem 2's
+    # hypothesis: evolve still writes its report, with theorem 1's verdict
+    text = "\n".join(line for line in COUPLED_CFG.splitlines()
+                     if not line.startswith("w.")) \
+        + "\nw.form = gevrey_power\nw.p = 1.0\nw.amp = 0.2\nw.a = 1.5\n"
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", write_cfg(tmp_path, text), "--out", str(out),
+                 "--verify"]) == 0
+    report = json.loads((out / "evolve_report.json").read_text())
+    assert report["thm2"] == {"status": "not_applicable",
+                              "reason": "power decay needs p > sigma_plus / zeta"}
+    assert "passed" in report["thm1"]
+    constants = json.loads((out / "manifest.json").read_text())["constants"]
+    assert "thm1_sup_ratio" in constants
+    assert not any(key.startswith("thm2_") for key in constants)

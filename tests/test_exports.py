@@ -13,6 +13,16 @@ def test_every_export_resolves():
     assert missing == []
 
 
+def test_every_package_export_is_in_its_module_all():
+    # a deletion that leaves the package export behind fails here, not at use
+    stray = []
+    for name, sub in fluxlab._EXPORTS.items():
+        module = importlib.import_module(f"fluxlab.{sub}")
+        if hasattr(module, "__all__") and name not in module.__all__:
+            stray.append(f"{sub}.{name}")
+    assert stray == []
+
+
 # Every attribute bench/tracing.py (Tracer.install) replaces by name; traced
 # benchmark runs break when one is renamed, and tier-1 runs no traced call.
 TRACED_NAMES = {

@@ -64,7 +64,6 @@ def test_uniform_field_is_half_b_r_squared():
     p = FluxProfile.uniform_field(3.0)
     r = np.linspace(0.2, 5.0, 50)
     assert np.allclose(p.flux(r), 1.5 * r ** 2)
-    assert np.allclose(p.field_strength(r), 3.0)
 
 
 def test_classical_region_linear_closed_form():

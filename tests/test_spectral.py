@@ -69,7 +69,8 @@ def test_uncoupled_matrix_eigenvalues_equal_sorted_diagonal():
     h = BlockHamiltonian(grid=grid, channels=np.array([0]), diagonals=diag,
                          off_diagonal=np.zeros(7), couplings={},
                          symmetric_part=np.zeros(8), potential=diag)
-    es = diagonalize(h)
+    es = diagonalize(h, window_upper=h.norm_inf() + 1.0)
+    assert es.count_certificate == "channel_sturm"
     assert np.array_equal(es.eigenvalues, np.sort(diag[0]))
 
 
@@ -89,25 +90,11 @@ def test_windowed_solver_matches_dense_route():
     w = make_w(lambda r, t: 0.25 * np.exp(-r / 2) * np.cos(t), a=1.0,
                b=lambda r: np.sqrt(np.pi / 2) * 0.25 * np.exp(-r / 2) * np.e)
     h = assemble_hamiltonian(profile, w, grid, 5, m_max=2)
-    dense = diagonalize(h)
-    from fluxlab.spectral import _windowed_eigensystem
+    dense = scipy.linalg.eigh(h.to_dense(), eigvals_only=True)
     windowed = _windowed_eigensystem(h, 1.2, 0.1)
-    dense_in = dense.eigenvalues[dense.eigenvalues <= 1.3]
+    dense_in = dense[dense <= 1.3]
     assert windowed.k == dense_in.size
     assert np.allclose(windowed.eigenvalues, dense_in, atol=1e-9)
-
-
-def test_full_spectrum_above_dense_limit_raises_before_dense_work(monkeypatch):
-    # dim 410 * 11 = 4510 > DENSE_LIMIT = 4000: no dense matrix may be formed
-    h = coupled_model(np.cos, n_r=410, j_max=5)
-    assert h.dim > 4000 and not h.is_block_diagonal
-
-    def refuse(self):
-        pytest.fail(f"dense {h.dim}x{h.dim} matrix formed above DENSE_LIMIT")
-
-    monkeypatch.setattr(BlockHamiltonian, "to_dense", refuse)
-    with pytest.raises(ValueError, match="exceeds DENSE_LIMIT = 4000"):
-        diagonalize(h)
 
 
 def coupled_model(angular, n_r=90, j_max=6, amp=0.3):
@@ -141,7 +128,8 @@ def test_window_eigenvectors_come_back_channel_major(angular):
         assert es.count_certificate == certificate
         k_lo, k_hi = es.weyl_bracket
         assert (k_hi - k_lo > 1) == (certificate == "inertia")
-        full = diagonalize(h)
+        full = diagonalize(h, window_upper=h.norm_inf() + 1.0)   # the dense fallback
+        assert full.method == "dense"
         assert np.allclose(es.eigenvalues, full.eigenvalues[full.eigenvalues < 1.2 + 0.06],
                            rtol=0, atol=1e-9 * h.norm_inf())
         v = es.eigenvectors
@@ -668,19 +656,20 @@ def test_lowest_eigenvalue_raises_when_the_certificate_fails(monkeypatch):
         lowest_eigenvalue(h.to_band()[0])
 
 
-def test_window_over_whole_spectrum_takes_dense_fallback():
-    # ARPACK cannot return dim - 1 or more pairs, so the window solve goes dense
-    from fluxlab.spectral import _windowed_eigensystem
-    h = coupled_model(np.cos, n_r=8, j_max=1)
-    full = diagonalize(h)
-    windowed = _windowed_eigensystem(h, h.norm_inf() + 1.0, 0.1)
+@both_couplings
+def test_window_over_whole_spectrum_takes_dense_fallback(angular):
+    # ARPACK cannot return dim - 1 or more pairs, so the window solve goes
+    # dense; it is the one whole-spectrum route, so it must be the dense eigh
+    h = coupled_model(angular, n_r=8, j_max=1)
+    vals, vecs = scipy.linalg.eigh(h.to_dense())
+    windowed = diagonalize(h, window_upper=h.norm_inf() + 1.0)
     assert windowed.method == "dense"
     assert windowed.k == h.dim
     (block,) = windowed.blocks
     assert block.rows == slice(0, h.dim) and np.array_equal(block.cols, np.arange(h.dim))
     assert windowed.eigenvectors is block.vectors
-    assert np.allclose(windowed.eigenvalues, full.eigenvalues, atol=1e-12)
-    overlap = h.grid.h * np.abs(full.eigenvectors.T @ windowed.eigenvectors)
+    assert np.allclose(windowed.eigenvalues, vals, atol=1e-12)
+    overlap = np.sqrt(h.grid.h) * np.abs(vecs.conj().T @ windowed.eigenvectors)
     assert np.allclose(overlap, np.eye(h.dim), atol=1e-9)
 
 
@@ -900,6 +889,7 @@ def test_a_cluster_straddling_the_window_top_enters_whole():
     vals = np.array([0.5, 0.8, 1.0 + 0.6 * tie, 1.0 + 1.4 * tie, 3.0, 5.0])
     es = EigenSystem(grid=grid, channels=np.array([0]), eigenvalues=vals,
                      residual_max=0.0, norm_h=5.0, method="dense",
+                     count_certificate="weyl",
                      blocks=(BasisBlock(slice(0, 8), np.arange(6),
                                         np.eye(8)[:, :6] / np.sqrt(grid.h)),))
     window = SpectralWindow(e0=0.5, E0=1.0, delta0=0.1, c0=0.0)

@@ -234,8 +234,10 @@ def _window_solve_constants(eigensys) -> dict:
     """The window solve's diagnostics, for the manifest constants of every
     subcommand that runs it: route, count certificate, Weyl's bracket and
     the coupling bound it rests on (null on the per-channel route), pair
-    count, band-LU storage and solves (0 on the per-channel route), the
-    largest residual, and |H|_inf, the scale of its 1e-9 contract."""
+    count, the band LU's storage and the count's solves with it, the
+    sweep's shift below the spectrum and its band Cholesky solves (0 or
+    null on the per-channel route), the largest residual, and |H|_inf, the
+    scale of its 1e-9 contract."""
     bracket = eigensys.weyl_bracket
     return {
         "solver": eigensys.method,
@@ -245,6 +247,8 @@ def _window_solve_constants(eigensys) -> dict:
         "n_eigenvalues": int(eigensys.k),
         "factor_nnz": eigensys.factor_nnz,
         "lu_solves": eigensys.lu_solves,
+        "sweep_shift": eigensys.sweep_shift,
+        "cholesky_solves": eigensys.cholesky_solves,
         "residual_max": eigensys.residual_max,
         "norm_inf": eigensys.norm_h,
     }
@@ -412,6 +416,7 @@ def _run_validate_weights(cfg, out_dir):
     report, constants = {}, {
         "e0": window.e0, "c0": window.c0, "E_tilde": window.e_tilde,
         "e0_solver": lowest.method, "e0_lower_bound": lowest.lower_bound,
+        "e0_cholesky_solves": lowest.cholesky_solves,
         "e0_channel": e0_channel, "e0_channel_outermost": abs(e0_channel) == j_max,
     }
     all_pass = True
@@ -461,7 +466,12 @@ def _run_evolve(cfg, out_dir):
     profile, w, grid, j_max, h = _assemble_from_config(cfg)
     window, proj, eigensys = _window_and_projection(cfg, h, w)
     if proj.rank == 0:
-        raise RuntimeError("evolve needs a nonzero-rank projection")
+        # no state to evolve: neither theorem has a moment to bound
+        skipped = {"status": "not_applicable", "reason": "rank-0 projection"}
+        write_json(os.path.join(out_dir, "evolve_report.json"),
+                   {"thm1": skipped, "thm2": skipped})
+        return ["evolve_report.json"], {"e0": window.e0, "rank": 0,
+                                        **_window_solve_constants(eigensys)}
 
     seed_kind = cfg.get_str("seed.kind", "gaussian",
                             choices={"gaussian", "eigenvector", "channel_bump"})
@@ -620,7 +630,7 @@ def _verify_artifacts(command: str, out_dir, manifest) -> dict:
         with open(os.path.join(out_dir, "weights_report.json")) as fh:
             report = json.load(fh)
         check("built_weights_validate", report.get("all_passed", False))
-    if command == "evolve":
+    if command == "evolve" and "observables.csv" in manifest["artifacts"]:
         _, rows = read_csv(os.path.join(out_dir, "observables.csv"))
         norms = [float(r[3]) for r in rows]
         check("norm_drift", max(abs(v - norms[0]) for v in norms) <= 1e-10)

@@ -12,34 +12,31 @@ eigenpairs below a window top, and a projection onto [e0, E0] selects its
 columns.  Uncoupled H takes per-channel tridiagonal solves (each channel's
 pairs between its potential floor and the window top, by coarse bisection,
 inverse iteration and a Rayleigh-Ritz step, see
-:func:`~fluxlab.grid.tridiagonal_eigenpairs`).  Coupled H takes one pivoted
-band LU (:class:`BandLU`) of H in its node-major band order at the window
-top, whose shift-inverted Lanczos sweep returns exactly as many eigenpairs
-as lie below the top.  That count is certified exactly
-(:func:`_window_count`): Weyl's inequality brackets it by two Sturm counts
-of the channel tridiagonals at the top shifted by the coupling bound, the
-LU's determinant sign settles a bracket one wide, and only a wider bracket,
-or a sign too close to singular to trust, takes SuperLU's inertia count
-(:class:`ShiftedFactor`).  A count of dim - 1 or more, which ARPACK cannot
-return, is solved densely instead: that is how a top above |H|_inf gives
-the whole spectrum.  The eigenvectors return to channel-major order once,
-after the sweep.  Repeated runs are deterministic (fixed start
-vectors, fixed assembly order).
+:func:`~fluxlab.grid.tridiagonal_eigenpairs`).  The window is the bottom
+of the spectrum, so coupled H, in its node-major band order, takes
+shift-inverted Lanczos on one band Cholesky factor (:class:`BandCholesky`)
+at a shift that Weyl's inequality puts below the spectrum
+(:func:`_lowest_pairs`), and keeps the pairs below the top.  Their number
+must equal the count, which is certified exactly (:func:`_window_count`):
+Weyl's inequality brackets it by two Sturm counts of the channel
+tridiagonals at the top shifted by the coupling bound, the determinant sign
+of a pivoted band LU (:class:`BandLU`) at the top settles a bracket one
+wide, and only a wider bracket, or a sign too close to singular to trust,
+takes SuperLU's inertia count (:class:`ShiftedFactor`).  A sweep of dim - 1
+or more pairs, which ARPACK cannot return, is solved densely instead: that
+is how a top above |H|_inf gives the whole spectrum.  The eigenvectors
+return to channel-major order once, after the sweep.  Repeated runs are
+deterministic (fixed start vectors, fixed assembly order).
 
 A check that reads only the window's bottom e0 takes H's lowest eigenvalue
 from :func:`lowest_eigenvalue` instead, which also gives the twisted
 operator's: over the channel tridiagonals of H's band, one channel's lowest
 eigenvalue as an upper bound, certified over the other channels by one
 LDL^T sweep that bisects only a channel whose pivot fails, and, when W
-couples the channels, one band Cholesky factor at a shift that Weyl's
-inequality puts below the spectrum plus one shift-inverted Lanczos run for
-a single eigenpair, whose residual must meet the same 1e-9 max(1, |A|)
-contract as the window solve's pairs.
-
-Both shift-inverted Lanczos runs, the window sweep's and the lowest
-eigenvalue's, go through one driver (:func:`_shift_invert_lanczos`): the
-factor's solves, a fixed start vector, and a cap of ``SWEEP_RESTARTS``
-ARPACK restarts, after which the pairs that converged are returned.
+couples the channels, the window sweep's route for a single pair, whose
+residual must meet the same 1e-9 max(1, |A|) contract as the window
+solve's pairs.  Every Lanczos run stops after ``SWEEP_RESTARTS`` ARPACK
+restarts (:func:`_shift_invert_lanczos`).
 
 An :class:`EigenSystem` stores its eigenvectors only in blocks
 (:class:`BasisBlock`) whose rows tile the flat index: the per-channel route
@@ -56,8 +53,8 @@ with an energy.  :meth:`BlockHamiltonian.to_band` is the one place that
 lays out H's entries: ordered node-major, a coupled H is a band matrix of
 half-bandwidth n_ch.  The dense form and the max row sum are read back
 from that band, :class:`BandLU` and :class:`ShiftedFactor` factor it for
-the window solve, and :class:`BandCholesky` factors a shifted band matrix
-and certifies positive definiteness without an inertia count.
+the window count, and :class:`BandCholesky` factors a shifted band matrix
+for the sweep and certifies positive definiteness without an inertia count.
 """
 
 from __future__ import annotations
@@ -178,26 +175,27 @@ def _band_to_csc(ab: np.ndarray) -> sp.csc_matrix:
     return sp.csc_matrix(upper + sp.triu(upper, 1, format="csc").conj().T)
 
 
-def _band_row_sums(ab: np.ndarray, rows) -> np.ndarray:
-    """Absolute row sums of the Hermitian matrix held in upper band storage,
-    counting only the entries of the band rows ``rows`` (row kd is the
-    diagonal), added in the order given."""
+def _add_band_row_sums(ab: np.ndarray, rows, *totals: np.ndarray) -> None:
+    """Add to each of ``totals`` the absolute row sums of the Hermitian matrix
+    held in upper band storage, counting only the entries of the band rows
+    ``rows`` (row kd is the diagonal), added in the order given."""
     kd = ab.shape[0] - 1
-    total = np.zeros(ab.shape[1])
     for r in rows:
         entries = np.abs(ab[r, kd - r:])
-        if r == kd:
-            total += entries
-        else:
-            total[:r - kd] += entries
-            total[kd - r:] += entries
-    return total
+        for total in totals:
+            if r == kd:
+                total += entries
+            else:
+                total[:r - kd] += entries
+                total[kd - r:] += entries
 
 
 def _band_norm_inf(ab: np.ndarray) -> float:
     """Max absolute row sum of the Hermitian matrix held in upper band storage."""
     kd = ab.shape[0] - 1
-    return float(_band_row_sums(ab, (kd, *range(kd))).max())
+    total = np.zeros(ab.shape[1])
+    _add_band_row_sums(ab, (kd, *range(kd)), total)
+    return float(total.max())
 
 
 def assemble_hamiltonian(profile: FluxProfile, w: Optional[AngularPotential],
@@ -317,7 +315,9 @@ class EigenSystem:
     blocks: Tuple[BasisBlock, ...]
     count_certificate: str          # channel_sturm, or _window_count's certificate when coupled
     factor_nnz: int = 0             # entries the window's band LU stores, 0 without one
-    lu_solves: int = 0              # solves of the window's band LU
+    lu_solves: int = 0              # solves of that LU: the count's inverse-power steps
+    sweep_shift: Optional[float] = None     # the shift below H's spectrum of the sweep
+    cholesky_solves: int = 0        # solves of the sweep's band Cholesky factor there
     weyl_bracket: Optional[Tuple[int, int]] = None  # Weyl's bounds on a coupled window count
     coupling_bound: Optional[float] = None      # w, the bound on |W_off|_2 they rest on
 
@@ -357,15 +357,6 @@ def _blockwise_norm2(m: np.ndarray, blocks, defect) -> float:
     """
     return max(float(np.linalg.norm(defect(m[np.ix_(b.cols, b.cols)]), 2))
                for b in blocks if b.cols.size)
-
-
-def _residuals(a, vals, vecs) -> float:
-    """max_i |A v_i - lambda_i v_i| / |v_i| for a dense array or operator ``a``."""
-    if vals.size == 0:
-        return 0.0
-    r = a @ vecs - vecs * vals[None, :]
-    return float(np.max(np.sqrt(np.sum(np.abs(r) ** 2, axis=0)
-                                / np.sum(np.abs(vecs) ** 2, axis=0))))
 
 
 def _block_diagonal_eigensystem(h: BlockHamiltonian, top: float) -> EigenSystem:
@@ -517,9 +508,10 @@ splu = BandLU
 
 def _band_operator(ab: np.ndarray) -> LinearOperator:
     """The Hermitian matrix held in upper band storage, as an operator whose
-    products are ``?sbmv`` / ``?hbmv`` calls, one per column; a Fortran-order
-    ``ab`` is read without a copy."""
+    products are ``?sbmv`` / ``?hbmv`` calls, one per column, on one
+    Fortran-order copy of ``ab``."""
     kd, n = ab.shape[0] - 1, ab.shape[1]
+    ab = np.asfortranarray(ab)
     band_mv = scipy.linalg.get_blas_funcs("hbmv" if np.iscomplexobj(ab) else "sbmv", (ab,))
     return LinearOperator((n, n), matvec=lambda x: band_mv(kd, 1.0, ab, x), dtype=ab.dtype)
 
@@ -540,6 +532,7 @@ class BandCholesky:
     def __init__(self, ab: np.ndarray, sigma: float):
         self.sigma = float(sigma)
         self.norm_a = _band_norm_inf(ab)
+        self.solves = 0
         kd = ab.shape[0] - 1
         shifted = np.array(ab, order="F")        # ?pbtrf factors it in place
         shifted[kd] -= self.sigma
@@ -557,24 +550,25 @@ class BandCholesky:
                     f"1e-12 |A| = {tiny:.3e}; positive definiteness is not trustworthy")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """(A - sigma I)^-1 b; A - sigma I must be positive definite."""
+        """(A - sigma I)^-1 b, counted in ``solves``; A - sigma I must be
+        positive definite."""
         if not self.positive_definite:
             raise ValueError(f"A - {self.sigma:.17g} I is not positive definite")
+        self.solves += 1
         return self._pbtrs(self.factor, b)[0]
 
 
-def _shift_invert_lanczos(a: LinearOperator, factor, k: int,
-                          which: str) -> Tuple[np.ndarray, np.ndarray]:
-    """k eigenpairs of the Hermitian ``a``, ascending, by shift-inverted Lanczos
-    (Ericsson & Ruhe, Math. Comp. 35, 1980) on the solves of ``factor``, a
-    :class:`BandLU` or :class:`BandCholesky` at its ``sigma``: ``SA`` gives the
-    pairs below sigma, ``LM`` those nearest it.  The run starts from
+def _shift_invert_lanczos(a: LinearOperator, factor: BandCholesky,
+                          k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The k eigenpairs of the Hermitian ``a`` nearest the ``sigma`` of
+    ``factor``, ascending, by shift-inverted Lanczos (Ericsson & Ruhe, Math.
+    Comp. 35, 1980) on the factor's solves.  The run starts from
     (1, ..., 1) / sqrt(n) and stops after ``SWEEP_RESTARTS`` restarts with
     the pairs converged by then, which may be fewer than k."""
     n = a.shape[0]
     op_inv = LinearOperator(a.shape, matvec=factor.solve, dtype=a.dtype)
     try:
-        vals, vecs = eigsh(a, k=k, sigma=factor.sigma, which=which,
+        vals, vecs = eigsh(a, k=k, sigma=factor.sigma, which="LM",
                            v0=np.full(n, 1.0 / np.sqrt(n)), OPinv=op_inv,
                            maxiter=SWEEP_RESTARTS)
     except ArpackNoConvergence as exc:
@@ -648,30 +642,69 @@ def _tridiagonal_lowest(ab: np.ndarray) -> _TridiagonalLowest:
 def _channel_tridiagonal(ab: np.ndarray) -> Tuple[np.ndarray, float, float]:
     """The channel tridiagonals D of a Hermitian band A in the layout of
     :meth:`BlockHamiltonian.to_band`, the max row sum w of the rest of A,
-    and max(1, |A|_inf).
+    and |A|_inf.
 
     D is rows 0 and kd of ``ab``, node-major (n, kd) read as channel-major
     (kd, n) in kd = 1 upper band storage, with a zero off-diagonal where
     channels meet.  For ``kd == 1`` D is A and w = 0; otherwise rows
     1..kd-1 hold only node-local couplings W_off, and w, their max row sum,
     bounds |W_off|_2, so Weyl's inequality puts each eigenvalue of A within
-    w of the same-index eigenvalue of D.  w and |A|_inf come from one pass
-    over the band rows.
+    w of the same-index eigenvalue of D.  w and |A|_inf (added in
+    :func:`_band_norm_inf`'s order) come from one pass over the band rows.
     """
-    kd = ab.shape[0] - 1
+    kd, n = ab.shape[0] - 1, ab.shape[1]
     tri = ab[[0, kd]].reshape(2, -1, kd).transpose(0, 2, 1).reshape(2, -1)
-    tri[0, ::ab.shape[1] // kd] = 0.0
-    if kd == 1:
-        return tri, 0.0, max(1.0, _band_norm_inf(ab))
-    off = _band_row_sums(ab, range(1, kd))
-    return tri, float(off.max()), max(1.0, float(np.max(off + _band_row_sums(ab, (0, kd)))))
+    tri[0, ::n // kd] = 0.0
+    total, off = np.zeros(n), np.zeros(n)
+    _add_band_row_sums(ab, (kd, 0), total)
+    _add_band_row_sums(ab, range(1, kd), total, off)
+    return tri, float(off.max()), float(total.max())
+
+
+def _lowest_pairs(ab: np.ndarray, channels, k: int):
+    """The k >= 1 lowest eigenpairs of a Hermitian band A laid out as
+    :meth:`BlockHamiltonian.to_band` lays out a coupled H: their values,
+    ascending, vectors and residuals |A v - lambda v| / |v|, the band
+    Cholesky factor whose solves found them, and D's
+    :class:`_TridiagonalLowest`.
+
+    ``channels`` is :func:`_channel_tridiagonal` of ``ab``: A = D + W_off
+    with |W_off|_2 <= w, so Weyl's inequality puts every eigenvalue of A at
+    or above sigma = t - w - guard, t the lowest eigenvalue of D.  The
+    guard, 1e-9 max(1, |A|_inf), covers ``?stebz``'s tolerance many times
+    over and keeps lambda_min - sigma far above the factor's pivot floor.
+    The factor of A - sigma I certifies the shift (a failure means a theorem
+    failed, and raises), and shift-inverted Lanczos on its solves returns
+    the k pairs nearest sigma, the k lowest; fewer converged pairs raise.
+    A k of dim - 1 or more, which ARPACK cannot return, is solved densely.
+    """
+    tri, w, norm = channels
+    low = _tridiagonal_lowest(tri)
+    sigma = low.value - w - 1e-9 * max(1.0, norm)
+    factor = BandCholesky(ab, sigma)
+    if not factor.positive_definite:
+        raise RuntimeError(f"A - {sigma:.17g} I is not positive definite, yet Weyl's "
+                           "inequality bounds lambda_min(A) below by that shift")
+    a = _band_operator(ab)
+    if k >= ab.shape[1] - 1:
+        vals, vecs = scipy.linalg.eigh(_band_to_csc(ab).toarray(), subset_by_index=(0, k - 1))
+    else:
+        vals, vecs = _shift_invert_lanczos(a, factor, k)
+        if vals.size < k:
+            raise RuntimeError(f"shift-inverted Lanczos at {sigma:.17g} converged to "
+                               f"{vals.size} of {k} eigenpairs within {SWEEP_RESTARTS} "
+                               "restarts")
+    r = a @ vecs - vecs * vals[None, :]
+    residuals = np.sqrt(np.sum(np.abs(r) ** 2, axis=0) / np.sum(np.abs(vecs) ** 2, axis=0))
+    return vals, vecs, residuals, factor, low
 
 
 class LowestEigenvalue(NamedTuple):
     """A band matrix's lowest eigenvalue, a certified lower bound on it, the
-    route (``channel_tridiagonal`` or ``band_cholesky_lanczos``), and the
+    route (``channel_tridiagonal`` or ``band_cholesky_lanczos``), the
     channel whose tridiagonal holds the channel tridiagonals' lowest
-    eigenvalue t.  The bound is Weyl's shift, certified by a band Cholesky
+    eigenvalue t, and the band Cholesky factor's solves (0 on the
+    tridiagonal route).  The bound is Weyl's shift, certified by that
     factor, on the coupled route, and the bisected t less its tolerance on
     the tridiagonal one."""
 
@@ -679,6 +712,7 @@ class LowestEigenvalue(NamedTuple):
     lower_bound: float
     method: str
     channel: int
+    cholesky_solves: int
 
 
 def lowest_eigenvalue(ab: np.ndarray) -> LowestEigenvalue:
@@ -698,41 +732,26 @@ def lowest_eigenvalue(ab: np.ndarray) -> LowestEigenvalue:
     :func:`~fluxlab.grid.tridiagonal_eigenpairs`, the window solve's kernel,
     gives on that channel in (t - g, t + g], g = 16 eps max(1, |A|_inf):
     one inverse-iteration vector, and on H the e0 the window solve gives.
-    Otherwise A = D + W_off with |W_off|_2 <= w, so Weyl's inequality puts
-    every eigenvalue of A at or above sigma = t - w - guard.  The guard,
-    1e-9 max(1, |A|_inf), covers ``?stebz``'s tolerance many times
-    over and keeps lambda_min - sigma far above :class:`BandCholesky`'s
-    pivot floor.  The band Cholesky factor of A - sigma I certifies the
-    bound (a failure means a theorem failed, and raises), and its
-    shift-inverted Lanczos run (:func:`_shift_invert_lanczos`, ``LM``, k = 1)
-    returns the eigenpair nearest sigma, the lowest one.  The pair must meet
-    the eigensolver's residual contract: one band product gives
-    |A x - lambda x| / |x|, and a residual above 1e-9 max(1, |A|_inf), or
-    no converged pair, raises.
+    Otherwise the value is the k = 1 case of :func:`_lowest_pairs`, the
+    window sweep's route, and its certified shift the lower bound; a
+    residual above 1e-9 max(1, |A|_inf) raises.
     """
-    tri, w, scale = _channel_tridiagonal(ab)
-    low = _tridiagonal_lowest(tri)
+    channels = _channel_tridiagonal(ab)
+    tri, _, norm = channels
+    scale = max(1.0, norm)
     if ab.shape[0] - 1 == 1:
+        low = _tridiagonal_lowest(tri)
         guard = 16 * EPS * scale
         ritz = tridiagonal_eigenpairs(tri[1, low.rows].real, np.abs(tri[0, low.rows][1:]),
                                       low.value - guard, low.value + guard)[0]
         return LowestEigenvalue(float(ritz[0]), low.value - 4 * EPS * scale,
-                                "channel_tridiagonal", low.block)
-    sigma = low.value - w - 1e-9 * scale
-    factor = BandCholesky(ab, sigma)
-    if not factor.positive_definite:
-        raise RuntimeError(f"A - {sigma:.17g} I is not positive definite, yet Weyl's "
-                           "inequality bounds lambda_min(A) below by that shift")
-    a = _band_operator(ab)
-    vals, vecs = _shift_invert_lanczos(a, factor, 1, "LM")
-    if not vals.size:
-        raise RuntimeError(f"shift-inverted Lanczos at {sigma:.17g} converged to no "
-                           f"eigenpair within {SWEEP_RESTARTS} restarts")
-    res = _residuals(a, vals, vecs)
+                                "channel_tridiagonal", low.block, 0)
+    vals, _, (res,), factor, low = _lowest_pairs(ab, channels, 1)
     if res > 1e-9 * scale:
         raise RuntimeError(f"lowest eigenpair residual {res:.3e} exceeds "
                            f"1e-9 max(1, |A|) = {1e-9 * scale:.3e}")
-    return LowestEigenvalue(float(vals[0]), sigma, "band_cholesky_lanczos", low.block)
+    return LowestEigenvalue(float(vals[0]), factor.sigma, "band_cholesky_lanczos",
+                            low.block, factor.solves)
 
 
 class WindowCount(NamedTuple):
@@ -746,18 +765,18 @@ class WindowCount(NamedTuple):
     coupling_bound: float
 
 
-def _window_count(ab: np.ndarray, top: float, factor: BandLU) -> WindowCount:
+def _window_count(ab: np.ndarray, top: float, factor: BandLU, channels) -> WindowCount:
     """The number of eigenvalues of the Hermitian band A below ``top``.
 
-    ``ab`` is in the layout of :meth:`BlockHamiltonian.to_band`, and
-    ``factor`` the :class:`BandLU` of A - top I.  A = D + W_off with D the
-    channel tridiagonals and |W_off|_2 <= w (:func:`_channel_tridiagonal`),
-    so Weyl's inequality (Math. Ann. 71, 1912) brackets the count between
-    k_lo = N_D(top - w - g) and k_hi = N_D(top + w + g), where N_D(s) is D's
-    Sturm count of eigenvalues at or below s (one ``?stebz`` value count over
-    all of D's rows, bisected no finer than w) and g = 1e-9 max(1, |A|_inf)
-    is the guard of :func:`lowest_eigenvalue`, which covers the counts'
-    rounding.
+    ``ab`` is in the layout of :meth:`BlockHamiltonian.to_band`, ``factor``
+    the :class:`BandLU` of A - top I, and ``channels`` the
+    :func:`_channel_tridiagonal` of ``ab``: A = D + W_off with D the channel
+    tridiagonals and |W_off|_2 <= w.  So Weyl's inequality (Math. Ann. 71,
+    1912) brackets the count between k_lo = N_D(top - w - g) and
+    k_hi = N_D(top + w + g), where N_D(s) is D's Sturm count of eigenvalues
+    at or below s (one ``?stebz`` value count over all of D's rows, bisected
+    no finer than w) and g = 1e-9 max(1, |A|_inf) is the guard of
+    :func:`_lowest_pairs`, which covers the counts' rounding.
 
     - k_lo == k_hi: that is the count (``weyl``).
     - k_hi == k_lo + 1: the sign of det(A - top I), (-1)^count, picks the end
@@ -771,8 +790,8 @@ def _window_count(ab: np.ndarray, top: float, factor: BandLU) -> WindowCount:
     - Otherwise, or when the sign is declined, SuperLU's inertia count
       (:class:`ShiftedFactor`) gives it (``inertia``).
     """
-    tri, w, scale = _channel_tridiagonal(ab)
-    g = 1e-9 * scale
+    tri, w, norm = channels
+    g = 1e-9 * max(1.0, norm)
     d, e = tri[1].real, np.abs(tri[0, 1:])
     k_lo, k_hi = (_tridiagonal_eigh(d, e, "v", (-np.inf, s), tol=w).size
                   for s in (top - w - g, top + w + g))
@@ -798,57 +817,49 @@ def _windowed_eigensystem(h: BlockHamiltonian, upper: float,
                           margin: float) -> EigenSystem:
     """Every eigenpair with eigenvalue below top = upper + margin.
 
-    One band LU of H's band at the top (:class:`BandLU`) serves the count
-    certificate (:func:`_window_count`) and every solve of the
-    shift-inverted Lanczos sweep (:func:`_shift_invert_lanczos`), asked for
-    exactly the counted pairs: in shift-invert mode the ``SA`` end of
-    1 / (lambda - top) is the set below the top.  The sweep must return
-    that many pairs below the top, within ``SWEEP_RESTARTS`` restarts, with
-    residuals at most 1e-9 |H| from band products; a count of dim - 1 or
-    more, which ARPACK cannot serve, is solved densely.  A count too high
-    fails there; a count too low could only come from a sign that picked
-    the bracket's bottom, so then a band Cholesky factor just under the
-    lowest pair certifies that no eigenvalue was left out.  The band-order
-    eigenvectors return to channel-major order.
+    H's channel tridiagonals, read once (:func:`_channel_tridiagonal`), give
+    Weyl's bracket (k_lo, k_hi) on the count N below the top and the shift
+    below the spectrum.  A band LU at the top (:class:`BandLU`) serves only
+    the count (:func:`_window_count`) and is released once N is fixed.  The
+    sweep asks :func:`_lowest_pairs`, the route of :func:`lowest_eigenvalue`,
+    for the k_hi lowest pairs (at least one) and keeps those below the top:
+    exactly N, each with residual at most 1e-9 |H|_inf.  Those k_hi pairs
+    hold every eigenvalue below the top, so a determinant sign that picked
+    the wrong end of the bracket finds one pair more or one fewer than it
+    claims, and raises.  The eigenvectors return to channel-major order.
     """
     top = upper + margin
     ab, order = h.to_band()
-    factor = splu(ab, top)
-    count = _window_count(ab, top, factor)
-    a = _band_operator(np.asfortranarray(ab))
-    dense = count.n >= h.dim - 1
-    if count.n == 0:
-        vals, band_vecs = np.zeros(0), np.zeros((h.dim, 0), dtype=ab.dtype)
-    elif dense:
-        vals, band_vecs = scipy.linalg.eigh(_band_to_csc(ab).toarray(),
-                                            subset_by_index=(0, count.n - 1))
-    else:
-        vals, band_vecs = _shift_invert_lanczos(a, factor, count.n, "SA")
+    channels = _channel_tridiagonal(ab)
+    norm_h = channels[2]
+    lu = splu(ab, top)
+    count = _window_count(ab, top, lu, channels)
+    lu_nnz, lu_solves = lu.nnz, lu.solves
+    k = max(count.bracket[1], 1)
+    # the LU is released before the sweep's factor is built, and the output
+    # is allocated first, so the LU's memory comes free as one block (which
+    # evolve's state array reuses) rather than split by a long-lived array
+    vecs = np.empty((h.dim, k), dtype=ab.dtype, order="F")
+    del lu
+    vals, band_vecs, residuals, factor, _ = _lowest_pairs(ab, channels, k)
     found = int(np.count_nonzero(vals < top))
-    if found != count.n or vals.size != count.n:
+    if found != count.n:
         raise RuntimeError(f"window solve found {found} eigenvalues below {top:g}; "
                            f"the {count.certificate} count is {count.n}")
-    norm_h = _band_norm_inf(ab)
-    if count.certificate == "weyl_determinant_sign" and count.n == count.bracket[0]:
-        # a sign that wrongly picked the bracket's bottom leaves the lowest pair out
-        bottom = (vals[0] if count.n else top) - 1e-9 * max(1.0, norm_h)
-        if not BandCholesky(ab, bottom).positive_definite:
-            raise RuntimeError(f"an eigenvalue lies below {bottom:g}, under the window "
-                               f"solve's lowest; the {count.certificate} count "
-                               f"{count.n} is short")
-    res = _residuals(a, vals, band_vecs)
+    res = float(np.max(residuals[:found], initial=0.0))
     if res > 1e-9 * norm_h:
         raise RuntimeError(
             f"iterative eigensolve residual {res:.3e} exceeds 1e-9 * |H| = "
             f"{1e-9 * norm_h:.3e}")
-    vecs = np.empty_like(band_vecs)
-    vecs[order] = band_vecs / np.sqrt(h.grid.h)
+    vecs = vecs[:, :found]
+    vecs[order] = band_vecs[:, :found] / np.sqrt(h.grid.h)
     return EigenSystem(
-        grid=h.grid, channels=h.channels, eigenvalues=vals,
+        grid=h.grid, channels=h.channels, eigenvalues=vals[:found],
         residual_max=res, norm_h=norm_h,
-        method="dense" if dense else "shift_invert_window",
-        blocks=(BasisBlock(slice(0, h.dim), np.arange(vals.size), vecs),),
-        factor_nnz=factor.nnz, lu_solves=factor.solves,
+        method="dense" if k >= h.dim - 1 else "shift_invert_window",
+        blocks=(BasisBlock(slice(0, h.dim), np.arange(found), vecs),),
+        factor_nnz=lu_nnz, lu_solves=lu_solves,
+        sweep_shift=factor.sigma, cholesky_solves=factor.solves,
         count_certificate=count.certificate, weyl_bracket=count.bracket,
         coupling_bound=count.coupling_bound,
     )
@@ -857,9 +868,10 @@ def _windowed_eigensystem(h: BlockHamiltonian, upper: float,
 def diagonalize(h: BlockHamiltonian, window_upper: float) -> EigenSystem:
     """Every eigenpair of a block Hamiltonian with eigenvalue <= window_upper
     + margin, margin = ``WINDOW_MARGIN`` max(1, |window_upper|), and no
-    other: per channel when uncoupled, otherwise by one band LU at the top
-    and a certified count (:func:`_windowed_eigensystem`).  A window_upper
-    above |H|_inf gives the whole spectrum.
+    other: per channel when uncoupled, otherwise by shift-inverted Lanczos
+    on a band Cholesky factor below the spectrum, checked against a
+    certified count (:func:`_windowed_eigensystem`).  A window_upper above
+    |H|_inf gives the whole spectrum.
     """
     margin = WINDOW_MARGIN * max(1.0, abs(window_upper))
     if h.is_block_diagonal:

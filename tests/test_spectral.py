@@ -7,8 +7,8 @@ from fluxlab.angular import AngularPotential, DecayClass, GevreyEnvelope, xi_con
 from fluxlab.flux import FluxProfile
 from fluxlab.grid import build_channel_operator, build_grid
 from fluxlab.spectral import (BandCholesky, BandLU, BasisBlock, BlockHamiltonian, EigenSystem,
-                              ShiftedFactor, SpectralWindow, _window_count,
-                              _windowed_eigensystem, assemble_hamiltonian,
+                              ShiftedFactor, SpectralWindow, _channel_tridiagonal,
+                              _window_count, _windowed_eigensystem, assemble_hamiltonian,
                               channel_projection_norm, diagonalize, estimate_c0,
                               lowest_eigenvalue, spectral_projection)
 
@@ -175,8 +175,10 @@ def test_shifted_factor_rejects_untrustworthy_elimination():
 @both_couplings
 def test_window_factor_is_formed_in_band_order(angular, monkeypatch):
     # one ?gbtrf of H's node-major band (kd = n_ch) at the top serves the
-    # count and every sweep solve, in 3 kd + 1 stored rows; SuperLU factors
-    # only when the count takes the inertia route
+    # count, in 3 kd + 1 stored rows: its only solves are the determinant
+    # sign's two inverse-power steps, and the sweep solves with the band
+    # Cholesky factor; SuperLU factors only when the count takes the
+    # inertia route
     from fluxlab import spectral
     factors, inertia = [], []
 
@@ -201,7 +203,9 @@ def test_window_factor_is_formed_in_band_order(angular, monkeypatch):
         assert kd == h.n_ch
         assert lu.lu.shape == (3 * kd + 1, h.dim)
         assert es.factor_nnz == (3 * kd + 1) * h.dim
-        assert es.method == "shift_invert_window" and es.lu_solves == lu.solves > 2
+        sign_steps = 2 if es.count_certificate == "weyl_determinant_sign" else 0
+        assert es.method == "shift_invert_window" and es.lu_solves == lu.solves == sign_steps
+        assert es.cholesky_solves > 0
         assert len(inertia) == (es.count_certificate == "inertia")
         b = np.linspace(-1.0, 1.0, h.dim)
         x = lu.solve(b)
@@ -218,7 +222,7 @@ def test_narrow_bracket_counts_match_the_dense_count(angular):
     dense = np.linalg.eigvalsh(h.to_dense())
     routes = set()
     for sigma in WEAK_SHIFTS:
-        count = _window_count(ab, sigma, BandLU(ab, sigma))
+        count = _window_count(ab, sigma, BandLU(ab, sigma), _channel_tridiagonal(ab))
         k_lo, k_hi = count.bracket
         assert k_hi - k_lo <= 1, sigma
         assert count.n == int(np.sum(dense < sigma)), sigma
@@ -245,11 +249,13 @@ def test_det_sign_is_the_parity_of_the_count_below_the_shift(angular):
 def test_det_sign_declines_a_complex_phase_off_the_real_axis():
     h = coupled_model(lambda t: np.cos(t) + 0.5 * np.sin(2 * t), amp=WEAK)
     ab = h.to_band()[0]
-    assert _window_count(ab, 0.8, BandLU(ab, 0.8)).certificate == "weyl_determinant_sign"
+    channels = _channel_tridiagonal(ab)
+    assert _window_count(ab, 0.8, BandLU(ab, 0.8), channels).certificate \
+        == "weyl_determinant_sign"
     lu = BandLU(ab, 0.8)
     lu.lu[2 * lu.kd, 0] *= np.exp(0.5j)
     assert lu.det_sign() is None
-    count = _window_count(ab, 0.8, lu)
+    count = _window_count(ab, 0.8, lu, channels)
     assert count.certificate == "inertia" and count.bracket == (0, 1)
     assert count.n == int(np.sum(np.linalg.eigvalsh(h.to_dense()) < 0.8))
 
@@ -263,7 +269,7 @@ def test_a_top_next_to_an_eigenvalue_declines_the_sign(angular):
     h = coupled_model(angular, amp=WEAK)
     ab = h.to_band()[0]
     top = np.linalg.eigvalsh(h.to_dense())[6] + 1e-13
-    count = _window_count(ab, top, BandLU(ab, top))
+    count = _window_count(ab, top, BandLU(ab, top), _channel_tridiagonal(ab))
     assert count.bracket[1] == count.bracket[0] + 1
     assert count.certificate == "inertia"
     lu = BandLU(ab, top)
@@ -273,15 +279,14 @@ def test_a_top_next_to_an_eigenvalue_declines_the_sign(angular):
 @both_couplings
 @pytest.mark.parametrize("upper, margin, true_end, message", [
     (1.2, 0.06, 0, "found 5 eigenvalues below 1.26; the weyl_determinant_sign count is 6"),
-    (0.75, 0.05, 1, "the weyl_determinant_sign count 0 is short"),
+    (0.75, 0.05, 1, "found 1 eigenvalues below 0.8; the weyl_determinant_sign count is 0"),
 ], ids=["over_claim", "under_claim"])
 def test_a_flipped_determinant_sign_raises_instead_of_a_short_window(
         angular, upper, margin, true_end, message, monkeypatch):
     # below top 1.26 lie as many eigenvalues as the bracket's bottom, below
     # top 0.8 as many as its top: a flipped sign claims the other end, and
-    # the sweep (which cannot find a pair that is not there) or the band
-    # Cholesky under its lowest pair (which sees the pair the sweep was not
-    # asked for) must raise
+    # the sweep, asked for the bracket's top many lowest pairs, finds one
+    # pair fewer or one more below the top than the count claims and raises
     h = coupled_model(angular, amp=WEAK)
     es = _windowed_eigensystem(h, upper, margin)
     assert es.count_certificate == "weyl_determinant_sign"
@@ -290,6 +295,44 @@ def test_a_flipped_determinant_sign_raises_instead_of_a_short_window(
     monkeypatch.setattr(BandLU, "det_sign", lambda self: -sign(self))
     with pytest.raises(RuntimeError, match=message):
         _windowed_eigensystem(h, upper, margin)
+
+
+@both_couplings
+def test_a_sweep_that_drops_its_lowest_pair_raises(angular, monkeypatch):
+    # must-fail twin of the c == N check: a driver that loses the lowest pair
+    # (returned short, or replaced by the next pair up) must not yield a
+    # window one pair short
+    from fluxlab import spectral
+    h = coupled_model(angular, amp=WEAK)
+    assert _windowed_eigensystem(h, 1.2, 0.06).k > 0
+    driver = spectral._shift_invert_lanczos
+
+    def short(a, factor, k):
+        vals, vecs = driver(a, factor, k)
+        return vals[1:], vecs[:, 1:]
+
+    def shifted(a, factor, k):
+        vals, vecs = driver(a, factor, k + 1)
+        return vals[1:], vecs[:, 1:]
+
+    monkeypatch.setattr(spectral, "_shift_invert_lanczos", short)
+    with pytest.raises(RuntimeError, match="converged to"):
+        _windowed_eigensystem(h, 1.2, 0.06)
+    monkeypatch.setattr(spectral, "_shift_invert_lanczos", shifted)
+    with pytest.raises(RuntimeError, match="window solve found"):
+        _windowed_eigensystem(h, 1.2, 0.06)
+
+
+@both_couplings
+def test_the_sweep_shift_lies_below_the_spectrum_and_the_lu_only_signs(angular):
+    # the sweep runs at Weyl's shift, at or below the dense lambda_min; on
+    # the weyl_determinant_sign route the band LU makes exactly the two
+    # inverse-power solves that vet its sign, and the Cholesky factor the rest
+    h = coupled_model(angular, amp=WEAK)
+    es = diagonalize(h, window_upper=1.2)
+    assert es.count_certificate == "weyl_determinant_sign"
+    assert es.lu_solves == 2 and es.cholesky_solves > 0
+    assert es.sweep_shift <= np.linalg.eigvalsh(h.to_dense())[0]
 
 
 def band_to_dense(ab):

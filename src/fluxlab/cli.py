@@ -218,13 +218,20 @@ def _assemble_from_config(cfg: RunConfig):
 
 def _window(cfg: RunConfig, h, w, lowest):
     """The window [e0, E0]: e0 is H's lowest eigenvalue ``lowest`` when it
-    lies at or below E0; otherwise (also when ``lowest`` is None) e0 = E0,
-    and the window holds no eigenvalue."""
-    from .spectral import make_window
+    lies at or below E0; otherwise e0 = E0, the window holds no eigenvalue,
+    and delta0 defaults to 0.1 (lowest - E0), a tenth of the gap up to the
+    spectrum.  ``lowest`` is None when the window solve found no eigenvalue;
+    it is then solved for (:func:`~fluxlab.spectral.lowest_eigenvalue`)."""
+    from .spectral import lowest_eigenvalue, make_window
     e_upper = cfg.get_float("window.E0", required=True)
-    e0 = e_upper if lowest is None else min(lowest, e_upper)
+    delta0 = cfg.get_float("window.delta0")
+    if lowest is None:
+        lowest = lowest_eigenvalue(h.to_band()[0]).value
+    e0 = min(lowest, e_upper)
+    if lowest > e_upper and delta0 is None:
+        delta0 = 0.1 * (lowest - e_upper)
     try:
-        return make_window(h, e0, e_upper, delta0=cfg.get_float("window.delta0"),
+        return make_window(h, e0, e_upper, delta0=delta0,
                            envelope=w.envelope if w is not None else None)
     except ValueError as exc:
         raise ConfigError("window.delta0", str(exc)) from None
@@ -234,10 +241,11 @@ def _window_solve_constants(eigensys) -> dict:
     """The window solve's diagnostics, for the manifest constants of every
     subcommand that runs it: route, count certificate, Weyl's bracket and
     the coupling bound it rests on (null on the per-channel route), pair
-    count, the band LU's storage and the count's solves with it, the
-    sweep's shift below the spectrum and its band Cholesky solves (0 or
-    null on the per-channel route), the largest residual, and |H|_inf, the
-    scale of its 1e-9 contract."""
+    count, the band LU's storage and the count's solves with it (0 unless
+    Weyl's bracket is one wide), the sweep's shift below the spectrum, that
+    shift's route (trial or weyl) and its band Cholesky solves (0 or null
+    on the per-channel route), the largest residual, and |H|_inf, the scale
+    of its 1e-9 contract."""
     bracket = eigensys.weyl_bracket
     return {
         "solver": eigensys.method,
@@ -248,6 +256,7 @@ def _window_solve_constants(eigensys) -> dict:
         "factor_nnz": eigensys.factor_nnz,
         "lu_solves": eigensys.lu_solves,
         "sweep_shift": eigensys.sweep_shift,
+        "sweep_shift_route": eigensys.sweep_shift_route,
         "cholesky_solves": eigensys.cholesky_solves,
         "residual_max": eigensys.residual_max,
         "norm_inf": eigensys.norm_h,
@@ -416,7 +425,7 @@ def _run_validate_weights(cfg, out_dir):
     report, constants = {}, {
         "e0": window.e0, "c0": window.c0, "E_tilde": window.e_tilde,
         "e0_solver": lowest.method, "e0_lower_bound": lowest.lower_bound,
-        "e0_cholesky_solves": lowest.cholesky_solves,
+        "e0_cholesky_solves": lowest.cholesky_solves, "e0_shift_route": lowest.shift_route,
         "e0_channel": e0_channel, "e0_channel_outermost": abs(e0_channel) == j_max,
     }
     all_pass = True
@@ -437,6 +446,9 @@ def _run_validate_weights(cfg, out_dir):
                 "lipschitz_worst_excess": validation.lipschitz_worst_excess,
             },
             "twisted_gap": {"lambda_min": gap.lambda_min,
+                            "lower_bound": gap.lower_bound,
+                            "shift_route": gap.shift_route,
+                            "cholesky_solves": gap.cholesky_solves,
                             "threshold": gap.threshold,
                             "slack": gap.slack, "passed": gap.passed},
             "passed": bool(validation.passed and gap.passed),

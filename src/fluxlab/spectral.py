@@ -15,14 +15,17 @@ inverse iteration and a Rayleigh-Ritz step, see
 :func:`~fluxlab.grid.tridiagonal_eigenpairs`).  The window is the bottom
 of the spectrum, so coupled H, in its node-major band order, takes
 shift-inverted Lanczos on one band Cholesky factor (:class:`BandCholesky`)
-at a shift that Weyl's inequality puts below the spectrum
-(:func:`_lowest_pairs`), and keeps the pairs below the top.  Their number
-must equal the count, which is certified exactly (:func:`_window_count`):
-Weyl's inequality brackets it by two Sturm counts of the channel
-tridiagonals at the top shifted by the coupling bound, the determinant sign
-of a pivoted band LU (:class:`BandLU`) at the top settles a bracket one
-wide, and only a wider bracket, or a sign too close to singular to trust,
-takes SuperLU's inertia count (:class:`ShiftedFactor`).  A sweep of dim - 1
+at a shift below the spectrum that the factor itself certifies: a trial
+shift next to the channel tridiagonals' lowest eigenvalue, which bounds
+H's from above, and Weyl's shift below the spectrum when the trial factor
+is declined (:func:`_lowest_pairs`).  It keeps the pairs below the top.
+Their number must equal the count, which is certified exactly
+(:func:`_window_count`): Weyl's inequality brackets it by two Sturm counts
+of the channel tridiagonals at the top shifted by the coupling bound, the
+determinant sign of a pivoted band LU (:class:`BandLU`), built at the top
+only for it, settles a bracket one wide, and only a wider bracket, or a
+sign too close to singular to trust, takes SuperLU's inertia count
+(:class:`ShiftedFactor`).  A sweep of dim - 1
 or more pairs, which ARPACK cannot return, is solved densely instead: that
 is how a top above |H|_inf gives the whole spectrum.  The eigenvectors
 return to channel-major order once, after the sweep.  Repeated runs are
@@ -35,8 +38,9 @@ eigenvalue as an upper bound, certified over the other channels by one
 LDL^T sweep that bisects only a channel whose pivot fails, and, when W
 couples the channels, the window sweep's route for a single pair, whose
 residual must meet the same 1e-9 max(1, |A|) contract as the window
-solve's pairs.  Every Lanczos run stops after ``SWEEP_RESTARTS`` ARPACK
-restarts (:func:`_shift_invert_lanczos`).
+solve's pairs; the factor's shift is the certified lower bound.  Every
+Lanczos run stops after ``SWEEP_RESTARTS`` ARPACK restarts
+(:func:`_shift_invert_lanczos`).
 
 An :class:`EigenSystem` stores its eigenvectors only in blocks
 (:class:`BasisBlock`) whose rows tile the flat index: the per-channel route
@@ -87,6 +91,7 @@ WINDOW_MARGIN = 0.05    # a window solve to E0 covers E0 + WINDOW_MARGIN max(1, 
 RANK_ZERO_WARNING = "spectral window selected no eigenvalues (rank-0 projection)"
 PANEL_ROWS = 1024       # rows of a block one GEMM writes in block_product's V x
 SWEEP_RESTARTS = 1000   # ARPACK restarts after which a shift-inverted Lanczos run stops short
+TRIAL_SHIFT_DIVISOR = 64    # the trial shift lies (w + guard) / 64 below t (_lowest_pairs)
 PHASE_TOL = 1e-6        # a complex determinant's phase must lie this close to 0 or pi
 EPS = float(np.finfo(float).eps)
 
@@ -317,6 +322,7 @@ class EigenSystem:
     factor_nnz: int = 0             # entries the window's band LU stores, 0 without one
     lu_solves: int = 0              # solves of that LU: the count's inverse-power steps
     sweep_shift: Optional[float] = None     # the shift below H's spectrum of the sweep
+    sweep_shift_route: Optional[str] = None     # trial or weyl: where that shift came from
     cholesky_solves: int = 0        # solves of the sweep's band Cholesky factor there
     weyl_bracket: Optional[Tuple[int, int]] = None  # Weyl's bounds on a coupled window count
     coupling_bound: Optional[float] = None      # w, the bound on |W_off|_2 they rest on
@@ -558,19 +564,20 @@ class BandCholesky:
         return self._pbtrs(self.factor, b)[0]
 
 
-def _shift_invert_lanczos(a: LinearOperator, factor: BandCholesky,
-                          k: int) -> Tuple[np.ndarray, np.ndarray]:
+def _shift_invert_lanczos(a: LinearOperator, factor: BandCholesky, k: int,
+                          ncv: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
     """The k eigenpairs of the Hermitian ``a`` nearest the ``sigma`` of
     ``factor``, ascending, by shift-inverted Lanczos (Ericsson & Ruhe, Math.
     Comp. 35, 1980) on the factor's solves.  The run starts from
     (1, ..., 1) / sqrt(n) and stops after ``SWEEP_RESTARTS`` restarts with
-    the pairs converged by then, which may be fewer than k."""
+    the pairs converged by then, which may be fewer than k.  ``ncv`` is the
+    number of Lanczos vectors, ARPACK's default when None."""
     n = a.shape[0]
     op_inv = LinearOperator(a.shape, matvec=factor.solve, dtype=a.dtype)
     try:
         vals, vecs = eigsh(a, k=k, sigma=factor.sigma, which="LM",
                            v0=np.full(n, 1.0 / np.sqrt(n)), OPinv=op_inv,
-                           maxiter=SWEEP_RESTARTS)
+                           ncv=ncv, maxiter=SWEEP_RESTARTS)
     except ArpackNoConvergence as exc:
         vals, vecs = np.real(exc.eigenvalues), exc.eigenvectors
     ascending = np.argsort(vals, kind="stable")
@@ -665,54 +672,76 @@ def _lowest_pairs(ab: np.ndarray, channels, k: int):
     """The k >= 1 lowest eigenpairs of a Hermitian band A laid out as
     :meth:`BlockHamiltonian.to_band` lays out a coupled H: their values,
     ascending, vectors and residuals |A v - lambda v| / |v|, the band
-    Cholesky factor whose solves found them, and D's
-    :class:`_TridiagonalLowest`.
+    Cholesky factor whose solves found them, its shift's route (``trial``
+    or ``weyl``), and D's :class:`_TridiagonalLowest`.
 
     ``channels`` is :func:`_channel_tridiagonal` of ``ab``: A = D + W_off
-    with |W_off|_2 <= w, so Weyl's inequality puts every eigenvalue of A at
-    or above sigma = t - w - guard, t the lowest eigenvalue of D.  The
-    guard, 1e-9 max(1, |A|_inf), covers ``?stebz``'s tolerance many times
-    over and keeps lambda_min - sigma far above the factor's pivot floor.
-    The factor of A - sigma I certifies the shift (a failure means a theorem
-    failed, and raises), and shift-inverted Lanczos on its solves returns
-    the k pairs nearest sigma, the k lowest; fewer converged pairs raise.
+    with |W_off|_2 <= w, and t, the lowest eigenvalue of D, bounds
+    lambda_min(A) from above (D's channel-pure lowest eigenvector has
+    Rayleigh quotient t in A too).  With g = 1e-9 max(1, |A|_inf), which
+    covers ``?stebz``'s tolerance many times over, Weyl's inequality puts
+    every eigenvalue of A at or above sigma_W = t - w - g.  The
+    shift is first tried at sigma_try = t - (w + g) / ``TRIAL_SHIFT_DIVISOR``,
+    next to lambda_min: shift-inverted Lanczos converges at the rate
+    (lambda_1 - sigma) / (lambda_2 - sigma), so a close shift needs far
+    fewer solves.  A band Cholesky factor of A - sigma_try I that completes
+    proves sigma_try < lambda_min (``trial``); one that is indefinite or
+    trips its pivot floor declines the trial, and the factor is built at
+    sigma_W instead (``weyl``), where a failure means a theorem failed, and
+    raises.  Either way the returned factor's shift is a certified lower
+    bound on lambda_min.  Shift-inverted Lanczos on its solves returns the
+    k pairs nearest the shift, the k lowest; fewer converged pairs raise.
     A k of dim - 1 or more, which ARPACK cannot return, is solved densely.
     """
     tri, w, norm = channels
     low = _tridiagonal_lowest(tri)
-    sigma = low.value - w - 1e-9 * max(1.0, norm)
-    factor = BandCholesky(ab, sigma)
-    if not factor.positive_definite:
-        raise RuntimeError(f"A - {sigma:.17g} I is not positive definite, yet Weyl's "
-                           "inequality bounds lambda_min(A) below by that shift")
+    spread = w + 1e-9 * max(1.0, norm)
+    try:
+        factor = BandCholesky(ab, low.value - spread / TRIAL_SHIFT_DIVISOR)
+    except RuntimeError:            # completed, but past its pivot floor
+        factor = None
+    route = "trial"
+    if factor is None or not factor.positive_definite:
+        del factor
+        route, sigma = "weyl", low.value - spread
+        factor = BandCholesky(ab, sigma)
+        if not factor.positive_definite:
+            raise RuntimeError(f"A - {sigma:.17g} I is not positive definite, yet Weyl's "
+                               "inequality bounds lambda_min(A) below by that shift")
     a = _band_operator(ab)
     if k >= ab.shape[1] - 1:
         vals, vecs = scipy.linalg.eigh(_band_to_csc(ab).toarray(), subset_by_index=(0, k - 1))
     else:
-        vals, vecs = _shift_invert_lanczos(a, factor, k)
+        # next to lambda_min one pair converges in a basis of 3 Lanczos
+        # vectors; from Weyl's shift, or for more pairs, a smaller basis
+        # than ARPACK's default takes more solves
+        vals, vecs = _shift_invert_lanczos(a, factor, k,
+                                           3 if k == 1 and route == "trial" else None)
         if vals.size < k:
-            raise RuntimeError(f"shift-inverted Lanczos at {sigma:.17g} converged to "
+            raise RuntimeError(f"shift-inverted Lanczos at {factor.sigma:.17g} converged to "
                                f"{vals.size} of {k} eigenpairs within {SWEEP_RESTARTS} "
                                "restarts")
     r = a @ vecs - vecs * vals[None, :]
     residuals = np.sqrt(np.sum(np.abs(r) ** 2, axis=0) / np.sum(np.abs(vecs) ** 2, axis=0))
-    return vals, vecs, residuals, factor, low
+    return vals, vecs, residuals, factor, route, low
 
 
 class LowestEigenvalue(NamedTuple):
     """A band matrix's lowest eigenvalue, a certified lower bound on it, the
     route (``channel_tridiagonal`` or ``band_cholesky_lanczos``), the
     channel whose tridiagonal holds the channel tridiagonals' lowest
-    eigenvalue t, and the band Cholesky factor's solves (0 on the
-    tridiagonal route).  The bound is Weyl's shift, certified by that
-    factor, on the coupled route, and the bisected t less its tolerance on
-    the tridiagonal one."""
+    eigenvalue t, the band Cholesky factor's solves (0 on the tridiagonal
+    route), and the route of that factor's shift (``trial`` or ``weyl``,
+    None on the tridiagonal route).  The bound is that shift, certified by
+    the factor, on the coupled route, and the bisected t less its tolerance
+    on the tridiagonal one."""
 
     value: float
     lower_bound: float
     method: str
     channel: int
     cholesky_solves: int
+    shift_route: Optional[str]
 
 
 def lowest_eigenvalue(ab: np.ndarray) -> LowestEigenvalue:
@@ -733,8 +762,9 @@ def lowest_eigenvalue(ab: np.ndarray) -> LowestEigenvalue:
     gives on that channel in (t - g, t + g], g = 16 eps max(1, |A|_inf):
     one inverse-iteration vector, and on H the e0 the window solve gives.
     Otherwise the value is the k = 1 case of :func:`_lowest_pairs`, the
-    window sweep's route, and its certified shift the lower bound; a
-    residual above 1e-9 max(1, |A|_inf) raises.
+    window sweep's route, and the shift of its band Cholesky factor, the
+    trial shift next to t when that factor completes and Weyl's otherwise,
+    the lower bound; a residual above 1e-9 max(1, |A|_inf) raises.
     """
     channels = _channel_tridiagonal(ab)
     tri, _, norm = channels
@@ -745,31 +775,34 @@ def lowest_eigenvalue(ab: np.ndarray) -> LowestEigenvalue:
         ritz = tridiagonal_eigenpairs(tri[1, low.rows].real, np.abs(tri[0, low.rows][1:]),
                                       low.value - guard, low.value + guard)[0]
         return LowestEigenvalue(float(ritz[0]), low.value - 4 * EPS * scale,
-                                "channel_tridiagonal", low.block, 0)
-    vals, _, (res,), factor, low = _lowest_pairs(ab, channels, 1)
+                                "channel_tridiagonal", low.block, 0, None)
+    vals, _, (res,), factor, route, low = _lowest_pairs(ab, channels, 1)
     if res > 1e-9 * scale:
         raise RuntimeError(f"lowest eigenpair residual {res:.3e} exceeds "
                            f"1e-9 max(1, |A|) = {1e-9 * scale:.3e}")
     return LowestEigenvalue(float(vals[0]), factor.sigma, "band_cholesky_lanczos",
-                            low.block, factor.solves)
+                            low.block, factor.solves, route)
 
 
 class WindowCount(NamedTuple):
     """The number of eigenvalues of A below a shift, the certificate that
     fixes it (``weyl``, ``weyl_determinant_sign`` or ``inertia``), Weyl's
-    bracket (k_lo, k_hi) around it, and the coupling bound w of that bracket."""
+    bracket (k_lo, k_hi) around it, the coupling bound w of that bracket,
+    and the band LU whose determinant sign was read (None when the bracket
+    is not one wide)."""
 
     n: int
     certificate: str
     bracket: Tuple[int, int]
     coupling_bound: float
+    lu: Optional[BandLU] = None
 
 
-def _window_count(ab: np.ndarray, top: float, factor: BandLU, channels) -> WindowCount:
+def _window_count(ab: np.ndarray, top: float, channels) -> WindowCount:
     """The number of eigenvalues of the Hermitian band A below ``top``.
 
-    ``ab`` is in the layout of :meth:`BlockHamiltonian.to_band`, ``factor``
-    the :class:`BandLU` of A - top I, and ``channels`` the
+    ``ab`` is in the layout of :meth:`BlockHamiltonian.to_band` and
+    ``channels`` the
     :func:`_channel_tridiagonal` of ``ab``: A = D + W_off with D the channel
     tridiagonals and |W_off|_2 <= w.  So Weyl's inequality (Math. Ann. 71,
     1912) brackets the count between k_lo = N_D(top - w - g) and
@@ -779,7 +812,9 @@ def _window_count(ab: np.ndarray, top: float, factor: BandLU, channels) -> Windo
     :func:`_lowest_pairs`, which covers the counts' rounding.
 
     - k_lo == k_hi: that is the count (``weyl``).
-    - k_hi == k_lo + 1: the sign of det(A - top I), (-1)^count, picks the end
+    - k_hi == k_lo + 1: the sign of det(A - top I), (-1)^count, read off a
+      band LU of A - top I built here through the name ``splu``
+      (:class:`BandLU`), picks the end
       of the bracket with its parity (``weyl_determinant_sign``).  The
       factor's sign is the exact one of a matrix within rounding of
       A - top I, so it is A's own only if no eigenvalue lies near top: the
@@ -798,19 +833,21 @@ def _window_count(ab: np.ndarray, top: float, factor: BandLU, channels) -> Windo
     bracket = (int(k_lo), int(k_hi))
     if k_lo == k_hi:
         return WindowCount(k_lo, "weyl", bracket, w)
-    if k_hi == k_lo + 1:
-        sign = factor.det_sign()
-        if sign is not None:
-            # two inverse-power steps from a fixed pseudo-random unit vector:
-            # |x| is a lower bound on |(A - top I)^-1|_2, close to it unless
-            # the start is nearly orthogonal to the eigenvector nearest top
-            x = np.random.default_rng(0).standard_normal(ab.shape[1])
-            for _ in range(2):
-                x = factor.solve(x / np.linalg.norm(x))
-            if np.linalg.norm(x) < 1.0 / g:
-                n = k_lo if sign == (-1) ** k_lo else k_hi
-                return WindowCount(n, "weyl_determinant_sign", bracket, w)
-    return WindowCount(ShiftedFactor(ab, top).n_below, "inertia", bracket, w)
+    if k_hi != k_lo + 1:
+        return WindowCount(ShiftedFactor(ab, top).n_below, "inertia", bracket, w)
+    lu = splu(ab, top)
+    sign = lu.det_sign()
+    if sign is not None:
+        # two inverse-power steps from a fixed pseudo-random unit vector:
+        # |x| is a lower bound on |(A - top I)^-1|_2, close to it unless
+        # the start is nearly orthogonal to the eigenvector nearest top
+        x = np.random.default_rng(0).standard_normal(ab.shape[1])
+        for _ in range(2):
+            x = lu.solve(x / np.linalg.norm(x))
+        if np.linalg.norm(x) < 1.0 / g:
+            n = k_lo if sign == (-1) ** k_lo else k_hi
+            return WindowCount(n, "weyl_determinant_sign", bracket, w, lu)
+    return WindowCount(ShiftedFactor(ab, top).n_below, "inertia", bracket, w, lu)
 
 
 def _windowed_eigensystem(h: BlockHamiltonian, upper: float,
@@ -819,8 +856,9 @@ def _windowed_eigensystem(h: BlockHamiltonian, upper: float,
 
     H's channel tridiagonals, read once (:func:`_channel_tridiagonal`), give
     Weyl's bracket (k_lo, k_hi) on the count N below the top and the shift
-    below the spectrum.  A band LU at the top (:class:`BandLU`) serves only
-    the count (:func:`_window_count`) and is released once N is fixed.  The
+    below the spectrum.  A band LU at the top (:class:`BandLU`), built only
+    for a bracket one wide, serves only the count (:func:`_window_count`)
+    and is released once N is fixed.  The
     sweep asks :func:`_lowest_pairs`, the route of :func:`lowest_eigenvalue`,
     for the k_hi lowest pairs (at least one) and keeps those below the top:
     exactly N, each with residual at most 1e-9 |H|_inf.  Those k_hi pairs
@@ -832,16 +870,15 @@ def _windowed_eigensystem(h: BlockHamiltonian, upper: float,
     ab, order = h.to_band()
     channels = _channel_tridiagonal(ab)
     norm_h = channels[2]
-    lu = splu(ab, top)
-    count = _window_count(ab, top, lu, channels)
-    lu_nnz, lu_solves = lu.nnz, lu.solves
+    count = _window_count(ab, top, channels)
+    lu_nnz, lu_solves = (0, 0) if count.lu is None else (count.lu.nnz, count.lu.solves)
     k = max(count.bracket[1], 1)
     # the LU is released before the sweep's factor is built, and the output
     # is allocated first, so the LU's memory comes free as one block (which
     # evolve's state array reuses) rather than split by a long-lived array
     vecs = np.empty((h.dim, k), dtype=ab.dtype, order="F")
-    del lu
-    vals, band_vecs, residuals, factor, _ = _lowest_pairs(ab, channels, k)
+    count = count._replace(lu=None)
+    vals, band_vecs, residuals, factor, route, _ = _lowest_pairs(ab, channels, k)
     found = int(np.count_nonzero(vals < top))
     if found != count.n:
         raise RuntimeError(f"window solve found {found} eigenvalues below {top:g}; "
@@ -859,7 +896,7 @@ def _windowed_eigensystem(h: BlockHamiltonian, upper: float,
         method="dense" if k >= h.dim - 1 else "shift_invert_window",
         blocks=(BasisBlock(slice(0, h.dim), np.arange(found), vecs),),
         factor_nnz=lu_nnz, lu_solves=lu_solves,
-        sweep_shift=factor.sigma, cholesky_solves=factor.solves,
+        sweep_shift=factor.sigma, sweep_shift_route=route, cholesky_solves=factor.solves,
         count_certificate=count.certificate, weyl_bracket=count.bracket,
         coupling_bound=count.coupling_bound,
     )

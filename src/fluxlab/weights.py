@@ -272,6 +272,8 @@ class TwistedGapReport:
     threshold: float              # E0 + delta0 / 2
     slack: float
     passed: bool
+    shift_route: Optional[str]    # trial or weyl: the lower bound's shift; None when uncoupled
+    cholesky_solves: int          # solves of the band Cholesky factor at that shift
 
 
 def twisted_gap_check(h: BlockHamiltonian, weight: WeightSequence,
@@ -289,9 +291,10 @@ def twisted_gap_check(h: BlockHamiltonian, weight: WeightSequence,
     above the shift passes with no further work.  Otherwise the band
     Cholesky factorization of the operator minus the shift decides: it
     completes iff no eigenvalue lies below the shift.  On a coupled band the
-    bound is Weyl's sigma, where the factor completed, and a factor at any
-    shift <= sigma completes too, with pivots no smaller, so the verdict is
-    the one the factor at the shift gives.
+    bound is the shift sigma where the factor of the Lanczos run completed,
+    the trial shift next to the channel tridiagonals' minimum or else
+    Weyl's, and a factor at any shift <= sigma completes too, with pivots no
+    smaller, so the verdict is the one the factor at the shift gives.
     """
     ab, order = h.to_band()
     kd = ab.shape[0] - 1
@@ -307,7 +310,8 @@ def twisted_gap_check(h: BlockHamiltonian, weight: WeightSequence,
     passed = lowest.lower_bound >= shift or BandCholesky(ab, shift).positive_definite
     return TwistedGapReport(lambda_min=lowest.value, lower_bound=lowest.lower_bound,
                             threshold=threshold, slack=lowest.value - threshold,
-                            passed=passed)
+                            passed=passed, shift_route=lowest.shift_route,
+                            cholesky_solves=lowest.cholesky_solves)
 
 
 @dataclass

@@ -190,11 +190,32 @@ def test_validate_weights_on_an_empty_window_sets_e0_to_E0(tmp_path):
     assert manifest["warnings"] == [
         "spectral window selected no eigenvalues (rank-0 projection)"]
     # the report bytes for this config; they pin both twisted lambda_min,
-    # the Ritz values that polish the tridiagonal route's bisected minimum
+    # the Ritz values that polish the tridiagonal route's bisected minimum,
+    # and their lower bounds
     report = (out / "weights_report.json").read_bytes()
     assert json.loads(report)["all_passed"]
     assert hashlib.sha256(report).hexdigest() \
-        == "9ebab0f9f9cc70812eb478d3254babf0c375e9968fd197dd811faba453f969fb"
+        == "c840bca8fe6aa32a4db47987e78f7ccb4c175af67a51f56b82dc66cdc55c594b"
+
+
+def test_an_empty_window_without_delta0_takes_a_tenth_of_the_gap_to_the_spectrum(tmp_path):
+    # below the lowest Landau level, about 2, with no window.delta0: e0 = E0,
+    # so 0.1 (E0 - e0) would be 0, and delta0 is 0.1 (lambda_min - E0)
+    # instead; every window subcommand exits 0 with the rank-0 warning
+    text = BASE_CFG.replace("window.E0 = 3.0", "window.E0 = 1.0")
+    cfg = write_cfg(tmp_path, text)
+    for command in ("spectrum", "project", "tunnel", "validate-weights", "evolve"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0, command
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["warnings"] == [
+            "spectral window selected no eigenvalues (rank-0 projection)"], command
+        constants = manifest["constants"]
+        assert constants["e0"] == 1.0, command
+        if "delta0" in constants:
+            assert constants["delta0"] == pytest.approx(0.1, rel=1e-3), command
+        if "E_tilde" in constants:
+            assert constants["E_tilde"] == pytest.approx(1.1, rel=1e-3), command
 
 
 def test_lowest_eigenvalue_just_above_E0_leaves_the_window_empty(tmp_path):
@@ -297,7 +318,7 @@ def test_coupled_windows_are_counted_by_weyl_and_the_determinant_sign(tmp_path, 
 
 WINDOW_SOLVE_KEYS = ("solver", "count_certificate", "weyl_bracket", "coupling_bound",
                      "n_eigenvalues", "factor_nnz", "lu_solves", "sweep_shift",
-                     "cholesky_solves", "residual_max", "norm_inf")
+                     "sweep_shift_route", "cholesky_solves", "residual_max", "norm_inf")
 
 
 @pytest.mark.parametrize("text, certificate", [(COUPLED_CFG, "weyl_determinant_sign"),
@@ -320,7 +341,7 @@ def test_every_window_subcommand_writes_the_window_solve_diagnostics(tmp_path, t
     assert diagnostics["count_certificate"] == certificate
     if certificate == "channel_sturm":
         assert diagnostics["weyl_bracket"] is diagnostics["coupling_bound"] \
-            is diagnostics["sweep_shift"] is None
+            is diagnostics["sweep_shift"] is diagnostics["sweep_shift_route"] is None
         assert diagnostics["factor_nnz"] == diagnostics["lu_solves"] \
             == diagnostics["cholesky_solves"] == 0
     else:
@@ -328,8 +349,28 @@ def test_every_window_subcommand_writes_the_window_solve_diagnostics(tmp_path, t
         # the LU's only solves are the determinant sign's inverse-power steps
         assert diagnostics["factor_nnz"] > 0 and diagnostics["lu_solves"] == 2
         assert diagnostics["cholesky_solves"] > 0
+        assert diagnostics["sweep_shift_route"] == "trial"
         assert diagnostics["sweep_shift"] < json.loads(
             (tmp_path / "spectrum" / "manifest.json").read_text())["constants"]["e0"]
+
+
+def test_validate_weights_runs_each_lanczos_from_the_trial_shift(tmp_path):
+    # e0's Lanczos run and each twisted check's start from a trial shift next
+    # to the channel tridiagonals' minimum, which its band Cholesky factor
+    # certifies: one pair then converges in 8 solves (21 from Weyl's shift),
+    # so a silent return to Weyl's shift breaks the budget
+    out = tmp_path / "out"
+    assert run("validate-weights", write_cfg(tmp_path, COUPLED_CFG), str(out)) == 0
+    constants = json.loads((out / "manifest.json").read_text())["constants"]
+    assert constants["e0_shift_route"] == "trial"
+    assert 0 < constants["e0_cholesky_solves"] <= 10
+    assert constants["e0_lower_bound"] <= constants["e0"]
+    report = json.loads((out / "weights_report.json").read_text())
+    for name in ("interior", "exterior"):
+        gap = report[name]["twisted_gap"]
+        assert gap["shift_route"] == "trial", name
+        assert 0 < gap["cholesky_solves"] <= 11, name
+        assert gap["threshold"] <= gap["lower_bound"] <= gap["lambda_min"], name
 
 
 @pytest.mark.parametrize("text", [LINEAR_CFG, REF_LINEAR_CFG], ids=["linear", "ref-linear"])

@@ -8,7 +8,8 @@ from fluxlab.flux import FluxProfile
 from fluxlab.grid import build_channel_operator, build_grid
 from fluxlab.spectral import (BandCholesky, BandLU, BasisBlock, BlockHamiltonian, EigenSystem,
                               ShiftedFactor, SpectralWindow, _channel_tridiagonal,
-                              _window_count, _windowed_eigensystem, assemble_hamiltonian,
+                              TRIAL_SHIFT_DIVISOR, _tridiagonal_lowest, _window_count,
+                              _windowed_eigensystem, assemble_hamiltonian,
                               channel_projection_norm, diagonalize, estimate_c0,
                               lowest_eigenvalue, spectral_projection)
 
@@ -174,11 +175,12 @@ def test_shifted_factor_rejects_untrustworthy_elimination():
 
 @both_couplings
 def test_window_factor_is_formed_in_band_order(angular, monkeypatch):
-    # one ?gbtrf of H's node-major band (kd = n_ch) at the top serves the
-    # count, in 3 kd + 1 stored rows: its only solves are the determinant
-    # sign's two inverse-power steps, and the sweep solves with the band
-    # Cholesky factor; SuperLU factors only when the count takes the
-    # inertia route
+    # a ?gbtrf of H's node-major band (kd = n_ch) at the top, in 3 kd + 1
+    # stored rows, is built only where Weyl's bracket is one wide and the
+    # count reads its determinant sign: its only solves are the sign's two
+    # inverse-power steps, and the sweep solves with the band Cholesky
+    # factor; a bracket zero wide (weyl) or wider (inertia) builds no LU,
+    # and SuperLU factors only when the count takes the inertia route
     from fluxlab import spectral
     factors, inertia = [], []
 
@@ -192,25 +194,31 @@ def test_window_factor_is_formed_in_band_order(angular, monkeypatch):
 
     monkeypatch.setattr(spectral, "splu", recording_splu)
     monkeypatch.setattr(spectral, "ShiftedFactor", recording_inertia)
-    for amp in (0.3, WEAK):
+    certificates = set()
+    for amp, top in ((0.3, 1.26), (WEAK, 1.26), (WEAK, 1.05)):
         factors.clear()
         inertia.clear()
         h = coupled_model(angular, amp=amp)
-        es = diagonalize(h, window_upper=1.2)
+        es = _windowed_eigensystem(h, top - 0.05, 0.05)
+        certificates.add(es.count_certificate)
+        assert es.method == "shift_invert_window" and es.cholesky_solves > 0
+        assert len(inertia) == (es.count_certificate == "inertia")
+        k_lo, k_hi = es.weyl_bracket
+        if k_hi != k_lo + 1:
+            assert factors == [] and es.factor_nnz == es.lu_solves == 0
+            continue
         (lu,) = factors
         ab = h.to_band()[0]
         kd = ab.shape[0] - 1
         assert kd == h.n_ch
         assert lu.lu.shape == (3 * kd + 1, h.dim)
         assert es.factor_nnz == (3 * kd + 1) * h.dim
-        sign_steps = 2 if es.count_certificate == "weyl_determinant_sign" else 0
-        assert es.method == "shift_invert_window" and es.lu_solves == lu.solves == sign_steps
-        assert es.cholesky_solves > 0
-        assert len(inertia) == (es.count_certificate == "inertia")
+        assert es.count_certificate == "weyl_determinant_sign" and es.lu_solves == lu.solves == 2
         b = np.linspace(-1.0, 1.0, h.dim)
         x = lu.solve(b)
         assert np.linalg.norm((band_to_dense(ab) - lu.sigma * np.eye(h.dim)) @ x - b) \
             <= 1e-10 * h.norm_inf() * np.linalg.norm(x)
+    assert certificates == {"inertia", "weyl_determinant_sign", "weyl"}
 
 
 @both_couplings
@@ -222,7 +230,7 @@ def test_narrow_bracket_counts_match_the_dense_count(angular):
     dense = np.linalg.eigvalsh(h.to_dense())
     routes = set()
     for sigma in WEAK_SHIFTS:
-        count = _window_count(ab, sigma, BandLU(ab, sigma), _channel_tridiagonal(ab))
+        count = _window_count(ab, sigma, _channel_tridiagonal(ab))
         k_lo, k_hi = count.bracket
         assert k_hi - k_lo <= 1, sigma
         assert count.n == int(np.sum(dense < sigma)), sigma
@@ -246,16 +254,17 @@ def test_det_sign_is_the_parity_of_the_count_below_the_shift(angular):
         assert list(lu.piv) == [1, 1] and lu.det_sign() == -1
 
 
-def test_det_sign_declines_a_complex_phase_off_the_real_axis():
+def test_det_sign_declines_a_complex_phase_off_the_real_axis(monkeypatch):
+    from fluxlab import spectral
     h = coupled_model(lambda t: np.cos(t) + 0.5 * np.sin(2 * t), amp=WEAK)
     ab = h.to_band()[0]
     channels = _channel_tridiagonal(ab)
-    assert _window_count(ab, 0.8, BandLU(ab, 0.8), channels).certificate \
-        == "weyl_determinant_sign"
+    assert _window_count(ab, 0.8, channels).certificate == "weyl_determinant_sign"
     lu = BandLU(ab, 0.8)
     lu.lu[2 * lu.kd, 0] *= np.exp(0.5j)
     assert lu.det_sign() is None
-    count = _window_count(ab, 0.8, lu, channels)
+    monkeypatch.setattr(spectral, "splu", lambda ab, sigma: lu)
+    count = _window_count(ab, 0.8, channels)
     assert count.certificate == "inertia" and count.bracket == (0, 1)
     assert count.n == int(np.sum(np.linalg.eigvalsh(h.to_dense()) < 0.8))
 
@@ -269,7 +278,7 @@ def test_a_top_next_to_an_eigenvalue_declines_the_sign(angular):
     h = coupled_model(angular, amp=WEAK)
     ab = h.to_band()[0]
     top = np.linalg.eigvalsh(h.to_dense())[6] + 1e-13
-    count = _window_count(ab, top, BandLU(ab, top), _channel_tridiagonal(ab))
+    count = _window_count(ab, top, _channel_tridiagonal(ab))
     assert count.bracket[1] == count.bracket[0] + 1
     assert count.certificate == "inertia"
     lu = BandLU(ab, top)
@@ -307,12 +316,12 @@ def test_a_sweep_that_drops_its_lowest_pair_raises(angular, monkeypatch):
     assert _windowed_eigensystem(h, 1.2, 0.06).k > 0
     driver = spectral._shift_invert_lanczos
 
-    def short(a, factor, k):
-        vals, vecs = driver(a, factor, k)
+    def short(a, factor, k, ncv):
+        vals, vecs = driver(a, factor, k, ncv)
         return vals[1:], vecs[:, 1:]
 
-    def shifted(a, factor, k):
-        vals, vecs = driver(a, factor, k + 1)
+    def shifted(a, factor, k, ncv):
+        vals, vecs = driver(a, factor, k + 1, ncv)
         return vals[1:], vecs[:, 1:]
 
     monkeypatch.setattr(spectral, "_shift_invert_lanczos", short)
@@ -431,11 +440,78 @@ def test_lowest_eigenvalue_matches_dense_from_a_certified_shift(angular):
     assert lowest.method == "band_cholesky_lanczos"
     # the window solve's residual contract
     assert abs(lowest.value - dense_min) <= 1e-9 * h.norm_inf()
-    # Weyl's shift lies below the spectrum, where the band Cholesky holds
+    # the factor's shift lies below the spectrum, where the band Cholesky holds
     assert lowest.lower_bound < dense_min
     assert BandCholesky(ab, lowest.lower_bound).positive_definite
     # must-fail twin: a shift above lambda_min is not positive definite
     assert not BandCholesky(ab, dense_min + 1e-6).positive_definite
+
+
+def trial_and_weyl_shifts(ab):
+    """The trial shift t - (w + g) / TRIAL_SHIFT_DIVISOR and Weyl's shift
+    t - w - g of a coupled band, g = 1e-9 max(1, |A|_inf)."""
+    from fluxlab import spectral
+    tri, w, norm = _channel_tridiagonal(ab)
+    t = _tridiagonal_lowest(tri).value
+    spread = w + 1e-9 * max(1.0, norm)
+    return t - spread / spectral.TRIAL_SHIFT_DIVISOR, t - spread
+
+
+@both_couplings
+@pytest.mark.parametrize("amp, route", [(0.3, "weyl"), (WEAK, "trial")])
+def test_the_lanczos_shift_is_certified_on_both_routes(angular, amp, route):
+    # weakly coupled, lambda_min lies within 1e-4 of the channel
+    # tridiagonals' minimum t and the trial shift holds; at amp 0.3
+    # t - lambda_min (0.015 real, 0.017 complex) exceeds (w + g) / 64
+    # (0.0046, 0.0069), the trial factor is indefinite and the shift falls
+    # back to Weyl's.  Either way the bound lies below the dense lambda_min,
+    # and the window sweep runs on the same factor's shift
+    h = coupled_model(angular, amp=amp)
+    ab = h.to_band()[0]
+    dense_min = float(np.linalg.eigvalsh(h.to_dense())[0])
+    lowest = lowest_eigenvalue(ab)
+    trial, weyl = trial_and_weyl_shifts(ab)
+    assert lowest.shift_route == route
+    assert lowest.lower_bound == (trial if route == "trial" else weyl)
+    assert lowest.lower_bound <= dense_min
+    assert abs(lowest.value - dense_min) <= 1e-9 * h.norm_inf()
+    es = diagonalize(h, window_upper=1.2)
+    assert (es.sweep_shift, es.sweep_shift_route) == (lowest.lower_bound, route)
+
+
+@both_couplings
+def test_a_trial_shift_above_t_is_never_the_bound(angular, monkeypatch):
+    # must-fail twin of the trial: with the divisor negated the trial shift
+    # lies above t >= lambda_min, its factor is indefinite, and the bound
+    # is Weyl's shift; a trial factor that trips its pivot floor is declined
+    # the same way, while a failure at Weyl's shift still raises
+    from fluxlab import spectral
+    h = coupled_model(angular, amp=WEAK)
+    ab = h.to_band()[0]
+    dense_min = float(np.linalg.eigvalsh(h.to_dense())[0])
+    assert lowest_eigenvalue(ab).shift_route == "trial"
+    monkeypatch.setattr(spectral, "TRIAL_SHIFT_DIVISOR", -TRIAL_SHIFT_DIVISOR)
+    trial, weyl = trial_and_weyl_shifts(ab)
+    assert trial > _tridiagonal_lowest(_channel_tridiagonal(ab)[0]).value
+    lowest = lowest_eigenvalue(ab)
+    assert lowest.shift_route == "weyl" and lowest.lower_bound == weyl <= dense_min
+    assert abs(lowest.value - dense_min) <= 1e-9 * h.norm_inf()
+
+    monkeypatch.setattr(spectral, "TRIAL_SHIFT_DIVISOR", TRIAL_SHIFT_DIVISOR)
+    init, floored = BandCholesky.__init__, []
+
+    def pivot_floor(self, ab, sigma):
+        if sigma in floored:
+            raise RuntimeError("Cholesky pivot below 1e-12 |A|")
+        init(self, ab, sigma)
+
+    monkeypatch.setattr(BandCholesky, "__init__", pivot_floor)
+    floored.append(trial_and_weyl_shifts(ab)[0])
+    lowest = lowest_eigenvalue(ab)
+    assert lowest.shift_route == "weyl" and lowest.lower_bound == weyl
+    floored.append(weyl)
+    with pytest.raises(RuntimeError, match="pivot"):
+        lowest_eigenvalue(ab)
 
 
 @both_couplings

@@ -216,7 +216,8 @@ def test_twisted_gap_mobility_weight():
 
 def assert_matches_dense(h, report, dense, **tol):
     """lambda_min is the dense minimum, and the report's lower bound lies
-    below it: Weyl's shift when W couples the channels, and the Sturm
+    below it: the shift of the band Cholesky factor that the Lanczos run
+    solved with, and its route, when W couples the channels, and the Sturm
     bisection's value, within its tolerance eps |A|_1, less a guard when the
     band is one tridiagonal."""
     dense_min, norm_1 = dense
@@ -224,8 +225,10 @@ def assert_matches_dense(h, report, dense, **tol):
     if h.is_block_diagonal:
         assert abs(report.lambda_min - dense_min) <= np.finfo(float).eps * norm_1
         assert report.lower_bound <= dense_min
+        assert report.shift_route is None and report.cholesky_solves == 0
     else:
         assert report.lower_bound < dense_min
+        assert report.shift_route in ("trial", "weyl") and report.cholesky_solves > 0
 
 
 def dense_twisted_minimum(profile, h, weight, window):
@@ -323,17 +326,22 @@ def shift_of(report):
 
 def test_twisted_gap_fails_for_tenfold_interior_eps(monkeypatch):
     # far past the coercivity edge about 150 eigenvalues lie below the
-    # threshold, and the cosh factors push the lowest to about -7.6e7; the
-    # FAIL report still solves it from Weyl's shift, and that factor and the
-    # verdict's at the shift are the only band Cholesky factors built
+    # threshold, and the cosh factors push the lowest to about -7.6e7, far
+    # below the channel tridiagonals' minimum t: the factor at the trial
+    # shift next to t is indefinite, the FAIL report solves lambda_min from
+    # Weyl's shift, and those two factors and the verdict's at the shift
+    # are the only band Cholesky factors built
     profile, h, window, built = a6_twin_model()
     tenfold = dataclasses.replace(built, eps=10.0 * built.eps)
     shifts = record_band_cholesky_shifts(monkeypatch)
     report = twisted_gap_check(h, tenfold, window)
+    dense = dense_twisted_minimum(profile, h, tenfold, window)
     assert not report.passed
-    assert shifts == [report.lower_bound, shift_of(report)]
-    assert_matches_dense(h, report, dense_twisted_minimum(profile, h, tenfold, window),
-                         rel=1e-9)
+    assert report.shift_route == "weyl"
+    trial, weyl, verdict = shifts
+    assert trial > dense[0] and weyl == report.lower_bound < trial
+    assert verdict == shift_of(report)
+    assert_matches_dense(h, report, dense, rel=1e-9)
 
 
 @pytest.mark.parametrize("model, scale, passed", [
@@ -342,8 +350,8 @@ def test_twisted_gap_fails_for_tenfold_interior_eps(monkeypatch):
 def test_twisted_gap_factors_only_where_the_bound_leaves_the_verdict_open(
         model, scale, passed, monkeypatch):
     # a PASS whose certified lower bound clears the shift builds only the
-    # factor at Weyl's shift (coupled) or none (tridiagonal); a FAIL adds
-    # the verdict's factor at the shift
+    # factor of the Lanczos run, at the trial shift (coupled), or none
+    # (tridiagonal); a FAIL adds the verdict's factor at the shift
     if model == "coupled":
         _, h, window, built = a6_twin_model()
         weight = dataclasses.replace(built, eps=scale * built.eps)
@@ -354,21 +362,23 @@ def test_twisted_gap_factors_only_where_the_bound_leaves_the_verdict_open(
     shifts = record_band_cholesky_shifts(monkeypatch)
     report = twisted_gap_check(h, weight, window)
     assert report.passed == passed
-    weyl = [report.lower_bound] if model == "coupled" else []
-    assert shifts == (weyl if passed else weyl + [shift_of(report)])
+    lanczos = [report.lower_bound] if model == "coupled" else []
+    assert shifts == (lanczos if passed else lanczos + [shift_of(report)])
 
 
-@pytest.mark.parametrize("scale, passed", [(1.55, True), (1.6, False)])
+@pytest.mark.parametrize("scale, passed", [(1.5768, True), (1.6, False)])
 def test_twisted_gap_verdict_factor_decides_where_weyl_shift_is_below_threshold(
         scale, passed, monkeypatch):
-    # at 1.55 eps Weyl's shift (0.977) lies below the threshold (1.010) and
-    # lambda_min (1.074) above it: the bound cannot settle the PASS and the
-    # factor at the shift decides it; at 1.6 eps lambda_min (0.904) falls
-    # below the threshold, the must-fail twin on the same path
+    # at 1.5768 eps the trial shift (1.00950) lies below the threshold
+    # (1.01010) and lambda_min (1.01085) above it: the bound cannot settle
+    # the PASS and the factor at the shift decides it; at 1.6 eps
+    # lambda_min (0.904) falls below the threshold, the must-fail twin on
+    # the same path
     profile, h, window, built = a6_twin_model()
     weight = dataclasses.replace(built, eps=scale * built.eps)
     shifts = record_band_cholesky_shifts(monkeypatch)
     report = twisted_gap_check(h, weight, window)
+    assert report.shift_route == "trial"
     assert report.lower_bound < report.threshold
     assert report.passed == passed == (report.lambda_min > report.threshold)
     assert shifts == [report.lower_bound, shift_of(report)]

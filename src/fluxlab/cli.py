@@ -220,8 +220,10 @@ def _window(cfg: RunConfig, h, w, lowest):
     """The window [e0, E0]: e0 is H's lowest eigenvalue ``lowest`` when it
     lies at or below E0; otherwise e0 = E0, the window holds no eigenvalue,
     and delta0 defaults to 0.1 (lowest - E0), a tenth of the gap up to the
-    spectrum.  ``lowest`` is None when the window solve found no eigenvalue;
-    it is then solved for (:func:`~fluxlab.spectral.lowest_eigenvalue`)."""
+    spectrum.  ``lowest`` is None when the window solve computed no pair,
+    which only the per-channel route does, with every channel's floor above
+    the top; it is then solved for
+    (:func:`~fluxlab.spectral.lowest_eigenvalue`)."""
     from .spectral import lowest_eigenvalue, make_window
     e_upper = cfg.get_float("window.E0", required=True)
     delta0 = cfg.get_float("window.delta0")
@@ -266,8 +268,7 @@ def _window_solve_constants(eigensys) -> dict:
 def _window_and_projection(cfg: RunConfig, h, w):
     from .spectral import diagonalize, spectral_projection
     eigensys = diagonalize(h, window_upper=cfg.get_float("window.E0", required=True))
-    lowest = float(eigensys.eigenvalues[0]) if eigensys.k else None
-    window = _window(cfg, h, w, lowest)
+    window = _window(cfg, h, w, eigensys.lowest)
     proj = spectral_projection(h, window, eigensystem=eigensys)
     return window, proj, eigensys
 

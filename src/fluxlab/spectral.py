@@ -23,13 +23,13 @@ Their number must equal the count, which is certified exactly
 (:func:`_window_count`): Weyl's inequality brackets it by two Sturm counts
 of the channel tridiagonals at the top shifted by the coupling bound, the
 determinant sign of a pivoted band LU (:class:`BandLU`), built at the top
-only for it, settles a bracket one wide, and only a wider bracket, or a
-sign too close to singular to trust, takes SuperLU's inertia count
-(:class:`ShiftedFactor`).  A sweep of dim - 1
-or more pairs, which ARPACK cannot return, is solved densely instead: that
-is how a top above |H|_inf gives the whole spectrum.  The eigenvectors
-return to channel-major order once, after the sweep.  Repeated runs are
-deterministic (fixed start vectors, fixed assembly order).
+only for it, settles a real bracket one wide, and every other bracket, or
+a sign too close to singular to trust, takes the inertia of a block
+elimination over H's nodes (:func:`band_inertia`).  A sweep of dim - 1 or
+more pairs, which ARPACK cannot return, is solved densely instead, with no
+factor: that is how a top above |H|_inf gives the whole spectrum.  The
+eigenvectors return to channel-major order once, after the sweep.  Repeated
+runs are deterministic (fixed start vectors, fixed assembly order).
 
 A check that reads only the window's bottom e0 takes H's lowest eigenvalue
 from :func:`lowest_eigenvalue` instead, which also gives the twisted
@@ -56,9 +56,9 @@ Hamiltonian (``BlockHamiltonian.potential``) for the checks that compare it
 with an energy.  :meth:`BlockHamiltonian.to_band` is the one place that
 lays out H's entries: ordered node-major, a coupled H is a band matrix of
 half-bandwidth n_ch.  The dense form and the max row sum are read back
-from that band, :class:`BandLU` and :class:`ShiftedFactor` factor it for
-the window count, and :class:`BandCholesky` factors a shifted band matrix
-for the sweep and certifies positive definiteness without an inertia count.
+from that band, :class:`BandLU` and :func:`band_inertia` factor it for the
+window count, and :class:`BandCholesky` factors a shifted band matrix for
+the sweep and certifies positive definiteness without an inertia count.
 """
 
 from __future__ import annotations
@@ -71,8 +71,6 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
-import scipy.sparse as sp
-import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .angular import SQRT_2PI, AngularPotential, GevreyEnvelope, xi_constant
@@ -82,7 +80,7 @@ from .grid import RadialGrid, _tridiagonal_eigh, tridiagonal_eigenpairs
 __all__ = [
     "BlockHamiltonian", "SpectralWindow", "EigenSystem", "SpectralProjection",
     "assemble_hamiltonian", "diagonalize", "make_window", "spectral_projection",
-    "estimate_c0", "channel_projection_norm", "ShiftedFactor", "BandLU", "BandCholesky",
+    "estimate_c0", "channel_projection_norm", "band_inertia", "BandLU", "BandCholesky",
     "basis_product", "BasisBlock", "block_product", "LowestEigenvalue",
     "lowest_eigenvalue",
 ]
@@ -92,7 +90,6 @@ RANK_ZERO_WARNING = "spectral window selected no eigenvalues (rank-0 projection)
 PANEL_ROWS = 1024       # rows of a block one GEMM writes in block_product's V x
 SWEEP_RESTARTS = 1000   # ARPACK restarts after which a shift-inverted Lanczos run stops short
 TRIAL_SHIFT_DIVISOR = 64    # the trial shift lies (w + guard) / 64 below t (_lowest_pairs)
-PHASE_TOL = 1e-6        # a complex determinant's phase must lie this close to 0 or pi
 EPS = float(np.finfo(float).eps)
 
 
@@ -160,24 +157,25 @@ class BlockHamiltonian:
         """H as a dense channel-major array, read back from :meth:`to_band`."""
         ab, order = self.to_band()
         back = np.argsort(order)                # band index of each channel-major index
-        return _band_to_csc(ab).toarray()[np.ix_(back, back)]
+        return _band_diagonal_blocks(ab, ab.shape[1])[0][np.ix_(back, back)]
 
     def norm_inf(self) -> float:
         """max absolute row sum, an upper bound for the operator 2-norm."""
         return _band_norm_inf(self.to_band()[0])
 
 
-def _band_to_csc(ab: np.ndarray) -> sp.csc_matrix:
-    """The Hermitian matrix held in upper band storage, as CSC in band order.
-
-    Band row kd - s holds the s-th superdiagonal aligned by column, which is
-    scipy's DIA layout at offset s; the lower triangle is the conjugate
-    transpose of the strict upper one.  Entries that are exactly zero are
-    not stored.
-    """
-    kd, n = ab.shape[0] - 1, ab.shape[1]
-    upper = sp.dia_array((ab[::-1], np.arange(kd + 1)), shape=(n, n)).tocsc()
-    return sp.csc_matrix(upper + sp.triu(upper, 1, format="csc").conj().T)
+def _band_diagonal_blocks(ab: np.ndarray, size: int) -> np.ndarray:
+    """The diagonal size x size blocks, dense, of the Hermitian matrix held
+    in upper band storage (band row kd - s holds the s-th superdiagonal):
+    shape (n // size, size, size), the whole matrix for a size of n."""
+    kd = ab.shape[0] - 1
+    blocks = np.zeros((ab.shape[1] // size, size, size), dtype=ab.dtype)
+    for s in range(min(kd, size - 1) + 1):
+        p = np.arange(size - s)
+        upper = ab[kd - s].reshape(-1, size)[:, s:]
+        blocks[:, p + s, p] = np.conj(upper)
+        blocks[:, p, p + s] = upper             # last, so the diagonal is stored as is
+    return blocks
 
 
 def _add_band_row_sums(ab: np.ndarray, rows, *totals: np.ndarray) -> None:
@@ -324,6 +322,7 @@ class EigenSystem:
     sweep_shift: Optional[float] = None     # the shift below H's spectrum of the sweep
     sweep_shift_route: Optional[str] = None     # trial or weyl: where that shift came from
     cholesky_solves: int = 0        # solves of the sweep's band Cholesky factor there
+    lowest: Optional[float] = None  # H's lowest eigenvalue, None if no pair was solved
     weyl_bracket: Optional[Tuple[int, int]] = None  # Weyl's bounds on a coupled window count
     coupling_bound: Optional[float] = None      # w, the bound on |W_off|_2 they rest on
 
@@ -404,42 +403,39 @@ def _block_diagonal_eigensystem(h: BlockHamiltonian, top: float) -> EigenSystem:
         residual_max=res_max, norm_h=h.norm_inf(),
         method="channel_tridiagonal", blocks=blocks,
         count_certificate="channel_sturm",
+        lowest=float(vals_all[order[0]]) if vals_all.size else None,
     )
 
 
-class ShiftedFactor:
-    """The inertia of A - sigma I for a Hermitian band matrix A.
+def band_inertia(ab: np.ndarray, sigma: float) -> int:
+    """The number of eigenvalues of the Hermitian band A below sigma.
 
-    ``ab`` holds A in LAPACK upper band storage (see
-    :meth:`BlockHamiltonian.to_band`).  SuperLU factors it, as CSC in band
-    order, in symmetric mode with diagonal pivots only and in natural order:
-    eliminating a band matrix without pivoting fills only inside the band
-    (Golub & Van Loan, Matrix Computations, 4th ed., section 4.3), so a
-    fill-reducing ordering has nothing to save.  Then A - sigma I = L U with
-    U = D L^H and, by Sylvester's law of inertia, the negative entries of
-    diag(U) count the eigenvalues of A below sigma exactly (``n_below``).
-    Without pivoting the elimination is only trustworthy while no pivot is
-    tiny, so a row interchange or a pivot below ``1e-12 |A|`` raises instead
-    of returning a count.  The window solve counts with it only when Weyl's
-    bracket and a determinant sign cannot (:func:`_window_count`).
+    ``ab`` holds A in the layout of :meth:`BlockHamiltonian.to_band`: its
+    kd x kd node blocks A_i are linked only by the kinetic term diag(b_i),
+    band row 0.  Block elimination of A - sigma I leaves the Schur
+    complements S_i = A_i - sigma I - diag(b_i)^H S_{i-1}^-1 diag(b_i), and
+    by Haynsworth's inertia additivity (Linear Algebra Appl. 1, 1968) the
+    count is the number of their negative eigenvalues, one ``eigh`` per
+    node.  An eigenvalue of some S_i at most ``1e-12 max(1, |A|)`` in
+    modulus raises: that close to singular the count is not trustworthy.
     """
-
-    def __init__(self, ab: np.ndarray, sigma: float):
-        a = _band_to_csc(ab)
-        self.sigma = float(sigma)
-        shifted = a - self.sigma * sp.identity(a.shape[0], dtype=a.dtype, format="csc")
-        lu = scipy.sparse.linalg.splu(shifted, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                                      options={"SymmetricMode": True})
-        if not np.array_equal(lu.perm_r, lu.perm_c):
-            raise RuntimeError(f"factorization at shift {self.sigma:.17g} needed "
-                               "off-diagonal pivots; the inertia is undefined")
-        pivots = lu.U.diagonal().real
-        tiny = 1e-12 * max(1.0, _band_norm_inf(ab))
-        if np.min(np.abs(pivots)) <= tiny:
+    kd = ab.shape[0] - 1
+    links = ab[0].reshape(-1, kd)           # b_i, at node i's columns
+    tiny = 1e-12 * max(1.0, _band_norm_inf(ab))
+    n_below, s_inv = 0, None
+    for i, schur in enumerate(_band_diagonal_blocks(ab, kd)):
+        schur[np.diag_indices(kd)] -= sigma
+        if s_inv is not None:
+            schur -= np.conj(links[i])[:, None] * s_inv * links[i][None, :]
+        vals, vecs = np.linalg.eigh(schur)
+        if np.min(np.abs(vals)) <= tiny:
             raise RuntimeError(
-                f"pivot {np.min(np.abs(pivots)):.3e} at shift {self.sigma:.17g} is "
-                f"below 1e-12 |A| = {tiny:.3e}; the inertia count is not trustworthy")
-        self.n_below = int(np.count_nonzero(pivots < 0))
+                f"Schur complement eigenvalue {np.min(np.abs(vals)):.3e} at node {i}, "
+                f"shift {float(sigma):.17g}, is below 1e-12 |A| = {tiny:.3e}; the inertia "
+                "count is not trustworthy")
+        n_below += int(np.count_nonzero(vals < 0))
+        s_inv = (vecs / vals) @ vecs.conj().T
+    return n_below
 
 
 class BandLU:
@@ -454,8 +450,8 @@ class BandLU:
     no inertia, but every LU gives det(A - sigma I), the product of
     lambda_i - sigma over A's eigenvalues, whose sign is (-1) to the number
     of them below sigma (Golub & Van Loan, Matrix Computations, 4th ed.,
-    sections 3.4 and 4.3); :meth:`det_sign` reads it.  An exactly zero pivot
-    (sigma is an eigenvalue) raises.
+    sections 3.4 and 4.3); :meth:`det_sign` reads it for a real A.  An
+    exactly zero pivot (sigma is an eigenvalue) raises.
     """
 
     def __init__(self, ab: np.ndarray, sigma: float):
@@ -484,26 +480,13 @@ class BandLU:
             raise ValueError(f"?gbtrs rejected argument {-info}")
         return x
 
-    def det_sign(self) -> Optional[int]:
-        """The sign of det(A - sigma I), or None when it cannot be read.
-
-        det = (-1)^(row interchanges) prod u_ii.  Only signs and phases
-        enter, never the magnitudes, whose product over and underflows.  For
-        real A the sign counts the negative u_ii.  For complex Hermitian A
-        the determinant is real, so the phases of the u_ii, plus pi per
-        interchange, must add up to 0 or pi modulo 2 pi; a sum farther than
-        ``PHASE_TOL`` from both gives None.
-        """
+    def det_sign(self) -> int:
+        """The sign of det(A - sigma I) for a real A: (-1) to the number of
+        row interchanges plus the number of negative u_ii.  Only signs
+        enter, never the magnitudes, whose product over and underflows."""
         u = self.lu[2 * self.kd]
         swaps = int(np.count_nonzero(self.piv != np.arange(self.piv.size)))
-        if not np.iscomplexobj(u):
-            return -1 if (swaps + np.count_nonzero(u < 0)) % 2 else 1
-        phase = float(np.sum(np.angle(u)) + np.pi * swaps) % (2 * np.pi)
-        if min(phase, 2 * np.pi - phase) <= PHASE_TOL:
-            return 1
-        if abs(phase - np.pi) <= PHASE_TOL:
-            return -1
-        return None
+        return -1 if (swaps + np.count_nonzero(u < 0)) % 2 else 1
 
 
 # The window solve builds its band LU through this name, which the benchmark
@@ -673,7 +656,8 @@ def _lowest_pairs(ab: np.ndarray, channels, k: int):
     :meth:`BlockHamiltonian.to_band` lays out a coupled H: their values,
     ascending, vectors and residuals |A v - lambda v| / |v|, the band
     Cholesky factor whose solves found them, its shift's route (``trial``
-    or ``weyl``), and D's :class:`_TridiagonalLowest`.
+    or ``weyl``), both None when the pairs are solved densely, and D's
+    :class:`_TridiagonalLowest`.
 
     ``channels`` is :func:`_channel_tridiagonal` of ``ab``: A = D + W_off
     with |W_off|_2 <= w, and t, the lowest eigenvalue of D, bounds
@@ -691,27 +675,30 @@ def _lowest_pairs(ab: np.ndarray, channels, k: int):
     raises.  Either way the returned factor's shift is a certified lower
     bound on lambda_min.  Shift-inverted Lanczos on its solves returns the
     k pairs nearest the shift, the k lowest; fewer converged pairs raise.
-    A k of dim - 1 or more, which ARPACK cannot return, is solved densely.
+    A k of dim - 1 or more, which ARPACK cannot return, is solved densely,
+    and builds no factor.
     """
     tri, w, norm = channels
     low = _tridiagonal_lowest(tri)
-    spread = w + 1e-9 * max(1.0, norm)
-    try:
-        factor = BandCholesky(ab, low.value - spread / TRIAL_SHIFT_DIVISOR)
-    except RuntimeError:            # completed, but past its pivot floor
-        factor = None
-    route = "trial"
-    if factor is None or not factor.positive_definite:
-        del factor
-        route, sigma = "weyl", low.value - spread
-        factor = BandCholesky(ab, sigma)
-        if not factor.positive_definite:
-            raise RuntimeError(f"A - {sigma:.17g} I is not positive definite, yet Weyl's "
-                               "inequality bounds lambda_min(A) below by that shift")
     a = _band_operator(ab)
     if k >= ab.shape[1] - 1:
-        vals, vecs = scipy.linalg.eigh(_band_to_csc(ab).toarray(), subset_by_index=(0, k - 1))
+        vals, vecs = scipy.linalg.eigh(_band_diagonal_blocks(ab, ab.shape[1])[0],
+                                       subset_by_index=(0, k - 1))
+        factor = route = None
     else:
+        spread = w + 1e-9 * max(1.0, norm)
+        try:
+            factor = BandCholesky(ab, low.value - spread / TRIAL_SHIFT_DIVISOR)
+        except RuntimeError:            # completed, but past its pivot floor
+            factor = None
+        route = "trial"
+        if factor is None or not factor.positive_definite:
+            del factor
+            route, sigma = "weyl", low.value - spread
+            factor = BandCholesky(ab, sigma)
+            if not factor.positive_definite:
+                raise RuntimeError(f"A - {sigma:.17g} I is not positive definite, yet Weyl's "
+                                   "inequality bounds lambda_min(A) below by that shift")
         # next to lambda_min one pair converges in a basis of 3 Lanczos
         # vectors; from Weyl's shift, or for more pairs, a smaller basis
         # than ARPACK's default takes more solves
@@ -788,8 +775,8 @@ class WindowCount(NamedTuple):
     """The number of eigenvalues of A below a shift, the certificate that
     fixes it (``weyl``, ``weyl_determinant_sign`` or ``inertia``), Weyl's
     bracket (k_lo, k_hi) around it, the coupling bound w of that bracket,
-    and the band LU whose determinant sign was read (None when the bracket
-    is not one wide)."""
+    and the band LU built for a determinant sign (None when the bracket is
+    not one wide or A is complex)."""
 
     n: int
     certificate: str
@@ -812,18 +799,18 @@ def _window_count(ab: np.ndarray, top: float, channels) -> WindowCount:
     :func:`_lowest_pairs`, which covers the counts' rounding.
 
     - k_lo == k_hi: that is the count (``weyl``).
-    - k_hi == k_lo + 1: the sign of det(A - top I), (-1)^count, read off a
-      band LU of A - top I built here through the name ``splu``
-      (:class:`BandLU`), picks the end
-      of the bracket with its parity (``weyl_determinant_sign``).  The
-      factor's sign is the exact one of a matrix within rounding of
-      A - top I, so it is A's own only if no eigenvalue lies near top: the
-      sign is declined when two inverse-power steps show
-      |(A - top I)^-1| >= 1 / g, or a complex phase is neither 0 nor pi.
-      The pivots give no such guard: at a top 1e-13 above an eigenvalue of
-      the 270 x 12 reference model's H, min |u_ii| still reads 225.
-    - Otherwise, or when the sign is declined, SuperLU's inertia count
-      (:class:`ShiftedFactor`) gives it (``inertia``).
+    - k_hi == k_lo + 1 and A real: the sign of det(A - top I),
+      (-1)^count, read off a band LU of A - top I built here through the
+      name ``splu`` (:class:`BandLU`), picks the end of the bracket with
+      its parity (``weyl_determinant_sign``).  The factor's sign is the
+      exact one of a matrix within rounding of A - top I, so it is A's own
+      only if no eigenvalue lies near top: the sign is declined when two
+      inverse-power steps show |(A - top I)^-1| >= 1 / g.  The pivots give
+      no such guard: at a top 1e-13 above an eigenvalue of the 270 x 12
+      reference model's H, min |u_ii| still reads 225.
+    - Otherwise, or when the sign is declined, the inertia of the block
+      elimination over A's nodes (:func:`band_inertia`) gives it
+      (``inertia``).
     """
     tri, w, norm = channels
     g = 1e-9 * max(1.0, norm)
@@ -833,11 +820,9 @@ def _window_count(ab: np.ndarray, top: float, channels) -> WindowCount:
     bracket = (int(k_lo), int(k_hi))
     if k_lo == k_hi:
         return WindowCount(k_lo, "weyl", bracket, w)
-    if k_hi != k_lo + 1:
-        return WindowCount(ShiftedFactor(ab, top).n_below, "inertia", bracket, w)
-    lu = splu(ab, top)
-    sign = lu.det_sign()
-    if sign is not None:
+    lu = None
+    if k_hi == k_lo + 1 and not np.iscomplexobj(ab):
+        lu = splu(ab, top)
         # two inverse-power steps from a fixed pseudo-random unit vector:
         # |x| is a lower bound on |(A - top I)^-1|_2, close to it unless
         # the start is nearly orthogonal to the eigenvector nearest top
@@ -845,9 +830,9 @@ def _window_count(ab: np.ndarray, top: float, channels) -> WindowCount:
         for _ in range(2):
             x = lu.solve(x / np.linalg.norm(x))
         if np.linalg.norm(x) < 1.0 / g:
-            n = k_lo if sign == (-1) ** k_lo else k_hi
+            n = k_lo if lu.det_sign() == (-1) ** k_lo else k_hi
             return WindowCount(n, "weyl_determinant_sign", bracket, w, lu)
-    return WindowCount(ShiftedFactor(ab, top).n_below, "inertia", bracket, w, lu)
+    return WindowCount(band_inertia(ab, top), "inertia", bracket, w, lu)
 
 
 def _windowed_eigensystem(h: BlockHamiltonian, upper: float,
@@ -857,14 +842,17 @@ def _windowed_eigensystem(h: BlockHamiltonian, upper: float,
     H's channel tridiagonals, read once (:func:`_channel_tridiagonal`), give
     Weyl's bracket (k_lo, k_hi) on the count N below the top and the shift
     below the spectrum.  A band LU at the top (:class:`BandLU`), built only
-    for a bracket one wide, serves only the count (:func:`_window_count`)
-    and is released once N is fixed.  The
+    for a real bracket one wide, serves only the count
+    (:func:`_window_count`) and is released once N is fixed.  The
     sweep asks :func:`_lowest_pairs`, the route of :func:`lowest_eigenvalue`,
     for the k_hi lowest pairs (at least one) and keeps those below the top:
     exactly N, each with residual at most 1e-9 |H|_inf.  Those k_hi pairs
     hold every eigenvalue below the top, so a determinant sign that picked
     the wrong end of the bracket finds one pair more or one fewer than it
-    claims, and raises.  The eigenvectors return to channel-major order.
+    claims, and raises.  The lowest pair is H's lowest eigenvalue, kept as
+    ``lowest`` even when the window is empty; there it meets
+    :func:`lowest_eigenvalue`'s 1e-9 max(1, |H|_inf) contract.  The
+    eigenvectors return to channel-major order.
     """
     top = upper + margin
     ab, order = h.to_band()
@@ -884,10 +872,10 @@ def _windowed_eigensystem(h: BlockHamiltonian, upper: float,
         raise RuntimeError(f"window solve found {found} eigenvalues below {top:g}; "
                            f"the {count.certificate} count is {count.n}")
     res = float(np.max(residuals[:found], initial=0.0))
-    if res > 1e-9 * norm_h:
-        raise RuntimeError(
-            f"iterative eigensolve residual {res:.3e} exceeds 1e-9 * |H| = "
-            f"{1e-9 * norm_h:.3e}")
+    bound = 1e-9 * (norm_h if found else max(1.0, norm_h))
+    if max(res, residuals[0]) > bound:
+        raise RuntimeError(f"iterative eigensolve residual {max(res, residuals[0]):.3e} "
+                           f"exceeds its 1e-9 |H| contract, {bound:.3e}")
     vecs = vecs[:, :found]
     vecs[order] = band_vecs[:, :found] / np.sqrt(h.grid.h)
     return EigenSystem(
@@ -895,8 +883,9 @@ def _windowed_eigensystem(h: BlockHamiltonian, upper: float,
         residual_max=res, norm_h=norm_h,
         method="dense" if k >= h.dim - 1 else "shift_invert_window",
         blocks=(BasisBlock(slice(0, h.dim), np.arange(found), vecs),),
-        factor_nnz=lu_nnz, lu_solves=lu_solves,
-        sweep_shift=factor.sigma, sweep_shift_route=route, cholesky_solves=factor.solves,
+        factor_nnz=lu_nnz, lu_solves=lu_solves, lowest=float(vals[0]),
+        sweep_shift=None if factor is None else factor.sigma, sweep_shift_route=route,
+        cholesky_solves=0 if factor is None else factor.solves,
         count_certificate=count.certificate, weyl_bracket=count.bracket,
         coupling_bound=count.coupling_bound,
     )

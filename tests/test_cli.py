@@ -39,6 +39,10 @@ seed.j0 = 4
 seed.r0 = 2.6
 """
 
+# w.amp = 0.5 widens Weyl's bracket at the window top to [3, 5], so the
+# window count takes the node-block inertia (spectral.band_inertia)
+STRONG_CFG = COUPLED_CFG.replace("w.amp = 0.2", "w.amp = 0.5")
+
 LINEAR_CFG = """
 profile.kind = linear
 profile.lambda = 1.0
@@ -144,23 +148,25 @@ def test_full_pipeline_coupled_model(tmp_path):
                                      "evolve", "mobility"])
 def test_determinism_bitwise_artifacts(tmp_path, command):
     # mobility needs linear flux and W = 0; every other subcommand runs the
-    # coupled model
-    cfg = write_cfg(tmp_path, LINEAR_CFG if command == "mobility" else COUPLED_CFG)
-    out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    assert run(command, cfg, str(out1)) == 0
-    assert run(command, cfg, str(out2)) == 0
-    assert sorted(os.listdir(out1)) == sorted(os.listdir(out2))
-    for name in sorted(os.listdir(out1)):
-        b1 = (out1 / name).read_bytes()
-        b2 = (out2 / name).read_bytes()
-        if name == "manifest.json":
-            m1 = json.loads(b1)
-            m2 = json.loads(b2)
-            m1.pop("wall_time_s")
-            m2.pop("wall_time_s")
-            assert m1 == m2
-        else:
-            assert b1 == b2, name
+    # coupled model and the strongly coupled one, whose count is the inertia
+    texts = [LINEAR_CFG] if command == "mobility" else [COUPLED_CFG, STRONG_CFG]
+    for i, text in enumerate(texts):
+        cfg = write_cfg(tmp_path, text, f"run{i}.cfg")
+        out1, out2 = tmp_path / f"{i}-r1", tmp_path / f"{i}-r2"
+        assert run(command, cfg, str(out1)) == 0
+        assert run(command, cfg, str(out2)) == 0
+        assert sorted(os.listdir(out1)) == sorted(os.listdir(out2))
+        for name in sorted(os.listdir(out1)):
+            b1 = (out1 / name).read_bytes()
+            b2 = (out2 / name).read_bytes()
+            if name == "manifest.json":
+                m1 = json.loads(b1)
+                m2 = json.loads(b2)
+                m1.pop("wall_time_s")
+                m2.pop("wall_time_s")
+                assert m1 == m2
+            else:
+                assert b1 == b2, name
 
 
 def test_warnings_reach_stderr_and_manifest(tmp_path, capsys):
@@ -246,7 +252,7 @@ def test_validate_weights_makes_no_window_solve(tmp_path, monkeypatch):
         raise AssertionError("validate-weights ran a window solve")
 
     monkeypatch.setattr(spectral, "diagonalize", refuse)
-    monkeypatch.setattr(spectral, "ShiftedFactor", refuse)
+    monkeypatch.setattr(spectral, "band_inertia", refuse)
     for name, solver in (("coupled", "band_cholesky_lanczos"),
                          ("linear", "channel_tridiagonal")):
         out = tmp_path / f"{name}-weights"
@@ -302,9 +308,9 @@ def test_validate_weights_and_spectrum_agree_on_e0(tmp_path, text):
 def test_coupled_windows_are_counted_by_weyl_and_the_determinant_sign(tmp_path, text):
     # Weyl's bracket from the channel tridiagonals is one wide on both
     # models, the band LU's determinant sign settles it, and the count it
-    # picks is SuperLU's inertia count at the same top
+    # picks is the node-block inertia count at the same top
     from fluxlab.cli import _assemble_from_config
-    from fluxlab.spectral import WINDOW_MARGIN, ShiftedFactor
+    from fluxlab.spectral import WINDOW_MARGIN, band_inertia
     cfg = write_cfg(tmp_path, text)
     assert run("spectrum", cfg, str(tmp_path / "out")) == 0
     constants = json.loads((tmp_path / "out" / "manifest.json").read_text())["constants"]
@@ -313,7 +319,56 @@ def test_coupled_windows_are_counted_by_weyl_and_the_determinant_sign(tmp_path, 
     assert constants["weyl_bracket"] in ([n, n + 1], [n - 1, n])
     h = _assemble_from_config(RunConfig.parse(cfg))[-1]
     top = constants["E0"] * (1 + WINDOW_MARGIN)
-    assert n == ShiftedFactor(h.to_band()[0], top).n_below
+    assert n == band_inertia(h.to_band()[0], top)
+
+
+def test_a_strongly_coupled_window_is_counted_by_the_inertia(tmp_path):
+    # a bracket two wide: the node-block inertia gives the count, which is
+    # the dense count below the top, and every window subcommand verifies
+    from fluxlab.cli import _assemble_from_config
+    from fluxlab.spectral import WINDOW_MARGIN
+    cfg = write_cfg(tmp_path, STRONG_CFG)
+    for command in ("spectrum", "project", "tunnel", "evolve"):
+        out = tmp_path / command
+        assert run(command, cfg, str(out), verify=True) == 0, command
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["verify"]["passed"], command
+        constants = manifest["constants"]
+        assert constants["count_certificate"] == "inertia", command
+        assert constants["weyl_bracket"] == [3, 5] and constants["n_eigenvalues"] == 4
+        assert constants["factor_nnz"] == constants["lu_solves"] == 0
+    h = _assemble_from_config(RunConfig.parse(cfg))[-1]
+    top = 1.0 + WINDOW_MARGIN                   # E0 = 1
+    assert int(np.sum(np.linalg.eigvalsh(h.to_dense()) < top)) == 4
+
+
+def test_an_empty_coupled_window_factors_h_once(tmp_path, monkeypatch):
+    # below the spectrum the sweep still solves H's lowest pair, and that
+    # pair gives delta0: each window subcommand builds one band Cholesky
+    # factor, and delta0 is the one lowest_eigenvalue gives
+    from fluxlab import spectral
+    from fluxlab.cli import _assemble_from_config
+    text = COUPLED_CFG.replace("window.E0 = 1.0", "window.E0 = 0.5")
+    cfg = write_cfg(tmp_path, text)
+    lowest = spectral.lowest_eigenvalue(
+        _assemble_from_config(RunConfig.parse(cfg))[-1].to_band()[0]).value
+    assert lowest > 0.5
+    init, shifts = spectral.BandCholesky.__init__, []
+
+    def recorded(self, ab, sigma):
+        shifts.append(sigma)
+        init(self, ab, sigma)
+
+    monkeypatch.setattr(spectral.BandCholesky, "__init__", recorded)
+    for command in ("spectrum", "project", "tunnel", "evolve"):
+        shifts.clear()
+        out = tmp_path / command
+        assert run(command, cfg, str(out)) == 0, command
+        assert len(shifts) == 1, command
+        constants = json.loads((out / "manifest.json").read_text())["constants"]
+        assert constants["e0"] == 0.5 and constants["n_eigenvalues"] == 0, command
+        if "delta0" in constants:
+            assert constants["delta0"] == 0.1 * (lowest - 0.5), command
 
 
 WINDOW_SOLVE_KEYS = ("solver", "count_certificate", "weyl_bracket", "coupling_bound",

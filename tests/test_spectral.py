@@ -7,7 +7,7 @@ from fluxlab.angular import AngularPotential, DecayClass, GevreyEnvelope, xi_con
 from fluxlab.flux import FluxProfile
 from fluxlab.grid import build_channel_operator, build_grid
 from fluxlab.spectral import (BandCholesky, BandLU, BasisBlock, BlockHamiltonian, EigenSystem,
-                              ShiftedFactor, SpectralWindow, _channel_tridiagonal,
+                              SpectralWindow, _channel_tridiagonal, band_inertia,
                               TRIAL_SHIFT_DIVISOR, _tridiagonal_lowest, _window_count,
                               _windowed_eigensystem, assemble_hamiltonian,
                               channel_projection_norm, diagonalize, estimate_c0,
@@ -110,8 +110,9 @@ both_couplings = pytest.mark.parametrize("angular", [
     np.cos, lambda t: np.cos(t) + 0.5 * np.sin(2 * t)], ids=["real", "complex_hermitian"])
 
 # amp 0.3 puts w at 0.29 (real) and 0.44 (complex): Weyl's brackets are up to
-# six wide and the count takes SuperLU's inertia; at amp 0.02 (w 0.020 and
-# 0.029) every bracket below is at most one wide
+# six wide and the count takes the node-block inertia; at amp 0.02 (w 0.020
+# and 0.029) every bracket below is at most one wide, and a complex H takes
+# the inertia for a bracket one wide too
 WEAK = 0.02
 WEAK_SHIFTS = (0.5, 0.8, 1.05, 1.3, 2.0, 3.0)
 
@@ -121,14 +122,16 @@ def test_window_eigenvectors_come_back_channel_major(angular):
     # on both count routes the band-order sweep's eigenpairs must be the
     # dense route's below the top, its eigenvectors eigenvectors of the
     # channel-major H, and the channel norms must match; brackets wider than
-    # one take the inertia
-    for amp, certificate in ((0.3, "inertia"), (WEAK, "weyl_determinant_sign")):
+    # one, and a complex H's, take the inertia
+    real = angular is np.cos
+    for amp in (0.3, WEAK):
         h = coupled_model(angular, amp=amp)
         es = diagonalize(h, window_upper=1.2)
         assert es.method == "shift_invert_window" and es.k > 0
-        assert es.count_certificate == certificate
         k_lo, k_hi = es.weyl_bracket
-        assert (k_hi - k_lo > 1) == (certificate == "inertia")
+        assert (k_hi - k_lo > 1) == (amp == 0.3)
+        assert es.count_certificate == ("weyl_determinant_sign" if real and amp == WEAK
+                                        else "inertia")
         full = diagonalize(h, window_upper=h.norm_inf() + 1.0)   # the dense fallback
         assert full.method == "dense"
         assert np.allclose(es.eigenvalues, full.eigenvalues[full.eigenvalues < 1.2 + 0.06],
@@ -146,41 +149,61 @@ def test_window_eigenvectors_come_back_channel_major(angular):
                 channel_projection_norm(p_dense, j, (0.0, 4.0)), abs=1e-9)
 
 
-@pytest.mark.parametrize("angular", [
-    np.cos,                                        # real symmetric
-    lambda t: np.cos(t) + 0.5 * np.sin(2 * t),     # complex Hermitian
-])
-def test_shifted_factor_inertia_matches_dense_count(angular):
-    h = coupled_model(angular)
+# the inertia at tops -1e-13, +1e-13 and +1e-10 from eigenvalues 0, 3, 6 and
+# 10 of the band eigensolver (?sbevd / ?hbevd, which no BLAS thread count
+# moves), as SuperLU's symmetric-mode LDL^T counted them; at +-1e-13 both
+# may differ from the dense count, and they differ alike
+NEAR_SINGULAR_COUNTS = {
+    ("real", 0.3): [0, 0, 1, 4, 4, 4, 7, 7, 7, 11, 11, 11],
+    ("real", WEAK): [1, 1, 1, 4, 4, 4, 7, 7, 7, 11, 11, 11],
+    ("complex_hermitian", 0.3): [1, 1, 1, 4, 4, 4, 6, 6, 7, 11, 11, 11],
+    ("complex_hermitian", WEAK): [0, 1, 1, 3, 4, 4, 6, 6, 7, 10, 11, 11],
+}
+
+
+@both_couplings
+@pytest.mark.parametrize("amp", [0.3, WEAK])
+def test_band_inertia_matches_dense_count(angular, amp):
+    h = coupled_model(angular, amp=amp)
     ab = h.to_band()[0]
     dense = np.linalg.eigvalsh(h.to_dense())
-    # below the spectrum, at a window top, and well inside the spectrum
-    for sigma in (dense[0] - 0.5, 0.5, 1.05, 1.3, 5.0, 50.0):
-        assert ShiftedFactor(ab, sigma).n_below == int(np.sum(dense < sigma))
+    # below the spectrum, at window tops, and well inside the spectrum
+    for sigma in (dense[0] - 0.5, 0.5, 0.8, 1.05, 1.26, 2.0, 3.0, 50.0):
+        assert band_inertia(ab, sigma) == int(np.sum(dense < sigma)), sigma
+    name = "real" if angular is np.cos else "complex_hermitian"
+    banded = scipy.linalg.eig_banded(ab, eigvals_only=True)
+    near = [band_inertia(ab, banded[i] + d) for i in (0, 3, 6, 10)
+            for d in (-1e-13, 1e-13, 1e-10)]
+    assert near == NEAR_SINGULAR_COUNTS[name, amp]
 
 
-def test_shifted_factor_rejects_untrustworthy_elimination():
+def test_band_inertia_rejects_a_singular_schur_complement():
     h = coupled_model(lambda t: np.cos(t) + 0.5 * np.sin(2 * t))
     ab = h.to_band()[0]
-    # natural order eliminates the first band unknown first: a shift one ulp
-    # above H[0, 0] leaves that pivot at rounding level
     kd = ab.shape[0] - 1
-    with pytest.raises(RuntimeError, match="pivot"):
-        ShiftedFactor(ab, np.nextafter(ab[kd, 0].real, np.inf))
-    # [[1, 1], [1, 1]] - I has a zero diagonal: SuperLU interchanges rows,
-    # which voids the count
-    with pytest.raises(RuntimeError, match="off-diagonal"):
-        ShiftedFactor(np.array([[0.0, 1.0], [1.0, 1.0]]), 1.0)
+    # one ulp above H[0, 0] a scalar elimination in natural order meets a
+    # pivot at rounding level; the node blocks' Schur complements stay clear
+    # of the floor, and the count is exact
+    sigma = np.nextafter(ab[kd, 0].real, np.inf)
+    assert band_inertia(ab, sigma) == int(np.sum(np.linalg.eigvalsh(h.to_dense()) < sigma))
+    # at an eigenvalue of the first node block S_0 = A_0 - sigma I is singular
+    node = np.linalg.eigvalsh(band_to_dense(ab)[:kd, :kd])
+    with pytest.raises(RuntimeError, match="Schur complement"):
+        band_inertia(ab, node[2])
+    # [[1, 1], [1, 1]] - I: the 1 x 1 node block S_0 is zero
+    with pytest.raises(RuntimeError, match="Schur complement"):
+        band_inertia(np.array([[0.0, 1.0], [1.0, 1.0]]), 1.0)
 
 
 @both_couplings
 def test_window_factor_is_formed_in_band_order(angular, monkeypatch):
     # a ?gbtrf of H's node-major band (kd = n_ch) at the top, in 3 kd + 1
-    # stored rows, is built only where Weyl's bracket is one wide and the
-    # count reads its determinant sign: its only solves are the sign's two
-    # inverse-power steps, and the sweep solves with the band Cholesky
-    # factor; a bracket zero wide (weyl) or wider (inertia) builds no LU,
-    # and SuperLU factors only when the count takes the inertia route
+    # stored rows, is built only where Weyl's bracket is one wide, H is real
+    # and the count reads its determinant sign: its only solves are the
+    # sign's two inverse-power steps, and the sweep solves with the band
+    # Cholesky factor; a bracket zero wide (weyl) or wider (inertia), or a
+    # complex H, builds no LU, and the node-block inertia runs only when the
+    # count takes the inertia route
     from fluxlab import spectral
     factors, inertia = [], []
 
@@ -190,10 +213,10 @@ def test_window_factor_is_formed_in_band_order(angular, monkeypatch):
 
     def recording_inertia(ab, sigma):
         inertia.append(sigma)
-        return ShiftedFactor(ab, sigma)
+        return band_inertia(ab, sigma)
 
     monkeypatch.setattr(spectral, "splu", recording_splu)
-    monkeypatch.setattr(spectral, "ShiftedFactor", recording_inertia)
+    monkeypatch.setattr(spectral, "band_inertia", recording_inertia)
     certificates = set()
     for amp, top in ((0.3, 1.26), (WEAK, 1.26), (WEAK, 1.05)):
         factors.clear()
@@ -204,7 +227,7 @@ def test_window_factor_is_formed_in_band_order(angular, monkeypatch):
         assert es.method == "shift_invert_window" and es.cholesky_solves > 0
         assert len(inertia) == (es.count_certificate == "inertia")
         k_lo, k_hi = es.weyl_bracket
-        if k_hi != k_lo + 1:
+        if k_hi != k_lo + 1 or angular is not np.cos:
             assert factors == [] and es.factor_nnz == es.lu_solves == 0
             continue
         (lu,) = factors
@@ -218,13 +241,15 @@ def test_window_factor_is_formed_in_band_order(angular, monkeypatch):
         x = lu.solve(b)
         assert np.linalg.norm((band_to_dense(ab) - lu.sigma * np.eye(h.dim)) @ x - b) \
             <= 1e-10 * h.norm_inf() * np.linalg.norm(x)
-    assert certificates == {"inertia", "weyl_determinant_sign", "weyl"}
+    signed = {"weyl_determinant_sign"} if angular is np.cos else set()
+    assert certificates == {"inertia", "weyl"} | signed
 
 
 @both_couplings
 def test_narrow_bracket_counts_match_the_dense_count(angular):
     # with the coupling scaled down every bracket is at most one wide: equal
-    # ends are the count, and the determinant sign settles ends one apart
+    # ends are the count, and for a real H the determinant sign settles ends
+    # one apart, which a complex H leaves to the inertia
     h = coupled_model(angular, amp=WEAK)
     ab = h.to_band()[0]
     dense = np.linalg.eigvalsh(h.to_dense())
@@ -234,39 +259,22 @@ def test_narrow_bracket_counts_match_the_dense_count(angular):
         k_lo, k_hi = count.bracket
         assert k_hi - k_lo <= 1, sigma
         assert count.n == int(np.sum(dense < sigma)), sigma
-        assert count.certificate == ("weyl" if k_lo == k_hi else "weyl_determinant_sign")
+        one_wide = "weyl_determinant_sign" if angular is np.cos else "inertia"
+        assert count.certificate == ("weyl" if k_lo == k_hi else one_wide)
         routes.add(count.certificate)
-    assert routes == {"weyl", "weyl_determinant_sign"}
+    assert routes == {"weyl", one_wide}
 
 
-@both_couplings
-def test_det_sign_is_the_parity_of_the_count_below_the_shift(angular):
-    h = coupled_model(angular)
+def test_det_sign_is_the_parity_of_the_count_below_the_shift():
+    h = coupled_model(np.cos)
     ab = h.to_band()[0]
     dense = np.linalg.eigvalsh(h.to_dense())
     for sigma in (dense[0] - 0.5, 0.5, 1.05, 1.3, 5.0, 50.0):
         lu = BandLU(ab, sigma)
         assert lu.det_sign() == (-1) ** int(np.sum(dense < sigma)), sigma
-    # [[0, 1], [1, 0]] and [[0, i], [-i, 0]]: eigenvalues -1 and 1, one row
-    # interchange, det = -1
-    for ab in (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 1j], [0.0, 0.0]])):
-        lu = BandLU(ab, 0.0)
-        assert list(lu.piv) == [1, 1] and lu.det_sign() == -1
-
-
-def test_det_sign_declines_a_complex_phase_off_the_real_axis(monkeypatch):
-    from fluxlab import spectral
-    h = coupled_model(lambda t: np.cos(t) + 0.5 * np.sin(2 * t), amp=WEAK)
-    ab = h.to_band()[0]
-    channels = _channel_tridiagonal(ab)
-    assert _window_count(ab, 0.8, channels).certificate == "weyl_determinant_sign"
-    lu = BandLU(ab, 0.8)
-    lu.lu[2 * lu.kd, 0] *= np.exp(0.5j)
-    assert lu.det_sign() is None
-    monkeypatch.setattr(spectral, "splu", lambda ab, sigma: lu)
-    count = _window_count(ab, 0.8, channels)
-    assert count.certificate == "inertia" and count.bracket == (0, 1)
-    assert count.n == int(np.sum(np.linalg.eigvalsh(h.to_dense()) < 0.8))
+    # [[0, 1], [1, 0]]: eigenvalues -1 and 1, one row interchange, det = -1
+    lu = BandLU(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0)
+    assert list(lu.piv) == [1, 1] and lu.det_sign() == -1
 
 
 @both_couplings
@@ -274,7 +282,7 @@ def test_a_top_next_to_an_eigenvalue_declines_the_sign(angular):
     # 1e-13 above an eigenvalue the factor's sign need not be A's own; the
     # inverse-power steps see |(A - top I)^-1| >= 1 / g and hand the count
     # to the inertia route, though the LU's pivots stay far above any pivot
-    # floor such as ShiftedFactor's 1e-12 |A|
+    # floor such as band_inertia's 1e-12 |A| (a complex A reads no sign)
     h = coupled_model(angular, amp=WEAK)
     ab = h.to_band()[0]
     top = np.linalg.eigvalsh(h.to_dense())[6] + 1e-13
@@ -287,22 +295,28 @@ def test_a_top_next_to_an_eigenvalue_declines_the_sign(angular):
 
 @both_couplings
 @pytest.mark.parametrize("upper, margin, true_end, message", [
-    (1.2, 0.06, 0, "found 5 eigenvalues below 1.26; the weyl_determinant_sign count is 6"),
-    (0.75, 0.05, 1, "found 1 eigenvalues below 0.8; the weyl_determinant_sign count is 0"),
+    (1.2, 0.06, 0, "found 5 eigenvalues below 1.26; the {} count is 6"),
+    (0.75, 0.05, 1, "found 1 eigenvalues below 0.8; the {} count is 0"),
 ], ids=["over_claim", "under_claim"])
 def test_a_flipped_determinant_sign_raises_instead_of_a_short_window(
         angular, upper, margin, true_end, message, monkeypatch):
     # below top 1.26 lie as many eigenvalues as the bracket's bottom, below
     # top 0.8 as many as its top: a flipped sign claims the other end, and
     # the sweep, asked for the bracket's top many lowest pairs, finds one
-    # pair fewer or one more below the top than the count claims and raises
+    # pair fewer or one more below the top than the count claims and raises;
+    # a complex H reads no sign, and an inertia claiming the other end fails
+    # the same way
+    from fluxlab import spectral
     h = coupled_model(angular, amp=WEAK)
     es = _windowed_eigensystem(h, upper, margin)
-    assert es.count_certificate == "weyl_determinant_sign"
+    certificate = "weyl_determinant_sign" if angular is np.cos else "inertia"
+    assert es.count_certificate == certificate
     assert es.k == es.weyl_bracket[true_end]
     sign = BandLU.det_sign
+    other_end = sum(es.weyl_bracket) - es.k
     monkeypatch.setattr(BandLU, "det_sign", lambda self: -sign(self))
-    with pytest.raises(RuntimeError, match=message):
+    monkeypatch.setattr(spectral, "band_inertia", lambda ab, sigma: other_end)
+    with pytest.raises(RuntimeError, match=message.format(certificate)):
         _windowed_eigensystem(h, upper, margin)
 
 
@@ -336,11 +350,14 @@ def test_a_sweep_that_drops_its_lowest_pair_raises(angular, monkeypatch):
 def test_the_sweep_shift_lies_below_the_spectrum_and_the_lu_only_signs(angular):
     # the sweep runs at Weyl's shift, at or below the dense lambda_min; on
     # the weyl_determinant_sign route the band LU makes exactly the two
-    # inverse-power solves that vet its sign, and the Cholesky factor the rest
+    # inverse-power solves that vet its sign, and the Cholesky factor the
+    # rest; a complex H's bracket one wide takes the inertia and no LU
     h = coupled_model(angular, amp=WEAK)
     es = diagonalize(h, window_upper=1.2)
-    assert es.count_certificate == "weyl_determinant_sign"
-    assert es.lu_solves == 2 and es.cholesky_solves > 0
+    real = angular is np.cos
+    assert es.count_certificate == ("weyl_determinant_sign" if real else "inertia")
+    assert es.lu_solves == (2 if real else 0) and es.cholesky_solves > 0
+    assert (es.factor_nnz > 0) == real
     assert es.sweep_shift <= np.linalg.eigvalsh(h.to_dense())[0]
 
 
@@ -411,14 +428,19 @@ def test_band_holds_the_permuted_sparse_entries(model, coupled):
     lambda: assemble_hamiltonian(FluxProfile.power_law(1.0, 1.5), None,
                                  build_grid(50, 6.0), 4),          # kd = 1
 ], ids=["real", "complex_hermitian", "tridiagonal"])
-def test_band_csc_is_the_hermitian_matrix_without_stored_zeros(model):
-    from fluxlab.spectral import _band_to_csc
+def test_band_dense_copy_is_the_hermitian_matrix(model):
+    # the whole band as one diagonal block, and the node blocks, which
+    # read no entry that couples two nodes
+    from fluxlab.spectral import _band_diagonal_blocks
     ab = model().to_band()[0]
+    kd, n = ab.shape[0] - 1, ab.shape[1]
     expected = band_to_dense(ab)
-    a = _band_to_csc(ab)
-    assert a.format == "csc" and a.dtype == ab.dtype and a.has_sorted_indices
-    assert np.count_nonzero(a.data) == a.nnz == np.count_nonzero(expected)
-    assert np.array_equal(a.toarray(), expected)
+    (a,) = _band_diagonal_blocks(ab, n)
+    assert a.dtype == ab.dtype and np.array_equal(a, expected)
+    nodes = _band_diagonal_blocks(ab, kd)
+    assert nodes.shape == (n // kd, kd, kd)
+    for i, node in enumerate(nodes):
+        assert np.array_equal(node, expected[i * kd:(i + 1) * kd, i * kd:(i + 1) * kd])
 
 
 def test_band_cholesky_verdict_and_pivot_guard():
@@ -776,20 +798,33 @@ def test_lowest_eigenvalue_raises_when_the_certificate_fails(monkeypatch):
 
 
 @both_couplings
-def test_window_over_whole_spectrum_takes_dense_fallback(angular):
+def test_window_over_whole_spectrum_takes_dense_fallback(angular, monkeypatch):
     # ARPACK cannot return dim - 1 or more pairs, so the window solve goes
-    # dense; it is the one whole-spectrum route, so it must be the dense eigh
-    h = coupled_model(angular, n_r=8, j_max=1)
-    vals, vecs = scipy.linalg.eigh(h.to_dense())
-    windowed = diagonalize(h, window_upper=h.norm_inf() + 1.0)
-    assert windowed.method == "dense"
-    assert windowed.k == h.dim
-    (block,) = windowed.blocks
-    assert block.rows == slice(0, h.dim) and np.array_equal(block.cols, np.arange(h.dim))
-    assert windowed.eigenvectors is block.vectors
-    assert np.allclose(windowed.eigenvalues, vals, atol=1e-12)
-    overlap = np.sqrt(h.grid.h) * np.abs(vecs.conj().T @ windowed.eigenvectors)
-    assert np.allclose(overlap, np.eye(h.dim), atol=1e-9)
+    # dense; it is the one whole-spectrum route, so it must be the dense eigh,
+    # and it builds no band Cholesky factor and reports no sweep
+    from fluxlab import spectral
+    factors = []
+
+    def refuse(self, ab, sigma):
+        factors.append(sigma)
+
+    for amp in (0.3, WEAK):
+        h = coupled_model(angular, n_r=8, j_max=1, amp=amp)
+        vals, vecs = scipy.linalg.eigh(h.to_dense())
+        with monkeypatch.context() as m:
+            m.setattr(spectral.BandCholesky, "__init__", refuse)
+            windowed = diagonalize(h, window_upper=h.norm_inf() + 1.0)
+        assert factors == []
+        assert windowed.method == "dense"
+        assert windowed.sweep_shift is windowed.sweep_shift_route is None
+        assert windowed.cholesky_solves == 0
+        assert windowed.k == h.dim and windowed.lowest == windowed.eigenvalues[0]
+        (block,) = windowed.blocks
+        assert block.rows == slice(0, h.dim) and np.array_equal(block.cols, np.arange(h.dim))
+        assert windowed.eigenvectors is block.vectors
+        assert np.allclose(windowed.eigenvalues, vals, atol=1e-12)
+        overlap = np.sqrt(h.grid.h) * np.abs(vecs.conj().T @ windowed.eigenvectors)
+        assert np.allclose(overlap, np.eye(h.dim), atol=1e-9)
 
 
 def test_projection_full_window_acts_as_identity():

@@ -67,15 +67,15 @@ def test_traced_coupled_spectrum_counts_the_band_lu_and_forms_no_superlu(tmp_pat
                                                                         monkeypatch):
     # the window solve builds its band LU through spectral.splu, the name the
     # tracer wraps: one factorization span, and the traced solves are the
-    # solves the manifest reports; the count needs no SuperLU factor
+    # solves the manifest reports; the count needs no inertia
     import json
 
     from fluxlab import spectral
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the window count formed a SuperLU factor")
+        raise AssertionError("the window count took the inertia route")
 
-    monkeypatch.setattr(spectral, "ShiftedFactor", refuse)
+    monkeypatch.setattr(spectral, "band_inertia", refuse)
     tracer = traced_run(tmp_path, "spectrum", COUPLED_CFG)
     counts = tracer.counts_by_root()[0]
     constants = json.loads((tmp_path / "out" / "manifest.json").read_text())["constants"]

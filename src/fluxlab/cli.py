@@ -211,7 +211,7 @@ def _assemble_from_config(cfg: RunConfig):
                       cfg.get_float("grid.r_max", required=True))
     j_max = cfg.get_int("channels.j_max", required=True)
     w = _w_from_config(cfg, grid)
-    m_max = cfg.get_int("channels.m_max")
+    m_max = cfg.get_int("channels.m_max") if w is not None else None
     h = assemble_hamiltonian(profile, w, grid, j_max, m_max=m_max)
     return profile, w, grid, j_max, h
 
@@ -314,19 +314,20 @@ def _run_project(cfg, out_dir):
     return ["eigenvalues.csv", "projection.json"], constants
 
 
-def _build_weights(cfg, profile, window, grid, j_max, w):
-    """Interior/exterior (or mobility) weights with grid-extracted parameters."""
+def _gevrey(w):
+    """W's envelope exponent and rate (zeta, a); (1, None) when W = 0."""
+    return (1.0, None) if w is None else (w.envelope.zeta, w.envelope.a)
+
+
+def _build_weights(profile, window, grid, j_max, w, mobility=True):
+    """Interior/exterior (and, for linear flux unless ``mobility`` is false,
+    mobility) weights with grid-extracted parameters."""
     from .weights import build_weight
-    zeta = w.envelope.zeta if (w is not None and w.envelope is not None) \
-        else cfg.get_float("w.zeta", 1.0)
-    a = w.envelope.a if (w is not None and w.envelope is not None) else None
-    built = {}
-    if profile.sigma_plus > 1:
-        built["interior"] = build_weight("interior", profile, window, grid, zeta, j_max, a=a)
-    if profile.sigma_minus > 1:
-        built["exterior"] = build_weight("exterior", profile, window, grid, zeta, j_max, a=a)
-    if profile.kind == "linear":
-        built["mobility"] = build_weight("mobility", profile, window, grid, zeta, j_max, a=a)
+    zeta, a = _gevrey(w)
+    applies = {"interior": profile.sigma_plus > 1, "exterior": profile.sigma_minus > 1,
+               "mobility": mobility and profile.kind == "linear"}
+    built = {kind: build_weight(kind, profile, window, grid, zeta, j_max, a=a)
+             for kind, ok in applies.items() if ok}
     return built, zeta, a
 
 
@@ -359,7 +360,7 @@ def _run_tunnel(cfg, out_dir):
     from .weights import tunnelling_exterior_sum, tunnelling_interior_sum
     profile, w, grid, j_max, h = _assemble_from_config(cfg)
     window, proj, eigensys = _window_and_projection(cfg, h, w)
-    built, zeta, _ = _build_weights(cfg, profile, window, grid, j_max, w)
+    built, zeta, _ = _build_weights(profile, window, grid, j_max, w, mobility=False)
 
     artifacts, constants = [], {
         "e0": window.e0, "E_tilde": window.e_tilde, "rank": int(proj.rank),
@@ -368,8 +369,7 @@ def _run_tunnel(cfg, out_dir):
     report = {}
     if "interior" in built:
         wint = built["interior"]
-        c_plus = cfg.get_float("tunnel.c_plus", 0.4)
-        delta_plus = cfg.get_float("tunnel.delta_plus", wint.eps)
+        c_plus, delta_plus = 0.4, wint.eps
         res = tunnelling_interior_sum(proj, c_plus, delta_plus, zeta,
                                       profile.sigma_plus)
         write_csv(os.path.join(out_dir, "interior_norms.csv"),
@@ -389,9 +389,8 @@ def _run_tunnel(cfg, out_dir):
         wext = built["exterior"]
         # the proof lower-bounds G_j by (c/2) r^{zeta sigma_-} on the mask
         # starting at eta (2(1+|j|))^{1/sigma_-}
-        mask_default = wext.eta * 2.0 ** (1.0 / profile.sigma_minus)
-        c_minus = cfg.get_float("tunnel.c_minus", max(1.5, mask_default))
-        delta_minus = cfg.get_float("tunnel.delta_minus", 0.5 * wext.c)
+        c_minus = max(1.5, wext.eta * 2.0 ** (1.0 / profile.sigma_minus))
+        delta_minus = 0.5 * wext.c
         res = tunnelling_exterior_sum(proj, c_minus, delta_minus, zeta,
                                       profile.sigma_minus)
         write_csv(os.path.join(out_dir, "exterior_norms.csv"),
@@ -420,7 +419,7 @@ def _run_validate_weights(cfg, out_dir):
     if lowest.value > window.E0:
         # e0 = E0: the window holds no eigenvalue, as a rank-0 projection says
         warnings.warn(RANK_ZERO_WARNING, stacklevel=2)
-    built, _, a = _build_weights(cfg, profile, window, grid, j_max, w)
+    built, _, a = _build_weights(profile, window, grid, j_max, w)
 
     e0_channel = int(h.channels[lowest.channel])
     report, constants = {}, {
@@ -446,12 +445,7 @@ def _run_validate_weights(cfg, out_dir):
                 "lipschitz_ok": validation.lipschitz_ok,
                 "lipschitz_worst_excess": validation.lipschitz_worst_excess,
             },
-            "twisted_gap": {"lambda_min": gap.lambda_min,
-                            "lower_bound": gap.lower_bound,
-                            "shift_route": gap.shift_route,
-                            "cholesky_solves": gap.cholesky_solves,
-                            "threshold": gap.threshold,
-                            "slack": gap.slack, "passed": gap.passed},
+            "twisted_gap": dataclasses.asdict(gap),
             "passed": bool(validation.passed and gap.passed),
         }
         for key, value in params.items():
@@ -493,25 +487,23 @@ def _run_evolve(cfg, out_dir):
         seed["index"] = cfg.get_int("seed.index", 0)
     elif seed_kind == "gaussian":
         seed.update(j0=cfg.get_float("seed.j0", round(j_max / 2)),
-                    r0=cfg.get_float("seed.r0", grid.r_max / 3.0),
-                    width_j=cfg.get_float("seed.width_j", 2.0),
-                    width_r=cfg.get_float("seed.width_r", 1.0))
+                    r0=cfg.get_float("seed.r0", grid.r_max / 3.0))
     else:
         seed.update(j=cfg.get_int("seed.j", required=True),
-                    r0=cfg.get_float("seed.r0", required=True),
-                    width_r=cfg.get_float("seed.width_r", 1.0))
+                    r0=cfg.get_float("seed.r0", required=True))
     state0 = prepare_state(proj, seed)
 
     kind = cfg.get_str("time.kind", "geometric", choices={"geometric", "uniform"})
-    t0 = cfg.get_float("time.t0", 1.0)
     t1 = cfg.get_float("time.t1", 1000.0)
     n_t = cfg.get_int("time.n", 48)
-    times = geometric_times(t0, t1, n_t) if kind == "geometric" \
-        else np.linspace(0.0, t1, n_t)
+    # the uniform grid starts at 0, so only the geometric one reads t0
+    times = geometric_times(cfg.get_float("time.t0", 1.0), t1, n_t) \
+        if kind == "geometric" else np.linspace(0.0, t1, n_t)
 
-    zeta = w.envelope.zeta if (w is not None and w.envelope is not None) else 1.0
+    zeta, _ = _gevrey(w)
     nu = cfg.get_float("evolve.nu", 1.5)
-    beta = cfg.get_float("evolve.beta", zeta * nu / profile.sigma_minus)
+    # theorem 1's bound holds for beta = zeta nu / sigma_- only
+    beta = zeta * nu / profile.sigma_minus
     states = propagate(proj, state0, times)
     series = record_observables(states, nu, beta)
 
@@ -542,7 +534,6 @@ def _run_evolve(cfg, out_dir):
         try:
             fit = growth_fit_thm2(series, w.decay.kind, zeta, profile.sigma_plus,
                                   p=w.decay.p, s=w.decay.s,
-                                  slack=cfg.get_float("evolve.slack", 0.1),
                                   baseline=moment_j(state0, beta))
         except ValueError as exc:
             # W lies outside theorem 2's hypothesis; theorem 1 still stands

@@ -42,7 +42,7 @@ class FluxProfile:
     evaluated by one expression:
 
     - ``power_law``: any lam > 0, sigma >= 1
-    - ``linear``:    the sigma = 1 member (mobility-edge flux)
+    - ``linear``:    the sigma = 1 member (mobility-edge flux); power_law(lam, 1) returns it
     - ``uniform_field``: the sigma = 2 member with lam = B0/2, so
       Phi(r) = B0 * r**2 / 2 (Landau levels)
 
@@ -82,7 +82,7 @@ class FluxProfile:
             raise ValueError("power_law requires lam > 0")
         if sigma < 1:
             raise ValueError("power_law requires sigma >= 1")
-        return FluxProfile._closed_form("power_law", lam, sigma)
+        return FluxProfile._closed_form("linear" if sigma == 1 else "power_law", lam, sigma)
 
     @staticmethod
     def linear(lam: float) -> "FluxProfile":

@@ -568,6 +568,74 @@ def test_weight_parameter_keys_are_not_read(tmp_path):
                str(tmp_path / "linear")) == 0
     manifest = json.loads((tmp_path / "linear" / "manifest.json").read_text())
     assert {"weights.delta1", "weights.eta1"} <= set(manifest["unused_keys"])
+    # the tunnel parameters, theorem 1's beta = zeta nu / sigma_-, theorem 2's
+    # slack and the seed widths are fixed too; zeta and a come from W alone,
+    # so a W = 0 run reads no w.zeta; the uniform time grid starts at 0, and
+    # W = 0 has no couplings to truncate
+    uniform = LINEAR_CFG + "time.kind = uniform\ntime.t1 = 20.0\ntime.n = 8\n"
+    for i, (command, base, extra) in enumerate((
+            ("tunnel", COUPLED_CFG, {"tunnel.c_plus": 0.3, "tunnel.delta_plus": 0.2,
+                                     "tunnel.c_minus": 2.5, "tunnel.delta_minus": 0.1}),
+            ("evolve", COUPLED_CFG, {"evolve.beta": 1.0, "evolve.slack": 0.5,
+                                     "seed.width_j": 3.0, "seed.width_r": 0.5}),
+            ("validate-weights", LINEAR_CFG, {"w.zeta": 0.5}),
+            ("evolve", LINEAR_CFG, {"w.zeta": 0.5}),
+            ("evolve", uniform, {"time.t0": 3.0}),
+            ("spectrum", LINEAR_CFG, {"channels.m_max": 3}))):
+        text = base + "".join(f"{k} = {v}\n" for k, v in extra.items())
+        out, plain = tmp_path / f"{i}-keys", tmp_path / f"{i}-plain"
+        assert run(command, write_cfg(tmp_path, text), str(out)) == 0
+        assert run(command, write_cfg(tmp_path, base, "plain.cfg"), str(plain)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(extra) <= set(manifest["unused_keys"]), command
+        plain_manifest = json.loads((plain / "manifest.json").read_text())
+        assert manifest["constants"] == plain_manifest["constants"], command
+        for name in manifest["artifacts"]:
+            assert (out / name).read_bytes() == (plain / name).read_bytes(), name
+        if command == "tunnel":
+            assert {"c_plus", "delta_plus", "c_minus", "delta_minus"} \
+                <= set(manifest["constants"])
+
+
+def test_tunnel_builds_no_mobility_weight(tmp_path):
+    # tunnel sums over the interior and exterior weights only; on linear flux
+    # with E~ above the edge lam^2 = 1 the mobility weight cannot be built,
+    # and tunnel, which never reads it, still runs
+    text = LINEAR_CFG.replace("window.E0 = 0.9", "window.E0 = 0.95")
+    out = tmp_path / "out"
+    assert main(["tunnel", "--config", write_cfg(tmp_path, text), "--out", str(out),
+                 "--verify"]) == 0
+    assert json.loads((out / "tunnel_report.json").read_text()) == {}
+    assert json.loads((out / "manifest.json").read_text())["constants"]["E_tilde"] > 1.0
+
+
+def test_power_law_with_sigma_one_is_linear_flux(tmp_path):
+    # Phi = lam r under either kind: validate-weights checks the mobility
+    # weight and mobility scans the model, with the linear kind's artifacts
+    text = LINEAR_CFG.replace("profile.kind = linear",
+                              "profile.kind = power_law\nprofile.sigma = 1.0")
+    for command, name in (("validate-weights", "weights_report.json"),
+                          ("mobility", "mobility_report.json")):
+        out, linear = tmp_path / f"{command}-pl", tmp_path / f"{command}-linear"
+        assert run(command, write_cfg(tmp_path, text), str(out), verify=True) == 0
+        assert run(command, write_cfg(tmp_path, LINEAR_CFG, "linear.cfg"), str(linear)) == 0
+        assert (out / name).read_bytes() == (linear / name).read_bytes(), command
+    report = json.loads((tmp_path / "validate-weights-pl" / "weights_report.json").read_text())
+    assert report["mobility"]["passed"] and report["all_passed"]
+
+
+def test_readme_lists_every_config_key():
+    # the README's key table names exactly the keys the CLI reads
+    import re
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "src", "fluxlab", "cli.py")) as fh:
+        read = set(re.findall(r'cfg\.get_(?:str|float|int)\(\s*"([^"]+)"', fh.read()))
+    with open(os.path.join(root, "README.md")) as fh:
+        readme = fh.read()
+    table = readme.split("| key | read by | default |", 1)[1].split("\n\n", 1)[0]
+    listed = re.findall(r"^\| `([^`]+)` \|", table, flags=re.M)
+    assert len(listed) == len(set(listed))
+    assert set(listed) == read
 
 
 def test_validate_weights_evaluates_the_potential_table_a_few_times(tmp_path, monkeypatch):

@@ -112,9 +112,10 @@ def test_classical_region_monotone_in_energy():
 
 
 def test_linear_scan_matches_closed_form_within_one_spacing():
-    # power_law with sigma = 1 shares the flux function but takes the scan path
+    # the linear flux function under the power_law kind takes the scan path
+    # (FluxProfile.power_law(lam, 1) returns the linear kind itself)
     grid = build_grid(2000, 8.0)
-    scan_profile = FluxProfile.power_law(1.0, 1.0)
+    scan_profile = dataclasses.replace(FluxProfile.linear(1.0), kind="power_law")
     for j in (1, 2, 3):
         for energy in (0.2, 0.4, 0.6):
             scanned = classical_region(scan_profile, j, energy, grid)
@@ -125,6 +126,10 @@ def test_linear_scan_matches_closed_form_within_one_spacing():
                                                         abs=grid.h)
             assert scanned.interval[1] == pytest.approx(closed.interval[1],
                                                         abs=grid.h)
+
+
+def test_power_law_with_sigma_one_is_the_linear_profile():
+    assert FluxProfile.power_law(2.0, 1.0) == FluxProfile.linear(2.0)
 
 
 def test_growth_conditions_equality_case_passes():

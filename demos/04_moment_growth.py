@@ -1,8 +1,9 @@
 """Wavepacket moments under the evolved window dynamics.
 
-A window-projected Gaussian is propagated exactly in the eigenbasis; the
-radial moment <|x|^nu>(t) is then compared against the angular-momentum
-moment through the ratio
+A window-projected Gaussian evolves exactly in the eigenbasis, and its
+moments are read from the phased window coefficients; the radial moment
+<|x|^nu>(t) is then compared against the angular-momentum moment through
+the ratio
 
     <|x|^nu> / (|phi|^2 + <|J|^{nu/sigma}>),
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from fluxlab import (FluxProfile, assemble_hamiltonian, bound_check_thm1,
                      build_grid, diagonalize, estimate_c0, geometric_times,
-                     growth_fit_thm2, moment_j, prepare_state, propagate,
+                     growth_fit_thm2, moment_j, prepare_state,
                      record_observables, spectral_projection)
 from fluxlab.angular import AngularPotential, DecayClass, GevreyEnvelope
 from fluxlab.spectral import SpectralWindow
@@ -53,7 +54,7 @@ def run(radial, decay, label):
     nu = 1.5
     beta = nu / profile.sigma_minus
     times = geometric_times(1.0, 1000.0, 48)
-    series = record_observables(propagate(proj, state, times), nu=nu, beta=beta)
+    series = record_observables(proj, state, times, nu=nu, beta=beta)
 
     print(f"\n=== {label} (window rank {proj.rank}) ===")
     print("    t        <|x|^1.5>    <|J|>       ratio")

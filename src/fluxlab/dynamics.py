@@ -3,18 +3,20 @@
 States are stored as complex amplitude arrays indexed (channel, radial node).
 Propagation is an exact rotation in the window eigenbasis (the initial state
 is projected into the window, so no time-integration error enters).  The
-phased coefficients exp(-i lambda_k t) c_k of all recorded times form one
-(rank, n_t) block, and :func:`fluxlab.spectral.block_product` multiplies it
-into the basis block by block: a channel-pure basis only touches the rows of
-each eigenvector's own channel, and a real basis is never cast to complex.
-Each recorded state is one contiguous row of the product, so the
-observables read |u|^2 from contiguous memory.  The recorded observables are
+phased coefficients a(t) = exp(-i lambda_k t) c_k of all recorded times form
+one (rank, n_t) block.  :func:`propagate` multiplies it into the basis block
+by block with :func:`fluxlab.spectral.block_product`: a channel-pure basis
+only touches the rows of each eigenvector's own channel, and a real basis is
+never cast to complex.  The recorded observables
 
     x-moment:  <|x|^nu>(t)  = sum_{j,i} r_i^nu |u_{j,i}(t)|^2 h
     J-moment:  <|J|^beta>(t) = sum_j |j|^beta ||P_j u(t)||^2
 
 with the h-weighted norm ||u||^2 = sum |u_{j,i}|^2 h of the flat
-representation.
+representation, are quadratic forms in a(t), so :func:`record_observables`
+reads them from a(t) and triangular factors of the basis and forms no state:
+||P_j u(t)||^2 = h ||R_j a(t)||^2 with R_j the QR factor of channel j's rows
+of V, and likewise for the x-moment with the rows scaled by r^(nu/2).
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ import numpy as np
 
 from .flux import FluxProfile, classical_region
 from .grid import RadialGrid, build_channel_operators
-from .spectral import BlockHamiltonian, SpectralProjection, block_product
+from .spectral import (BlockHamiltonian, SpectralProjection, basis_product,
+                       block_product)
 from .weights import decay_rate_fit
 
 __all__ = [
@@ -106,6 +109,15 @@ def prepare_state(p: SpectralProjection, seed) -> WaveState:
     return WaveState(grid, channels, projected / norm, 0.0)
 
 
+def _phased_coefficients(p: SpectralProjection, blocks, state: WaveState,
+                         times: np.ndarray) -> np.ndarray:
+    """The (rank, n_t) block exp(-i lambda_k (t - t0)) c_k, c = h V^H phi0,
+    for V held in ``blocks``, the window's :attr:`SpectralProjection.blocks`."""
+    coeff = p.grid.h * block_product(blocks, state.flat_vector(), adjoint=True)
+    return np.exp(-1j * p.eigenvalues[:, None] * (times - state.time)[None, :]) \
+        * coeff[:, None]
+
+
 def propagate(p: SpectralProjection, state: WaveState,
               times: Sequence[float]) -> list[WaveState]:
     """phi(t) = sum_k exp(-i lambda_k t) <v_k, phi0> v_k for each requested t.
@@ -113,12 +125,9 @@ def propagate(p: SpectralProjection, state: WaveState,
     One blockwise product serves all times; each state is a contiguous row
     of its (n_t, dim) result.
     """
-    blocks = p.blocks
-    coeff = p.grid.h * block_product(blocks, state.flat_vector(), adjoint=True)
     times = np.asarray(times, dtype=float)
-    phased = np.exp(-1j * p.eigenvalues[:, None] * (times - state.time)[None, :]) \
-        * coeff[:, None]
-    u = block_product(blocks, phased.T)
+    blocks = p.blocks
+    u = block_product(blocks, _phased_coefficients(p, blocks, state, times).T)
     shape = (len(p.channels), p.grid.n_r)
     return [WaveState(p.grid, p.channels, u[k].reshape(shape), float(t))
             for k, t in enumerate(times)]
@@ -167,23 +176,42 @@ def geometric_times(t0: float, t1: float, n: int) -> np.ndarray:
     return np.geomspace(t0, t1, n)
 
 
-def record_observables(states: Sequence[WaveState], nu: float,
+def record_observables(p: SpectralProjection, state: WaveState,
+                       times: Sequence[float], nu: float,
                        beta: float) -> ObservableSeries:
-    """moment_x, moment_j, norm2 and channel_norm2 of each state, bitwise,
-    from one |u|^2 per state, read while that state is in cache."""
-    h = states[0].grid.h
-    wx, wj = _x_weight(states[0].grid, nu), _j_weight(states[0].channels, beta)
-    x_moment, norms, cn = [], [], []
-    for s in states:
-        d = s.density()
-        cn.append(h * np.sum(d, axis=1))
-        x_moment.append(float(h * np.sum(wx[None, :] * d)))
-        norms.append(float(h * np.sum(d)))
-    cn = np.stack(cn)
+    """moment_x, moment_j, norm2 and channel_norm2 of the states
+    :func:`propagate` would return, read from the phased coefficients a(t)
+    without forming a state.
+
+    Each basis block's channel rows V_j and their r^(nu/2)-scaled copies are
+    QR-factored in one stacked call, so ||P_j u(t)||^2 = h ||R_j a(t)||^2 and
+    the x-moment is h sum_j ||R^x_j a(t)||^2: every entry is a sum of
+    squares, never below zero.  The cost is rows k^2 per block of k columns
+    plus n_ch k^2 n_t, against the n_t rows k of forming the states.
+    """
+    grid, channels, n_r = p.grid, p.channels, p.grid.n_r
+    times = np.array(times, dtype=float)
+    blocks = p.blocks
+    a = _phased_coefficients(p, blocks, state, times)
+    x_scale = np.sqrt(_x_weight(grid, nu))[:, None]
+    cn = np.zeros((len(channels), times.size))
+    x_moment = np.zeros(times.size)
+    for b in blocks:
+        if not b.cols.size:
+            continue                        # its channels hold no weight
+        k = b.cols.size
+        v = b.vectors.T.reshape(k, -1, n_r).transpose(1, 2, 0)   # (channel, node, col)
+        r = np.linalg.qr(np.concatenate([v, x_scale * v]), mode="r")
+        ra = basis_product(r, a[b.cols]).view(float)   # re, im interleaved
+        ra = np.sum(np.square(ra, out=ra), axis=1)
+        sq = ra[:, 0::2] + ra[:, 1::2]                  # (2 n_ch, n_t)
+        first, n_ch = b.rows.start // n_r, v.shape[0]
+        cn[first:first + n_ch] = grid.h * sq[:n_ch]
+        x_moment += grid.h * np.sum(sq[n_ch:], axis=0)
     return ObservableSeries(
-        times=np.array([s.time for s in states]), x_moment=np.array(x_moment),
-        j_moment=np.array([float(np.sum(wj * c)) for c in cn]), norms=np.array(norms),
-        channel_norm2=cn, channels=states[0].channels, nu=nu, beta=beta)
+        times=times, x_moment=x_moment, j_moment=_j_weight(channels, beta) @ cn,
+        norms=np.sum(cn, axis=0), channel_norm2=cn.T, channels=channels,
+        nu=nu, beta=beta)
 
 
 @dataclass

@@ -134,8 +134,8 @@ def test_A4_theorem1_ratio_boundedness(tunnelling_lab):
                                  "width_j": 4.0, "width_r": 1.2})
     nu = 1.5
     beta = 1.0 * nu / profile.sigma_minus          # zeta nu / sigma_-
-    states = propagate(proj, state, geometric_times(1.0, 1000.0, 48))
-    series = record_observables(states, nu=nu, beta=beta)
+    series = record_observables(proj, state, geometric_times(1.0, 1000.0, 48),
+                                nu=nu, beta=beta)
     report = bound_check_thm1(series)
     ok = np.isfinite(report.sup_ratio) and report.trend_ok
     _criterion("A4 (theorem-1 ratio boundedness)", ok,
@@ -157,7 +157,7 @@ def test_A5_theorem2_growth_exponents():
     h = assemble_hamiltonian(profile, w_pow, grid, 24)
     _, proj = _window_projection(h, 1.0, envelope=w_pow.envelope)
     state = prepare_state(proj, seed)
-    series = record_observables(propagate(proj, state, times), nu=1.5, beta=1.0)
+    series = record_observables(proj, state, times, nu=1.5, beta=1.0)
     fit = growth_fit_thm2(series, "power", 1.0, profile.sigma_plus, p=4.0,
                           slack=0.1, baseline=moment_j(state, 1.0))
     assert fit.bound == pytest.approx(0.6)
@@ -171,7 +171,7 @@ def test_A5_theorem2_growth_exponents():
     h = assemble_hamiltonian(profile, w_exp, grid, 24)
     _, proj = _window_projection(h, 1.0, envelope=w_exp.envelope)
     state = prepare_state(proj, seed)
-    series = record_observables(propagate(proj, state, times), nu=1.5, beta=1.0)
+    series = record_observables(proj, state, times, nu=1.5, beta=1.0)
     fit = growth_fit_thm2(series, "stretched_exponential", 1.0,
                           profile.sigma_plus, s=1.0, slack=0.2,
                           baseline=moment_j(state, 1.0))

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -607,6 +610,50 @@ def test_tunnel_builds_no_mobility_weight(tmp_path):
                  "--verify"]) == 0
     assert json.loads((out / "tunnel_report.json").read_text()) == {}
     assert json.loads((out / "manifest.json").read_text())["constants"]["E_tilde"] > 1.0
+
+
+def test_validate_weights_reports_a_mobility_weight_above_the_edge(tmp_path):
+    # E~ above the edge lam^2 = 1 lies outside the mobility weight's
+    # hypothesis: the run records why instead of exiting on the build error,
+    # and with no weight checked, all_passed is null and --verify fails
+    text = LINEAR_CFG.replace("window.E0 = 0.9", "window.E0 = 0.95")
+    out = tmp_path / "out"
+    assert main(["validate-weights", "--config", write_cfg(tmp_path, text),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "weights_report.json").read_text())
+    assert report["mobility"]["status"] == "not_applicable"
+    assert "below the edge" in report["mobility"]["reason"]
+    assert report["all_passed"] is None
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["constants"]["E_tilde"] > 1.0
+    assert main(["validate-weights", "--config", write_cfg(tmp_path, text),
+                 "--out", str(out), "--verify"]) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["verify"]["failures"] == ["built_weights_validate"]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc mallopt only")
+def test_warm_runs_fault_in_no_fresh_pages(tmp_path):
+    # with malloc's thresholds pinned, a repeated validate-weights call at
+    # dim 32,800 reuses the heap the first call grew; under glibc's dynamic
+    # thresholds it maps and faults in about 7 MB again on every call
+    cfg = write_cfg(tmp_path, LINEAR_CFG.replace("grid.n_r = 200", "grid.n_r = 800")
+                    .replace("grid.r_max = 16.0", "grid.r_max = 32.0")
+                    .replace("channels.j_max = 8", "channels.j_max = 20"))
+    probe = f"""
+import resource
+from fluxlab.cli import run
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert run("validate-weights", {cfg!r}, {str(tmp_path / "out")!r}) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), NUMPY_MADVISE_HUGEPAGE="0")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout.split()[-1]) < 200
 
 
 def test_power_law_with_sigma_one_is_linear_flux(tmp_path):

@@ -46,10 +46,39 @@ def traced_run(tmp_path, command, text):
     return tracer
 
 
+# test_integration's uniform-grid coupled evolve, whose Heisenberg check
+# reads propagated states
+UNIFORM_COUPLED_EVOLVE = """
+profile.kind = power_law
+profile.lambda = 1.0
+profile.sigma = 1.5
+grid.n_r = 120
+grid.r_max = 9.0
+channels.j_max = 5
+w.form = gevrey_exp
+w.amp = 0.25
+w.a = 1.2
+w.mu = 0.5
+w.s = 1.0
+window.E0 = 1.0
+time.kind = uniform
+time.t1 = 6.0
+time.n = 61
+seed.j0 = 3
+seed.r0 = 2.5
+"""
+
+
 def test_traced_evolve_counts_propagate_bytes_and_restores(tmp_path):
+    # the moments come from the window coefficients: no state is propagated
     tracer = traced_run(tmp_path, "evolve", W0_EVOLVE)
-    counts = tracer.counts_by_root()[0]
-    assert counts["dynamics.propagate_bytes"] > 0
+    metrics = {span[0] for span in tracer.spans}
+    assert "dynamics.observables" in metrics
+    assert "dynamics.propagate" not in metrics
+    assert tracer.counts_by_root()[0]["dynamics.propagate_bytes"] == 0
+    # the Heisenberg check on a uniform grid with coupled W still propagates
+    tracer = traced_run(tmp_path, "evolve", UNIFORM_COUPLED_EVOLVE)
+    assert tracer.counts_by_root()[0]["dynamics.propagate_bytes"] > 0
     assert tracer.self_times()[0]["dynamics.propagate"] > 0
 
 

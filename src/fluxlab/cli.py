@@ -18,6 +18,7 @@ import sys
 import time
 import warnings
 
+from . import __version__
 from .runio import ConfigError, RunConfig, read_csv, write_csv, write_json
 
 _SUBCOMMANDS = ("spectrum", "project", "tunnel", "validate-weights",
@@ -89,7 +90,7 @@ def run(command: str, config_path, out_dir, verify: bool = False) -> int:
             "python": ".".join(map(str, sys.version_info[:3])),
             "numpy": numpy.__version__,
             "scipy": scipy.__version__,
-            "fluxlab": _package_version(),
+            "fluxlab": __version__,
         },
         "constants": constants,
         "artifacts": sorted(artifacts),
@@ -128,14 +129,6 @@ def _pin_malloc_thresholds() -> None:
     m_trim_threshold, m_mmap_threshold = -1, -3
     mallopt(m_mmap_threshold, 32 << 20)
     mallopt(m_trim_threshold, 64 << 20)
-
-
-def _package_version() -> str:
-    try:
-        from importlib.metadata import version
-        return version("fluxlab")
-    except Exception:
-        return "unknown"
 
 
 # --------------------------------------------------------------------------
@@ -518,23 +511,37 @@ def _run_evolve(cfg, out_dir):
     seed = {"kind": seed_kind}
     if seed_kind == "eigenvector":
         seed["index"] = cfg.get_int("seed.index", 0)
+        if not 0 <= seed["index"] < proj.rank:
+            raise ConfigError("seed.index", f"{seed['index']} is not a window eigenvector: "
+                                            f"the window has rank {proj.rank}")
     elif seed_kind == "gaussian":
         seed.update(j0=cfg.get_float("seed.j0", round(j_max / 2)),
                     r0=cfg.get_float("seed.r0", grid.r_max / 3.0))
     else:
         seed.update(j=cfg.get_int("seed.j", required=True),
                     r0=cfg.get_float("seed.r0", required=True))
+        if abs(seed["j"]) > j_max:
+            raise ConfigError("seed.j", f"channel {seed['j']} lies outside |j| <= {j_max}")
     state0 = prepare_state(proj, seed)
 
     kind = cfg.get_str("time.kind", "geometric", choices={"geometric", "uniform"})
     t1 = cfg.get_float("time.t1", 1000.0)
     n_t = cfg.get_int("time.n", 48)
+    if n_t < 2:
+        # theorem 1's trend compares the first and last quartiles of the series
+        raise ConfigError("time.n", f"the series needs at least 2 times, got {n_t}")
     # the uniform grid starts at 0, so only the geometric one reads t0
-    times = geometric_times(cfg.get_float("time.t0", 1.0), t1, n_t) \
-        if kind == "geometric" else np.linspace(0.0, t1, n_t)
+    t0 = cfg.get_float("time.t0", 1.0) if kind == "geometric" else 0.0
+    if kind == "geometric" and not t0 > 0:
+        raise ConfigError("time.t0", f"the geometric grid needs t0 > 0, got {t0:g}")
+    if not t1 > t0:
+        raise ConfigError("time.t1", f"the {kind} grid needs t1 > {t0:g}, got {t1:g}")
+    times = geometric_times(t0, t1, n_t) if kind == "geometric" else np.linspace(t0, t1, n_t)
 
     zeta, _ = _gevrey(w)
     nu = cfg.get_float("evolve.nu", 1.5)
+    if not nu >= 0:
+        raise ConfigError("evolve.nu", f"the x-moment needs nu >= 0, got {nu:g}")
     # theorem 1's bound holds for beta = zeta nu / sigma_- only
     beta = zeta * nu / profile.sigma_minus
     series = record_observables(proj, state0, times, nu, beta)

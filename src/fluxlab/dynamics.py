@@ -109,11 +109,11 @@ def prepare_state(p: SpectralProjection, seed) -> WaveState:
     return WaveState(grid, channels, projected / norm, 0.0)
 
 
-def _phased_coefficients(p: SpectralProjection, blocks, state: WaveState,
+def _phased_coefficients(p: SpectralProjection, state: WaveState,
                          times: np.ndarray) -> np.ndarray:
     """The (rank, n_t) block exp(-i lambda_k (t - t0)) c_k, c = h V^H phi0,
-    for V held in ``blocks``, the window's :attr:`SpectralProjection.blocks`."""
-    coeff = p.grid.h * block_product(blocks, state.flat_vector(), adjoint=True)
+    for V the window basis in :attr:`SpectralProjection.blocks`."""
+    coeff = p.grid.h * block_product(p.blocks, state.flat_vector(), adjoint=True)
     return np.exp(-1j * p.eigenvalues[:, None] * (times - state.time)[None, :]) \
         * coeff[:, None]
 
@@ -126,8 +126,7 @@ def propagate(p: SpectralProjection, state: WaveState,
     of its (n_t, dim) result.
     """
     times = np.asarray(times, dtype=float)
-    blocks = p.blocks
-    u = block_product(blocks, _phased_coefficients(p, blocks, state, times).T)
+    u = block_product(p.blocks, _phased_coefficients(p, state, times).T)
     shape = (len(p.channels), p.grid.n_r)
     return [WaveState(p.grid, p.channels, u[k].reshape(shape), float(t))
             for k, t in enumerate(times)]
@@ -191,12 +190,11 @@ def record_observables(p: SpectralProjection, state: WaveState,
     """
     grid, channels, n_r = p.grid, p.channels, p.grid.n_r
     times = np.array(times, dtype=float)
-    blocks = p.blocks
-    a = _phased_coefficients(p, blocks, state, times)
+    a = _phased_coefficients(p, state, times)
     x_scale = np.sqrt(_x_weight(grid, nu))[:, None]
     cn = np.zeros((len(channels), times.size))
     x_moment = np.zeros(times.size)
-    for b in blocks:
+    for b in p.blocks:
         if not b.cols.size:
             continue                        # its channels hold no weight
         k = b.cols.size

@@ -23,13 +23,14 @@ Their number must equal the count, which is certified exactly
 (:func:`_window_count`): Weyl's inequality brackets it by two Sturm counts
 of the channel tridiagonals at the top shifted by the coupling bound, the
 determinant sign of a pivoted band LU (:class:`BandLU`), built at the top
-only for it, settles a real bracket one wide, and every other bracket, or
-a sign too close to singular to trust, takes the inertia of a block
-elimination over H's nodes (:func:`band_inertia`).  A sweep of dim - 1 or
-more pairs, which ARPACK cannot return, is solved densely instead, with no
-factor: that is how a top above |H|_inf gives the whole spectrum.  The
-eigenvectors return to channel-major order once, after the sweep.  Repeated
-runs are deterministic (fixed start vectors, fixed assembly order).
+only for it and freed when the count returns, settles a real bracket one
+wide, and every other bracket, or a sign too close to singular to trust,
+takes the inertia of a block elimination over H's nodes
+(:func:`band_inertia`).  A sweep of dim - 1 or more pairs, which ARPACK
+cannot return, is solved densely instead, with no factor: that is how a
+top above |H|_inf gives the whole spectrum.  The eigenvectors return to
+channel-major order once, after the sweep.  Repeated runs are
+deterministic (fixed start vectors, fixed assembly order).
 
 A check that reads only the window's bottom e0 takes H's lowest eigenvalue
 from :func:`lowest_eigenvalue` instead, which also gives the twisted
@@ -46,10 +47,12 @@ An :class:`EigenSystem` stores its eigenvectors only in blocks
 (:class:`BasisBlock`) whose rows tile the flat index: the per-channel route
 keeps one block of tridiagonal eigenvectors per channel, so memory scales
 with n_r k rather than dim k, and a coupled eigensystem is one block
-holding every row and column.  Every product with the eigenvectors
-(projection, propagation, the Gram matrix) runs block by block, so
-channel-pure eigenvectors never meet other channels' zero rows; the dense
-``EigenSystem.eigenvectors`` and ``SpectralProjection.basis`` are for tests.
+holding every row and column.  A projection restricts them to its window
+columns once (``SpectralProjection.blocks``), and every product with the
+eigenvectors (projection, propagation, the Gram matrix) runs block by
+block, so channel-pure eigenvectors never meet other channels' zero rows;
+the dense ``EigenSystem.eigenvectors`` and ``SpectralProjection.basis``
+are for tests.
 
 The assembly evaluates V_j(r_i) once, as an (n_ch, n_r) table kept on the
 Hamiltonian (``BlockHamiltonian.potential``) for the checks that compare it
@@ -775,14 +778,15 @@ class WindowCount(NamedTuple):
     """The number of eigenvalues of A below a shift, the certificate that
     fixes it (``weyl``, ``weyl_determinant_sign`` or ``inertia``), Weyl's
     bracket (k_lo, k_hi) around it, the coupling bound w of that bracket,
-    and the band LU built for a determinant sign (None when the bracket is
-    not one wide or A is complex)."""
+    and the storage and solves of the band LU built for a determinant sign
+    (both 0 when the bracket is not one wide or A is complex)."""
 
     n: int
     certificate: str
     bracket: Tuple[int, int]
     coupling_bound: float
-    lu: Optional[BandLU] = None
+    lu_nnz: int = 0
+    lu_solves: int = 0
 
 
 def _window_count(ab: np.ndarray, top: float, channels) -> WindowCount:
@@ -820,7 +824,7 @@ def _window_count(ab: np.ndarray, top: float, channels) -> WindowCount:
     bracket = (int(k_lo), int(k_hi))
     if k_lo == k_hi:
         return WindowCount(k_lo, "weyl", bracket, w)
-    lu = None
+    lu_counts = ()
     if k_hi == k_lo + 1 and not np.iscomplexobj(ab):
         lu = splu(ab, top)
         # two inverse-power steps from a fixed pseudo-random unit vector:
@@ -829,10 +833,11 @@ def _window_count(ab: np.ndarray, top: float, channels) -> WindowCount:
         x = np.random.default_rng(0).standard_normal(ab.shape[1])
         for _ in range(2):
             x = lu.solve(x / np.linalg.norm(x))
+        lu_counts = (lu.nnz, lu.solves)
         if np.linalg.norm(x) < 1.0 / g:
             n = k_lo if lu.det_sign() == (-1) ** k_lo else k_hi
-            return WindowCount(n, "weyl_determinant_sign", bracket, w, lu)
-    return WindowCount(band_inertia(ab, top), "inertia", bracket, w, lu)
+            return WindowCount(n, "weyl_determinant_sign", bracket, w, *lu_counts)
+    return WindowCount(band_inertia(ab, top), "inertia", bracket, w, *lu_counts)
 
 
 def _windowed_eigensystem(h: BlockHamiltonian, upper: float,
@@ -843,7 +848,7 @@ def _windowed_eigensystem(h: BlockHamiltonian, upper: float,
     Weyl's bracket (k_lo, k_hi) on the count N below the top and the shift
     below the spectrum.  A band LU at the top (:class:`BandLU`), built only
     for a real bracket one wide, serves only the count
-    (:func:`_window_count`) and is released once N is fixed.  The
+    (:func:`_window_count`), which frees it on returning.  The
     sweep asks :func:`_lowest_pairs`, the route of :func:`lowest_eigenvalue`,
     for the k_hi lowest pairs (at least one) and keeps those below the top:
     exactly N, each with residual at most 1e-9 |H|_inf.  Those k_hi pairs
@@ -852,20 +857,14 @@ def _windowed_eigensystem(h: BlockHamiltonian, upper: float,
     claims, and raises.  The lowest pair is H's lowest eigenvalue, kept as
     ``lowest`` even when the window is empty; there it meets
     :func:`lowest_eigenvalue`'s 1e-9 max(1, |H|_inf) contract.  The
-    eigenvectors return to channel-major order.
+    eigenvectors return to channel-major order, in an array of N columns.
     """
     top = upper + margin
     ab, order = h.to_band()
     channels = _channel_tridiagonal(ab)
     norm_h = channels[2]
     count = _window_count(ab, top, channels)
-    lu_nnz, lu_solves = (0, 0) if count.lu is None else (count.lu.nnz, count.lu.solves)
     k = max(count.bracket[1], 1)
-    # the LU is released before the sweep's factor is built, and the output
-    # is allocated first, so the LU's memory comes free as one block (which
-    # evolve's state array reuses) rather than split by a long-lived array
-    vecs = np.empty((h.dim, k), dtype=ab.dtype, order="F")
-    count = count._replace(lu=None)
     vals, band_vecs, residuals, factor, route, _ = _lowest_pairs(ab, channels, k)
     found = int(np.count_nonzero(vals < top))
     if found != count.n:
@@ -876,14 +875,14 @@ def _windowed_eigensystem(h: BlockHamiltonian, upper: float,
     if max(res, residuals[0]) > bound:
         raise RuntimeError(f"iterative eigensolve residual {max(res, residuals[0]):.3e} "
                            f"exceeds its 1e-9 |H| contract, {bound:.3e}")
-    vecs = vecs[:, :found]
+    vecs = np.empty((h.dim, found), dtype=ab.dtype, order="F")
     vecs[order] = band_vecs[:, :found] / np.sqrt(h.grid.h)
     return EigenSystem(
         grid=h.grid, channels=h.channels, eigenvalues=vals[:found],
         residual_max=res, norm_h=norm_h,
         method="dense" if k >= h.dim - 1 else "shift_invert_window",
         blocks=(BasisBlock(slice(0, h.dim), np.arange(found), vecs),),
-        factor_nnz=lu_nnz, lu_solves=lu_solves, lowest=float(vals[0]),
+        factor_nnz=count.lu_nnz, lu_solves=count.lu_solves, lowest=float(vals[0]),
         sweep_shift=None if factor is None else factor.sigma, sweep_shift_route=route,
         cholesky_solves=0 if factor is None else factor.solves,
         count_certificate=count.certificate, weyl_bracket=count.bracket,
@@ -980,9 +979,10 @@ class SpectralProjection:
         """The dense (dim, rank) window eigenvectors, for tests only."""
         return self.eigensystem.eigenvectors[:, self.selector]
 
-    @property
+    @cached_property
     def blocks(self) -> Tuple[BasisBlock, ...]:
-        """The eigensystem's blocks on the window columns, renumbered from 0."""
+        """The eigensystem's blocks on the window columns, renumbered from 0:
+        views of its arrays, built on first access."""
         lo, hi = self.selector.start, self.selector.stop
         return tuple(b.restrict(lo, hi) for b in self.eigensystem.blocks)
 
@@ -997,9 +997,8 @@ class SpectralProjection:
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Project a flat (n_ch, n_r) amplitude array onto the window subspace."""
         flat = np.asarray(u).reshape(-1)
-        blocks = self.blocks
-        coeff = self.grid.h * block_product(blocks, flat, adjoint=True)
-        return block_product(blocks, coeff).reshape(np.asarray(u).shape)
+        coeff = self.grid.h * block_product(self.blocks, flat, adjoint=True)
+        return block_product(self.blocks, coeff).reshape(np.asarray(u).shape)
 
     def idempotency_error(self) -> float:
         """|P^2 - P| = |P^* - P| on the retained basis (Gram defect norm).
@@ -1068,8 +1067,7 @@ def channel_projection_norm(p: SpectralProjection, j: int,
     if not np.any(mask):
         return 0.0
     first = p.eigensystem.channels.tolist().index(j) * grid.n_r
-    b = next(b for b in p.eigensystem.blocks if b.rows.start <= first < b.rows.stop)
-    b = b.restrict(p.selector.start, p.selector.stop)
+    b = next(b for b in p.blocks if b.rows.start <= first < b.rows.stop)
     start = first - b.rows.start
     rows = np.sqrt(grid.h) * b.vectors[start:start + grid.n_r][mask]
     if radial_weight is not None:

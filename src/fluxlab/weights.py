@@ -223,7 +223,7 @@ class WeightValidation:
     """Pointwise verdicts for the three admissibility hypotheses."""
 
     derivative_ok: np.ndarray            # per channel
-    derivative_worst_margin: float       # min over nodes of rhs - (F')^2
+    derivative_worst_margin: float       # min of rhs - (F')^2 where F' != 0, NaN if none
     bounded_ok: bool
     max_exp_weight_on_allowed: float
     lipschitz_ok: bool
@@ -246,6 +246,8 @@ def weight_validate(weight: WeightSequence, profile: FluxProfile,
     allowed = v <= window.e_tilde
     margin = v - window.e_tilde * (~allowed) - slope ** 2
     deriv_ok = np.all(margin >= -tol, axis=1)
+    # where F' = 0, (i) reads rhs >= 0, which V >= 0 gives: it binds only where F' != 0
+    active = margin[slope != 0]
     max_allowed_weight = float(f[allowed].max(initial=0.0))
     bounded_ok = max_allowed_weight <= tol
 
@@ -258,7 +260,8 @@ def weight_validate(weight: WeightSequence, profile: FluxProfile,
             lip_excess = max(lip_excess, float(np.max(d - bound)))
 
     return WeightValidation(
-        derivative_ok=deriv_ok, derivative_worst_margin=float(margin.min()),
+        derivative_ok=deriv_ok,
+        derivative_worst_margin=float(active.min()) if active.size else np.nan,
         bounded_ok=bounded_ok,
         max_exp_weight_on_allowed=float(np.exp(max_allowed_weight)),
         lipschitz_ok=lip_excess <= tol, lipschitz_worst_excess=float(lip_excess),

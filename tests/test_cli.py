@@ -200,11 +200,11 @@ def test_validate_weights_on_an_empty_window_sets_e0_to_E0(tmp_path):
         "spectral window selected no eigenvalues (rank-0 projection)"]
     # the report bytes for this config; they pin both twisted lambda_min,
     # the Ritz values that polish the tridiagonal route's bisected minimum,
-    # and their lower bounds
+    # their lower bounds, and each weight's derivative margin over F' != 0
     report = (out / "weights_report.json").read_bytes()
     assert json.loads(report)["all_passed"]
     assert hashlib.sha256(report).hexdigest() \
-        == "c840bca8fe6aa32a4db47987e78f7ccb4c175af67a51f56b82dc66cdc55c594b"
+        == "3ab03b0ff6c36182f22cdd77348ef19f9383d7ccecf7f5d59cef22fde8d0e61a"
 
 
 def test_an_empty_window_without_delta0_takes_a_tenth_of_the_gap_to_the_spectrum(tmp_path):
@@ -632,6 +632,68 @@ def test_validate_weights_reports_a_mobility_weight_above_the_edge(tmp_path):
     assert manifest["verify"]["failures"] == ["built_weights_validate"]
 
 
+def test_derivative_margin_is_read_where_the_weight_has_a_slope(tmp_path):
+    # hypothesis (i), (F')^2 <= V - E~ chi_perp, binds only where F' != 0;
+    # elsewhere its margin is V >= 0, whose minimum, on an allowed node, is
+    # the same for every weight
+    from fluxlab.cli import _assemble_from_config, _build_weights, _window
+    from fluxlab.spectral import lowest_eigenvalue
+    path, out = write_cfg(tmp_path, COUPLED_CFG), tmp_path / "out"
+    assert run("validate-weights", path, str(out)) == 0
+    report = json.loads((out / "weights_report.json").read_text())
+    cfg = RunConfig.parse(path)
+    profile, w, grid, j_max, h = _assemble_from_config(cfg)
+    window = _window(cfg, h, w, lowest_eigenvalue(h.to_band()[0]).value)
+    built, _, _ = _build_weights(profile, window, grid, j_max, w)
+    assert set(built) == {"interior", "exterior"}
+    margins = {}
+    for name, weight in built.items():
+        worst = np.inf
+        for j in range(-j_max, j_max + 1):
+            slope = weight.evaluate(np.array([j]), grid.nodes)[1][0]
+            v = profile.effective_potential(np.array([j]), grid.nodes)[0]
+            rhs = np.where(v <= window.e_tilde, v, v - window.e_tilde)
+            active = slope != 0
+            worst = min(worst, np.min(rhs[active] - slope[active] ** 2, initial=np.inf))
+        margins[name] = report[name]["hypotheses"]["derivative_worst_margin"]
+        assert np.isfinite(worst) and margins[name] == pytest.approx(worst, rel=1e-12)
+    assert margins["interior"] != margins["exterior"]
+
+
+def test_manifest_records_the_source_trees_version(tmp_path):
+    # a run from the source tree, with no installed distribution, still
+    # records the version the package and pyproject.toml declare
+    import re
+    import fluxlab
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml")) as fh:
+        (declared,) = re.findall(r'^version\s*=\s*"([^"]+)"', fh.read(), re.M)
+    out = tmp_path / "out"
+    assert run("spectrum", write_cfg(tmp_path, BASE_CFG), str(out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["versions"]["fluxlab"] == fluxlab.__version__ == declared
+
+
+@pytest.mark.parametrize("command, text, n_blocks", [
+    ("tunnel", COUPLED_CFG, 1), ("evolve", COUPLED_CFG, 1), ("evolve", LINEAR_CFG, 17),
+], ids=["coupled-tunnel", "coupled-evolve", "linear-evolve"])
+def test_a_run_restricts_each_eigensystem_block_to_the_window_once(tmp_path, monkeypatch,
+                                                                   command, text, n_blocks):
+    # SpectralProjection.blocks restricts the eigensystem's blocks (one when
+    # coupled, one per channel otherwise) on first access; channel norms,
+    # prepare_state and record_observables read those views and build none
+    from fluxlab.spectral import BasisBlock
+    restricted, original = [], BasisBlock.restrict
+
+    def recording_restrict(block, lo, hi):
+        restricted.append(block)
+        return original(block, lo, hi)
+
+    monkeypatch.setattr(BasisBlock, "restrict", recording_restrict)
+    assert run(command, write_cfg(tmp_path, text), str(tmp_path / "out")) == 0
+    assert len(restricted) == len({id(b) for b in restricted}) == n_blocks
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc mallopt only")
 def test_warm_runs_fault_in_no_fresh_pages(tmp_path):
     # with malloc's thresholds pinned, a repeated validate-weights call at
@@ -773,20 +835,42 @@ def test_json_artifacts_write_a_missing_number_as_null(tmp_path):
         assert values["max_eigenvalue_shift"] is None
 
 
-@pytest.mark.parametrize("extra, key", [
-    ("mobility.box_growth = 1.0", "mobility.box_growth"),
-    ("mobility.box_growth = 0.5", "mobility.box_growth"),
-    ("mobility.low_lo = 0.8\nmobility.low_hi = 0.1", "mobility.low_lo"),
-    ("mobility.high_lo = 2.0\nmobility.high_hi = 2.0", "mobility.high_lo"),
-], ids=["growth_1", "growth_half", "low_inverted", "high_empty"])
-def test_mobility_rejects_inputs_whose_verdict_cannot_fail(tmp_path, capfd, extra, key):
+UNIFORM = "time.kind = uniform\n"
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("mobility", LINEAR_CFG + "mobility.box_growth = 1.0\n", "mobility.box_growth"),
+    ("mobility", LINEAR_CFG + "mobility.box_growth = 0.5\n", "mobility.box_growth"),
+    ("mobility", LINEAR_CFG + "mobility.low_lo = 0.8\nmobility.low_hi = 0.1\n",
+     "mobility.low_lo"),
+    ("mobility", LINEAR_CFG + "mobility.high_lo = 2.0\nmobility.high_hi = 2.0\n",
+     "mobility.high_lo"),
+    ("evolve", COUPLED_CFG + "seed.kind = eigenvector\nseed.index = 50\n", "seed.index"),
+    ("evolve", COUPLED_CFG + "seed.kind = eigenvector\nseed.index = -1\n", "seed.index"),
+    ("evolve", COUPLED_CFG + "seed.kind = channel_bump\nseed.j = 9\n", "seed.j"),
+    ("evolve", COUPLED_CFG.replace("time.n = 12", "time.n = 1"), "time.n"),
+    ("evolve", COUPLED_CFG.replace("time.t0 = 1.0", "time.t0 = 0"), "time.t0"),
+    ("evolve", COUPLED_CFG.replace("time.t1 = 50.0", "time.t1 = 0.5"), "time.t1"),
+    ("evolve", COUPLED_CFG.replace("time.n = 12", "time.n = 1") + UNIFORM, "time.n"),
+    ("evolve", COUPLED_CFG + "evolve.nu = -1\n", "evolve.nu"),
+    ("evolve", LINEAR_CFG + UNIFORM + "time.t1 = -5\n", "time.t1"),
+    ("evolve", LINEAR_CFG + UNIFORM + "time.n = 1\n", "time.n"),
+], ids=["growth_1", "growth_half", "low_inverted", "high_empty", "seed_index_past_rank",
+        "seed_index_negative", "seed_j_past_j_max", "geometric_n_1", "geometric_t0_0",
+        "geometric_t1_below_t0", "uniform_n_1_coupled", "nu_negative", "uniform_t1_negative",
+        "uniform_n_1_linear"])
+def test_mobility_rejects_inputs_whose_verdict_cannot_fail(tmp_path, capfd, command, text,
+                                                           key):
     # a box that does not grow makes every shift rounding (or infinite), and
-    # an empty band fails before LAPACK can print to stderr
-    cfg = write_cfg(tmp_path, LINEAR_CFG + extra + "\n")
-    assert main(["mobility", "--config", cfg, "--out", str(tmp_path / "m")]) == 2
+    # an empty band fails before LAPACK can print to stderr; evolve's seed,
+    # time and moment keys are checked before the library call, so the error
+    # names the key instead of a library message, a traceback, or a series
+    # no theorem-1 verdict can fail on
+    cfg = write_cfg(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "m")]) == 2
     err = capfd.readouterr().err
     assert err.startswith(f"config error: {key}:")
-    assert "illegal value" not in err
+    assert "illegal value" not in err and "Traceback" not in err
 
 
 def test_mobility_manifest_counts_the_solves_of_each_box(tmp_path):

@@ -256,6 +256,8 @@ def test_narrow_bracket_counts_match_the_dense_count(angular):
     routes = set()
     for sigma in WEAK_SHIFTS:
         count = _window_count(ab, sigma, _channel_tridiagonal(ab))
+        # the count keeps numbers only: its LU is freed when it returns
+        assert all(type(v) in (int, float, str, tuple) for v in count)
         k_lo, k_hi = count.bracket
         assert k_hi - k_lo <= 1, sigma
         assert count.n == int(np.sum(dense < sigma)), sigma

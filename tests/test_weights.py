@@ -177,6 +177,8 @@ def test_weight_validate_zero_weight_passes():
     report = weight_validate(WeightSequence(kind="zero"), profile, window,
                              grid, 6, a=1.0)
     assert report.passed
+    # F' = 0 at every node: (i) binds nowhere, so it has no margin to report
+    assert np.isnan(report.derivative_worst_margin)
 
 
 def test_twisted_gap_zero_weight_zero_w():

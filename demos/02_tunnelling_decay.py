@@ -11,10 +11,10 @@ decay and the weighted partial sum that certifies it.
 import numpy as np
 
 from fluxlab import (FluxProfile, assemble_hamiltonian, build_grid,
-                     build_weight, decay_rate_fit, diagonalize, estimate_c0,
+                     build_weight, decay_rate_fit, diagonalize,
                      spectral_projection, tunnelling_interior_sum)
 from fluxlab.angular import AngularPotential, DecayClass, GevreyEnvelope
-from fluxlab.spectral import SpectralWindow
+from fluxlab.spectral import make_window
 
 # angularly analytic perturbation: modes m >= 1 with amplitudes e^{-1.5 m}
 AMP, A_RATE = 0.2, 1.5
@@ -43,11 +43,9 @@ print(f"Block Hamiltonian: {h.n_ch} channels x {grid.n_r} nodes = {h.dim}, "
       f"coupling bands up to m = {h.m_max}")
 
 es = diagonalize(h, window_upper=1.0)
-e0 = float(es.eigenvalues[0])
-c0 = estimate_c0(w.envelope.b, A_RATE, 1.0, grid)
-window = SpectralWindow(e0=e0, E0=1.0, delta0=0.1 * (1 - e0), c0=c0)
+window = make_window(h, es.lowest, 1.0, envelope=w.envelope)
 proj = spectral_projection(h, window, eigensystem=es)
-print(f"Window [{e0:.4f}, 1.0]: rank {proj.rank}, boosted threshold "
+print(f"Window [{window.e0:.4f}, 1.0]: rank {proj.rank}, boosted threshold "
       f"E~ = {window.e_tilde:.4f}")
 
 interior = build_weight("interior", profile, window, grid, 1.0, J_MAX,

@@ -14,7 +14,7 @@ from fluxlab import (FluxProfile, assemble_hamiltonian, build_grid,
                      build_weight, forbidden_region_check, twisted_gap_check,
                      weight_validate)
 from fluxlab.angular import AngularPotential, DecayClass, GevreyEnvelope
-from fluxlab.spectral import SpectralWindow, estimate_c0, lowest_eigenvalue
+from fluxlab.spectral import lowest_eigenvalue, make_window
 
 AMP, A_RATE = 0.2, 1.5
 modes = np.arange(1, 30)
@@ -38,10 +38,9 @@ grid = build_grid(400, 15.0)
 J_MAX = 16
 
 h = assemble_hamiltonian(profile, w, grid, J_MAX)
-e0 = lowest_eigenvalue(h.to_band()[0]).value
-c0 = estimate_c0(w.envelope.b, A_RATE, 1.0, grid)
-window = SpectralWindow(e0=e0, E0=1.0, delta0=0.1 * (1 - e0), c0=c0)
-print(f"window [{e0:.4f}, 1.0], c0 = {c0:.4f}, E~ = {window.e_tilde:.4f}")
+window = make_window(h, lowest_eigenvalue(h.to_band()[0]).value, 1.0,
+                     envelope=w.envelope)
+print(f"window [{window.e0:.4f}, 1.0], c0 = {window.c0:.4f}, E~ = {window.e_tilde:.4f}")
 
 frr = forbidden_region_check(profile, window.e_tilde, grid, J_MAX)
 print(f"\nForbidden-region lower bounds at E~:")

@@ -16,11 +16,11 @@ log-power for exponential decay).
 import numpy as np
 
 from fluxlab import (FluxProfile, assemble_hamiltonian, bound_check_thm1,
-                     build_grid, diagonalize, estimate_c0, geometric_times,
+                     build_grid, diagonalize, geometric_times,
                      growth_fit_thm2, moment_j, prepare_state,
                      record_observables, spectral_projection)
 from fluxlab.angular import AngularPotential, DecayClass, GevreyEnvelope
-from fluxlab.spectral import SpectralWindow
+from fluxlab.spectral import make_window
 
 AMP, A_RATE = 0.2, 1.5
 modes = np.arange(1, 30)
@@ -44,9 +44,7 @@ def run(radial, decay, label):
         decay=decay)
     h = assemble_hamiltonian(profile, w, grid, J_MAX)
     es = diagonalize(h, window_upper=1.0)
-    e0 = float(es.eigenvalues[0])
-    c0 = estimate_c0(w.envelope.b, A_RATE, 1.0, grid)
-    window = SpectralWindow(e0=e0, E0=1.0, delta0=0.1 * (1 - e0), c0=c0)
+    window = make_window(h, es.lowest, 1.0, envelope=w.envelope)
     proj = spectral_projection(h, window, eigensystem=es)
 
     state = prepare_state(proj, {"kind": "gaussian", "j0": 12.0, "r0": 5.2,

@@ -12,12 +12,13 @@ a > 0 and 0 < zeta <= 1.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import gamma, gammaincc
+
+from .runio import read_csv, write_csv
 
 __all__ = [
     "GevreyEnvelope", "DecayClass", "CoefficientTable", "AngularPotential",
@@ -227,27 +228,22 @@ def xi_constant(a: float, zeta: float, tol: float = 1e-14) -> float:
 
 
 def save_table_csv(table: CoefficientTable, path) -> None:
-    """Write the coefficient table as CSV rows (i, r_i, m, re, im)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "r_i", "m", "re", "im"])
-        for i, r in enumerate(table.r):
-            for m in table.m:
-                v = table.values[i, m + table.m_max]
-                writer.writerow([i, f"{r:.17g}", m, f"{v.real:.17g}", f"{v.imag:.17g}"])
+    """Write the coefficient table as CSV rows (i, r_i, m, re, im) with
+    :func:`~fluxlab.runio.write_csv`: atomically, 17 significant digits."""
+    m = table.m.tolist()
+    write_csv(path, ["i", "r_i", "m", "re", "im"],
+              ((i, r, m_k, v.real, v.imag)
+               for i, r in enumerate(table.r) for m_k, v in zip(m, table.values[i])))
 
 
 def load_table_csv(path) -> CoefficientTable:
-    """Read a coefficient table written by :func:`save_table_csv`."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:5] != ["i", "r_i", "m", "re", "im"]:
-            raise ValueError(f"unexpected coefficient CSV header: {header}")
-        for row in reader:
-            rows.append((int(row[0]), float(row[1]), int(row[2]),
-                         float(row[3]), float(row[4])))
+    """Read a coefficient table written by :func:`save_table_csv`; a table
+    with CRLF line ends loads the same."""
+    header, cells = read_csv(path)
+    if header[:5] != ["i", "r_i", "m", "re", "im"]:
+        raise ValueError(f"unexpected coefficient CSV header: {header}")
+    rows = [(int(row[0]), float(row[1]), int(row[2]), float(row[3]), float(row[4]))
+            for row in cells]
     if not rows:
         raise ValueError("empty coefficient table")
     n_r = max(r[0] for r in rows) + 1

@@ -139,13 +139,21 @@ def _profile_from_config(cfg: RunConfig):
     from .flux import FluxProfile
     kind = cfg.get_str("profile.kind", required=True,
                        choices={"power_law", "linear", "uniform_field", "tabulated"})
-    if kind == "power_law":
-        return FluxProfile.power_law(cfg.get_float("profile.lambda", required=True),
-                                     cfg.get_float("profile.sigma", required=True))
-    if kind == "linear":
-        return FluxProfile.linear(cfg.get_float("profile.lambda", required=True))
+    if kind in ("power_law", "linear"):
+        lam = cfg.get_float("profile.lambda", required=True)
+        if not lam > 0:
+            raise ConfigError("profile.lambda", f"the flux needs lambda > 0, got {lam:g}")
+        if kind == "linear":
+            return FluxProfile.linear(lam)
+        sigma = cfg.get_float("profile.sigma", required=True)
+        if not sigma >= 1:
+            raise ConfigError("profile.sigma", f"power-law flux needs sigma >= 1, got {sigma:g}")
+        return FluxProfile.power_law(lam, sigma)
     if kind == "uniform_field":
-        return FluxProfile.uniform_field(cfg.get_float("profile.B0", required=True))
+        b0 = cfg.get_float("profile.B0", required=True)
+        if not b0 > 0:
+            raise ConfigError("profile.B0", f"the field needs B0 > 0, got {b0:g}")
+        return FluxProfile.uniform_field(b0)
     import numpy as np
     path = cfg.get_str("profile.table", required=True)
     header, rows = read_csv(path)
@@ -171,17 +179,25 @@ def _w_from_config(cfg: RunConfig, grid):
                                 "gevrey_power", "gevrey_exp", "table"})
     if form == "none":
         return None
+
+    def envelope_rates(a):
+        """W's envelope rate a, checked, and its exponent zeta."""
+        zeta = cfg.get_float("w.zeta", 1.0)
+        if not a > 0:
+            raise ConfigError("w.a", f"the Gevrey envelope needs a > 0, got {a:g}")
+        if not 0 < zeta <= 1:
+            raise ConfigError("w.zeta", f"the Gevrey envelope needs 0 < zeta <= 1, got {zeta:g}")
+        return a, zeta
+
     if form == "table":
         table = load_table_csv(cfg.get_str("w.table", required=True))
-        a = cfg.get_float("w.a", required=True)
-        zeta = cfg.get_float("w.zeta", 1.0)
+        a, zeta = envelope_rates(cfg.get_float("w.a", required=True))
         scale = float(np.max(np.abs(table.values))) * np.exp(a)
         env = GevreyEnvelope(a=a, zeta=zeta, b=lambda r: np.full_like(r, scale))
         return AngularPotential(table=table, envelope=env, decay=DecayClass.none())
 
     amp = cfg.get_float("w.amp", 0.25)
-    zeta = cfg.get_float("w.zeta", 1.0)
-    a = cfg.get_float("w.a", 1.0)
+    a, zeta = envelope_rates(cfg.get_float("w.a", 1.0))
     if form.endswith("_power"):
         p = cfg.get_float("w.p", required=True)
         radial = lambda r: amp * (1.0 + r) ** (-p)
@@ -189,6 +205,10 @@ def _w_from_config(cfg: RunConfig, grid):
     else:
         mu = cfg.get_float("w.mu", 1.0)
         s = cfg.get_float("w.s", 1.0)
+        if not mu > 0:
+            raise ConfigError("w.mu", f"the radial decay needs mu > 0, got {mu:g}")
+        if not s > 0:
+            raise ConfigError("w.s", f"the radial decay needs s > 0, got {s:g}")
         radial = lambda r: amp * np.exp(-mu * r ** s)
         decay = DecayClass.stretched_exponential(mu, s)
 
@@ -220,40 +240,49 @@ def _w_from_config(cfg: RunConfig, grid):
     return AngularPotential(w=w_fn, envelope=env, decay=decay)
 
 
-def _assemble_from_config(cfg: RunConfig):
+def _grid_from_config(cfg: RunConfig):
+    """The radial grid and the channel cutoff j_max."""
     from .grid import build_grid
+    n_r = cfg.get_int("grid.n_r", required=True)
+    if n_r < 8:
+        raise ConfigError("grid.n_r", f"the grid needs n_r >= 8, got {n_r}")
+    r_max = cfg.get_float("grid.r_max", required=True)
+    if not r_max > 0:
+        raise ConfigError("grid.r_max", f"the grid needs r_max > 0, got {r_max:g}")
+    j_max = cfg.get_int("channels.j_max", required=True)
+    if j_max < 1:
+        raise ConfigError("channels.j_max", f"the model needs j_max >= 1, got {j_max}")
+    return build_grid(n_r, r_max), j_max
+
+
+def _assemble_from_config(cfg: RunConfig):
     from .spectral import assemble_hamiltonian
     profile = _profile_from_config(cfg)
-    grid = build_grid(cfg.get_int("grid.n_r", required=True),
-                      cfg.get_float("grid.r_max", required=True))
-    j_max = cfg.get_int("channels.j_max", required=True)
+    grid, j_max = _grid_from_config(cfg)
     w = _w_from_config(cfg, grid)
     m_max = cfg.get_int("channels.m_max") if w is not None else None
+    if m_max is not None and m_max < 1:
+        raise ConfigError("channels.m_max", f"W needs m_max >= 1 modes, got {m_max}")
     h = assemble_hamiltonian(profile, w, grid, j_max, m_max=m_max)
     return profile, w, grid, j_max, h
 
 
 def _window(cfg: RunConfig, h, w, lowest):
-    """The window [e0, E0]: e0 is H's lowest eigenvalue ``lowest`` when it
-    lies at or below E0; otherwise e0 = E0, the window holds no eigenvalue,
-    and delta0 defaults to 0.1 (lowest - E0), a tenth of the gap up to the
-    spectrum.  ``lowest`` is None when the window solve computed no pair,
-    which only the per-channel route does, with every channel's floor above
-    the top; it is then solved for
-    (:func:`~fluxlab.spectral.lowest_eigenvalue`)."""
-    from .spectral import lowest_eigenvalue, make_window
-    e_upper = cfg.get_float("window.E0", required=True)
-    delta0 = cfg.get_float("window.delta0")
-    if lowest is None:
-        lowest = lowest_eigenvalue(h.to_band()[0]).value
-    e0 = min(lowest, e_upper)
-    if lowest > e_upper and delta0 is None:
-        delta0 = 0.1 * (lowest - e_upper)
+    """H's window at the configured E0 and delta0, given H's lowest
+    eigenvalue ``lowest`` (:func:`~fluxlab.spectral.make_window`)."""
+    from .spectral import make_window
     try:
-        return make_window(h, e0, e_upper, delta0=delta0,
-                           envelope=w.envelope if w is not None else None)
+        return make_window(h, lowest, cfg.get_float("window.E0", required=True),
+                           delta0=cfg.get_float("window.delta0"),
+                           envelope=None if w is None else w.envelope)
     except ValueError as exc:
         raise ConfigError("window.delta0", str(exc)) from None
+
+
+def _window_record(window) -> dict:
+    """The window's manifest record: I = [e0, E0], delta0, c0 and E~."""
+    return {"e0": window.e0, "E0": window.E0, "delta0": window.delta0,
+            "c0": window.c0, "E_tilde": window.e_tilde}
 
 
 def _window_solve_constants(eigensys) -> dict:
@@ -282,12 +311,20 @@ def _window_solve_constants(eigensys) -> dict:
     }
 
 
-def _window_and_projection(cfg: RunConfig, h, w):
+def _windowed_model(cfg: RunConfig):
+    """The model (profile, w, grid, j_max, h), the projection onto its
+    window, and the constants every window subcommand's manifest records:
+    the window record, dim, the dropped coupling tail, the rank and the
+    window solve's diagnostics."""
     from .spectral import diagonalize, spectral_projection
+    model = _assemble_from_config(cfg)
+    _, w, _, _, h = model
     eigensys = diagonalize(h, window_upper=cfg.get_float("window.E0", required=True))
-    window = _window(cfg, h, w, eigensys.lowest)
-    proj = spectral_projection(h, window, eigensystem=eigensys)
-    return window, proj, eigensys
+    proj = spectral_projection(h, _window(cfg, h, w, eigensys.lowest), eigensystem=eigensys)
+    constants = {**_window_record(proj.window), "dim": h.dim,
+                 "dropped_coupling_tail": h.dropped_tail_bound, "rank": int(proj.rank),
+                 **_window_solve_constants(eigensys)}
+    return model, proj, constants
 
 
 # --------------------------------------------------------------------------
@@ -295,39 +332,27 @@ def _window_and_projection(cfg: RunConfig, h, w):
 
 
 def _run_spectrum(cfg, out_dir):
-    _, w, _, _, h = _assemble_from_config(cfg)
-    window, proj, eigensys = _window_and_projection(cfg, h, w)
-    path = os.path.join(out_dir, "eigenvalues.csv")
-    write_csv(path, ["index", "lambda"],
-              [(i, v) for i, v in enumerate(eigensys.eigenvalues)])
-    constants = {
-        "e0": window.e0, "E0": window.E0, "c0": window.c0,
-        "delta0": window.delta0, "E_tilde": window.e_tilde,
-        "dim": h.dim,
-        "dropped_coupling_tail": h.dropped_tail_bound,
-        **_window_solve_constants(eigensys),
-    }
+    _, proj, constants = _windowed_model(cfg)
+    write_csv(os.path.join(out_dir, "eigenvalues.csv"), ["index", "lambda"],
+              [(i, v) for i, v in enumerate(proj.eigensystem.eigenvalues)])
     return ["eigenvalues.csv"], constants
 
 
 def _run_project(cfg, out_dir):
-    _, w, _, _, h = _assemble_from_config(cfg)
-    window, proj, eigensys = _window_and_projection(cfg, h, w)
+    _, proj, constants = _windowed_model(cfg)
     write_csv(os.path.join(out_dir, "eigenvalues.csv"), ["index", "lambda"],
               [(i, v) for i, v in enumerate(proj.eigenvalues)])
     meta = {
-        "window": {"e0": window.e0, "E0": window.E0, "delta0": window.delta0,
-                   "c0": window.c0, "E_tilde": window.e_tilde},
+        "window": _window_record(proj.window),
         "rank": int(proj.rank),
         "rank_deficient": proj.rank == 0,
-        "residual_max": eigensys.residual_max,
+        "residual_max": proj.eigensystem.residual_max,
         "idempotency_error": proj.idempotency_error(),
-        "gram_error": eigensys.gram_error(),
+        "gram_error": proj.eigensystem.gram_error(),
     }
     write_json(os.path.join(out_dir, "projection.json"), meta)
-    constants = dict(meta["window"])
-    constants.update(rank=meta["rank"], idempotency_error=meta["idempotency_error"],
-                     gram_error=meta["gram_error"], **_window_solve_constants(eigensys))
+    constants.update(idempotency_error=meta["idempotency_error"],
+                     gram_error=meta["gram_error"])
     return ["eigenvalues.csv", "projection.json"], constants
 
 
@@ -374,15 +399,9 @@ def _fit_upper_half(j, norms, j_max):
 
 def _run_tunnel(cfg, out_dir):
     from .weights import tunnelling_exterior_sum, tunnelling_interior_sum
-    profile, w, grid, j_max, h = _assemble_from_config(cfg)
-    window, proj, eigensys = _window_and_projection(cfg, h, w)
-    built, zeta, _ = _build_weights(profile, window, grid, j_max, w)
-
-    artifacts, constants = [], {
-        "e0": window.e0, "E_tilde": window.e_tilde, "rank": int(proj.rank),
-        **_window_solve_constants(eigensys),
-    }
-    report = {}
+    (profile, w, grid, j_max, _), proj, constants = _windowed_model(cfg)
+    built, zeta, _ = _build_weights(profile, proj.window, grid, j_max, w)
+    artifacts, report = [], {}
     if "interior" in built:
         wint = built["interior"]
         c_plus, delta_plus = 0.4, wint.eps
@@ -448,7 +467,7 @@ def _run_validate_weights(cfg, out_dir):
 
     e0_channel = int(h.channels[lowest.channel])
     constants = {
-        "e0": window.e0, "c0": window.c0, "E_tilde": window.e_tilde,
+        **_window_record(window),
         "e0_solver": lowest.method, "e0_lower_bound": lowest.lower_bound,
         "e0_cholesky_solves": lowest.cholesky_solves, "e0_shift_route": lowest.shift_route,
         "e0_channel": e0_channel, "e0_channel_outermost": abs(e0_channel) == j_max,
@@ -496,15 +515,13 @@ def _run_evolve(cfg, out_dir):
     from .dynamics import (bound_check_thm1, geometric_times, growth_fit_thm2,
                            heisenberg_check, prepare_state, propagate,
                            record_observables)
-    profile, w, grid, j_max, h = _assemble_from_config(cfg)
-    window, proj, eigensys = _window_and_projection(cfg, h, w)
+    (profile, w, grid, j_max, h), proj, constants = _windowed_model(cfg)
     if proj.rank == 0:
         # no state to evolve: neither theorem has a moment to bound
         skipped = {"status": "not_applicable", "reason": "rank-0 projection"}
         write_json(os.path.join(out_dir, "evolve_report.json"),
                    {"thm1": skipped, "thm2": skipped})
-        return ["evolve_report.json"], {"e0": window.e0, "rank": 0,
-                                        **_window_solve_constants(eigensys)}
+        return ["evolve_report.json"], constants
 
     seed_kind = cfg.get_str("seed.kind", "gaussian",
                             choices={"gaussian", "eigenvector", "channel_bump"})
@@ -543,6 +560,9 @@ def _run_evolve(cfg, out_dir):
     if not nu >= 0:
         raise ConfigError("evolve.nu", f"the x-moment needs nu >= 0, got {nu:g}")
     # theorem 1's bound holds for beta = zeta nu / sigma_- only
+    if not profile.sigma_minus > 0:
+        raise ConfigError("profile.sigma_minus", "theorem 1's beta = zeta nu / sigma_- needs "
+                                                 f"sigma_- > 0, got {profile.sigma_minus:g}")
     beta = zeta * nu / profile.sigma_minus
     series = record_observables(proj, state0, times, nu, beta)
 
@@ -565,8 +585,7 @@ def _run_evolve(cfg, out_dir):
                  "last_quartile_mean": thm1.last_quartile_mean,
                  "trend_ok": thm1.trend_ok, "passed": thm1.passed},
     }
-    constants = {"e0": window.e0, "rank": int(proj.rank), "nu": nu, "beta": beta,
-                 "thm1_sup_ratio": thm1.sup_ratio, **_window_solve_constants(eigensys)}
+    constants.update(nu=nu, beta=beta, thm1_sup_ratio=thm1.sup_ratio)
 
     if w is not None and w.decay.kind != "none":
         from .dynamics import moment_j
@@ -590,28 +609,25 @@ def _run_evolve(cfg, out_dir):
 
 def _run_mobility(cfg, out_dir):
     from .dynamics import mobility_edge_scan
-    from .grid import build_grid
     profile = _profile_from_config(cfg)
     if profile.kind != "linear":
         raise ConfigError("profile.kind", "mobility scan requires linear flux")
     if cfg.get_str("w.form", "none") != "none":
         raise ConfigError("w.form", "mobility scan requires W = 0")
-    grid = build_grid(cfg.get_int("grid.n_r", required=True),
-                      cfg.get_float("grid.r_max", required=True))
-    j_max = cfg.get_int("channels.j_max", required=True)
+    grid, j_max = _grid_from_config(cfg)
+    # inputs that would leave a verdict unable to fail
     low = (cfg.get_float("mobility.low_lo", 0.1), cfg.get_float("mobility.low_hi", 0.8))
     high = (cfg.get_float("mobility.high_lo", 1.8), cfg.get_float("mobility.high_hi", 2.2))
-    try:
-        report = mobility_edge_scan(profile.lam, grid, j_max, low_band=low,
-                                    high_band=high,
-                                    box_growth=cfg.get_float("mobility.box_growth", 1.5))
-    except ValueError as exc:
-        # the scan names the argument that makes its verdict unable to fail
-        key = {"box_growth": "mobility.box_growth", "low_band": "mobility.low_lo",
-               "high_band": "mobility.high_lo"}.get(str(exc).split(" ", 1)[0])
-        if key is None:
-            raise
-        raise ConfigError(key, str(exc)) from None
+    for key, (lo, hi) in (("mobility.low_lo", low), ("mobility.high_lo", high)):
+        if not lo < hi:
+            raise ConfigError(key, f"the band ({lo:g}, {hi:g}] is empty: it needs lo < hi")
+    box_growth = cfg.get_float("mobility.box_growth", 1.5)
+    if not (1 < box_growth < float("inf") and round(grid.n_r * box_growth) > grid.n_r):
+        raise ConfigError("mobility.box_growth", f"the scan needs a finite factor that grows "
+                                                 f"the box of n_r = {grid.n_r} nodes, "
+                                                 f"got {box_growth:g}")
+    report = mobility_edge_scan(profile.lam, grid, j_max, low_band=low, high_band=high,
+                                box_growth=box_growth)
     write_csv(os.path.join(out_dir, "mobility_localized.csv"),
               ["j", "eigenvalue", "decay_rate", "eigenvalue_shift", "shift_resolution"],
               [(rec.j, rec.eigenvalue, rec.decay_rate, rec.eigenvalue_shift,

@@ -470,11 +470,11 @@ def mobility_edge_scan(lam: float, grid: RadialGrid, j_max: int,
     about 1e6 at |j| = 20 with n_r = 800 and r_max = 32, a tolerance of
     about 2e-10.
 
-    Raises ``ValueError``, its message starting with the argument's name,
-    when a verdict could not fail: ``box_growth`` that leaves round(n_r
-    box_growth) at or below n_r (no grown box, so every shift is 0 or no
-    shift is defined), or a band (lo, hi] with lo >= hi.  A band below the
-    spectrum is legal; it is simply empty.
+    Raises ``ValueError``, naming the argument, when a verdict could not
+    fail: ``box_growth`` that leaves round(n_r box_growth) at or below n_r
+    (no grown box, so every shift is 0 or no shift is defined), or a band
+    (lo, hi] with lo >= hi.  A band below the spectrum is legal; it is
+    simply empty.
     """
     n_big = int(round(grid.n_r * box_growth))
     if n_big <= grid.n_r:

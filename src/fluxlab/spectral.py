@@ -320,12 +320,12 @@ class EigenSystem:
     method: str
     blocks: Tuple[BasisBlock, ...]
     count_certificate: str          # channel_sturm, or _window_count's certificate when coupled
+    lowest: float                   # H's lowest eigenvalue, also when no pair lies below the top
     factor_nnz: int = 0             # entries the window's band LU stores, 0 without one
     lu_solves: int = 0              # solves of that LU: the count's inverse-power steps
     sweep_shift: Optional[float] = None     # the shift below H's spectrum of the sweep
     sweep_shift_route: Optional[str] = None     # trial or weyl: where that shift came from
     cholesky_solves: int = 0        # solves of the sweep's band Cholesky factor there
-    lowest: Optional[float] = None  # H's lowest eigenvalue, None if no pair was solved
     weyl_bracket: Optional[Tuple[int, int]] = None  # Weyl's bounds on a coupled window count
     coupling_bound: Optional[float] = None      # w, the bound on |W_off|_2 they rest on
 
@@ -379,6 +379,8 @@ def _block_diagonal_eigensystem(h: BlockHamiltonian, top: float) -> EigenSystem:
     less the kinetic one, minus a relative guard: the kinetic stencil is
     positive definite, so no eigenvalue of the channel lies at or below it,
     and a channel whose floor lies above the top has no pair to solve.
+    When no channel has a pair below the top, ``lowest`` comes from
+    :func:`lowest_eigenvalue` on H's band.
     """
     n = h.grid.n_r
     floors = np.min(h.diagonals - h.grid.kinetic_tridiagonal()[0], axis=1)
@@ -406,7 +408,8 @@ def _block_diagonal_eigensystem(h: BlockHamiltonian, top: float) -> EigenSystem:
         residual_max=res_max, norm_h=h.norm_inf(),
         method="channel_tridiagonal", blocks=blocks,
         count_certificate="channel_sturm",
-        lowest=float(vals_all[order[0]]) if vals_all.size else None,
+        lowest=(float(vals_all[order[0]]) if vals_all.size
+                else lowest_eigenvalue(h.to_band()[0]).value),
     )
 
 
@@ -750,7 +753,9 @@ def lowest_eigenvalue(ab: np.ndarray) -> LowestEigenvalue:
     t - 4 eps max(1, |A|_inf).  The value is the Ritz value that
     :func:`~fluxlab.grid.tridiagonal_eigenpairs`, the window solve's kernel,
     gives on that channel in (t - g, t + g], g = 16 eps max(1, |A|_inf):
-    one inverse-iteration vector, and on H the e0 the window solve gives.
+    one inverse-iteration vector.  On H it equals the window solve's e0 to
+    rounding, not bit for bit: that solve's Ritz step spans all of the
+    channel's window pairs (3.6e-14 apart on a uniform field, B0 = 2).
     Otherwise the value is the k = 1 case of :func:`_lowest_pairs`, the
     window sweep's route, and the shift of its band Cholesky factor, the
     trial shift next to t when that factor completes and Weyl's otherwise,
@@ -904,20 +909,26 @@ def diagonalize(h: BlockHamiltonian, window_upper: float) -> EigenSystem:
     return _windowed_eigensystem(h, window_upper, margin)
 
 
-def make_window(h: BlockHamiltonian, e0: float, upper: float,
+def make_window(h: BlockHamiltonian, lowest: float, upper: float,
                 delta0: Optional[float] = None,
                 envelope: Optional[GevreyEnvelope] = None) -> SpectralWindow:
-    """Window [e0, E0] with delta0 defaulting to 0.1 (E0 - e0) and computed c0."""
+    """The window [e0, E0 = upper] of H, whose lowest eigenvalue is ``lowest``.
+
+    e0 = min(lowest, upper): when ``lowest`` lies above ``upper`` the window
+    holds no eigenvalue and e0 = E0.  delta0 defaults to
+    0.1 |upper - lowest|, a tenth of the window's width, or of the gap up to
+    the spectrum when the window is empty; a delta0 that is not positive
+    raises.  c0 is :func:`estimate_c0` of ``envelope`` when H carries a W,
+    and 0 otherwise.
+    """
     if delta0 is None:
-        delta0 = 0.1 * (upper - e0)
-        if delta0 <= 0:
-            raise ValueError("degenerate window: provide delta0 explicitly")
+        delta0 = 0.1 * abs(upper - lowest)
     c0 = 0.0
     has_w = bool(h.couplings) or bool(np.any(h.symmetric_part))
     if envelope is not None and has_w:
         c0 = estimate_c0(envelope.b, envelope.a, envelope.zeta, h.grid)
-    return SpectralWindow(e0=float(e0), E0=float(upper), delta0=float(delta0),
-                          c0=float(c0))
+    return SpectralWindow(e0=float(min(lowest, upper)), E0=float(upper),
+                          delta0=float(delta0), c0=float(c0))
 
 
 def basis_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -149,3 +149,21 @@ def test_table_csv_round_trip(tmp_path, grid):
     assert back.m_max == table.m_max
     assert np.allclose(back.r, table.r)
     assert np.allclose(back.values, table.values, atol=1e-16)
+
+
+def test_table_csv_is_lf_text_that_round_trips_bit_for_bit(tmp_path, grid):
+    # 17 significant digits give every double back; a table saved with CRLF
+    # line ends, as the csv module wrote them, loads the same
+    table = fourier_coefficients(lambda r, t: np.exp(-r) * (np.cos(t) + np.sin(2 * t)),
+                                 grid, m_max=3, n_theta=32)
+    path = tmp_path / "coeffs.csv"
+    save_table_csv(table, path)
+    text = path.read_bytes()
+    assert b"\r" not in text and text.startswith(b"i,r_i,m,re,im\n")
+    back = load_table_csv(path)
+    assert np.array_equal(back.r, table.r) and np.array_equal(back.values, table.values)
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(text.replace(b"\n", b"\r\n"))
+    again = load_table_csv(crlf)
+    assert again.m_max == table.m_max
+    assert np.array_equal(again.r, table.r) and np.array_equal(again.values, table.values)

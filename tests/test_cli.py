@@ -412,6 +412,50 @@ def test_every_window_subcommand_writes_the_window_solve_diagnostics(tmp_path, t
             (tmp_path / "spectrum" / "manifest.json").read_text())["constants"]["e0"]
 
 
+WINDOW_RECORD_KEYS = ("e0", "E0", "delta0", "c0", "E_tilde")
+
+
+@pytest.mark.parametrize("text", [COUPLED_CFG, LINEAR_CFG], ids=["coupled", "linear"])
+def test_every_window_subcommand_writes_one_window_record(tmp_path, text):
+    # spectrum, project, tunnel and evolve record the same window, model
+    # size, rank and window solve; validate-weights the same window, its e0
+    # from H's lowest eigenvalue alone, equal to rounding
+    cfg = write_cfg(tmp_path, text)
+    keys = WINDOW_RECORD_KEYS + ("dim", "dropped_coupling_tail", "rank") + WINDOW_SOLVE_KEYS
+    written = {}
+    for command in ("spectrum", "project", "tunnel", "evolve", "validate-weights"):
+        out = tmp_path / command
+        assert run(command, cfg, str(out)) == 0, command
+        written[command] = json.loads((out / "manifest.json").read_text())["constants"]
+    record = {key: written["spectrum"][key] for key in keys}
+    assert record["rank"] > 0 and record["delta0"] > 0
+    for command in ("project", "tunnel", "evolve"):
+        assert {key: written[command][key] for key in keys} == record, command
+    window = json.loads((tmp_path / "project" / "projection.json").read_text())["window"]
+    assert window == {key: record[key] for key in WINDOW_RECORD_KEYS}
+    weights = written["validate-weights"]
+    assert weights["E0"] == record["E0"] and weights["c0"] == record["c0"]
+    for key in ("e0", "delta0", "E_tilde"):
+        assert weights[key] == pytest.approx(record[key], rel=1e-12, abs=1e-14), key
+
+
+def test_evolve_on_a_tabulated_profile_without_sigma_minus_is_a_config_error(tmp_path,
+                                                                            capfd):
+    # beta = zeta nu / sigma_- is NaN without sigma_-, which would write NaN
+    # moments and a theorem-1 verdict that cannot pass
+    r = np.linspace(0.01, 12.0, 400)
+    table = tmp_path / "flux.csv"
+    write_csv(table, ["r", "phi"], zip(r, r ** 1.5))
+    text = (f"profile.kind = tabulated\nprofile.table = {table}\ngrid.n_r = 160\n"
+            "grid.r_max = 10.0\nchannels.j_max = 6\nwindow.E0 = 1.0\n")
+    out = tmp_path / "out"
+    assert main(["evolve", "--config", write_cfg(tmp_path, text), "--out", str(out),
+                 "--verify"]) == 2
+    err = capfd.readouterr().err
+    assert err.startswith("config error: profile.sigma_minus:") and "Traceback" not in err
+    assert not (out / "observables.csv").exists()
+
+
 def test_validate_weights_runs_each_lanczos_from_the_trial_shift(tmp_path):
     # e0's Lanczos run and each twisted check's start from a trial shift next
     # to the channel tridiagonals' minimum, which its band Cholesky factor
@@ -841,6 +885,7 @@ UNIFORM = "time.kind = uniform\n"
 @pytest.mark.parametrize("command, text, key", [
     ("mobility", LINEAR_CFG + "mobility.box_growth = 1.0\n", "mobility.box_growth"),
     ("mobility", LINEAR_CFG + "mobility.box_growth = 0.5\n", "mobility.box_growth"),
+    ("mobility", LINEAR_CFG + "mobility.box_growth = inf\n", "mobility.box_growth"),
     ("mobility", LINEAR_CFG + "mobility.low_lo = 0.8\nmobility.low_hi = 0.1\n",
      "mobility.low_lo"),
     ("mobility", LINEAR_CFG + "mobility.high_lo = 2.0\nmobility.high_hi = 2.0\n",
@@ -855,17 +900,37 @@ UNIFORM = "time.kind = uniform\n"
     ("evolve", COUPLED_CFG + "evolve.nu = -1\n", "evolve.nu"),
     ("evolve", LINEAR_CFG + UNIFORM + "time.t1 = -5\n", "time.t1"),
     ("evolve", LINEAR_CFG + UNIFORM + "time.n = 1\n", "time.n"),
-], ids=["growth_1", "growth_half", "low_inverted", "high_empty", "seed_index_past_rank",
+    ("spectrum", LINEAR_CFG.replace("grid.n_r = 200", "grid.n_r = 4"), "grid.n_r"),
+    ("mobility", LINEAR_CFG.replace("grid.n_r = 200", "grid.n_r = 7"), "grid.n_r"),
+    ("project", LINEAR_CFG.replace("grid.r_max = 16.0", "grid.r_max = 0"), "grid.r_max"),
+    ("tunnel", LINEAR_CFG.replace("channels.j_max = 8", "channels.j_max = 0"),
+     "channels.j_max"),
+    ("spectrum", COUPLED_CFG + "channels.m_max = 0\n", "channels.m_max"),
+    ("evolve", LINEAR_CFG.replace("profile.lambda = 1.0", "profile.lambda = 0"),
+     "profile.lambda"),
+    ("spectrum", COUPLED_CFG.replace("profile.sigma = 1.5", "profile.sigma = 0.5"),
+     "profile.sigma"),
+    ("validate-weights", BASE_CFG.replace("profile.B0 = 2.0", "profile.B0 = -2"),
+     "profile.B0"),
+    ("spectrum", COUPLED_CFG.replace("w.a = 1.5", "w.a = 0"), "w.a"),
+    ("validate-weights", COUPLED_CFG + "w.zeta = 1.5\n", "w.zeta"),
+    ("tunnel", COUPLED_CFG + "w.zeta = 0\n", "w.zeta"),
+    ("spectrum", COUPLED_CFG.replace("w.mu = 0.5", "w.mu = 0"), "w.mu"),
+    ("project", COUPLED_CFG.replace("w.s = 1.0", "w.s = -1"), "w.s"),
+], ids=["growth_1", "growth_half", "growth_inf", "low_inverted", "high_empty", "seed_index_past_rank",
         "seed_index_negative", "seed_j_past_j_max", "geometric_n_1", "geometric_t0_0",
         "geometric_t1_below_t0", "uniform_n_1_coupled", "nu_negative", "uniform_t1_negative",
-        "uniform_n_1_linear"])
+        "uniform_n_1_linear", "n_r_4", "mobility_n_r_7", "r_max_0", "j_max_0", "m_max_0",
+        "lambda_0", "sigma_half", "B0_negative", "a_0", "zeta_above_1", "zeta_0", "mu_0",
+        "s_negative"])
 def test_mobility_rejects_inputs_whose_verdict_cannot_fail(tmp_path, capfd, command, text,
                                                            key):
     # a box that does not grow makes every shift rounding (or infinite), and
     # an empty band fails before LAPACK can print to stderr; evolve's seed,
-    # time and moment keys are checked before the library call, so the error
-    # names the key instead of a library message, a traceback, or a series
-    # no theorem-1 verdict can fail on
+    # time and moment keys and the model's grid, channel, profile and W keys
+    # are checked where the CLI reads them, so the error names the key
+    # instead of a library message, a traceback, or a series no theorem-1
+    # verdict can fail on
     cfg = write_cfg(tmp_path, text)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "m")]) == 2
     err = capfd.readouterr().err

@@ -11,7 +11,7 @@ from fluxlab.spectral import (BandCholesky, BandLU, BasisBlock, BlockHamiltonian
                               TRIAL_SHIFT_DIVISOR, _tridiagonal_lowest, _window_count,
                               _windowed_eigensystem, assemble_hamiltonian,
                               channel_projection_norm, diagonalize, estimate_c0,
-                              lowest_eigenvalue, spectral_projection)
+                              lowest_eigenvalue, make_window, spectral_projection)
 
 
 def make_w(fn, a=1.0, zeta=1.0, b=None, decay=None):
@@ -789,6 +789,32 @@ def test_window_solve_skips_channels_whose_floor_is_above_the_top(monkeypatch):
     assert all(b.cols.size == 0 for b in skipped)
 
 
+def test_a_window_solve_with_every_floor_above_the_top_still_gives_lowest():
+    # min V_j >= 0 for linear flux, so a top of -0.95 lies below every
+    # channel's floor: no channel is solved, and lowest still holds H's
+    # lowest eigenvalue
+    h = assemble_hamiltonian(FluxProfile.linear(1.0), None, build_grid(200, 16.0), 6)
+    assert np.min(h.potential + h.symmetric_part) > -1.0 + 0.05   # the top
+    es = diagonalize(h, window_upper=-1.0)
+    assert es.k == 0
+    assert es.lowest == lowest_eigenvalue(h.to_band()[0]).value
+
+
+def test_make_window_sets_e0_to_E0_on_an_empty_window():
+    # the lowest Landau level, 2, lies above E0 = 1: the window is empty at
+    # E0, and delta0 defaults to a tenth of the gap up to the spectrum; a
+    # window that holds it takes a tenth of its width
+    h = assemble_hamiltonian(FluxProfile.uniform_field(2.0), None, build_grid(150, 8.0), 2)
+    lowest = lowest_eigenvalue(h.to_band()[0]).value
+    window = make_window(h, lowest, 1.0)
+    assert window.e0 == window.E0 == 1.0 and window.c0 == 0.0
+    assert window.delta0 == 0.1 * (lowest - 1.0)
+    window = make_window(h, lowest, 3.0)
+    assert window.e0 == lowest and window.delta0 == 0.1 * (3.0 - lowest)
+    with pytest.raises(ValueError):
+        make_window(h, lowest, lowest)              # no width, no gap: delta0 = 0
+
+
 def test_lowest_eigenvalue_raises_when_the_certificate_fails(monkeypatch):
     # a Weyl shift above lambda_min must not return a number
     from fluxlab import spectral
@@ -1045,7 +1071,7 @@ def test_a_cluster_straddling_the_window_top_enters_whole():
     vals = np.array([0.5, 0.8, 1.0 + 0.6 * tie, 1.0 + 1.4 * tie, 3.0, 5.0])
     es = EigenSystem(grid=grid, channels=np.array([0]), eigenvalues=vals,
                      residual_max=0.0, norm_h=5.0, method="dense",
-                     count_certificate="weyl",
+                     count_certificate="weyl", lowest=0.5,
                      blocks=(BasisBlock(slice(0, 8), np.arange(6),
                                         np.eye(8)[:, :6] / np.sqrt(grid.h)),))
     window = SpectralWindow(e0=0.5, E0=1.0, delta0=0.1, c0=0.0)

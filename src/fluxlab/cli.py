@@ -97,14 +97,11 @@ def run(command: str, config_path, out_dir, verify: bool = False) -> int:
         "wall_time_s": time.perf_counter() - t_start,
     }
     if verify:
-        report = _verify_artifacts(command, out_dir, manifest)
-        manifest["verify"] = report
-        write_json(os.path.join(out_dir, "manifest.json"), manifest)
-        if not report["passed"]:
-            print(f"verify failed: {report['failures']}", file=sys.stderr)
-            return 1
-    else:
-        write_json(os.path.join(out_dir, "manifest.json"), manifest)
+        manifest["verify"] = _verify_artifacts(command, out_dir, manifest)
+    write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    if verify and not manifest["verify"]["passed"]:
+        print(f"verify failed: {manifest['verify']['failures']}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -140,20 +137,13 @@ def _profile_from_config(cfg: RunConfig):
     kind = cfg.get_str("profile.kind", required=True,
                        choices={"power_law", "linear", "uniform_field", "tabulated"})
     if kind in ("power_law", "linear"):
-        lam = cfg.get_float("profile.lambda", required=True)
-        if not lam > 0:
-            raise ConfigError("profile.lambda", f"the flux needs lambda > 0, got {lam:g}")
+        lam = cfg.get_float("profile.lambda", required=True, above=0)
         if kind == "linear":
             return FluxProfile.linear(lam)
-        sigma = cfg.get_float("profile.sigma", required=True)
-        if not sigma >= 1:
-            raise ConfigError("profile.sigma", f"power-law flux needs sigma >= 1, got {sigma:g}")
+        sigma = cfg.get_float("profile.sigma", required=True, at_least=1)
         return FluxProfile.power_law(lam, sigma)
     if kind == "uniform_field":
-        b0 = cfg.get_float("profile.B0", required=True)
-        if not b0 > 0:
-            raise ConfigError("profile.B0", f"the field needs B0 > 0, got {b0:g}")
-        return FluxProfile.uniform_field(b0)
+        return FluxProfile.uniform_field(cfg.get_float("profile.B0", required=True, above=0))
     import numpy as np
     path = cfg.get_str("profile.table", required=True)
     header, rows = read_csv(path)
@@ -180,79 +170,54 @@ def _w_from_config(cfg: RunConfig, grid):
     if form == "none":
         return None
 
-    def envelope_rates(a):
-        """W's envelope rate a, checked, and its exponent zeta."""
-        zeta = cfg.get_float("w.zeta", 1.0)
-        if not a > 0:
-            raise ConfigError("w.a", f"the Gevrey envelope needs a > 0, got {a:g}")
-        if not 0 < zeta <= 1:
-            raise ConfigError("w.zeta", f"the Gevrey envelope needs 0 < zeta <= 1, got {zeta:g}")
-        return a, zeta
-
+    a = cfg.get_float("w.a", None if form == "table" else 1.0, required=form == "table",
+                      above=0)
+    zeta = cfg.get_float("w.zeta", 1.0, above=0, at_most=1)
     if form == "table":
         table = load_table_csv(cfg.get_str("w.table", required=True))
-        a, zeta = envelope_rates(cfg.get_float("w.a", required=True))
         scale = float(np.max(np.abs(table.values))) * np.exp(a)
         env = GevreyEnvelope(a=a, zeta=zeta, b=lambda r: np.full_like(r, scale))
         return AngularPotential(table=table, envelope=env, decay=DecayClass.none())
 
     amp = cfg.get_float("w.amp", 0.25)
-    a, zeta = envelope_rates(cfg.get_float("w.a", 1.0))
     if form.endswith("_power"):
         p = cfg.get_float("w.p", required=True)
         radial = lambda r: amp * (1.0 + r) ** (-p)
         decay = DecayClass.power(p)
     else:
-        mu = cfg.get_float("w.mu", 1.0)
-        s = cfg.get_float("w.s", 1.0)
-        if not mu > 0:
-            raise ConfigError("w.mu", f"the radial decay needs mu > 0, got {mu:g}")
-        if not s > 0:
-            raise ConfigError("w.s", f"the radial decay needs s > 0, got {s:g}")
+        mu = cfg.get_float("w.mu", 1.0, above=0)
+        s = cfg.get_float("w.s", 1.0, above=0)
         radial = lambda r: amp * np.exp(-mu * r ** s)
         decay = DecayClass.stretched_exponential(mu, s)
 
+    # W = f(r) sum_m c_m cos(m theta), with envelope b(r) e^{-a m^zeta};
+    # the cos form is the one-mode sum, its envelope raised to cover mode m0
     if form.startswith("cos_"):
-        m0 = cfg.get_int("w.m_mode", 1)
-
-        def w_fn(r, theta, _f=radial, _m=m0):
-            return _f(r) * np.cos(_m * theta)
-
-        booster = np.exp(a * m0 ** zeta)
-        env = GevreyEnvelope(
-            a=a, zeta=zeta,
-            b=lambda r, _f=radial, _c=booster: np.sqrt(np.pi / 2.0) * _c * np.abs(_f(r)))
+        m0 = cfg.get_int("w.m_mode", 1, at_least=1)
+        modes, mode_amp, boost = np.array([m0]), np.ones(1), np.exp(a * m0 ** zeta)
     else:
         n_modes = 1
         while a * (n_modes + 1) ** zeta < 37.0 and n_modes < 200:
             n_modes += 1
         modes = np.arange(1, n_modes + 1)
-        mode_amp = np.exp(-a * modes ** zeta)
+        mode_amp, boost = np.exp(-a * modes ** zeta), 1.0
 
-        def w_fn(r, theta, _f=radial, _modes=modes, _amp=mode_amp):
-            ang = np.tensordot(_amp, np.cos(_modes[:, None, None] * theta[None, :, :]),
-                               axes=(0, 0))
-            return _f(r) * ang
+    def w_fn(r, theta):
+        ang = np.tensordot(mode_amp, np.cos(modes[:, None, None] * theta[None, :, :]),
+                           axes=(0, 0))
+        return radial(r) * ang
 
-        env = GevreyEnvelope(
-            a=a, zeta=zeta,
-            b=lambda r, _f=radial: np.sqrt(np.pi / 2.0) * np.abs(_f(r)))
+    env = GevreyEnvelope(a=a, zeta=zeta,
+                         b=lambda r: np.sqrt(np.pi / 2.0) * boost * np.abs(radial(r)))
     return AngularPotential(w=w_fn, envelope=env, decay=decay)
 
 
 def _grid_from_config(cfg: RunConfig):
     """The radial grid and the channel cutoff j_max."""
     from .grid import build_grid
-    n_r = cfg.get_int("grid.n_r", required=True)
-    if n_r < 8:
-        raise ConfigError("grid.n_r", f"the grid needs n_r >= 8, got {n_r}")
-    r_max = cfg.get_float("grid.r_max", required=True)
-    if not r_max > 0:
-        raise ConfigError("grid.r_max", f"the grid needs r_max > 0, got {r_max:g}")
-    j_max = cfg.get_int("channels.j_max", required=True)
-    if j_max < 1:
-        raise ConfigError("channels.j_max", f"the model needs j_max >= 1, got {j_max}")
-    return build_grid(n_r, r_max), j_max
+    n_r = cfg.get_int("grid.n_r", required=True, at_least=8)
+    r_max = cfg.get_float("grid.r_max", required=True, above=0)
+    return build_grid(n_r, r_max), cfg.get_int("channels.j_max", required=True, at_least=1)
 
 
 def _assemble_from_config(cfg: RunConfig):
@@ -260,9 +225,7 @@ def _assemble_from_config(cfg: RunConfig):
     profile = _profile_from_config(cfg)
     grid, j_max = _grid_from_config(cfg)
     w = _w_from_config(cfg, grid)
-    m_max = cfg.get_int("channels.m_max") if w is not None else None
-    if m_max is not None and m_max < 1:
-        raise ConfigError("channels.m_max", f"W needs m_max >= 1 modes, got {m_max}")
+    m_max = cfg.get_int("channels.m_max", at_least=1) if w is not None else None
     h = assemble_hamiltonian(profile, w, grid, j_max, m_max=m_max)
     return profile, w, grid, j_max, h
 
@@ -481,14 +444,8 @@ def _run_validate_weights(cfg, out_dir):
                   if isinstance(v, (int, float)) and v == v}
         report[name] = {
             "params": params,
-            "hypotheses": {
-                "derivative_ok": bool(validation.derivative_ok.all()),
-                "derivative_worst_margin": validation.derivative_worst_margin,
-                "bounded_ok": validation.bounded_ok,
-                "max_exp_weight_on_allowed": validation.max_exp_weight_on_allowed,
-                "lipschitz_ok": validation.lipschitz_ok,
-                "lipschitz_worst_excess": validation.lipschitz_worst_excess,
-            },
+            "hypotheses": dict(dataclasses.asdict(validation),
+                               derivative_ok=bool(validation.derivative_ok.all())),
             "twisted_gap": dataclasses.asdict(gap),
             "passed": bool(validation.passed and gap.passed),
         }
@@ -543,22 +500,16 @@ def _run_evolve(cfg, out_dir):
 
     kind = cfg.get_str("time.kind", "geometric", choices={"geometric", "uniform"})
     t1 = cfg.get_float("time.t1", 1000.0)
-    n_t = cfg.get_int("time.n", 48)
-    if n_t < 2:
-        # theorem 1's trend compares the first and last quartiles of the series
-        raise ConfigError("time.n", f"the series needs at least 2 times, got {n_t}")
+    # theorem 1's trend compares the first and last quartiles of the series
+    n_t = cfg.get_int("time.n", 48, at_least=2)
     # the uniform grid starts at 0, so only the geometric one reads t0
-    t0 = cfg.get_float("time.t0", 1.0) if kind == "geometric" else 0.0
-    if kind == "geometric" and not t0 > 0:
-        raise ConfigError("time.t0", f"the geometric grid needs t0 > 0, got {t0:g}")
+    t0 = cfg.get_float("time.t0", 1.0, above=0) if kind == "geometric" else 0.0
     if not t1 > t0:
         raise ConfigError("time.t1", f"the {kind} grid needs t1 > {t0:g}, got {t1:g}")
     times = geometric_times(t0, t1, n_t) if kind == "geometric" else np.linspace(t0, t1, n_t)
 
     zeta, _ = _gevrey(w)
-    nu = cfg.get_float("evolve.nu", 1.5)
-    if not nu >= 0:
-        raise ConfigError("evolve.nu", f"the x-moment needs nu >= 0, got {nu:g}")
+    nu = cfg.get_float("evolve.nu", 1.5, at_least=0)
     # theorem 1's bound holds for beta = zeta nu / sigma_- only
     if not profile.sigma_minus > 0:
         raise ConfigError("profile.sigma_minus", "theorem 1's beta = zeta nu / sigma_- needs "
@@ -580,10 +531,7 @@ def _run_evolve(cfg, out_dir):
     report = {
         "nu": nu, "beta": beta,
         "norm_drift": float(np.max(np.abs(series.norms - series.norms[0]))),
-        "thm1": {"sup_ratio": thm1.sup_ratio,
-                 "first_quartile_mean": thm1.first_quartile_mean,
-                 "last_quartile_mean": thm1.last_quartile_mean,
-                 "trend_ok": thm1.trend_ok, "passed": thm1.passed},
+        "thm1": {k: v for k, v in dataclasses.asdict(thm1).items() if k != "ratios"},
     }
     constants.update(nu=nu, beta=beta, thm1_sup_ratio=thm1.sup_ratio)
 
@@ -622,10 +570,9 @@ def _run_mobility(cfg, out_dir):
         if not lo < hi:
             raise ConfigError(key, f"the band ({lo:g}, {hi:g}] is empty: it needs lo < hi")
     box_growth = cfg.get_float("mobility.box_growth", 1.5)
-    if not (1 < box_growth < float("inf") and round(grid.n_r * box_growth) > grid.n_r):
-        raise ConfigError("mobility.box_growth", f"the scan needs a finite factor that grows "
-                                                 f"the box of n_r = {grid.n_r} nodes, "
-                                                 f"got {box_growth:g}")
+    if not round(grid.n_r * box_growth) > grid.n_r:
+        raise ConfigError("mobility.box_growth", f"the scan needs a factor that grows the box "
+                                                 f"of n_r = {grid.n_r} nodes, got {box_growth:g}")
     report = mobility_edge_scan(profile.lam, grid, j_max, low_band=low, high_band=high,
                                 box_growth=box_growth)
     write_csv(os.path.join(out_dir, "mobility_localized.csv"),

@@ -152,14 +152,11 @@ class ClassicalRegion:
 
     ``interval`` is the (r_lo, r_hi) hull of the allowed grid nodes or the
     closed-form interval for linear flux; None means the region is empty.
-    ``disconnected`` flags a grid scan whose allowed node set had gaps (the
-    hull is returned in that case).
     """
 
     j: int
     energy: float
     interval: Optional[Tuple[float, float]]
-    disconnected: bool = False
 
     @property
     def empty(self) -> bool:
@@ -172,7 +169,7 @@ def classical_region(profile: FluxProfile, j: int, energy: float, grid) -> Class
     For linear flux with energy < lam^2 the closed form
     [j/(lam + sqrt(E)), j/(lam - sqrt(E))] (empty for j <= 0) is used;
     otherwise the grid nodes with V_j <= E are scanned and their hull is
-    returned, with a ``disconnected`` flag if the allowed node set had gaps.
+    returned.
     """
     if energy < 0:
         raise ValueError("classical_region requires energy >= 0")
@@ -191,13 +188,8 @@ def classical_region(profile: FluxProfile, j: int, energy: float, grid) -> Class
     allowed = np.flatnonzero(v <= energy)
     if allowed.size == 0:
         return ClassicalRegion(j=j, energy=energy, interval=None)
-    lo, hi = allowed[0], allowed[-1]
-    disconnected = allowed.size != (hi - lo + 1)
-    return ClassicalRegion(
-        j=j, energy=energy,
-        interval=(float(grid.nodes[lo]), float(grid.nodes[hi])),
-        disconnected=disconnected,
-    )
+    return ClassicalRegion(j=j, energy=energy, interval=(float(grid.nodes[allowed[0]]),
+                                                         float(grid.nodes[allowed[-1]])))
 
 
 @dataclass

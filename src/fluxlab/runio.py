@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -71,31 +72,49 @@ class RunConfig:
         return value
 
     def get_float(self, key: str, default: Optional[float] = None,
-                  required: bool = False) -> Optional[float]:
+                  required: bool = False, above=None, at_least=None,
+                  at_most=None) -> Optional[float]:
+        """The key's number, refused unless it is finite and lies above
+        ``above``, at least ``at_least`` and at most ``at_most`` (each bound
+        that is given); a default is returned unchecked."""
         value = self._get(key, default, required)
         if value is None:
             return default
-        if isinstance(value, float):
-            return value
         try:
-            return float(value)
+            value = float(value)
         except ValueError:
             raise ConfigError(key, f"expected a number, got {value!r}") from None
+        if not math.isfinite(value):
+            raise ConfigError(key, f"expected a finite number, got {value!r}")
+        return _within(key, value, above, at_least, at_most)
 
     def get_int(self, key: str, default: Optional[int] = None,
-                required: bool = False) -> Optional[int]:
+                required: bool = False, above=None, at_least=None,
+                at_most=None) -> Optional[int]:
+        """The key's integer, refused outside its bounds as in
+        :meth:`get_float`; a default is returned unchecked."""
         value = self._get(key, default, required)
         if value is None:
             return default
-        if isinstance(value, int):
-            return value
         try:
-            return int(value)
+            value = int(value)
         except ValueError:
             raise ConfigError(key, f"expected an integer, got {value!r}") from None
+        return _within(key, value, above, at_least, at_most)
 
     def echo(self) -> dict:
         return dict(sorted(self.raw.items()))
+
+
+def _within(key: str, value, above, at_least, at_most):
+    """``value``, or a ConfigError naming ``key`` if it breaks a given bound;
+    the bounds read as the words of README's key table."""
+    for word, bound, holds in (("above", above, operator.gt),
+                               ("at least", at_least, operator.ge),
+                               ("at most", at_most, operator.le)):
+        if bound is not None and not holds(value, bound):
+            raise ConfigError(key, f"must be {word} {bound:g}, got {value:g}")
+    return value
 
 
 def fmt17(x) -> str:

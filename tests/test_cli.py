@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import platform
 import subprocess
@@ -84,6 +85,60 @@ def test_config_errors_name_the_key(tmp_path):
         RunConfig.parse(write_cfg(tmp_path, "a.x = 1\na.x = 2\n", "dup.cfg"))
     with pytest.raises(ConfigError):
         RunConfig.parse(write_cfg(tmp_path, "just some words\n", "bad.cfg"))
+
+
+def next_below(x):
+    return math.nextafter(x, -math.inf)
+
+
+def next_above(x):
+    return math.nextafter(x, math.inf)
+
+
+@pytest.mark.parametrize("bound, value, admitted", [
+    ({"above": 0.0}, 0.0, False), ({"above": 0.0}, next_below(0.0), False),
+    ({"above": 0.0}, next_above(0.0), True),
+    ({"at_least": 1.0}, 1.0, True), ({"at_least": 1.0}, next_below(1.0), False),
+    ({"at_least": 1.0}, next_above(1.0), True),
+    ({"at_most": 1.0}, 1.0, True), ({"at_most": 1.0}, next_below(1.0), True),
+    ({"at_most": 1.0}, next_above(1.0), False),
+], ids=["above_at", "above_below", "above_above", "at_least_at", "at_least_below",
+        "at_least_above", "at_most_at", "at_most_below", "at_most_above"])
+def test_a_float_key_is_refused_outside_its_declared_bound(bound, value, admitted):
+    cfg = RunConfig(raw={"k.x": repr(value)})
+    if admitted:
+        assert cfg.get_float("k.x", **bound) == value
+    else:
+        with pytest.raises(ConfigError, match=r"^k\.x: must be "):
+            cfg.get_float("k.x", **bound)
+
+
+@pytest.mark.parametrize("bound, value, admitted", [
+    ({"above": 0}, 0, False), ({"above": 0}, -1, False), ({"above": 0}, 1, True),
+    ({"at_least": 8}, 8, True), ({"at_least": 8}, 7, False), ({"at_least": 8}, 9, True),
+    ({"at_most": 3}, 3, True), ({"at_most": 3}, 2, True), ({"at_most": 3}, 4, False),
+], ids=["above_at", "above_below", "above_above", "at_least_at", "at_least_below",
+        "at_least_above", "at_most_at", "at_most_below", "at_most_above"])
+def test_an_integer_key_is_refused_outside_its_declared_bound(bound, value, admitted):
+    cfg = RunConfig(raw={"k.n": str(value)})
+    if admitted:
+        assert cfg.get_int("k.n", **bound) == value
+    else:
+        with pytest.raises(ConfigError, match=r"^k\.n: must be "):
+            cfg.get_int("k.n", **bound)
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400"])
+def test_a_float_key_refuses_a_non_finite_number(text):
+    with pytest.raises(ConfigError, match=r"^k\.x: expected a finite number"):
+        RunConfig(raw={"k.x": text}).get_float("k.x")
+
+
+def test_a_default_outside_the_bound_is_returned_unchecked():
+    cfg = RunConfig()
+    assert cfg.get_float("k.x", -1.0, above=0) == -1.0
+    assert math.isnan(cfg.get_float("k.y", math.nan, at_least=1, at_most=2))
+    assert cfg.get_int("k.n", 0, at_least=1) == 0
 
 
 def test_missing_window_key_gives_exit_2_naming_key(tmp_path, capsys):
@@ -777,18 +832,39 @@ def test_power_law_with_sigma_one_is_linear_flux(tmp_path):
     assert report["mobility"]["passed"] and report["all_passed"]
 
 
+def _declared_bounds(source):
+    """Each config key ``cli.py`` reads, with the bounds its reads declare
+    ({"above": 0.0, ...}); every read of one key must declare the same."""
+    import ast
+    declared = {}
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("get_str", "get_float", "get_int")):
+            key = node.args[0].value
+            bounds = {kw.arg.replace("_", " "): float(ast.literal_eval(kw.value))
+                      for kw in node.keywords if kw.arg in ("above", "at_least", "at_most")}
+            assert declared.setdefault(key, bounds) == bounds, key
+    return declared
+
+
 def test_readme_lists_every_config_key():
-    # the README's key table names exactly the keys the CLI reads
+    # the README's key table names exactly the keys the CLI reads, and each
+    # row's "above / at least / at most <number>" words are the bounds that
+    # key's read declares
     import re
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "src", "fluxlab", "cli.py")) as fh:
-        read = set(re.findall(r'cfg\.get_(?:str|float|int)\(\s*"([^"]+)"', fh.read()))
+        declared = _declared_bounds(fh.read())
     with open(os.path.join(root, "README.md")) as fh:
         readme = fh.read()
     table = readme.split("| key | read by | default |", 1)[1].split("\n\n", 1)[0]
-    listed = re.findall(r"^\| `([^`]+)` \|", table, flags=re.M)
+    rows = re.findall(r"^\| `([^`]+)` \|[^|]*\|(.*)\|$", table, flags=re.M)
+    listed = [key for key, _ in rows]
     assert len(listed) == len(set(listed))
-    assert set(listed) == read
+    assert set(listed) == set(declared)
+    for key, text in rows:
+        words = re.findall(r"\b(above|at least|at most) (-?\d+(?:\.\d+)?)\b", text)
+        assert {word: float(number) for word, number in words} == declared[key], key
 
 
 def test_validate_weights_evaluates_the_potential_table_a_few_times(tmp_path, monkeypatch):
@@ -880,6 +956,7 @@ def test_json_artifacts_write_a_missing_number_as_null(tmp_path):
 
 
 UNIFORM = "time.kind = uniform\n"
+COS_EXP_CFG = COUPLED_CFG.replace("w.form = gevrey_exp", "w.form = cos_exp")
 
 
 @pytest.mark.parametrize("command, text, key", [
@@ -917,20 +994,29 @@ UNIFORM = "time.kind = uniform\n"
     ("tunnel", COUPLED_CFG + "w.zeta = 0\n", "w.zeta"),
     ("spectrum", COUPLED_CFG.replace("w.mu = 0.5", "w.mu = 0"), "w.mu"),
     ("project", COUPLED_CFG.replace("w.s = 1.0", "w.s = -1"), "w.s"),
+    ("spectrum", COUPLED_CFG.replace("window.E0 = 1.0", "window.E0 = inf"), "window.E0"),
+    ("spectrum", LINEAR_CFG + "window.delta0 = nan\n", "window.delta0"),
+    ("spectrum", COUPLED_CFG.replace("w.amp = 0.2", "w.amp = nan"), "w.amp"),
+    ("evolve", COUPLED_CFG.replace("time.t1 = 50.0", "time.t1 = inf"), "time.t1"),
+    ("evolve", COUPLED_CFG.replace("seed.r0 = 2.6", "seed.r0 = nan"), "seed.r0"),
+    ("spectrum", COS_EXP_CFG + "w.m_mode = 0\n", "w.m_mode"),
+    ("spectrum", COS_EXP_CFG + "w.m_mode = -1\nw.zeta = 0.5\n", "w.m_mode"),
 ], ids=["growth_1", "growth_half", "growth_inf", "low_inverted", "high_empty", "seed_index_past_rank",
         "seed_index_negative", "seed_j_past_j_max", "geometric_n_1", "geometric_t0_0",
         "geometric_t1_below_t0", "uniform_n_1_coupled", "nu_negative", "uniform_t1_negative",
         "uniform_n_1_linear", "n_r_4", "mobility_n_r_7", "r_max_0", "j_max_0", "m_max_0",
         "lambda_0", "sigma_half", "B0_negative", "a_0", "zeta_above_1", "zeta_0", "mu_0",
-        "s_negative"])
+        "s_negative", "E0_inf", "delta0_nan", "amp_nan", "t1_inf", "r0_nan", "m_mode_0",
+        "m_mode_negative"])
 def test_mobility_rejects_inputs_whose_verdict_cannot_fail(tmp_path, capfd, command, text,
                                                            key):
-    # a box that does not grow makes every shift rounding (or infinite), and
-    # an empty band fails before LAPACK can print to stderr; evolve's seed,
-    # time and moment keys and the model's grid, channel, profile and W keys
-    # are checked where the CLI reads them, so the error names the key
-    # instead of a library message, a traceback, or a series no theorem-1
-    # verdict can fail on
+    # a box that does not grow makes every shift rounding, and an empty band
+    # fails before LAPACK can print to stderr; evolve's seed, time and moment
+    # keys and the model's grid, channel, profile, window and W keys are
+    # checked where the CLI reads them (a number must be finite, and a cos
+    # form's mode at least 1, for its envelope to bound it), so the error
+    # names the key instead of a library message, a traceback, or a series or
+    # window no verdict can fail on
     cfg = write_cfg(tmp_path, text)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "m")]) == 2
     err = capfd.readouterr().err

@@ -81,7 +81,9 @@ def test_classical_region_power_law_scan():
     lo, hi = region.interval
     assert lo == pytest.approx(grid.nodes[0])
     assert abs(hi - 1.0) <= grid.h
-    assert not region.disconnected
+    # the allowed set has no gaps: every node of the hull is allowed
+    hull = grid.nodes[(grid.nodes >= lo) & (grid.nodes <= hi)]
+    assert np.all(FluxProfile.power_law(1.0, 2.0).effective_potential(0, hull) <= 1.0)
 
 
 def test_classical_region_rejects_negative_energy():

@@ -255,10 +255,12 @@ def _window_solve_constants(eigensys) -> dict:
     count, the band LU's storage and the count's solves with it (0 unless
     Weyl's bracket is one wide), the sweep's shift below the spectrum, that
     shift's route (trial or weyl) and its band Cholesky solves (0 or null
-    on the per-channel route), the largest residual, and |H|_inf, the scale
-    of its 1e-9 contract."""
+    on the per-channel route), the largest residual, |H|_inf, the scale of
+    its 1e-9 contract, and on the per-channel route the CPUs in the affinity
+    mask, the most threads a batch of its channel solves is dealt to."""
+    from .grid import channel_workers
     bracket = eigensys.weyl_bracket
-    return {
+    constants = {
         "solver": eigensys.method,
         "count_certificate": eigensys.count_certificate,
         "weyl_bracket": None if bracket is None else list(bracket),
@@ -272,6 +274,9 @@ def _window_solve_constants(eigensys) -> dict:
         "residual_max": eigensys.residual_max,
         "norm_inf": eigensys.norm_h,
     }
+    if eigensys.method == "channel_tridiagonal":
+        constants["channel_workers"] = channel_workers()
+    return constants
 
 
 def _windowed_model(cfg: RunConfig):
@@ -557,6 +562,7 @@ def _run_evolve(cfg, out_dir):
 
 def _run_mobility(cfg, out_dir):
     from .dynamics import mobility_edge_scan
+    from .grid import channel_workers
     profile = _profile_from_config(cfg)
     if profile.kind != "linear":
         raise ConfigError("profile.kind", "mobility scan requires linear flux")
@@ -594,7 +600,8 @@ def _run_mobility(cfg, out_dir):
     constants = dict(summary,
                      tridiagonal_solves=report.tridiagonal_solves,
                      eigenvalues_computed=report.eigenvalues_computed,
-                     eigenvectors_computed=report.eigenvectors_computed)
+                     eigenvectors_computed=report.eigenvectors_computed,
+                     channel_workers=channel_workers())
     return ["mobility_localized.csv", "mobility_width_ratios.csv",
             "mobility_report.json"], constants
 

@@ -27,7 +27,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .flux import FluxProfile, classical_region
-from .grid import RadialGrid, build_channel_operators
+from .grid import (RadialGrid, build_channel_operators, channel_map, coarse_eigenpairs,
+                   rayleigh_ritz)
 from .spectral import (BlockHamiltonian, SpectralProjection, basis_product,
                        block_product)
 from .weights import decay_rate_fit
@@ -460,7 +461,14 @@ def mobility_edge_scan(lam: float, grid: RadialGrid, j_max: int,
     widths from one pass over each box's high-band eigenvectors.  The report
     counts the solves and the eigenvalues and eigenvectors each box returned.
 
-    Eigenpairs come from :meth:`~fluxlab.grid.ChannelOperator.eigenpairs`,
+    The solves run in two :func:`~fluxlab.grid.channel_map` batches over
+    the CPUs: the base box's, then the grown and doubled boxes'.  A batch
+    runs only LAPACK (:func:`~fluxlab.grid.coarse_eigenpairs` and
+    eigenvalue bisection); the Rayleigh-Ritz steps, fits and widths follow
+    on the calling thread in channel order, and each batch's eigenvectors
+    are read before the next batch is solved.
+
+    Eigenpairs are those of :meth:`~fluxlab.grid.ChannelOperator.eigenpairs`,
     so base-box eigenvalues are Ritz values, accurate to about the residual
     (below 1e-12 on the benchmark grids).  The grown box's eigenvalues come
     from Sturm-sequence bisection (``?stebz``) to LAPACK's default tolerance
@@ -492,43 +500,66 @@ def mobility_edge_scan(lam: float, grid: RadialGrid, j_max: int,
     n_double = 2 * grid.n_r
     grid_double = RadialGrid(n_r=n_double, r_max=n_double * grid.h)
     channels = np.arange(-int(j_max), int(j_max) + 1)
-    boxes = zip(*(build_channel_operators(profile, channels, g)
-                  for g in (grid, grid_big, grid_double)))
+    boxes = list(zip(*(build_channel_operators(profile, channels, g)
+                       for g in (grid, grid_big, grid_double))))
     grown_range = (low_band[0] - 0.05, low_band[1] + 0.05)
 
-    for op, op_big, op2 in boxes:
-        j = op.j
-        vals, u = op.eigenpairs(value_range=low_band)
+    def base_solves(op):
+        return (coarse_eigenpairs(op.diagonal, op.off_diagonal, *low_band),
+                coarse_eigenpairs(op.diagonal, op.off_diagonal, *high_band))
+
+    # the base box: rates and widths, kept per channel with states
+    localized, base_widths = {}, {}
+    solved = channel_map(base_solves, [op for op, _, _ in boxes])
+    for c, (op, op_big, _) in enumerate(boxes):
+        low, high = solved[c]
+        solved[c] = None            # each channel's raw vectors go once read
+        vals, u, _ = rayleigh_ritz(op.diagonal, op.off_diagonal, *low, residual=False)
         report._count("base", vals, vectors=True)
         if vals.size:
-            vals_big = op_big.eigenvalues(value_range=grown_range)
-            report._count("grown", vals_big, vectors=False)
             row_sums = np.abs(op_big.diagonal)          # |T|_1 = max row sum
             row_sums[:-1] += np.abs(op_big.off_diagonal)
             row_sums[1:] += np.abs(op_big.off_diagonal)
-            resolution = float(np.finfo(float).eps * row_sums.max())
             r_start = []
             for val in vals:
-                region = classical_region(profile, j, float(val), grid)
+                region = classical_region(profile, op.j, float(val), grid)
                 r_start.append(region.interval[1] if not region.empty else 0.0)
-            rates = _decay_rates(u, grid.nodes, np.array(r_start))
+            localized[c] = (vals, _decay_rates(u / np.sqrt(grid.h), grid.nodes,
+                                               np.array(r_start)),
+                            float(np.finfo(float).eps * row_sums.max()))
+        vals, u, _ = rayleigh_ritz(op.diagonal, op.off_diagonal, *high, residual=False)
+        report._count("base", vals, vectors=True)
+        if vals.size:
+            base_widths[c] = np.mean(participation_width(u / np.sqrt(grid.h), grid.h))
+
+    def grown_solves(c):
+        _, op_big, op2 = boxes[c]
+        return (op_big.eigenvalues(value_range=grown_range) if c in localized else None,
+                coarse_eigenpairs(op2.diagonal, op2.off_diagonal, *high_band)
+                if c in base_widths else None)
+
+    # the grown and doubled boxes: shifts and width ratios
+    grown = sorted(localized.keys() | base_widths.keys())
+    for c, (vals_big, doubled) in zip(grown, channel_map(grown_solves, grown)):
+        op2 = boxes[c][2]
+        if vals_big is not None:
+            report._count("grown", vals_big, vectors=False)
+            vals, rates, resolution = localized[c]
             shifts = np.min(np.abs(vals_big[None, :] - vals[:, None]), axis=1) \
                 if vals_big.size else np.full(vals.size, np.inf)
             report.localized.extend(
-                MobilityChannelRecord(j=j, eigenvalue=float(val), decay_rate=rate,
+                MobilityChannelRecord(j=op2.j, eigenvalue=float(val), decay_rate=rate,
                                       eigenvalue_shift=float(shift),
                                       shift_resolution=resolution)
                 for val, rate, shift in zip(vals, rates, shifts))
-
-        vals, u = op.eigenpairs(value_range=high_band)
-        report._count("base", vals, vectors=True)
-        if vals.size:
-            vals2, u2 = op2.eigenpairs(value_range=high_band)
+        if doubled is not None:
+            vals2, u2, _ = rayleigh_ritz(op2.diagonal, op2.off_diagonal, *doubled,
+                                         residual=False)
             report._count("doubled", vals2, vectors=True)
             if vals2.size:
-                report.extended_width_ratios.append(
-                    float(np.mean(participation_width(u2, grid_double.h))
-                          / np.mean(participation_width(u, grid.h))))
+                report.extended_width_ratios.append(float(
+                    np.mean(participation_width(u2 / np.sqrt(grid_double.h), grid_double.h))
+                    / base_widths[c]))
 
     report.empty_low_band = not report.localized
     report.empty_high_band = not report.extended_width_ratios

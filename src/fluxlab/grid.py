@@ -29,23 +29,38 @@ Every tridiagonal eigensolve of the package, here and in
 called directly with the arguments ``scipy.linalg.eigh_tridiagonal`` would
 pass.  The results are the same bits; what goes is that wrapper's per-call
 argument handling, which outweighs the bisection itself on a channel whose
-value range holds few eigenvalues or none.
+value range holds few eigenvalues or none.  The kernel calls the C
+functions of ``scipy.linalg.cython_lapack`` through ctypes, which releases
+the GIL for the call, with each thread's arguments and work arrays at fixed
+addresses.  Channels are independent, so :func:`channel_map` runs the
+kernel on many of them at once, one thread per CPU in the process's
+affinity mask, and returns their results in channel order: the window
+solve of an uncoupled H and the mobility scan send it only their LAPACK
+work (:func:`coarse_eigenpairs`, eigenvalue solves) and take the
+Rayleigh-Ritz step (:func:`rayleigh_ritz`) and everything after it on the
+calling thread, so the results are the same bits for any number of
+threads.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
+import ctypes
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg.lapack as _lapack
+from scipy.linalg import cython_lapack as _cython_lapack
 
 from .flux import FluxProfile
 
 __all__ = ["RadialGrid", "ChannelOperator", "build_grid",
            "build_channel_operator", "build_channel_operators",
-           "tridiagonal_eigenpairs", "tridiagonal_matvec", "truncation_margin",
-           "check_truncation"]
+           "tridiagonal_eigenpairs", "coarse_eigenpairs", "rayleigh_ritz",
+           "tridiagonal_matvec", "channel_map", "channel_workers",
+           "truncation_margin", "check_truncation"]
 
 COARSE_TOL = 1e-6   # bisection tolerance relative to max(1, |top|) before Rayleigh-Ritz
 
@@ -95,15 +110,16 @@ class ChannelOperator:
 
     def eigenpairs(self, value_range):
         """The eigenpairs with eigenvalue in the half-open interval (lo, hi]
-        of ``value_range``, solved by :func:`tridiagonal_eigenpairs` (Ritz
-        values).
+        of ``value_range``, solved as :func:`tridiagonal_eigenpairs` solves
+        them (Ritz values) but without the T V product.
 
         Returns (eigenvalues, u): eigenvalues ascending and ``u`` the flat
         eigenvectors as columns normalized to sum |u_i|^2 h = 1; the weighted
         representation is u / sqrt(r).
         """
-        vals, vecs, _ = tridiagonal_eigenpairs(self.diagonal, self.off_diagonal,
-                                               *value_range)
+        d, e = self.diagonal, self.off_diagonal
+        vals, vecs, _ = rayleigh_ritz(d, e, *coarse_eigenpairs(d, e, *value_range),
+                                      residual=False)
         return vals, vecs / np.sqrt(self.grid.h)
 
     def eigenvalues(self, n_lowest: int = None, value_range=None) -> np.ndarray:
@@ -122,6 +138,77 @@ class ChannelOperator:
         return _tridiagonal_eigh(self.diagonal, self.off_diagonal, select, bounds)
 
 
+def _bind_lapack(name: str, arguments: str):
+    """The C function ``name`` of ``scipy.linalg.cython_lapack`` as a ctypes
+    function of pointer arguments, which releases the GIL while it runs.
+
+    ``arguments`` spells the expected C signature, one letter per argument
+    (``c`` char *, ``i`` int *, ``d`` double *); a capsule whose signature
+    differs raises ``ImportError``.
+    """
+    types = {"c": "char *", "i": "int *",
+             "d": "__pyx_t_5scipy_6linalg_13cython_lapack_d *"}
+    expected = f"void ({', '.join(types[a] for a in arguments)})"
+    capsule = _cython_lapack.__pyx_capi__[name]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    signature = get_name(capsule)
+    if signature.decode() != expected:
+        raise ImportError(f"scipy.linalg.cython_lapack.{name} has signature "
+                          f"{signature.decode()!r}, expected {expected!r}")
+    prototype = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * len(arguments))
+    return prototype(get_pointer(capsule, signature))
+
+
+_dstebz = _bind_lapack("dstebz", "cciddiidddiidiidii")
+_dstein = _bind_lapack("dstein", "iddidiididiii")
+
+
+class _Workspace(threading.local):
+    """One thread's ``?stebz``/``?stein`` arguments at fixed addresses: the
+    scalars, d and e, the values, the eigenvectors and the work arrays, and
+    the two argument lists of addresses that point at them.  A call copies d
+    and e in, e right after d, sets the address of e and copies its results
+    out."""
+
+    def __init__(self):
+        self.range, self.order = ctypes.c_char(), ctypes.c_char()
+        self.n, self.il, self.iu, self.m, self.nsplit, self.info = (
+            ctypes.c_int() for _ in range(6))
+        self.vl, self.vu, self.tol = ctypes.c_double(), ctypes.c_double(), ctypes.c_double()
+        self.size = 0
+        self.z = np.empty(0)
+
+    def grow(self, n: int) -> None:
+        """Room for tridiagonals of up to n rows."""
+        self.size = n
+        self.floats = np.empty(8 * n)               # d and e (2n), w, work (5n)
+        self.ints = np.empty(6 * n, dtype=np.intc)  # iblock, isplit, iwork (3n), ifail
+        self.w = self.floats[2 * n:3 * n]
+        at = ctypes.addressof
+        self.d_at, step = self.floats.ctypes.data, n * self.floats.itemsize
+        w, work = self.d_at + 2 * step, self.d_at + 3 * step
+        ints, step = self.ints.ctypes.data, n * self.ints.itemsize
+        iblock, isplit, iwork, ifail = ints, ints + step, ints + 2 * step, ints + 5 * step
+        self.stebz_args = [
+            at(self.range), at(self.order), at(self.n), at(self.vl), at(self.vu),
+            at(self.il), at(self.iu), at(self.tol), self.d_at, None, at(self.m),
+            at(self.nsplit), w, iblock, isplit, work, iwork, at(self.info)]
+        self.stein_args = [
+            at(self.n), self.d_at, None, at(self.m), w, iblock, isplit, self.z.ctypes.data,
+            at(self.n), work, iwork, ifail, at(self.info)]
+
+    def grow_vectors(self, size: int) -> None:
+        """Room for ``size`` eigenvector entries."""
+        self.z = np.empty(size)
+        self.stein_args[7] = self.z.ctypes.data
+
+
+_workspace = _Workspace()
+
+
 def _tridiagonal_eigh(d, e, select: str, bounds, tol: float = 0.0, vectors: bool = False):
     """Eigenvalues, or eigenpairs, of the symmetric tridiagonal T = (d, e)
     in a slice: ``select`` "v" takes the values in the half-open interval
@@ -131,36 +218,52 @@ def _tridiagonal_eigh(d, e, select: str, bounds, tol: float = 0.0, vectors: bool
     default, eps |T|_1) and, for eigenpairs, one ``?stein`` inverse
     iteration, called with the arguments ``scipy.linalg.eigh_tridiagonal``
     passes them, so its values and vectors come back bit for bit, without
-    its per-call argument handling.  Values are ascending; eigenvectors are
-    the columns of the second result.  Non-finite entries and an empty or
-    out-of-range slice raise ``ValueError`` before LAPACK is called, whose
-    error handler would print to stderr; a LAPACK error raises
+    its per-call argument handling.  The calls go through the C pointers of
+    ``scipy.linalg.cython_lapack`` and release the GIL, so threads that run
+    this kernel on different channels bisect in parallel; each thread keeps
+    its arguments in its own workspace.  Values are ascending; eigenvectors
+    are the columns of the second result.  Non-finite entries and an empty
+    or out-of-range slice raise ``ValueError`` before LAPACK is called,
+    whose error handler would print to stderr; a LAPACK error raises
     ``ValueError`` and a failed convergence ``LinAlgError``.
     """
-    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+    n = d.size
+    if e.size != n - 1:
+        raise ValueError(f"d ({n}) must have one more entry than e ({e.size})")
+    ws = _workspace
+    if n > ws.size:
+        ws.grow(n)
+    de = ws.floats[:2 * n - 1]
+    de[:n], de[n:] = d, e
+    if not np.isfinite(de).all():
         raise ValueError("tridiagonal entries must be finite")
-    if e.size != d.size - 1:
-        raise ValueError(f"d ({d.size}) must have one more entry than e ({e.size})")
     lo, hi = bounds
     if select == "v":
         if not lo < hi:
             raise ValueError(f"value range ({lo}, {hi}] is empty")
-        code, vl, vu, il, iu = 1, float(lo), float(hi), 1, 1
+        ws.range.value, ws.vl.value, ws.vu.value = b"V", float(lo), float(hi)
     else:
-        if not 0 <= lo <= hi < d.size:
-            raise ValueError(f"index range {lo}..{hi} out of 0..{d.size - 1}")
-        code, vl, vu, il, iu = 2, 0.0, 1.0, int(lo) + 1, int(hi) + 1
-    if d.size == 1:                 # LAPACK's wrappers reject an empty e
-        w = d[:1] if code == 2 or vl < d[0] <= vu else d[:0]
+        if not 0 <= lo <= hi < n:
+            raise ValueError(f"index range {lo}..{hi} out of 0..{n - 1}")
+        ws.range.value, ws.il.value, ws.iu.value = b"I", int(lo) + 1, int(hi) + 1
+    if n == 1:                      # as eigh_tridiagonal: no LAPACK call
+        w = d[:1] if select == "i" or lo < d[0] <= hi else d[:0]
         return (w.copy(), np.ones((1, w.size))) if vectors else w.copy()
-    m, w, iblock, isplit, info = _lapack.dstebz(d, e, code, vl, vu, il, iu, float(tol),
-                                                "B" if vectors else "E")
-    _check_info(info, "?stebz")
-    w = w[:m]
+    ws.n.value, ws.tol.value = n, tol
+    ws.order.value = b"B" if vectors else b"E"
+    ws.stebz_args[9] = e_at = ws.d_at + 8 * n     # e follows d's n doubles
+    _dstebz(*ws.stebz_args)
+    _check_info(ws.info.value, "?stebz")
+    m = ws.m.value
     if not vectors:
-        return w
-    v, info = _lapack.dstein(d, e, w, iblock, isplit)
-    _check_info(info, "?stein")
+        return ws.w[:m].copy()
+    if n * m > ws.z.size:
+        ws.grow_vectors(n * m)
+    if m:
+        ws.stein_args[2] = e_at
+        _dstein(*ws.stein_args)
+        _check_info(ws.info.value, "?stein")
+    w, v = ws.w[:m], ws.z[:n * m].reshape(m, n).T   # v: Fortran order, n x m
     order = np.argsort(w)
     return w[order], v[:, order]
 
@@ -186,23 +289,104 @@ def tridiagonal_eigenpairs(diagonal, off_diagonal, lo: float, hi: float):
     The Sturm counts at lo and hi fix how many there are exactly; the
     bisection (``?stebz``) that locates them stops at the coarse tolerance
     ``COARSE_TOL max(1, |hi|)``, since inverse iteration (``?stein``) needs
-    only an approximate shift.  A Rayleigh-Ritz step on the ``?stein``
-    vectors V then restores full accuracy: the eigenpairs of V^T T V rotate
-    V into Ritz vectors, whose Ritz values are accurate to the square of the
-    vectors' error (Parlett, The Symmetric Eigenvalue Problem, ch. 11), and
-    a near-degenerate cluster that ``?stein`` orthogonalized is resolved in
-    its span.  Returns (values, V, T V), values ascending and V orthonormal,
-    so a caller reads the residual T V - V diag(values) without another
-    product.
+    only an approximate shift (:func:`coarse_eigenpairs`).  A Rayleigh-Ritz
+    step on the ``?stein`` vectors V then restores full accuracy
+    (:func:`rayleigh_ritz`).  Returns (values, V, T V), values ascending and
+    V orthonormal, so a caller reads the residual T V - V diag(values)
+    without another product.
     """
-    vals, v = _tridiagonal_eigh(diagonal, off_diagonal, "v", (lo, hi),
-                                tol=COARSE_TOL * max(1.0, abs(hi)), vectors=True)
+    return rayleigh_ritz(diagonal, off_diagonal,
+                         *coarse_eigenpairs(diagonal, off_diagonal, lo, hi))
+
+
+def coarse_eigenpairs(diagonal, off_diagonal, lo: float, hi: float):
+    """The LAPACK half of :func:`tridiagonal_eigenpairs`: the values in
+    (lo, hi] bisected to ``COARSE_TOL max(1, |hi|)`` and their ``?stein``
+    vectors, as (values, V).  It runs nothing but the kernel, so
+    :func:`channel_map` can run it on a worker thread."""
+    return _tridiagonal_eigh(diagonal, off_diagonal, "v", (lo, hi),
+                             tol=COARSE_TOL * max(1.0, abs(hi)), vectors=True)
+
+
+def rayleigh_ritz(diagonal, off_diagonal, vals, v, residual: bool = True):
+    """The Rayleigh-Ritz step of :func:`tridiagonal_eigenpairs` on the
+    ``?stein`` vectors V of :func:`coarse_eigenpairs`: the eigenpairs of
+    V^T T V rotate V into Ritz vectors, whose Ritz values are accurate to
+    the square of the vectors' error (Parlett, The Symmetric Eigenvalue
+    Problem, ch. 11), and a near-degenerate cluster that ``?stein``
+    orthogonalized is resolved in its span.  Returns (values, V, T V), the
+    last None unless ``residual``.
+    """
     if not vals.size:               # nothing in (lo, hi]: no product, no Ritz step
-        return vals, v, v.copy()
+        return vals, v, v.copy() if residual else None
     tv = tridiagonal_matvec(diagonal, off_diagonal, v)
     g = v.T @ tv
     vals, q = np.linalg.eigh(0.5 * (g + g.T))
-    return vals, v @ q, tv @ q
+    return vals, v @ q, tv @ q if residual else None
+
+
+def channel_workers() -> int:
+    """The most threads :func:`channel_map` deals one batch to: one per CPU
+    in the process's affinity mask.  A batch of fewer tasks uses one thread
+    per task."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_pool = None    # (threads, executor) of channel_map, made at first use
+
+
+def _forget_pool() -> None:
+    global _pool
+    _pool = None                    # a forked child has none of the threads
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _channel_pool(threads: int):
+    """The one executor of :func:`channel_map`, with ``threads`` threads;
+    it is made at the first parallel call and made again only when the
+    affinity mask changes size."""
+    global _pool
+    if _pool is None or _pool[0] != threads:
+        if _pool is not None:
+            _pool[1].shutdown()
+        _pool = threads, concurrent.futures.ThreadPoolExecutor(threads, "fluxlab-channel")
+    return _pool[1]
+
+
+def channel_map(fn, tasks) -> list:
+    """[fn(task) for task in tasks], the tasks dealt round-robin into one
+    chunk per thread, at most :func:`channel_workers` of them: chunk 0 runs
+    on the caller and each other chunk is one submission to the pool.  The
+    results come back in task order, and an exception of any chunk is
+    raised here once every chunk has finished.  ``fn`` should spend its
+    time in code that releases the GIL, such as :func:`_tridiagonal_eigh`;
+    one worker gives the plain list.
+    """
+    tasks = list(tasks)
+    threads = channel_workers() - 1
+    workers = min(threads + 1, len(tasks))
+    if workers <= 1:
+        return [fn(task) for task in tasks]
+    pool = _channel_pool(threads)
+    futures = [pool.submit(_map_chunk, fn, tasks[k::workers]) for k in range(1, workers)]
+    try:
+        chunks = [_map_chunk(fn, tasks[::workers])]
+    finally:
+        concurrent.futures.wait(futures)
+    chunks += [future.result() for future in futures]
+    results = [None] * len(tasks)
+    for k, chunk in enumerate(chunks):
+        results[k::workers] = chunk
+    return results
+
+
+def _map_chunk(fn, tasks) -> list:
+    return [fn(task) for task in tasks]
 
 
 def build_channel_operators(profile: FluxProfile, channels,

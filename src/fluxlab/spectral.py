@@ -78,7 +78,8 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .angular import SQRT_2PI, AngularPotential, GevreyEnvelope, xi_constant
 from .flux import FluxProfile
-from .grid import RadialGrid, _tridiagonal_eigh, tridiagonal_eigenpairs
+from .grid import (RadialGrid, _tridiagonal_eigh, channel_map, coarse_eigenpairs,
+                   rayleigh_ritz, tridiagonal_eigenpairs)
 
 __all__ = [
     "BlockHamiltonian", "SpectralWindow", "EigenSystem", "SpectralProjection",
@@ -374,7 +375,10 @@ def _block_diagonal_eigensystem(h: BlockHamiltonian, top: float) -> EigenSystem:
 
     Channel c's pairs in (floor_c, top] come from
     :func:`~fluxlab.grid.tridiagonal_eigenpairs`, whose Sturm counts fix
-    how many there are (``channel_sturm``);
+    how many there are (``channel_sturm``): its bisection and inverse
+    iteration for every channel in one :func:`~fluxlab.grid.channel_map`
+    batch over the CPUs, then its Rayleigh-Ritz step per channel, in
+    channel order, on the calling thread;
     floor_c = min_i (V_j + W_s)(r_i), read as the channel's diagonal
     less the kinetic one, minus a relative guard: the kinetic stencil is
     positive definite, so no eigenvalue of the channel lies at or below it,
@@ -385,12 +389,14 @@ def _block_diagonal_eigensystem(h: BlockHamiltonian, top: float) -> EigenSystem:
     n = h.grid.n_r
     floors = np.min(h.diagonals - h.grid.kinetic_tridiagonal()[0], axis=1)
     floors -= 1e-9 * np.maximum(1.0, np.abs(floors))
+    active = np.flatnonzero(floors < top).tolist()
+    coarse = dict(zip(active, channel_map(
+        lambda c: coarse_eigenpairs(h.diagonals[c], h.off_diagonal, floors[c], top), active)))
     vals_c, vecs_c = [], []
     res_max = 0.0
     for c in range(h.n_ch):
-        if floors[c] < top:
-            vals, vecs, tv = tridiagonal_eigenpairs(h.diagonals[c], h.off_diagonal,
-                                                    floors[c], top)
+        if c in coarse:
+            vals, vecs, tv = rayleigh_ritz(h.diagonals[c], h.off_diagonal, *coarse.pop(c))
         else:
             vals, vecs = np.zeros(0), np.zeros((n, 0))
         if vals.size:

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from fluxlab import grid as grid_module
 from fluxlab.angular import AngularPotential, DecayClass, GevreyEnvelope
 from fluxlab.dynamics import (MobilityChannelRecord, MobilityReport,
                               ObservableSeries, WaveState, _decay_rates,
@@ -11,8 +12,8 @@ from fluxlab.dynamics import (MobilityChannelRecord, MobilityReport,
                               moment_x, participation_width, prepare_state,
                               propagate, record_observables)
 from fluxlab.flux import FluxProfile, classical_region
-from fluxlab.grid import (ChannelOperator, RadialGrid, build_channel_operator,
-                          build_channel_operators, build_grid)
+from fluxlab.grid import (RadialGrid, build_channel_operator, build_channel_operators,
+                          build_grid)
 from fluxlab.spectral import (SpectralWindow, assemble_hamiltonian, basis_product,
                               diagonalize, spectral_projection)
 from fluxlab.weights import decay_rate_fit
@@ -526,22 +527,36 @@ def test_mobility_bands_are_independent_when_they_overlap():
 
 
 def test_mobility_grown_box_takes_no_eigenvectors(monkeypatch):
-    # the 1.5x box only supplies eigenvalue shifts, so it never reaches the
-    # eigenpair solve
+    # the 1.5x box only supplies eigenvalue shifts, so it never reaches an
+    # eigenpair solve of the batched kernel
     grid = build_grid(270, 18.0)
     n_big = int(round(grid.n_r * 1.5))
     solved = []
-    eigenpairs = ChannelOperator.eigenpairs
+    kernel = grid_module._tridiagonal_eigh
 
-    def recorded(self, *args, **kwargs):
-        solved.append(self.grid.n_r)
-        return eigenpairs(self, *args, **kwargs)
+    def recorded(d, e, select, bounds, tol=0.0, vectors=False):
+        if vectors:
+            solved.append(d.size)
+        return kernel(d, e, select, bounds, tol=tol, vectors=vectors)
 
-    monkeypatch.setattr(ChannelOperator, "eigenpairs", recorded)
+    monkeypatch.setattr(grid_module, "_tridiagonal_eigh", recorded)
     report = mobility_edge_scan(1.0, grid, 12)
     assert not report.empty_low_band
     assert n_big not in solved
     assert set(solved) == {grid.n_r, 2 * grid.n_r}
+
+
+@pytest.mark.parametrize("n_r, r_max, j_max", [(270, 18.0, 12), (800, 32.0, 20)],
+                         ids=["coupled_ref_grid", "uncoupled_linear"])
+def test_mobility_scan_has_the_same_bits_on_one_worker_and_on_two(monkeypatch, n_r, r_max,
+                                                                   j_max):
+    grid = build_grid(n_r, r_max)
+    reports = []
+    for workers in (1, 2):
+        monkeypatch.setattr(grid_module, "channel_workers", lambda: workers)
+        reports.append(repr(dataclasses.asdict(mobility_edge_scan(1.0, grid, j_max))))
+    assert reports[0] == reports[1]
+    assert "MobilityChannelRecord" not in reports[0] and "decay_rate" in reports[0]
 
 
 def test_mobility_records_carry_the_grown_box_bisection_tolerance():

@@ -1,10 +1,15 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from fluxlab import grid as grid_module
 from fluxlab.flux import FluxProfile
-from fluxlab.grid import (COARSE_TOL, RadialGrid, _tridiagonal_eigh, build_channel_operator,
-                          build_channel_operators, build_grid, check_truncation,
+from fluxlab.grid import (COARSE_TOL, RadialGrid, _bind_lapack, _tridiagonal_eigh,
+                          build_channel_operator, build_channel_operators, build_grid,
+                          channel_map, check_truncation, coarse_eigenpairs,
                           tridiagonal_eigenpairs, truncation_margin)
 
 
@@ -204,6 +209,84 @@ def test_kernel_rejects_non_finite_entries_and_empty_slices(capfd):
             _tridiagonal_eigh(d, e, "i", bounds)
     captured = capfd.readouterr()
     assert captured.err == "" and captured.out == ""
+
+
+def test_binding_checks_the_capsule_signature():
+    with pytest.raises(ImportError, match="dstebz has signature"):
+        _bind_lapack("dstebz", "cciddiidddiidiidi")      # one int * short
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+def test_channel_map_keeps_the_task_order(monkeypatch, workers):
+    monkeypatch.setattr(grid_module, "channel_workers", lambda: workers)
+    main = threading.current_thread()
+    results = channel_map(lambda t: (t, threading.current_thread()), range(11))
+    assert [t for t, _ in results] == list(range(11))
+    # round-robin: chunk 0, every workers-th task from the first, runs on
+    # the caller, the other chunks on the pool
+    assert [thread is main for _, thread in results] == \
+        [t % workers == 0 for t in range(11)]
+    assert channel_map(lambda t: t, []) == []
+
+
+def test_batches_of_any_size_share_one_pool(monkeypatch):
+    monkeypatch.setattr(grid_module, "channel_workers", lambda: 5)
+    for size in (2, 3, 4, 11, 3):
+        assert channel_map(lambda t: t, range(size)) == list(range(size))
+    pool_threads = [thread for thread in threading.enumerate()
+                    if thread.name.startswith("fluxlab-channel")]
+    assert 1 <= len(pool_threads) <= 4
+
+
+def test_concurrent_kernel_calls_keep_to_their_own_workspace(monkeypatch):
+    # more workers than cores and a short switch interval interleave the
+    # kernel's copies in and out with other threads' LAPACK calls; one
+    # workspace shared between threads would mix channels
+    monkeypatch.setattr(grid_module, "channel_workers", lambda: 6)
+    ops = build_channel_operators(FluxProfile.linear(1.0), np.arange(-12, 13),
+                                  build_grid(270, 18.0))
+
+    def solve(op):
+        return (coarse_eigenpairs(op.diagonal, op.off_diagonal, 0.1, 2.2),
+                op.eigenvalues(value_range=(0.05, 0.85)))
+
+    serial = [solve(op) for op in ops]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [channel_map(solve, ops) for _ in range(4)]
+    finally:
+        sys.setswitchinterval(interval)
+    for parallel in runs:
+        for (pairs, vals), (serial_pairs, serial_vals) in zip(parallel, serial, strict=True):
+            assert_same_bits(pairs, serial_pairs)
+            assert_same_bits(vals, serial_vals)
+
+
+def test_a_non_finite_channel_raises_the_kernel_error_from_the_worker(monkeypatch, capfd):
+    monkeypatch.setattr(grid_module, "channel_workers", lambda: 2)
+    ops = build_channel_operators(FluxProfile.linear(1.0), np.arange(-3, 4),
+                                  build_grid(200, 16.0))
+    diagonals = [op.diagonal for op in ops]
+    diagonals[3] = np.r_[diagonals[3][:-1], np.nan]      # task 3: the worker's chunk
+    raised_on = []
+
+    def solve(d):
+        try:
+            return coarse_eigenpairs(d, ops[0].off_diagonal, 0.1, 0.8)
+        except ValueError:
+            raised_on.append(threading.current_thread())
+            raise
+
+    with pytest.raises(ValueError, match="finite"):
+        channel_map(solve, diagonals)
+    assert len(raised_on) == 1 and raised_on[0] is not threading.main_thread()
+    captured = capfd.readouterr()
+    assert captured.err == "" and captured.out == ""
+    # the workspaces are clean after the failure
+    for op, (vals, v) in zip(ops, channel_map(solve, [op.diagonal for op in ops])):
+        assert_same_bits((vals, v), coarse_eigenpairs(op.diagonal, op.off_diagonal,
+                                                      0.1, 0.8))
 
 
 def test_truncation_warning():

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 import scipy.linalg.lapack
 
+from fluxlab import grid as grid_module
 from fluxlab.angular import AngularPotential, DecayClass, GevreyEnvelope, xi_constant
 from fluxlab.flux import FluxProfile
 from fluxlab.grid import build_channel_operator, build_grid
@@ -787,6 +788,24 @@ def test_window_solve_skips_channels_whose_floor_is_above_the_top(monkeypatch):
     assert len(calls) == np.count_nonzero(floors < top)
     skipped = [b for b, floor in zip(es.blocks, floors) if floor >= top]
     assert all(b.cols.size == 0 for b in skipped)
+
+
+def test_the_per_channel_window_solve_has_the_same_bits_on_one_worker_and_on_two(
+        monkeypatch):
+    # the uncoupled-linear benchmark model
+    h = assemble_hamiltonian(FluxProfile.linear(1.0), None, build_grid(800, 32.0), 20)
+    solves = []
+    for workers in (1, 2):
+        monkeypatch.setattr(grid_module, "channel_workers", lambda: workers)
+        solves.append(diagonalize(h, window_upper=0.9))
+    one, two = solves
+    assert one.method == two.method == "channel_tridiagonal" and one.k > 0
+    assert one.eigenvalues.tobytes() == two.eigenvalues.tobytes()
+    assert (one.residual_max, one.lowest) == (two.residual_max, two.lowest)
+    for a, b in zip(one.blocks, two.blocks, strict=True):
+        assert a.cols.tobytes() == b.cols.tobytes()
+        assert a.vectors.shape == b.vectors.shape
+        assert a.vectors.tobytes() == b.vectors.tobytes()
 
 
 def test_a_window_solve_with_every_floor_above_the_top_still_gives_lowest():

@@ -2,6 +2,9 @@
 
 import os
 import sys
+import threading
+
+import pytest
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 sys.path.insert(0, BENCH)
@@ -10,7 +13,7 @@ from tracing import Tracer  # noqa: E402
 
 from fluxlab import cli  # noqa: E402
 
-from test_cli import COUPLED_CFG  # noqa: E402
+from test_cli import COUPLED_CFG, LINEAR_CFG  # noqa: E402
 
 W0_EVOLVE = """
 profile.kind = linear
@@ -112,3 +115,31 @@ def test_traced_coupled_spectrum_counts_the_band_lu_and_forms_no_superlu(tmp_pat
     assert counts["spectral.eigsh_calls"] >= 1
     assert counts["spectral.lu_solves"] == constants["lu_solves"] > 0
     assert sum(span[0] == "spectral.factorize" for span in tracer.spans) == 1
+
+
+@pytest.mark.parametrize("command", ["spectrum", "mobility"])
+def test_traced_functions_run_only_on_the_main_thread(tmp_path, monkeypatch, command):
+    # the tracer's span stack is single-threaded, so the channel pool runs
+    # the LAPACK kernel and nothing the tracer wraps
+    from fluxlab import grid
+    monkeypatch.setattr(grid, "channel_workers", lambda: 2)
+    kernel_threads, traced_threads = set(), set()
+    kernel = grid._tridiagonal_eigh
+
+    def recorded_kernel(*args, **kwargs):
+        kernel_threads.add(threading.current_thread())
+        return kernel(*args, **kwargs)
+
+    def recorded(method):
+        def record(self, *args, **kwargs):
+            traced_threads.add(threading.current_thread())
+            return method(self, *args, **kwargs)
+        return record
+
+    monkeypatch.setattr(grid, "_tridiagonal_eigh", recorded_kernel)
+    for name in ("call", "count"):
+        monkeypatch.setattr(Tracer, name, recorded(getattr(Tracer, name)))
+    traced_run(tmp_path, command, LINEAR_CFG)
+    main = threading.current_thread()
+    assert traced_threads == {main}
+    assert main in kernel_threads and len(kernel_threads) == 2

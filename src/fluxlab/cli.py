@@ -331,13 +331,19 @@ def _gevrey(w):
 
 def _build_weights(profile, window, grid, j_max, w):
     """Interior/exterior weights with grid-extracted parameters, each where
-    its flux growth exponent exceeds 1."""
+    its flux growth exponent exceeds 1, as (built, failed, zeta, a): failed
+    maps a weight that applies but cannot be built on this grid and window
+    to the report entry ``{"status": "fail", "reason": ...}``."""
     from .weights import build_weight
     zeta, a = _gevrey(w)
     applies = {"interior": profile.sigma_plus > 1, "exterior": profile.sigma_minus > 1}
-    built = {kind: build_weight(kind, profile, window, grid, zeta, j_max, a=a)
-             for kind, ok in applies.items() if ok}
-    return built, zeta, a
+    built, failed = {}, {}
+    for kind in (kind for kind, ok in applies.items() if ok):
+        try:
+            built[kind] = build_weight(kind, profile, window, grid, zeta, j_max, a=a)
+        except ValueError as exc:
+            failed[kind] = {"status": "fail", "reason": str(exc)}
+    return built, failed, zeta, a
 
 
 def _fit_upper_half(j, norms, j_max):
@@ -368,8 +374,8 @@ def _fit_upper_half(j, norms, j_max):
 def _run_tunnel(cfg, out_dir):
     from .weights import tunnelling_exterior_sum, tunnelling_interior_sum
     (profile, w, grid, j_max, _), proj, constants = _windowed_model(cfg)
-    built, zeta, _ = _build_weights(profile, proj.window, grid, j_max, w)
-    artifacts, report = [], {}
+    built, failed, zeta, _ = _build_weights(profile, proj.window, grid, j_max, w)
+    artifacts, report = [], dict(failed)
     if "interior" in built:
         wint = built["interior"]
         c_plus, delta_plus = 0.4, wint.eps
@@ -423,8 +429,8 @@ def _run_validate_weights(cfg, out_dir):
     if lowest.value > window.E0:
         # e0 = E0: the window holds no eigenvalue, as a rank-0 projection says
         warnings.warn(RANK_ZERO_WARNING, stacklevel=2)
-    built, zeta, a = _build_weights(profile, window, grid, j_max, w)
-    report = {}
+    built, failed, zeta, a = _build_weights(profile, window, grid, j_max, w)
+    report = dict(failed)
     if profile.kind == "linear":
         try:
             built["mobility"] = build_weight("mobility", profile, window, grid, zeta,
@@ -466,8 +472,8 @@ def _run_validate_weights(cfg, out_dir):
             "interior_j0": frr.interior_j0, "interior_eps": frr.interior_eps,
             "exterior_eta": frr.exterior_eta, "exterior_level": frr.exterior_level,
         }
-    # null when no weight was checked: there is nothing to pass
-    report["all_passed"] = bool(all_pass) if built else None
+    # a weight that could not be built fails; null when no weight applied
+    report["all_passed"] = bool(all_pass and not failed) if built or failed else None
     write_json(os.path.join(out_dir, "weights_report.json"), report)
     return ["weights_report.json"], constants
 

@@ -40,8 +40,9 @@ LDL^T sweep that bisects only a channel whose pivot fails, and, when W
 couples the channels, the window sweep's route for a single pair, whose
 residual must meet the same 1e-9 max(1, |A|) contract as the window
 solve's pairs; the factor's shift is the certified lower bound.  Every
-Lanczos run stops after ``SWEEP_RESTARTS`` ARPACK restarts
-(:func:`_shift_invert_lanczos`).
+Lanczos run stops at ARPACK's tolerance ``SWEEP_TOL``, or after
+``SWEEP_RESTARTS`` restarts (:func:`_shift_invert_lanczos`), and a
+one-pair run starts from the channel tridiagonals' ground state.
 
 An :class:`EigenSystem` stores its eigenvectors only in blocks
 (:class:`BasisBlock`) whose rows tile the flat index: the per-channel route
@@ -93,6 +94,7 @@ WINDOW_MARGIN = 0.05    # a window solve to E0 covers E0 + WINDOW_MARGIN max(1, 
 RANK_ZERO_WARNING = "spectral window selected no eigenvalues (rank-0 projection)"
 PANEL_ROWS = 1024       # rows of a block one GEMM writes in block_product's V x
 SWEEP_RESTARTS = 1000   # ARPACK restarts after which a shift-inverted Lanczos run stops short
+SWEEP_TOL = 1e-12       # ARPACK's relative stopping tolerance for every shift-inverted Lanczos run
 TRIAL_SHIFT_DIVISOR = 64    # the trial shift lies (w + guard) / 64 below t (_lowest_pairs)
 EPS = float(np.finfo(float).eps)
 
@@ -527,12 +529,14 @@ class BandCholesky:
     (Golub & Van Loan, Matrix Computations, 4th ed., section 4.3).  A
     completed factor whose smallest pivot r_kk^2 is at most
     ``1e-12 max(1, |A|)`` raises: that close to singular the verdict is
-    not trustworthy.
+    not trustworthy.  ``norm_a`` is |A|_inf when the caller has it
+    already (:func:`_channel_tridiagonal` returns it); None reads it off
+    ``ab``.
     """
 
-    def __init__(self, ab: np.ndarray, sigma: float):
+    def __init__(self, ab: np.ndarray, sigma: float, norm_a: Optional[float] = None):
         self.sigma = float(sigma)
-        self.norm_a = _band_norm_inf(ab)
+        self.norm_a = _band_norm_inf(ab) if norm_a is None else norm_a
         self.solves = 0
         kd = ab.shape[0] - 1
         shifted = np.array(ab, order="F")        # ?pbtrf factors it in place
@@ -560,19 +564,31 @@ class BandCholesky:
 
 
 def _shift_invert_lanczos(a: LinearOperator, factor: BandCholesky, k: int,
-                          ncv: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
+                          ncv: Optional[int] = None,
+                          v0: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
     """The k eigenpairs of the Hermitian ``a`` nearest the ``sigma`` of
     ``factor``, ascending, by shift-inverted Lanczos (Ericsson & Ruhe, Math.
-    Comp. 35, 1980) on the factor's solves.  The run starts from
-    (1, ..., 1) / sqrt(n) and stops after ``SWEEP_RESTARTS`` restarts with
-    the pairs converged by then, which may be fewer than k.  ``ncv`` is the
-    number of Lanczos vectors, ARPACK's default when None."""
+    Comp. 35, 1980) on the factor's solves.  The run starts from ``v0``, or
+    from (1, ..., 1) / sqrt(n) when None, and stops after ``SWEEP_RESTARTS``
+    restarts with the pairs converged by then, which may be fewer than k.
+    ``ncv`` is the number of Lanczos vectors, ARPACK's default when None.
+
+    ARPACK accepts a Ritz pair (theta, y) of OP = (A - sigma I)^-1 once
+    |OP y - theta y| <= ``SWEEP_TOL`` |theta|, which bounds the pair
+    lambda = sigma + 1 / theta of A by |A y - lambda y| <= ``SWEEP_TOL``
+    |A - sigma I| (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM
+    1998): 1000 times inside the 1e-9 max(1, |A|_inf) contract every
+    caller checks the measured residual against.  A tolerance of 0 is
+    ARPACK's default, machine epsilon, whose last restarts move no
+    measured residual (Parlett, The Symmetric Eigenvalue Problem, ch. 11).
+    """
     n = a.shape[0]
     op_inv = LinearOperator(a.shape, matvec=factor.solve, dtype=a.dtype)
+    if v0 is None:
+        v0 = np.full(n, 1.0 / np.sqrt(n))
     try:
-        vals, vecs = eigsh(a, k=k, sigma=factor.sigma, which="LM",
-                           v0=np.full(n, 1.0 / np.sqrt(n)), OPinv=op_inv,
-                           ncv=ncv, maxiter=SWEEP_RESTARTS)
+        vals, vecs = eigsh(a, k=k, sigma=factor.sigma, which="LM", v0=v0, OPinv=op_inv,
+                           ncv=ncv, maxiter=SWEEP_RESTARTS, tol=SWEEP_TOL)
     except ArpackNoConvergence as exc:
         vals, vecs = np.real(exc.eigenvalues), exc.eigenvectors
     ascending = np.argsort(vals, kind="stable")
@@ -641,6 +657,26 @@ def _tridiagonal_lowest(ab: np.ndarray) -> _TridiagonalLowest:
     return _TridiagonalLowest(top, best, slice(int(bounds[best]), int(bounds[best + 1])))
 
 
+def _channel_ground_state(tri: np.ndarray, low: _TridiagonalLowest,
+                          scale: float) -> Tuple[float, np.ndarray]:
+    """The lowest eigenpair of the channel tridiagonals D (kd = 1 upper band
+    storage) in the block ``low`` holds: the Ritz value that
+    :func:`~fluxlab.grid.tridiagonal_eigenpairs`, the window solve's kernel,
+    gives in (t - g, t + g], g = 16 eps ``scale``, with t = ``low.value``,
+    and its unit eigenvector on the block's rows.
+
+    The kernel solves the real tridiagonal T with the moduli |e_i| of the
+    block's off-diagonals e_i = D[i - 1, i].  D = S T S^H with S = diag(s),
+    s_0 = 1 and s_i = s_(i-1) conj(e_i) / |e_i|, so S carries T's
+    eigenvector u into D's, S u.
+    """
+    d, e = tri[1, low.rows].real, tri[0, low.rows][1:]
+    guard = 16 * EPS * scale
+    vals, vecs, _ = tridiagonal_eigenpairs(d, np.abs(e), low.value - guard, low.value + guard)
+    phases = np.cumprod(np.concatenate(([1.0], np.conj(e) / np.abs(e))))
+    return float(vals[0]), vecs[:, 0] * phases
+
+
 def _channel_tridiagonal(ab: np.ndarray) -> Tuple[np.ndarray, float, float]:
     """The channel tridiagonals D of a Hermitian band A in the layout of
     :meth:`BlockHamiltonian.to_band`, the max row sum w of the rest of A,
@@ -685,37 +721,49 @@ def _lowest_pairs(ab: np.ndarray, channels, k: int):
     trips its pivot floor declines the trial, and the factor is built at
     sigma_W instead (``weyl``), where a failure means a theorem failed, and
     raises.  Either way the returned factor's shift is a certified lower
-    bound on lambda_min.  Shift-inverted Lanczos on its solves returns the
-    k pairs nearest the shift, the k lowest; fewer converged pairs raise.
-    A k of dim - 1 or more, which ARPACK cannot return, is solved densely,
-    and builds no factor.
+    bound on lambda_min.  The factor reads |A|_inf from ``channels``.
+    Shift-inverted Lanczos on its solves returns the k pairs nearest the
+    shift, the k lowest, stopped at ``SWEEP_TOL`` (see
+    :func:`_shift_invert_lanczos`); fewer converged pairs raise.  A run for
+    k = 1 starts from D's lowest eigenvector, the block of ``low`` with
+    the phases of its off-diagonals (:func:`_channel_ground_state`), in
+    band order: A's ground state is near it when the coupling is weak; k >
+    1 starts from (1, ..., 1).  A k of dim - 1 or more, which ARPACK cannot
+    return, is solved densely, and builds no factor.
     """
     tri, w, norm = channels
     low = _tridiagonal_lowest(tri)
     a = _band_operator(ab)
-    if k >= ab.shape[1] - 1:
-        vals, vecs = scipy.linalg.eigh(_band_diagonal_blocks(ab, ab.shape[1])[0],
+    kd, n = ab.shape[0] - 1, ab.shape[1]
+    if k >= n - 1:
+        vals, vecs = scipy.linalg.eigh(_band_diagonal_blocks(ab, n)[0],
                                        subset_by_index=(0, k - 1))
         factor = route = None
     else:
         spread = w + 1e-9 * max(1.0, norm)
         try:
-            factor = BandCholesky(ab, low.value - spread / TRIAL_SHIFT_DIVISOR)
+            factor = BandCholesky(ab, low.value - spread / TRIAL_SHIFT_DIVISOR, norm)
         except RuntimeError:            # completed, but past its pivot floor
             factor = None
         route = "trial"
         if factor is None or not factor.positive_definite:
             del factor
             route, sigma = "weyl", low.value - spread
-            factor = BandCholesky(ab, sigma)
+            factor = BandCholesky(ab, sigma, norm)
             if not factor.positive_definite:
                 raise RuntimeError(f"A - {sigma:.17g} I is not positive definite, yet Weyl's "
                                    "inequality bounds lambda_min(A) below by that shift")
+        v0 = None
+        if k == 1:
+            # D's ground state, from channel-major row c n_r + i to band row i kd + c
+            channel, node = np.divmod(np.arange(low.rows.start, low.rows.stop), n // kd)
+            v0 = np.zeros(n, dtype=ab.dtype)
+            v0[node * kd + channel] = _channel_ground_state(tri, low, max(1.0, norm))[1]
         # next to lambda_min one pair converges in a basis of 3 Lanczos
         # vectors; from Weyl's shift, or for more pairs, a smaller basis
-        # than ARPACK's default takes more solves
+        # than ARPACK's default took more solves from (1, ..., 1)
         vals, vecs = _shift_invert_lanczos(a, factor, k,
-                                           3 if k == 1 and route == "trial" else None)
+                                           3 if k == 1 and route == "trial" else None, v0)
         if vals.size < k:
             raise RuntimeError(f"shift-inverted Lanczos at {factor.sigma:.17g} converged to "
                                f"{vals.size} of {k} eigenpairs within {SWEEP_RESTARTS} "
@@ -765,17 +813,19 @@ def lowest_eigenvalue(ab: np.ndarray) -> LowestEigenvalue:
     Otherwise the value is the k = 1 case of :func:`_lowest_pairs`, the
     window sweep's route, and the shift of its band Cholesky factor, the
     trial shift next to t when that factor completes and Weyl's otherwise,
-    the lower bound; a residual above 1e-9 max(1, |A|_inf) raises.
+    the lower bound.  Its Lanczos run starts from the eigenvector of t's
+    channel tridiagonal and stops at ``SWEEP_TOL``, whose a-priori residual
+    bound 1e-12 |A - sigma I| lies 1000 times inside the contract the
+    measured residual is checked against: a residual above
+    1e-9 max(1, |A|_inf) raises.
     """
     channels = _channel_tridiagonal(ab)
     tri, _, norm = channels
     scale = max(1.0, norm)
     if ab.shape[0] - 1 == 1:
         low = _tridiagonal_lowest(tri)
-        guard = 16 * EPS * scale
-        ritz = tridiagonal_eigenpairs(tri[1, low.rows].real, np.abs(tri[0, low.rows][1:]),
-                                      low.value - guard, low.value + guard)[0]
-        return LowestEigenvalue(float(ritz[0]), low.value - 4 * EPS * scale,
+        return LowestEigenvalue(_channel_ground_state(tri, low, scale)[0],
+                                low.value - 4 * EPS * scale,
                                 "channel_tridiagonal", low.block, 0, None)
     vals, _, (res,), factor, route, low = _lowest_pairs(ab, channels, 1)
     if res > 1e-9 * scale:
@@ -809,9 +859,10 @@ def _window_count(ab: np.ndarray, top: float, channels) -> WindowCount:
     tridiagonals and |W_off|_2 <= w.  So Weyl's inequality (Math. Ann. 71,
     1912) brackets the count between k_lo = N_D(top - w - g) and
     k_hi = N_D(top + w + g), where N_D(s) is D's Sturm count of eigenvalues
-    at or below s (one ``?stebz`` value count over all of D's rows, bisected
-    no finer than w) and g = 1e-9 max(1, |A|_inf) is the guard of
-    :func:`_lowest_pairs`, which covers the counts' rounding.
+    at or below s (one ``?stebz`` value count over all of D's rows, which
+    stops bisecting where the count is known) and g = 1e-9 max(1, |A|_inf)
+    is the guard of :func:`_lowest_pairs`, which covers the counts'
+    rounding.
 
     - k_lo == k_hi: that is the count (``weyl``).
     - k_hi == k_lo + 1 and A real: the sign of det(A - top I),
@@ -830,7 +881,9 @@ def _window_count(ab: np.ndarray, top: float, channels) -> WindowCount:
     tri, w, norm = channels
     g = 1e-9 * max(1.0, norm)
     d, e = tri[1].real, np.abs(tri[0, 1:])
-    k_lo, k_hi = (_tridiagonal_eigh(d, e, "v", (-np.inf, s), tol=w).size
+    # tol = inf stops every bisection at its first step: ?stebz's count of
+    # the values in (-inf, s] comes from its Sturm counts, whatever the tol
+    k_lo, k_hi = (_tridiagonal_eigh(d, e, "v", (-np.inf, s), tol=np.inf).size
                   for s in (top - w - g, top + w + g))
     bracket = (int(k_lo), int(k_hi))
     if k_lo == k_hi:

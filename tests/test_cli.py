@@ -338,6 +338,45 @@ REF_LINEAR_CFG = LINEAR_CFG.replace("grid.n_r = 200", "grid.n_r = 800") \
     .replace("channels.j_max = 8", "channels.j_max = 20")
 
 
+def test_the_sweep_tolerance_moves_no_result_and_saves_solves(tmp_path, monkeypatch):
+    # every Lanczos run stops at SWEEP_TOL, whose residual bound lies 1000
+    # times inside the 1e-9 |H| contract; against ARPACK's default stop at
+    # eps (tol 0) on the reference coupled model the window solve, H's
+    # lowest eigenvalue and both twisted checks keep their count,
+    # certificates and values, and take no more solves
+    from fluxlab import spectral
+    from fluxlab.cli import _assemble_from_config, _build_weights, _window
+    from fluxlab.weights import twisted_gap_check
+    cfg = RunConfig.parse(write_cfg(tmp_path, REF_COUPLED_CFG))
+    profile, w, grid, j_max, h = _assemble_from_config(cfg)
+
+    def solve():
+        es = spectral.diagonalize(h, 1.0)
+        lowest = spectral.lowest_eigenvalue(h.to_band()[0])
+        window = _window(cfg, h, w, lowest.value)
+        built = _build_weights(profile, window, grid, j_max, w)[0]
+        gaps = [twisted_gap_check(h, built[name], window) for name in ("interior", "exterior")]
+        runs = [(lowest.value, lowest.lower_bound, lowest.shift_route, lowest.cholesky_solves)]
+        runs += [(g.lambda_min, g.lower_bound, g.shift_route, g.cholesky_solves) for g in gaps]
+        return es, runs
+
+    def close(a, b):
+        return np.all(np.abs(a - b) <= 1e-14 * np.maximum(1.0, np.abs(b)))
+
+    es, runs = solve()
+    monkeypatch.setattr(spectral, "SWEEP_TOL", 0.0)
+    es_eps, runs_eps = solve()
+    assert (es.k, es.count_certificate, es.weyl_bracket, es.sweep_shift) \
+        == (es_eps.k, es_eps.count_certificate, es_eps.weyl_bracket, es_eps.sweep_shift)
+    assert es.k == 10 and close(es.eigenvalues, es_eps.eigenvalues)
+    assert es.residual_max <= 1.5 * es_eps.residual_max
+    assert es.cholesky_solves <= es_eps.cholesky_solves
+    for (value, bound, route, solves), (value_eps, bound_eps, route_eps, solves_eps) \
+            in zip(runs, runs_eps):
+        assert (bound, route) == (bound_eps, route_eps) and close(value, value_eps)
+        assert solves <= solves_eps
+
+
 @pytest.mark.parametrize("text", [COUPLED_CFG, LINEAR_CFG, REF_COUPLED_CFG, REF_LINEAR_CFG,
                                   BASE_CFG],
                          ids=["coupled", "linear", "ref-coupled", "ref-linear", "uniform-field"])
@@ -380,6 +419,29 @@ def test_coupled_windows_are_counted_by_weyl_and_the_determinant_sign(tmp_path, 
     assert n == band_inertia(h.to_band()[0], top)
 
 
+@pytest.mark.parametrize("text, bracket", [(COUPLED_CFG, (4, 5)), (STRONG_CFG, (3, 5)),
+                                           (REF_COUPLED_CFG, (10, 11))],
+                         ids=["coupled", "strong", "ref-coupled"])
+def test_weyl_bracket_ends_are_the_full_bisection_counts(tmp_path, text, bracket):
+    # the window count's Weyl bracket takes one count-only ?stebz call per
+    # end, which stops bisecting at its first step; its integers must be a
+    # full bisection's, at the window top E0 + margin and across the spectrum
+    from fluxlab.cli import _assemble_from_config
+    from fluxlab.grid import _tridiagonal_eigh
+    from fluxlab.spectral import WINDOW_MARGIN, _channel_tridiagonal, _window_count
+    ab = _assemble_from_config(RunConfig.parse(write_cfg(tmp_path, text)))[-1].to_band()[0]
+    channels = _channel_tridiagonal(ab)
+    tri, w, norm = channels
+    g = 1e-9 * max(1.0, norm)
+    d, e = tri[1].real, np.abs(tri[0, 1:])
+    for top in (1.0 + WINDOW_MARGIN, 0.8, 1.3, 2.0, 3.0):
+        bisected = tuple(_tridiagonal_eigh(d, e, "v", (-np.inf, s)).size
+                         for s in (top - w - g, top + w + g))
+        assert _window_count(ab, top, channels).bracket == bisected, top
+        if top == 1.0 + WINDOW_MARGIN:
+            assert bisected == bracket
+
+
 def test_a_strongly_coupled_window_is_counted_by_the_inertia(tmp_path):
     # a bracket two wide: the node-block inertia gives the count, which is
     # the dense count below the top, and every window subcommand verifies
@@ -413,9 +475,9 @@ def test_an_empty_coupled_window_factors_h_once(tmp_path, monkeypatch):
     assert lowest > 0.5
     init, shifts = spectral.BandCholesky.__init__, []
 
-    def recorded(self, ab, sigma):
+    def recorded(self, ab, sigma, norm_a=None):
         shifts.append(sigma)
-        init(self, ab, sigma)
+        init(self, ab, sigma, norm_a)
 
     monkeypatch.setattr(spectral.BandCholesky, "__init__", recorded)
     for command in ("spectrum", "project", "tunnel", "evolve"):
@@ -514,19 +576,20 @@ def test_evolve_on_a_tabulated_profile_without_sigma_minus_is_a_config_error(tmp
 def test_validate_weights_runs_each_lanczos_from_the_trial_shift(tmp_path):
     # e0's Lanczos run and each twisted check's start from a trial shift next
     # to the channel tridiagonals' minimum, which its band Cholesky factor
-    # certifies: one pair then converges in 8 solves (21 from Weyl's shift),
-    # so a silent return to Weyl's shift breaks the budget
+    # certifies, and from that minimum's eigenvector: one pair then converges
+    # in 5 solves (21 from Weyl's shift), so a silent return to Weyl's shift
+    # breaks the budget
     out = tmp_path / "out"
     assert run("validate-weights", write_cfg(tmp_path, COUPLED_CFG), str(out)) == 0
     constants = json.loads((out / "manifest.json").read_text())["constants"]
     assert constants["e0_shift_route"] == "trial"
-    assert 0 < constants["e0_cholesky_solves"] <= 10
+    assert 0 < constants["e0_cholesky_solves"] <= 6
     assert constants["e0_lower_bound"] <= constants["e0"]
     report = json.loads((out / "weights_report.json").read_text())
     for name in ("interior", "exterior"):
         gap = report[name]["twisted_gap"]
         assert gap["shift_route"] == "trial", name
-        assert 0 < gap["cholesky_solves"] <= 11, name
+        assert 0 < gap["cholesky_solves"] <= 6, name
         assert gap["threshold"] <= gap["lower_bound"] <= gap["lambda_min"], name
 
 
@@ -731,6 +794,37 @@ def test_validate_weights_reports_a_mobility_weight_above_the_edge(tmp_path):
     assert manifest["verify"]["failures"] == ["built_weights_validate"]
 
 
+def test_a_weight_that_cannot_be_built_fails_without_ending_the_run(tmp_path):
+    # at w.m_mode = 2 the cos form's c0 lifts E~ until every exterior eta
+    # leaves classically allowed nodes in the weight's support: the run
+    # still writes its reports, with the exterior weight as a failure
+    # instead of an exit on the build error; validate-weights fails under
+    # --verify, tunnel writes no exterior norms and exits 0
+    cfg = write_cfg(tmp_path, COS_EXP_CFG + "w.m_mode = 2\n")
+    failure = {"status": "fail", "reason": "no admissible exterior weight on this grid/window: "
+               "every eta candidate leaves classically allowed nodes in the weight support"}
+    out = tmp_path / "validate"
+    assert main(["validate-weights", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "weights_report.json").read_text())
+    assert report["exterior"] == failure
+    assert report["interior"]["passed"] is True and report["all_passed"] is False
+    assert main(["validate-weights", "--config", cfg, "--out", str(out), "--verify"]) == 1
+    assert json.loads((out / "weights_report.json").read_text()) == report
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["verify"]["failures"] == ["built_weights_validate"]
+    assert "interior_eps" in manifest["constants"]
+    assert not any(key.startswith("exterior_") for key in manifest["constants"])
+
+    out = tmp_path / "tunnel"
+    assert main(["tunnel", "--config", cfg, "--out", str(out), "--verify"]) == 0
+    report = json.loads((out / "tunnel_report.json").read_text())
+    assert report["exterior"] == failure and "sum" in report["interior"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["verify"]["passed"]
+    assert manifest["artifacts"] == ["interior_norms.csv", "tunnel_report.json"]
+    assert not (out / "exterior_norms.csv").exists()
+
+
 def test_derivative_margin_is_read_where_the_weight_has_a_slope(tmp_path):
     # hypothesis (i), (F')^2 <= V - E~ chi_perp, binds only where F' != 0;
     # elsewhere its margin is V >= 0, whose minimum, on an allowed node, is
@@ -743,8 +837,8 @@ def test_derivative_margin_is_read_where_the_weight_has_a_slope(tmp_path):
     cfg = RunConfig.parse(path)
     profile, w, grid, j_max, h = _assemble_from_config(cfg)
     window = _window(cfg, h, w, lowest_eigenvalue(h.to_band()[0]).value)
-    built, _, _ = _build_weights(profile, window, grid, j_max, w)
-    assert set(built) == {"interior", "exterior"}
+    built, failed, _, _ = _build_weights(profile, window, grid, j_max, w)
+    assert set(built) == {"interior", "exterior"} and failed == {}
     margins = {}
     for name, weight in built.items():
         worst = np.inf

@@ -268,6 +268,27 @@ def test_narrow_bracket_counts_match_the_dense_count(angular):
     assert routes == {"weyl", one_wide}
 
 
+@both_couplings
+@pytest.mark.parametrize("amp", [0.3, WEAK])
+def test_weyl_bracket_ends_are_the_full_bisection_counts(angular, amp):
+    # each end of Weyl's bracket is a count-only ?stebz call, which stops
+    # bisecting at its first step: its integers must be those a full
+    # bisection of D gives, and D's dense count
+    h = coupled_model(angular, amp=amp)
+    ab = h.to_band()[0]
+    channels = _channel_tridiagonal(ab)
+    tri, w, norm = channels
+    g = 1e-9 * max(1.0, norm)
+    d, e = tri[1].real, np.abs(tri[0, 1:])
+    dense = np.linalg.eigvalsh(band_to_dense(tri))
+    for top in np.linspace(0.3, 6.0, 24):
+        ends = (top - w - g, top + w + g)
+        bisected = tuple(grid_module._tridiagonal_eigh(d, e, "v", (-np.inf, s)).size
+                         for s in ends)
+        assert bisected == tuple(int(np.sum(dense <= s)) for s in ends), top
+        assert _window_count(ab, top, channels).bracket == bisected, top
+
+
 def test_det_sign_is_the_parity_of_the_count_below_the_shift():
     h = coupled_model(np.cos)
     ab = h.to_band()[0]
@@ -333,12 +354,12 @@ def test_a_sweep_that_drops_its_lowest_pair_raises(angular, monkeypatch):
     assert _windowed_eigensystem(h, 1.2, 0.06).k > 0
     driver = spectral._shift_invert_lanczos
 
-    def short(a, factor, k, ncv):
-        vals, vecs = driver(a, factor, k, ncv)
+    def short(a, factor, k, ncv, v0):
+        vals, vecs = driver(a, factor, k, ncv, v0)
         return vals[1:], vecs[:, 1:]
 
-    def shifted(a, factor, k, ncv):
-        vals, vecs = driver(a, factor, k + 1, ncv)
+    def shifted(a, factor, k, ncv, v0):
+        vals, vecs = driver(a, factor, k + 1, ncv, v0)
         return vals[1:], vecs[:, 1:]
 
     monkeypatch.setattr(spectral, "_shift_invert_lanczos", short)
@@ -472,6 +493,42 @@ def test_lowest_eigenvalue_matches_dense_from_a_certified_shift(angular):
     assert not BandCholesky(ab, dense_min + 1e-6).positive_definite
 
 
+@both_couplings
+@pytest.mark.parametrize("amp, route", [(0.3, "weyl"), (WEAK, "trial")])
+def test_a_one_pair_run_starts_at_the_channel_ground_state(angular, amp, route, monkeypatch):
+    # the k = 1 Lanczos run starts from the lowest eigenvector of the channel
+    # tridiagonals D, in band order and with the phases of D's off-diagonals:
+    # an eigenvector of D itself, not of the |e| tridiagonal that is
+    # bisected, and channel-pure, so its Rayleigh quotient in A is t too;
+    # the window sweep's k > 1 runs keep the (1, ..., 1) start
+    from fluxlab import spectral
+    h = coupled_model(angular, amp=amp)
+    ab = h.to_band()[0]
+    driver, starts = spectral._shift_invert_lanczos, []
+
+    def recorded(a, factor, k, ncv, v0):
+        starts.append(v0)
+        return driver(a, factor, k, ncv, v0)
+
+    monkeypatch.setattr(spectral, "_shift_invert_lanczos", recorded)
+    lowest = lowest_eigenvalue(ab)
+    assert lowest.shift_route == route
+    (v0,) = starts
+    t = _tridiagonal_lowest(_channel_tridiagonal(ab)[0]).value
+    kd = ab.shape[0] - 1
+    d_band = ab.copy()
+    d_band[1:kd] = 0.0                      # D: the diagonal and the kinetic links
+    assert v0.dtype == ab.dtype and np.linalg.norm(v0) == pytest.approx(1.0, rel=1e-14)
+    scale = max(1.0, h.norm_inf())
+    assert np.linalg.norm(band_to_dense(d_band) @ v0 - t * v0) <= 1e-12 * scale
+    assert abs(np.vdot(v0, band_to_dense(ab) @ v0) - t) <= 1e-12 * scale
+    # it converges to the dense lambda_min, the pair's residual within contract
+    assert abs(lowest.value - np.linalg.eigvalsh(h.to_dense())[0]) <= 1e-9 * h.norm_inf()
+    starts.clear()
+    es = diagonalize(h, window_upper=1.2)
+    assert es.k > 1 and starts == [None]
+
+
 def trial_and_weyl_shifts(ab):
     """The trial shift t - (w + g) / TRIAL_SHIFT_DIVISOR and Weyl's shift
     t - w - g of a coupled band, g = 1e-9 max(1, |A|_inf)."""
@@ -525,10 +582,10 @@ def test_a_trial_shift_above_t_is_never_the_bound(angular, monkeypatch):
     monkeypatch.setattr(spectral, "TRIAL_SHIFT_DIVISOR", TRIAL_SHIFT_DIVISOR)
     init, floored = BandCholesky.__init__, []
 
-    def pivot_floor(self, ab, sigma):
+    def pivot_floor(self, ab, sigma, norm_a=None):
         if sigma in floored:
             raise RuntimeError("Cholesky pivot below 1e-12 |A|")
-        init(self, ab, sigma)
+        init(self, ab, sigma, norm_a)
 
     monkeypatch.setattr(BandCholesky, "__init__", pivot_floor)
     floored.append(trial_and_weyl_shifts(ab)[0])
@@ -549,8 +606,8 @@ def test_lowest_eigenvalue_enforces_the_residual_contract(angular, monkeypatch):
     lowest_eigenvalue(ab)
     init = BandCholesky.__init__
 
-    def perturbed(self, ab, sigma):
-        init(self, ab, sigma)
+    def perturbed(self, ab, sigma, norm_a=None):
+        init(self, ab, sigma, norm_a)
         pbtrs = self._pbtrs
         self._pbtrs = lambda factor, b: ((1 + 1e-3) * pbtrs(factor, b)[0], 0)
 
@@ -852,7 +909,7 @@ def test_window_over_whole_spectrum_takes_dense_fallback(angular, monkeypatch):
     from fluxlab import spectral
     factors = []
 
-    def refuse(self, ab, sigma):
+    def refuse(self, ab, sigma, norm_a=None):
         factors.append(sigma)
 
     for amp in (0.3, WEAK):

@@ -312,9 +312,9 @@ def record_band_cholesky_shifts(monkeypatch):
     shifts = []
     init = spectral.BandCholesky.__init__
 
-    def recorded(self, ab, sigma):
+    def recorded(self, ab, sigma, norm_a=None):
         shifts.append(sigma)
-        init(self, ab, sigma)
+        init(self, ab, sigma, norm_a)
 
     monkeypatch.setattr(spectral.BandCholesky, "__init__", recorded)
     return shifts

@@ -429,6 +429,8 @@ def _decay_rates(u: np.ndarray, nodes: np.ndarray, r_start: np.ndarray) -> list:
     rates = [np.nan] * u.shape[1]
     fit = np.flatnonzero(count >= 4)
     if fit.size:
+        # sel[:, fit] is Fortran-ordered, so each column is summed along itself
+        # alone and its rate has the same bits in any set of columns
         sel, n = sel[:, fit], count[fit]
         x = np.where(sel, nodes[:, None], 0.0)
         y = np.log(np.where(sel, mag[:, fit], 1.0))     # log 1 = 0 off the mask
@@ -437,6 +439,32 @@ def _decay_rates(u: np.ndarray, nodes: np.ndarray, r_start: np.ndarray) -> list:
         for k, slope in zip(fit, np.sum(dx * dy, axis=0) / np.sum(dx * dx, axis=0)):
             rates[k] = -float(slope)
     return rates
+
+
+_PASS_SIZE = 1 << 13     # vector entries one array pass takes at once, 64 kB a temporary
+
+
+def _columnwise(fn, arrays: list, h: float, *column_args: list) -> list:
+    """``fn`` of the columns of each array in ``arrays``, flat vectors of
+    unit sum |v|^2 taken to unit sum |v|^2 h, as one slice of what ``fn``
+    returns per array.  ``fn(u, *args)`` maps the columns of u, with one
+    entry of each of ``column_args`` per column, to one result per column,
+    each column's independent of the others.  It is called once per block
+    of consecutive arrays of at most ``_PASS_SIZE`` entries in all (or of
+    one array alone), so its temporaries stay bounded; each array is
+    dropped from ``arrays`` once read."""
+    results, start = [], 0
+    while start < len(arrays):
+        stop, total = start + 1, arrays[start].size
+        while stop < len(arrays) and total + arrays[stop].size <= _PASS_SIZE:
+            total, stop = total + arrays[stop].size, stop + 1
+        counts = [a.shape[1] for a in arrays[start:stop]]
+        u = np.concatenate(arrays[start:stop], axis=1) / np.sqrt(h)
+        arrays[start:stop] = [None] * (stop - start)
+        out = fn(u, *(np.concatenate(args[start:stop]) for args in column_args))
+        results += [out[end - n:end] for n, end in zip(counts, np.cumsum(counts).tolist())]
+        start = stop
+    return results
 
 
 def mobility_edge_scan(lam: float, grid: RadialGrid, j_max: int,
@@ -461,22 +489,28 @@ def mobility_edge_scan(lam: float, grid: RadialGrid, j_max: int,
     widths from one pass over each box's high-band eigenvectors.  The report
     counts the solves and the eigenvalues and eigenvectors each box returned.
 
-    The solves run in two :func:`~fluxlab.grid.channel_map` batches over
-    the CPUs: the base box's, then the grown and doubled boxes'.  A batch
-    runs only LAPACK (:func:`~fluxlab.grid.coarse_eigenpairs` and
-    eigenvalue bisection); the Rayleigh-Ritz steps, fits and widths follow
-    on the calling thread in channel order, and each batch's eigenvectors
-    are read before the next batch is solved.
+    Every channel's solves in all three boxes run in one
+    :func:`~fluxlab.grid.channel_map` batch over the CPUs, which runs only
+    LAPACK (:func:`~fluxlab.grid.coarse_eigenpairs` and eigenvalue
+    bisection).  The calling thread then reads the channels in order: it
+    takes the Rayleigh-Ritz step on the base box's low-band pairs alone,
+    since only their values are written and compared with the grown box,
+    and keeps the high band's ``?stein`` vectors, on the base and the
+    doubled box, as they are, since they feed nothing but participation
+    widths; their Ritz values are never formed.  The decay fits and the
+    widths are then array passes over many channels' columns at once, in
+    bounded blocks (``_columnwise``), and each column's result has the bits
+    of a pass over that column alone.  Only LAPACK runs on the pool, so the
+    results are the same bits for any number of threads.
 
-    Eigenpairs are those of :meth:`~fluxlab.grid.ChannelOperator.eigenpairs`,
-    so base-box eigenvalues are Ritz values, accurate to about the residual
-    (below 1e-12 on the benchmark grids).  The grown box's eigenvalues come
-    from Sturm-sequence bisection (``?stebz``) to LAPACK's default tolerance
-    eps |T|_1 of the channel's tridiagonal T, so an ``eigenvalue_shift``
-    below that tolerance is rounding, not box sensitivity; each record
-    carries it as ``shift_resolution``.  V_j near r = 0 makes |T|_1 large:
-    about 1e6 at |j| = 20 with n_r = 800 and r_max = 32, a tolerance of
-    about 2e-10.
+    Base-box low-band eigenvalues are Ritz values, accurate to about the
+    residual (below 1e-12 on the benchmark grids).  The grown box's
+    eigenvalues come from Sturm-sequence bisection (``?stebz``) to LAPACK's
+    default tolerance eps |T|_1 of the channel's tridiagonal T, so an
+    ``eigenvalue_shift`` below that tolerance is rounding, not box
+    sensitivity; each record carries it as ``shift_resolution``.  V_j near
+    r = 0 makes |T|_1 large: about 1e6 at |j| = 20 with n_r = 800 and
+    r_max = 32, a tolerance of about 2e-10.
 
     Raises ``ValueError``, naming the argument, when a verdict could not
     fail: ``box_growth`` that leaves round(n_r box_growth) at or below n_r
@@ -504,62 +538,58 @@ def mobility_edge_scan(lam: float, grid: RadialGrid, j_max: int,
                        for g in (grid, grid_big, grid_double))))
     grown_range = (low_band[0] - 0.05, low_band[1] + 0.05)
 
-    def base_solves(op):
-        return (coarse_eigenpairs(op.diagonal, op.off_diagonal, *low_band),
-                coarse_eigenpairs(op.diagonal, op.off_diagonal, *high_band))
+    def solves(box):
+        # one channel's LAPACK work in all three boxes; the grown and doubled
+        # boxes only where the base box has states in the band they check
+        op, op_big, op2 = box
+        low = coarse_eigenpairs(op.diagonal, op.off_diagonal, *low_band)
+        high = coarse_eigenpairs(op.diagonal, op.off_diagonal, *high_band)
+        return (low, high,
+                op_big.eigenvalues(value_range=grown_range) if low[0].size else None,
+                coarse_eigenpairs(op2.diagonal, op2.off_diagonal, *high_band)
+                if high[0].size else None)
 
-    # the base box: rates and widths, kept per channel with states
-    localized, base_widths = {}, {}
-    solved = channel_map(base_solves, [op for op, _, _ in boxes])
-    for c, (op, op_big, _) in enumerate(boxes):
-        low, high = solved[c]
+    solved = channel_map(solves, boxes)
+    lows, low_vectors, r_starts, highs, doubles = [], [], [], [], []
+    for c, (op, _, _) in enumerate(boxes):
+        low, high, vals_big, doubled = solved[c]
         solved[c] = None            # each channel's raw vectors go once read
-        vals, u, _ = rayleigh_ritz(op.diagonal, op.off_diagonal, *low, residual=False)
-        report._count("base", vals, vectors=True)
-        if vals.size:
-            row_sums = np.abs(op_big.diagonal)          # |T|_1 = max row sum
-            row_sums[:-1] += np.abs(op_big.off_diagonal)
-            row_sums[1:] += np.abs(op_big.off_diagonal)
+        report._count("base", low[0], vectors=True)
+        report._count("base", high[0], vectors=True)
+        if low[0].size:
+            report._count("grown", vals_big, vectors=False)
+            vals, u, _ = rayleigh_ritz(op.diagonal, op.off_diagonal, *low, residual=False)
             r_start = []
             for val in vals:
                 region = classical_region(profile, op.j, float(val), grid)
                 r_start.append(region.interval[1] if not region.empty else 0.0)
-            localized[c] = (vals, _decay_rates(u / np.sqrt(grid.h), grid.nodes,
-                                               np.array(r_start)),
-                            float(np.finfo(float).eps * row_sums.max()))
-        vals, u, _ = rayleigh_ritz(op.diagonal, op.off_diagonal, *high, residual=False)
-        report._count("base", vals, vectors=True)
-        if vals.size:
-            base_widths[c] = np.mean(participation_width(u / np.sqrt(grid.h), grid.h))
+            lows.append((c, vals, vals_big))
+            low_vectors.append(u)
+            r_starts.append(np.array(r_start))
+        if high[0].size:
+            report._count("doubled", doubled[0], vectors=True)
+            if doubled[0].size:
+                highs.append(high[1])
+                doubles.append(doubled[1])
 
-    def grown_solves(c):
-        _, op_big, op2 = boxes[c]
-        return (op_big.eigenvalues(value_range=grown_range) if c in localized else None,
-                coarse_eigenpairs(op2.diagonal, op2.off_diagonal, *high_band)
-                if c in base_widths else None)
-
-    # the grown and doubled boxes: shifts and width ratios
-    grown = sorted(localized.keys() | base_widths.keys())
-    for c, (vals_big, doubled) in zip(grown, channel_map(grown_solves, grown)):
-        op2 = boxes[c][2]
-        if vals_big is not None:
-            report._count("grown", vals_big, vectors=False)
-            vals, rates, resolution = localized[c]
-            shifts = np.min(np.abs(vals_big[None, :] - vals[:, None]), axis=1) \
-                if vals_big.size else np.full(vals.size, np.inf)
-            report.localized.extend(
-                MobilityChannelRecord(j=op2.j, eigenvalue=float(val), decay_rate=rate,
-                                      eigenvalue_shift=float(shift),
-                                      shift_resolution=resolution)
-                for val, rate, shift in zip(vals, rates, shifts))
-        if doubled is not None:
-            vals2, u2, _ = rayleigh_ritz(op2.diagonal, op2.off_diagonal, *doubled,
-                                         residual=False)
-            report._count("doubled", vals2, vectors=True)
-            if vals2.size:
-                report.extended_width_ratios.append(float(
-                    np.mean(participation_width(u2 / np.sqrt(grid_double.h), grid_double.h))
-                    / base_widths[c]))
+    wide = _columnwise(lambda u: participation_width(u, grid_double.h), doubles, grid_double.h)
+    base = _columnwise(lambda u: participation_width(u, grid.h), highs, grid.h)
+    report.extended_width_ratios = [float(np.mean(w) / np.mean(b)) for w, b in zip(wide, base)]
+    decay_rates = _columnwise(lambda u, r_start: _decay_rates(u, grid.nodes, r_start),
+                              low_vectors, grid.h, r_starts)
+    for (c, vals, vals_big), rates in zip(lows, decay_rates):
+        op_big = boxes[c][1]
+        row_sums = np.abs(op_big.diagonal)          # |T|_1 = max row sum
+        row_sums[:-1] += np.abs(op_big.off_diagonal)
+        row_sums[1:] += np.abs(op_big.off_diagonal)
+        resolution = float(np.finfo(float).eps * row_sums.max())
+        shifts = np.min(np.abs(vals_big[None, :] - vals[:, None]), axis=1) \
+            if vals_big.size else np.full(vals.size, np.inf)
+        report.localized.extend(
+            MobilityChannelRecord(j=op_big.j, eigenvalue=float(val), decay_rate=rate,
+                                  eigenvalue_shift=float(shift),
+                                  shift_resolution=resolution)
+            for val, rate, shift in zip(vals, rates, shifts))
 
     report.empty_low_band = not report.localized
     report.empty_high_band = not report.extended_width_ratios

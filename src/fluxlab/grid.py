@@ -34,12 +34,15 @@ functions of ``scipy.linalg.cython_lapack`` through ctypes, which releases
 the GIL for the call, with each thread's arguments and work arrays at fixed
 addresses.  Channels are independent, so :func:`channel_map` runs the
 kernel on many of them at once, one thread per CPU in the process's
-affinity mask, and returns their results in channel order: the window
+affinity mask, and returns their results in channel order.  The window
 solve of an uncoupled H and the mobility scan send it only their LAPACK
-work (:func:`coarse_eigenpairs`, eigenvalue solves) and take the
-Rayleigh-Ritz step (:func:`rayleigh_ritz`) and everything after it on the
-calling thread, so the results are the same bits for any number of
-threads.
+work (:func:`coarse_eigenpairs`, eigenvalue solves) and take everything
+after it on the calling thread, so the results are the same bits for any
+number of threads: the window solve takes the Rayleigh-Ritz step
+(:func:`rayleigh_ritz`) on every channel's pairs, and the mobility scan
+only on the base box's low-band pairs, whose values it writes, reading
+the vectors that feed only participation widths as ``?stein`` returns
+them.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from fluxlab import dynamics as dynamics_module
 from fluxlab import grid as grid_module
 from fluxlab.angular import AngularPotential, DecayClass, GevreyEnvelope
 from fluxlab.dynamics import (MobilityChannelRecord, MobilityReport,
@@ -505,6 +506,10 @@ def test_mobility_scan_agrees_with_the_per_vector_reference(n_r, r_max, j_max):
     old = reference_mobility_scan(1.0, grid, j_max, single_range=False)
     assert not new.empty_low_band and not new.empty_high_band
     assert_scans_agree(new, old)
+    # the width contract: the scan reads the high band's widths straight from
+    # the ?stein vectors, the reference from Ritz vectors (ChannelOperator.eigenpairs)
+    np.testing.assert_allclose(new.extended_width_ratios, old.extended_width_ratios,
+                               rtol=1e-13, atol=0)
 
 
 def test_mobility_bands_are_independent_when_they_overlap():
@@ -546,8 +551,9 @@ def test_mobility_grown_box_takes_no_eigenvectors(monkeypatch):
     assert set(solved) == {grid.n_r, 2 * grid.n_r}
 
 
-@pytest.mark.parametrize("n_r, r_max, j_max", [(270, 18.0, 12), (800, 32.0, 20)],
-                         ids=["coupled_ref_grid", "uncoupled_linear"])
+@pytest.mark.parametrize("n_r, r_max, j_max", [(270, 18.0, 12), (800, 32.0, 20),
+                                                (3000, 60.0, 3)],
+                         ids=["coupled_ref_grid", "uncoupled_linear", "A7"])
 def test_mobility_scan_has_the_same_bits_on_one_worker_and_on_two(monkeypatch, n_r, r_max,
                                                                    j_max):
     grid = build_grid(n_r, r_max)
@@ -574,6 +580,90 @@ def test_mobility_records_carry_the_grown_box_bisection_tolerance():
         for rec in report.localized:
             if rec.j == j:
                 assert rec.shift_resolution == pytest.approx(expected, rel=1e-15, abs=0)
+
+
+def test_mobility_scan_solves_all_three_boxes_in_one_batch(monkeypatch):
+    batches = []
+    channel_map = dynamics_module.channel_map
+
+    def recorded(fn, tasks):
+        tasks = list(tasks)
+        batches.append(len(tasks))
+        return channel_map(fn, tasks)
+
+    monkeypatch.setattr(dynamics_module, "channel_map", recorded)
+    report = mobility_edge_scan(1.0, build_grid(270, 18.0), 12)
+    assert batches == [25]
+    assert report.tridiagonal_solves == {"base": 50, "grown": 12, "doubled": 17}
+
+
+def test_mobility_ritz_step_runs_once_per_channel_with_low_band_states(monkeypatch):
+    # only the low band's Ritz values are written and compared with the grown
+    # box; the base box's high band and the doubled box feed widths alone
+    grid = build_grid(270, 18.0)
+    steps = []
+    rayleigh_ritz = dynamics_module.rayleigh_ritz
+
+    def recorded(d, e, vals, v, residual=True):
+        steps.append((d.size, vals.copy()))
+        return rayleigh_ritz(d, e, vals, v, residual=residual)
+
+    monkeypatch.setattr(dynamics_module, "rayleigh_ritz", recorded)
+    report = mobility_edge_scan(1.0, grid, 12)
+    assert not report.empty_low_band and not report.empty_high_band
+    assert len(steps) == len({rec.j for rec in report.localized})
+    assert sum(vals.size for _, vals in steps) == len(report.localized)
+    for size, vals in steps:
+        assert size == grid.n_r
+        assert vals.size and np.all((vals > 0.1) & (vals <= 0.8))
+
+
+@pytest.mark.parametrize("pass_size", [1, 1 << 30], ids=["one_channel", "one_block"])
+def test_mobility_scan_has_the_same_bits_in_blocks_of_any_size(monkeypatch, pass_size):
+    grid = build_grid(800, 32.0)
+    default = repr(dataclasses.asdict(mobility_edge_scan(1.0, grid, 20)))
+    monkeypatch.setattr(dynamics_module, "_PASS_SIZE", pass_size)
+    assert repr(dataclasses.asdict(mobility_edge_scan(1.0, grid, 20))) == default
+
+
+def test_a_decay_rate_has_the_same_bits_in_any_set_of_columns():
+    # the scan fits many channels' columns in one pass, which must give each
+    # column the rate of a pass over that column alone; the fourth column has
+    # too few nodes
+    r = build_grid(300, 12.0).nodes
+    noise = np.random.default_rng(7).standard_normal((r.size, 6))
+    u = np.exp(-0.3 * np.arange(1, 7)[None, :] * r[:, None]) * (1 + 0.2 * noise)
+    r_start = np.array([1.0, 2.0, 0.5, r[-3], 3.0, 1.5])
+    rates = _decay_rates(u, r, r_start)
+    assert np.isnan(rates[3]) and np.count_nonzero(np.isnan(rates)) == 1
+    alone = [_decay_rates(u[:, [k]], r, r_start[[k]])[0] for k in range(6)]
+    np.testing.assert_array_equal(rates, alone)
+    for cols in ([0, 1, 2], [2, 4, 5], [1, 3]):
+        np.testing.assert_array_equal(_decay_rates(u[:, cols], r, r_start[cols]),
+                                      [alone[k] for k in cols])
+
+
+def test_a_low_band_above_the_edge_fits_beyond_the_scanned_classical_region():
+    # the twin that must fail: a low band (1.05, 1.2] above lam^2 = 1, where
+    # the closed form j/(lam -+ sqrt(E)) does not hold; each record's rate is
+    # the fit beyond the end of classical_region's grid scan, bit for bit
+    grid = build_grid(270, 18.0)
+    profile = FluxProfile.linear(1.0)
+    report = mobility_edge_scan(1.0, grid, 12, low_band=(1.05, 1.2))
+    expected = []
+    for op in build_channel_operators(profile, np.arange(-12, 13), grid):
+        vals, u = op.eigenpairs(value_range=(1.05, 1.2))
+        r_start = []
+        for val in vals.tolist():
+            region = classical_region(profile, op.j, val, grid)
+            r_start.append(region.interval[1] if not region.empty else 0.0)
+        rates = _decay_rates(u, grid.nodes, np.array(r_start)) if vals.size else []
+        expected += [(op.j, val, rate) for val, rate in zip(vals.tolist(), rates)]
+    assert any(j > 0 for j, _, _ in expected) and any(j == 0 for j, _, _ in expected)
+    assert [(rec.j, rec.eigenvalue) for rec in report.localized] == \
+        [(j, val) for j, val, _ in expected]
+    np.testing.assert_array_equal([rec.decay_rate for rec in report.localized],
+                                  [rate for _, _, rate in expected])
 
 
 def test_channel_operators_from_one_table_equal_the_per_channel_build():
